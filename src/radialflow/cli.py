@@ -19,7 +19,7 @@ from .ingest import (
     renumber_sequential,
     validate_radial,
 )
-from .model import BranchRecord, DataError, LoadFlowError, PerUnitBase
+from .model import DEFAULT_BASE, BranchRecord, DataError, LoadFlowError, PerUnitBase
 from .solver import NonConvergenceError, SolveOptions
 
 EXIT_OK = 0
@@ -45,8 +45,9 @@ def _base_from_args(args, table: RawTable) -> PerUnitBase | None:
     if args.kv is None and args.mva is None:
         return None  # let validate_radial fall back to the file/default base
     declared = table.declared_base
-    kv = args.kv if args.kv is not None else (declared.kv_base if declared else 12.66)
-    mva = args.mva if args.mva is not None else (declared.mva_base if declared else 10.0)
+    fallback = declared or DEFAULT_BASE
+    kv = args.kv if args.kv is not None else fallback.kv_base
+    mva = args.mva if args.mva is not None else fallback.mva_base
     return PerUnitBase(kv_base=kv, mva_base=mva)
 
 

@@ -30,7 +30,7 @@ def wrap_angle(angle: float) -> float:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Phasor:
     """A complex electrical quantity stored in rectangular form.
 
@@ -111,7 +111,7 @@ def phasor_conj(a: Phasor) -> Phasor:
     return a.conjugate()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerUnitBase:
     """Voltage/power base pair; impedance base is derived from it."""
 
@@ -135,7 +135,7 @@ class PerUnitBase:
 DEFAULT_BASE = PerUnitBase(kv_base=12.66, mva_base=10.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BranchRecord:
     """One row of a branch table, in physical units (ohms, kW, kVAr, kVA)."""
 
@@ -167,7 +167,7 @@ class BranchRecord:
             raise DataError(f"branch {b}: tie-line must carry zero load")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerUnitBranch:
     """A branch with impedance and receiving-end load converted to per-unit."""
 
@@ -237,27 +237,31 @@ class NetworkModel:
     children: dict[int, tuple[int, ...]]
     base: PerUnitBase
     sequentially_ordered: bool = True
-    # derived maps, filled in __post_init__
+    # derived values, filled in __post_init__
     branch_by_id: dict[int, PerUnitBranch] = field(default_factory=dict, repr=False)
     parent_branch: dict[int, int] = field(default_factory=dict, repr=False)
     node_load: dict[int, Phasor] = field(default_factory=dict, repr=False)
+    sorted_nodes: tuple[int, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
+        seen = {self.root}
+        for b in self.branches:
+            seen.add(b.sending_node)
+            seen.add(b.receiving_node)
+        nodes = tuple(sorted(seen))
         by_id = {b.branch_id: b for b in self.branches}
         parent = {b.receiving_node: b.branch_id for b in self.branches}
-        load = {n: Phasor.zero() for n in self.nodes()}
+        load = {n: Phasor.zero() for n in nodes}
         for b in self.branches:
             load[b.receiving_node] = b.s_load
+        object.__setattr__(self, "sorted_nodes", nodes)
         object.__setattr__(self, "branch_by_id", by_id)
         object.__setattr__(self, "parent_branch", parent)
         object.__setattr__(self, "node_load", load)
 
     def nodes(self) -> tuple[int, ...]:
-        seen = {self.root}
-        for b in self.branches:
-            seen.add(b.sending_node)
-            seen.add(b.receiving_node)
-        return tuple(sorted(seen))
+        """Every node id, the root included, in ascending order."""
+        return self.sorted_nodes
 
     @property
     def branch_count(self) -> int:
@@ -285,15 +289,6 @@ class SolveState:
             branch_current={b.branch_id: zero for b in net.branches},
             prev_voltage_mag={n: 1.0 for n in nodes},
         )
-
-
-@dataclass
-class SweepScratch:
-    """Working values for one branch of the polar-form voltage evaluation."""
-
-    phi: float = 0.0
-    re_sum: float = 0.0
-    im_sum: float = 0.0
 
 
 @dataclass(frozen=True)

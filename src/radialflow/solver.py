@@ -1,9 +1,18 @@
 """Backward/forward sweep load-flow with step-count instrumentation.
 
-Branch currents are accumulated leaf-first with a work stack over the
-sequentially ordered branch list; node voltages then propagate root-first.
-Leaf identification runs once before the iteration loop, which is where the
-step saving over the per-iteration rescanning baseline comes from.
+Branch currents are accumulated leaf-first over the sequentially ordered
+branch list; node voltages then propagate root-first. Leaf identification runs
+once before the iteration loop, which is where the step saving over the
+per-iteration rescanning baseline comes from.
+
+solve compiles the network once into flat index lists (sending and receiving
+node, parent branch, leaf flag) and complex lists (impedance, conjugate load),
+then sweeps those lists until the voltage profile settles. Step counts depend
+only on the topology, so one counted pass gives them: pre_loop + r x
+per_iteration. The dict-based phase functions below (compute_load_currents,
+backward_sweep, forward_sweep, check_convergence) count as they go and remain
+the reference implementation: the tests require solve to reproduce them
+exactly, and oracle.baseline_solve is built from them.
 """
 from __future__ import annotations
 
@@ -17,7 +26,6 @@ from .model import (
     Phasor,
     SolveReport,
     SolveState,
-    SweepScratch,
     wrap_angle,
 )
 
@@ -227,21 +235,31 @@ def backward_sweep(
 
 def _polar_voltage(vs: Phasor, i_br: Phasor, z: Phasor) -> tuple[float, float]:
     """Receiving-end voltage via the squared-magnitude and angle-ratio forms."""
-    scratch = SweepScratch(
-        phi=wrap_angle(math.atan2(i_br.im, i_br.re) + math.atan2(z.im, z.re)),
-        re_sum=i_br.re,
-        im_sum=i_br.im,
-    )
+    phi = wrap_angle(math.atan2(i_br.im, i_br.re) + math.atan2(z.im, z.re))
     vs_m = vs.magnitude
     drop = i_br.magnitude * z.magnitude
     theta_s = vs.angle
-    vr_sq = vs_m * vs_m + drop * drop - 2.0 * vs_m * drop * math.cos(theta_s - scratch.phi)
+    vr_sq = vs_m * vs_m + drop * drop - 2.0 * vs_m * drop * math.cos(theta_s - phi)
     vr_mag = math.sqrt(max(vr_sq, 0.0))
     vr_ang = math.atan2(
-        vs_m * math.sin(theta_s) - drop * math.sin(scratch.phi),
-        vs_m * math.cos(theta_s) - drop * math.cos(scratch.phi),
+        vs_m * math.sin(theta_s) - drop * math.sin(phi),
+        vs_m * math.cos(theta_s) - drop * math.cos(phi),
     )
     return vr_mag, vr_ang
+
+
+def _polar_deviation(vs: Phasor, i_br: Phasor, z: Phasor, vr: Phasor, branch_id: int) -> float:
+    """Disagreement of the polar-form receiving voltage with the rectangular vr.
+
+    Raises PolarMismatchError beyond POLAR_AGREEMENT_TOL.
+    """
+    mag, ang = _polar_voltage(vs, i_br, z)
+    dev = abs(mag - vr.magnitude)
+    if mag > 0.0 and vr.magnitude > 0.0:
+        dev = max(dev, abs(wrap_angle(ang - vr.angle)))
+    if dev > POLAR_AGREEMENT_TOL:
+        raise PolarMismatchError(f"branch {branch_id}: polar form deviates by {dev:.3e}")
+    return dev
 
 
 def forward_sweep(
@@ -263,15 +281,7 @@ def forward_sweep(
         if not (math.isfinite(vr.re) and math.isfinite(vr.im)):
             raise NumericError(f"non-finite voltage on branch {b.branch_id}")
         if debug_polar:
-            mag, ang = _polar_voltage(vs, i_br, b.z)
-            dev = abs(mag - vr.magnitude)
-            if mag > 0.0 and vr.magnitude > 0.0:
-                dev = max(dev, abs(wrap_angle(ang - vr.angle)))
-            worst = max(worst, dev)
-            if dev > POLAR_AGREEMENT_TOL:
-                raise PolarMismatchError(
-                    f"branch {b.branch_id}: polar form deviates by {dev:.3e}"
-                )
+            worst = max(worst, _polar_deviation(vs, i_br, b.z, vr, b.branch_id))
         state.node_voltage[b.receiving_node] = vr
         if counter:
             counter.voltage_steps += 1
@@ -320,40 +330,170 @@ def compute_losses(
     return rows, total_p, total_q
 
 
+def _compile(net: NetworkModel, leaves: LeafSet, literal_scan: bool):
+    """Flatten the topology into the lists the sweep iterates on.
+
+    Node indices are positions in net.nodes(), branch positions are positions
+    in net.branches. Returns (loads, backward, forward, per_iteration):
+
+    - loads: (node index, conj(S)) for each node with a nonzero load, in node
+      order;
+    - backward: (position, receiving index, parent position, is leaf) in
+      descending branch order; branches fed by the root get parent position
+      len(net.branches), a spare accumulator nobody reads;
+    - forward: (position, sending index, receiving index, z) in ascending
+      branch order;
+    - per_iteration: the steps one pass of the counted phase functions takes.
+      It depends on the topology only, so is_leaf's binary search runs here,
+      counted, instead of inside the loop.
+
+    Raises SweepInvariantError if a branch's parent does not precede it, which
+    would make the backward sweep consume a current before computing it.
+    """
+    index = {node: i for i, node in enumerate(net.nodes())}
+    position = {b.branch_id: k for k, b in enumerate(net.branches)}
+    m = len(net.branches)
+    counter = StepCounter()
+    backward = []
+    forward = []
+    for k, b in enumerate(net.branches):
+        parent_id = net.parent_branch.get(b.sending_node)
+        if parent_id is None:
+            p = m
+        else:
+            p = position[parent_id]
+            if p >= k:
+                raise SweepInvariantError(
+                    f"branch {b.branch_id} consumed before computation (branch {parent_id})"
+                )
+        leaf = is_leaf(leaves, b.receiving_node, counter)
+        if leaf:
+            counter.current_steps += 1
+        else:
+            # child listing (a whole-table scan in literal mode), then a pop and
+            # an add per child, then the node's own load current
+            c = len(net.children[b.receiving_node])
+            counter.current_steps += (m + c if literal_scan else c) + 2 * c + 1
+        backward.append((k, index[b.receiving_node], p, leaf))
+        forward.append((k, index[b.sending_node], index[b.receiving_node], b.z.as_complex()))
+    backward.reverse()
+    loads = [
+        (i, complex(s.re, -s.im))
+        for i, s in enumerate(net.node_load[node] for node in net.nodes())
+        if not s.is_zero()
+    ]
+    n = len(index)
+    # load currents and the convergence check take one step per node, the
+    # forward sweep one per branch
+    per_iteration = counter.total + n + m + n
+    return loads, backward, forward, per_iteration
+
+
+def _sweep(net: NetworkModel, leaves: LeafSet, options: SolveOptions):
+    """Iterate the sweep on flat lists from a flat start until it settles.
+
+    Same arithmetic, in the same order, as compute_load_currents,
+    backward_sweep, forward_sweep and check_convergence. Returns (iterations,
+    delta history, worst polar deviation, steps per iteration, and the final
+    voltages, load currents, branch currents and voltage magnitudes as lists).
+    """
+    loads, backward, forward, per_iteration = _compile(net, leaves, options.literal_scan)
+    nodes = net.nodes()
+    n = len(nodes)
+    m = len(net.branches)
+    hypot = math.hypot
+    isfinite = math.isfinite
+    tolerance = options.tolerance
+    debug_polar = options.debug_polar
+    as_phasor = Phasor.from_complex
+    v = [complex(1.0, 0.0)] * n
+    il = [0j] * n
+    mags = [1.0] * n
+    deltas = []
+    worst_polar = 0.0
+    converged = False
+    max_delta = math.inf
+    iterations = 0
+    for iterations in range(1, options.max_iterations + 1):
+        try:
+            for i, s_conj in loads:
+                il[i] = s_conj / v[i].conjugate()
+        except ZeroDivisionError:  # complex division fails only on exactly 0j
+            raise VoltageCollapseError(f"zero voltage at loaded node {nodes[i]}") from None
+
+        # each current is scattered into its parent's accumulator, so siblings
+        # add highest id first, as backward_sweep's stack pops them
+        ib = [0j] * (m + 1)
+        for k, r, p, leaf in backward:
+            i_br = il[r] if leaf else ib[k] + il[r]
+            ib[k] = i_br
+            ib[p] += i_br
+
+        for k, s, r, z in forward:
+            vr = v[s] - ib[k] * z
+            if not (isfinite(vr.real) and isfinite(vr.imag)):
+                raise NumericError(f"non-finite voltage on branch {net.branches[k].branch_id}")
+            if debug_polar:
+                dev = _polar_deviation(as_phasor(v[s]), as_phasor(ib[k]), as_phasor(z),
+                                       as_phasor(vr), net.branches[k].branch_id)
+                worst_polar = max(worst_polar, dev)
+            v[r] = vr
+
+        converged = True
+        max_delta = 0.0
+        for i, vi in enumerate(v):
+            mag = hypot(vi.real, vi.imag)
+            delta = abs(mag - mags[i])
+            if not delta <= tolerance:  # as check_convergence: NaN is not within
+                converged = False
+            if delta > max_delta:
+                max_delta = delta
+            mags[i] = mag
+        deltas.append(max_delta)
+        if converged:
+            break
+    if not converged:
+        raise NonConvergenceError(iterations, max_delta)
+    del ib[m]  # the spare accumulator of the root-fed branches
+    return iterations, deltas, worst_polar, per_iteration, v, il, ib, mags
+
+
 def solve(net: NetworkModel, options: SolveOptions | None = None) -> SolveReport:
     """Run the sweep iteration from a flat start until the voltage profile settles.
 
-    Leaves are identified once before the loop. Each pass recomputes load
-    currents, sweeps branch currents backward, voltages forward, and checks the
-    per-node magnitude deltas against the tolerance.
+    Leaves are identified once before the loop and the network is compiled
+    once into flat lists. Each pass recomputes load currents, sweeps branch
+    currents backward, voltages forward, and checks the per-node magnitude
+    deltas against the tolerance. Step counts come from one counted pass over
+    the topology: pre_loop_steps + iterations x per-iteration steps.
     """
     if options is None:
         options = SolveOptions()
     if not net.sequentially_ordered:
         raise OrderingError("network branches are not sequentially ordered")
 
-    state = SolveState.flat_start(net)
     counter = StepCounter()
     leaves = find_leaf_nodes(net, counter)
     counter.mark_pre_loop()
+    iterations, deltas, worst_polar, per_iteration, v, il, ib, mags = _sweep(net, leaves, options)
 
-    converged = False
-    max_delta = math.inf
-    worst_polar = 0.0
-    deltas = []
-    iterations = 0
-    for iterations in range(1, options.max_iterations + 1):
-        compute_load_currents(state, net, counter)
-        backward_sweep(state, net, leaves, counter, literal_scan=options.literal_scan)
-        dev = forward_sweep(state, net, counter, debug_polar=options.debug_polar)
-        worst_polar = max(worst_polar, dev)
-        converged, max_delta = check_convergence(state, options.tolerance, counter)
-        counter.end_iteration()
-        deltas.append(max_delta)
-        if converged:
-            break
-    if not converged:
-        raise NonConvergenceError(iterations, max_delta)
+    # convert one list at a time, dropping each, to keep the peak footprint low
+    nodes = net.nodes()
+    final_voltage = dict(zip(nodes, map(Phasor.from_complex, v)))
+    del v
+    final_load_current = dict(zip(nodes, map(Phasor.from_complex, il)))
+    del il
+    final_branch_current = dict(
+        zip((b.branch_id for b in net.branches), map(Phasor.from_complex, ib))
+    )
+    del ib
+    state = SolveState(
+        node_voltage=final_voltage,
+        load_current=final_load_current,
+        branch_current=final_branch_current,
+        prev_voltage_mag=dict(zip(nodes, mags)),
+    )
+    del mags
 
     loss_rows, total_p, total_q = compute_losses(state, net)
     return SolveReport(
@@ -361,7 +501,7 @@ def solve(net: NetworkModel, options: SolveOptions | None = None) -> SolveReport
         iterations=iterations,
         node_voltages=tuple(
             (n, state.node_voltage[n].magnitude, state.node_voltage[n].angle_degrees)
-            for n in net.nodes()
+            for n in nodes
         ),
         branch_currents=tuple(
             (b.branch_id, abs(state.branch_current[b.branch_id])) for b in net.branches
@@ -369,16 +509,16 @@ def solve(net: NetworkModel, options: SolveOptions | None = None) -> SolveReport
         branch_losses=tuple(loss_rows),
         total_loss_p=total_p,
         total_loss_q=total_q,
-        step_count_proposed=counter.total,
+        step_count_proposed=counter.pre_loop_steps + iterations * per_iteration,
         step_count_baseline=0,
         leaf_count=len(leaves),
         pre_loop_steps=counter.pre_loop_steps,
-        per_iteration_steps=tuple(counter.iteration_totals),
+        per_iteration_steps=(per_iteration,) * iterations,
         delta_history=tuple(deltas),
         max_polar_deviation=worst_polar if options.debug_polar else None,
-        final_voltage=dict(state.node_voltage),
-        final_load_current=dict(state.load_current),
-        final_branch_current=dict(state.branch_current),
+        final_voltage=final_voltage,
+        final_load_current=final_load_current,
+        final_branch_current=final_branch_current,
     )
 
 

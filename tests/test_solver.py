@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -14,6 +15,7 @@ from radialflow.solver import (
     NonConvergenceError,
     SolveOptions,
     StepCounter,
+    SweepInvariantError,
     VoltageCollapseError,
     backward_sweep,
     check_convergence,
@@ -340,3 +342,95 @@ class TestStepCounting:
             base = rf.baseline_solve(net, opts)
             for p_steps, b_steps in zip(rep.per_iteration_steps, base.per_iteration_steps):
                 assert p_steps <= b_steps
+
+
+def phase_function_solve(net, options):
+    """solve's iteration written with the dict phase functions, counting every
+    step as it goes. Returns (state, counter, iterations, delta history,
+    worst polar deviation)."""
+    state = SolveState.flat_start(net)
+    counter = StepCounter()
+    leaves = find_leaf_nodes(net, counter)
+    counter.mark_pre_loop()
+    deltas = []
+    worst_polar = 0.0
+    for iterations in range(1, options.max_iterations + 1):
+        compute_load_currents(state, net, counter)
+        backward_sweep(state, net, leaves, counter, literal_scan=options.literal_scan)
+        dev = forward_sweep(state, net, counter, debug_polar=options.debug_polar)
+        worst_polar = max(worst_polar, dev)
+        converged, max_delta = check_convergence(state, options.tolerance, counter)
+        counter.end_iteration()
+        deltas.append(max_delta)
+        if converged:
+            return state, counter, iterations, deltas, worst_polar
+    raise NonConvergenceError(iterations, max_delta)
+
+
+def assert_solve_matches_phase_functions(net, options):
+    report = solve(net, options)
+    state, counter, iterations, deltas, worst_polar = phase_function_solve(net, options)
+    assert report.final_voltage == state.node_voltage
+    assert report.final_load_current == state.load_current
+    assert report.final_branch_current == state.branch_current
+    assert report.node_voltages == tuple(
+        (n, state.node_voltage[n].magnitude, state.node_voltage[n].angle_degrees)
+        for n in net.nodes()
+    )
+    assert report.branch_currents == tuple(
+        (b.branch_id, abs(state.branch_current[b.branch_id])) for b in net.branches
+    )
+    assert report.delta_history == tuple(deltas)
+    assert report.iterations == iterations
+    assert report.pre_loop_steps == counter.pre_loop_steps
+    assert report.per_iteration_steps == tuple(counter.iteration_totals)
+    assert report.step_count_proposed == counter.total
+    assert report.max_polar_deviation == (worst_polar if options.debug_polar else None)
+
+
+class TestFlatSolveMatchesPhaseFunctions:
+    """solve runs on compiled flat lists; the dict phase functions are the
+    reference it must reproduce exactly, step counts included."""
+
+    @pytest.mark.parametrize("options", [
+        SolveOptions(),
+        SolveOptions(literal_scan=True),
+        SolveOptions(debug_polar=True),
+    ], ids=["default", "literal_scan", "debug_polar"])
+    @pytest.mark.parametrize("fixture", ["bus69_net", "bus33_net"])
+    def test_fixtures(self, request, fixture, options):
+        assert_solve_matches_phase_functions(request.getfixturevalue(fixture), options)
+
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_criterion_2_random_trees(self, literal):
+        rng = random.Random(2024)
+        for _ in range(200):
+            n = rng.randint(2, 30)
+            net = validate_radial(generate_random_table(n, rng.uniform(0.05, 0.95), rng))
+            assert_solve_matches_phase_functions(net, SolveOptions(literal_scan=literal))
+
+    def test_non_convergence_carries_last_delta(self, bus69_net):
+        options = SolveOptions(max_iterations=2)
+        with pytest.raises(NonConvergenceError) as flat:
+            solve(bus69_net, options)
+        with pytest.raises(NonConvergenceError) as reference:
+            phase_function_solve(bus69_net, options)
+        assert flat.value.iterations == reference.value.iterations == 2
+        assert flat.value.max_delta == reference.value.max_delta
+
+    def test_collapse_names_the_node(self):
+        # 1 p.u. load through 1 p.u. resistance: the first sweep drives V2 to 0
+        zb = rf.DEFAULT_BASE.z_base
+        net = validate_radial(make_table([(1, 1, 2, zb, 0.0, 10000.0, 0.0)]))
+        with pytest.raises(VoltageCollapseError, match="node 2"):
+            solve(net)
+
+    def test_misordered_network_fails_the_sweep_invariant(self):
+        table = make_table([
+            (1, 2, 3, 0.1, 0.1, 10, 5),
+            (2, 1, 2, 0.1, 0.1, 10, 5),
+        ])
+        net = validate_radial(table, require_ordered=False)
+        mislabelled = dataclasses.replace(net, sequentially_ordered=True)
+        with pytest.raises(SweepInvariantError, match="branch 1 consumed"):
+            solve(mislabelled)
