@@ -14,7 +14,6 @@ from .ingest import (
     ParseError,
     RawTable,
     TopologyError,
-    check_sequential_ordering,
     parse_branch_table,
     renumber_sequential,
     validate_radial,

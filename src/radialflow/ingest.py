@@ -1,9 +1,21 @@
-"""Parsing, radial-topology validation, and sequential renumbering of branch tables."""
+"""Parsing, radial-topology validation, and sequential renumbering of branch tables.
+
+validate_radial and renumber_sequential share one tree check, _check_tree,
+which builds the adjacency in a single pass over the closed branches: the
+branch feeding each node, and the branches leaving each sending node. The walk
+from the root, the tie-line check and renumber_sequential's relabelling reuse
+that adjacency. validate_radial sorts the closed branches by id once; the
+ordering check, the children tuples (in id order, without a sort per node) and
+the per-unit branches all come from that one sorted list. Every defect found
+raises a typed error: ParseError or DataError for bad input text and values,
+TopologyError for anything that is not a tree rooted at the requested root.
+"""
 from __future__ import annotations
 
 import heapq
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .model import (
     DEFAULT_BASE,
@@ -14,6 +26,9 @@ from .model import (
     PerUnitBase,
     to_per_unit,
 )
+
+
+_branch_id = attrgetter("branch_id")
 
 
 class ParseError(DataError):
@@ -116,33 +131,74 @@ def _parse_delimited(text: str, source: str) -> tuple[BranchRecord, ...]:
     return tuple(rows)
 
 
+# what int() and float() raise on a value they cannot convert
+_BAD_VALUE = (TypeError, ValueError, OverflowError)
+
+
 def _parse_json(text: str, source: str) -> tuple[tuple[BranchRecord, ...], PerUnitBase | None, int | None]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{source}: invalid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{source}: expected a JSON object at the top level, got {type(doc).__name__}")
     base = None
     if "base" in doc:
-        base = PerUnitBase(kv_base=float(doc["base"]["kv"]), mva_base=float(doc["base"]["mva"]))
-    root = int(doc["root"]) if "root" in doc else None
+        try:
+            base = PerUnitBase(kv_base=float(doc["base"]["kv"]), mva_base=float(doc["base"]["mva"]))
+        except (KeyError, *_BAD_VALUE):
+            raise ParseError(
+                f"{source}: bad \"base\" {doc['base']!r} (needs numbers \"kv\" and \"mva\")"
+            ) from None
+    root = None
+    if "root" in doc:
+        try:
+            root = int(doc["root"])
+        except _BAD_VALUE:
+            raise ParseError(f"{source}: bad \"root\" {doc['root']!r}") from None
+    branches = doc.get("branches", [])
+    if not isinstance(branches, list):
+        raise ParseError(f"{source}: \"branches\" must be a list, got {type(branches).__name__}")
     rows = []
-    for entry in doc.get("branches", []):
-        is_tie = bool(entry.get("open", False))
-        cap = entry.get("cap")
-        rows.append(
-            BranchRecord(
-                branch_id=int(entry["id"]),
-                sending_node=int(entry["from"]),
-                receiving_node=int(entry["to"]),
-                resistance=float(entry["r"]),
-                reactance=float(entry["x"]),
-                load_p=0.0 if is_tie else float(entry.get("p", 0.0)),
-                load_q=0.0 if is_tie else float(entry.get("q", 0.0)),
-                capacity=float(cap) if cap is not None else None,
-                is_tie=is_tie,
+    for index, entry in enumerate(branches):
+        try:
+            is_tie = bool(entry.get("open", False))
+            cap = entry.get("cap")
+            rows.append(
+                BranchRecord(
+                    branch_id=int(entry["id"]),
+                    sending_node=int(entry["from"]),
+                    receiving_node=int(entry["to"]),
+                    resistance=float(entry["r"]),
+                    reactance=float(entry["x"]),
+                    load_p=0.0 if is_tie else float(entry.get("p", 0.0)),
+                    load_q=0.0 if is_tie else float(entry.get("q", 0.0)),
+                    capacity=float(cap) if cap is not None else None,
+                    is_tie=is_tie,
+                )
             )
-        )
+        except (AttributeError, KeyError, *_BAD_VALUE) as exc:
+            raise _json_entry_error(entry, f"{source}: branches[{index}]", exc) from None
     return tuple(rows), base, root
+
+
+def _json_entry_error(entry, where: str, exc: Exception) -> ParseError:
+    """The ParseError naming the key of a JSON branch entry that could not be read."""
+    if not isinstance(entry, dict):
+        return ParseError(f"{where}: expected an object, got {type(entry).__name__}")
+    if isinstance(exc, KeyError):
+        return ParseError(f"{where}: missing key {exc.args[0]!r}")
+    for key in ("id", "from", "to", "r", "x", "p", "q", "cap"):
+        value = entry.get(key)
+        if key not in entry or (key == "cap" and value is None) or (
+            key in ("p", "q") and entry.get("open", False)
+        ):
+            continue
+        try:
+            (int if key in ("id", "from", "to") else float)(value)
+        except _BAD_VALUE:
+            return ParseError(f"{where}: bad value {value!r} for key {key!r}")
+    return ParseError(f"{where}: {exc}")
 
 
 def parse_branch_table(text: str, fmt: str = "delimited", source_name: str = "<memory>") -> RawTable:
@@ -175,62 +231,95 @@ def format_branch_table(table: RawTable) -> str:
 
 
 def _check_tree(closed: tuple[BranchRecord, ...], root: int, source: str):
-    """Verify closed branches form a tree rooted at root.
+    """Verify the closed branches form a tree rooted at root.
 
-    Returns (nodes, children_ids, parent_of) on success; raises TopologyError
-    naming a cycle edge, a disconnected node, or a doubly-fed node otherwise.
+    One pass over closed builds the adjacency. Returns (incoming, out): the
+    branch feeding each node, and the branches leaving each sending node in
+    input order. Raises TopologyError naming a doubly-fed node, a cycle edge,
+    or a node with no feeding branch otherwise.
     """
-    nodes = {root}
-    for b in closed:
-        nodes.add(b.sending_node)
-        nodes.add(b.receiving_node)
     incoming: dict[int, BranchRecord] = {}
-    children: dict[int, list[int]] = {n: [] for n in nodes}
+    out: dict[int, list[BranchRecord]] = {}
     for b in closed:
-        if b.receiving_node in incoming:
+        r = b.receiving_node
+        if r in incoming:
             raise TopologyError(
-                f"{source}: node {b.receiving_node} is fed by branches "
-                f"{incoming[b.receiving_node].branch_id} and {b.branch_id}"
+                f"{source}: node {r} is fed by branches {incoming[r].branch_id} and {b.branch_id}"
             )
-        incoming[b.receiving_node] = b
-        children[b.sending_node].append(b.branch_id)
+        incoming[r] = b
+        siblings = out.get(b.sending_node)
+        if siblings is None:
+            out[b.sending_node] = [b]
+        else:
+            siblings.append(b)
     if root in incoming:
         edge = incoming[root]
         raise TopologyError(
             f"{source}: cycle through branch {edge.branch_id} "
             f"({edge.sending_node}->{edge.receiving_node}) feeding the root"
         )
+    # every node but the root has exactly one feeding branch, so the walk from
+    # the root meets each node at most once; it misses some node exactly when
+    # a node has no feeding branch or lies on a cycle
+    reached = 0
+    stack = [root]
+    while stack:
+        reached += 1
+        fed = out.get(stack.pop())
+        if fed is not None:
+            for b in fed:
+                stack.append(b.receiving_node)
+    if reached != len(incoming) + 1:
+        raise _unreached(closed, root, source, incoming, out)
+    return incoming, out
+
+
+def _unreached(closed: tuple[BranchRecord, ...], root: int, source: str,
+               incoming: dict[int, BranchRecord],
+               out: dict[int, list[BranchRecord]]) -> TopologyError:
+    """The error for a tree check whose walk from the root missed some node.
+
+    Names the first node without a feeding branch in the iteration order of
+    the set of all nodes; failing that, a cycle edge reached from the smallest
+    unreached node.
+    """
+    nodes = {root}
+    for b in closed:
+        nodes.add(b.sending_node)
+        nodes.add(b.receiving_node)
     for n in nodes:
         if n != root and n not in incoming:
-            raise TopologyError(f"{source}: node {n} has no feeding branch")
-
-    by_id = {b.branch_id: b for b in closed}
+            return TopologyError(f"{source}: node {n} has no feeding branch")
     reached = {root}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for n in frontier:
-            for bid in children[n]:
-                r = by_id[bid].receiving_node
-                if r not in reached:
-                    reached.add(r)
-                    nxt.append(r)
-        frontier = nxt
-    if len(reached) != len(nodes):
-        # unreached nodes all have a feeding branch, so they lie on a cycle
-        start = min(n for n in nodes if n not in reached)
-        seen = []
-        n = start
-        while n not in seen:
-            seen.append(n)
-            n = incoming[n].sending_node
-        edge = incoming[n]
-        raise TopologyError(
-            f"{source}: cycle through branch {edge.branch_id} "
-            f"({edge.sending_node}->{edge.receiving_node})"
-        )
-    parent_of = {r: b.branch_id for r, b in incoming.items()}
-    return nodes, children, parent_of
+    stack = [root]
+    while stack:
+        for b in out.get(stack.pop(), ()):
+            reached.add(b.receiving_node)
+            stack.append(b.receiving_node)
+    # unreached nodes all have a feeding branch, so they lie on a cycle
+    start = min(n for n in nodes if n not in reached)
+    seen = []
+    n = start
+    while n not in seen:
+        seen.append(n)
+        n = incoming[n].sending_node
+    edge = incoming[n]
+    return TopologyError(
+        f"{source}: cycle through branch {edge.branch_id} "
+        f"({edge.sending_node}->{edge.receiving_node})"
+    )
+
+
+def _check_ties(ties: tuple[BranchRecord, ...], root: int, incoming: dict[int, BranchRecord],
+                source: str) -> None:
+    """Raise TopologyError for a tie branch ending at a node the closed branches lack."""
+    for t in ties:
+        for node in (t.sending_node, t.receiving_node):
+            if node != root and node not in incoming:
+                raise TopologyError(
+                    f"{source}: tie branch {t.branch_id} ends at node {node}, "
+                    f"which no closed branch connects"
+                )
 
 
 def check_sequential_ordering(closed: tuple[BranchRecord, ...], root: int) -> int | None:
@@ -240,7 +329,7 @@ def check_sequential_ordering(closed: tuple[BranchRecord, ...], root: int) -> in
     delivering power to its sending node has a smaller id.
     """
     parent_of = {b.receiving_node: b.branch_id for b in closed}
-    for b in sorted(closed, key=lambda b: b.branch_id):
+    for b in sorted(closed, key=_branch_id):
         if b.sending_node == root:
             continue
         if parent_of[b.sending_node] >= b.branch_id:
@@ -267,11 +356,13 @@ def validate_radial(
     closed = table.closed_rows()
     if not closed:
         raise TopologyError(f"{table.source_name}: no closed branches")
-    sending = {b.sending_node for b in closed}
-    if root not in sending:
+    if not any(b.sending_node == root for b in closed):
         raise TopologyError(f"{table.source_name}: root {root} is not a sending node")
-    nodes, children, _ = _check_tree(closed, root, table.source_name)
+    incoming, _ = _check_tree(closed, root, table.source_name)
+    ties = table.tie_rows()
+    _check_ties(ties, root, incoming, table.source_name)
 
+    closed = sorted(closed, key=_branch_id)
     bad = check_sequential_ordering(closed, root)
     ordered = bad is None
     if require_ordered and not ordered:
@@ -280,13 +371,23 @@ def validate_radial(
             f"sending node (run renumber_sequential)"
         )
 
-    branches = tuple(sorted((to_per_unit(b, base) for b in closed), key=lambda b: b.branch_id))
+    # closed is sorted, so each node's children come out in id order
+    kids: dict[int, list[int]] = {}
+    for b in closed:
+        siblings = kids.get(b.sending_node)
+        if siblings is None:
+            kids[b.sending_node] = [b.branch_id]
+        else:
+            siblings.append(b.branch_id)
+    children = dict.fromkeys([root, *incoming], ())
+    for s, ids in kids.items():
+        children[s] = tuple(ids)
     return NetworkModel(
-        node_count=len(nodes),
-        branches=branches,
+        node_count=len(incoming) + 1,
+        branches=tuple([to_per_unit(b, base) for b in closed]),
         root=root,
-        tie_lines=table.tie_rows(),
-        children={n: tuple(sorted(children[n])) for n in nodes},
+        tie_lines=ties,
+        children=children,
         base=base,
         sequentially_ordered=ordered,
     )
@@ -319,16 +420,14 @@ def renumber_sequential(table: RawTable, root: int | None = None) -> tuple[RawTa
     closed = table.closed_rows()
     if not closed:
         raise TopologyError(f"{table.source_name}: no closed branches")
-    _check_tree(closed, root, table.source_name)
-
-    out_branches: dict[int, list[BranchRecord]] = {}
-    for b in closed:
-        out_branches.setdefault(b.sending_node, []).append(b)
+    incoming, out = _check_tree(closed, root, table.source_name)
+    ties = table.tie_rows()
+    _check_ties(ties, root, incoming, table.source_name)
 
     node_map = {root: 1}
     branch_map: dict[int, int] = {}
     new_rows = []
-    heap = [(b.receiving_node, b) for b in out_branches.get(root, [])]
+    heap = [(b.receiving_node, b) for b in out.get(root, ())]
     heapq.heapify(heap)
     next_node = 2
     while heap:
@@ -349,12 +448,12 @@ def renumber_sequential(table: RawTable, root: int | None = None) -> tuple[RawTa
                 is_tie=False,
             )
         )
-        for child in out_branches.get(b.receiving_node, []):
+        for child in out.get(b.receiving_node, ()):
             heapq.heappush(heap, (child.receiving_node, child))
         next_node += 1
 
     next_branch = len(new_rows) + 1
-    for t in sorted(table.tie_rows(), key=lambda b: b.branch_id):
+    for t in sorted(ties, key=_branch_id):
         branch_map[t.branch_id] = next_branch
         new_rows.append(
             BranchRecord(

@@ -99,18 +99,6 @@ class Phasor:
         return self.magnitude
 
 
-def phasor_mul(a: Phasor, b: Phasor) -> Phasor:
-    return a * b
-
-
-def phasor_div(a: Phasor, b: Phasor) -> Phasor:
-    return a / b
-
-
-def phasor_conj(a: Phasor) -> Phasor:
-    return a.conjugate()
-
-
 @dataclass(frozen=True, slots=True)
 class PerUnitBase:
     """Voltage/power base pair; impedance base is derived from it."""
@@ -153,10 +141,13 @@ class BranchRecord:
         b = self.branch_id
         if b <= 0:
             raise DataError(f"branch id must be positive, got {b}")
-        for name in ("resistance", "reactance", "load_p", "load_q"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise DataError(f"branch {b}: non-finite {name} ({v})")
+        # one test on the sum; only when it fails look for the field at fault
+        # (a sum of finite values may also overflow)
+        if not math.isfinite(self.resistance + self.reactance + self.load_p + self.load_q):
+            for name in ("resistance", "reactance", "load_p", "load_q"):
+                v = getattr(self, name)
+                if not math.isfinite(v):
+                    raise DataError(f"branch {b}: non-finite {name} ({v})")
         if self.resistance < 0.0 or self.reactance < 0.0:
             raise DataError(f"branch {b}: negative impedance component")
         if self.capacity is not None and not (self.capacity > 0.0):
@@ -251,7 +242,7 @@ class NetworkModel:
         nodes = tuple(sorted(seen))
         by_id = {b.branch_id: b for b in self.branches}
         parent = {b.receiving_node: b.branch_id for b in self.branches}
-        load = {n: Phasor.zero() for n in nodes}
+        load = dict.fromkeys(nodes, Phasor.zero())
         for b in self.branches:
             load[b.receiving_node] = b.s_load
         object.__setattr__(self, "sorted_nodes", nodes)

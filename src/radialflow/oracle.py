@@ -10,9 +10,9 @@ from .solver import (
     NonConvergenceError,
     SolveOptions,
     StepCounter,
+    build_report,
     check_convergence,
     compute_load_currents,
-    compute_losses,
     forward_sweep,
 )
 
@@ -142,20 +142,12 @@ def baseline_solve(net: NetworkModel, options: SolveOptions | None = None) -> So
     if not converged:
         raise NonConvergenceError(iterations, max_delta)
 
-    loss_rows, total_p, total_q = compute_losses(state, net)
-    return SolveReport(
-        converged=True,
+    return build_report(
+        net,
+        state.node_voltage,
+        state.load_current,
+        state.branch_current,
         iterations=iterations,
-        node_voltages=tuple(
-            (n, state.node_voltage[n].magnitude, state.node_voltage[n].angle_degrees)
-            for n in net.nodes()
-        ),
-        branch_currents=tuple(
-            (b.branch_id, abs(state.branch_current[b.branch_id])) for b in net.branches
-        ),
-        branch_losses=tuple(loss_rows),
-        total_loss_p=total_p,
-        total_loss_q=total_q,
         step_count_proposed=0,
         step_count_baseline=counter.total,
         leaf_count=leaf_count,
@@ -163,7 +155,4 @@ def baseline_solve(net: NetworkModel, options: SolveOptions | None = None) -> So
         per_iteration_steps=tuple(counter.iteration_totals),
         delta_history=tuple(deltas),
         max_polar_deviation=None,
-        final_voltage=dict(state.node_voltage),
-        final_load_current=dict(state.load_current),
-        final_branch_current=dict(state.branch_current),
     )

@@ -7,12 +7,14 @@ per-iteration rescanning baseline comes from.
 
 solve compiles the network once into flat index lists (sending and receiving
 node, parent branch, leaf flag) and complex lists (impedance, conjugate load),
-then sweeps those lists until the voltage profile settles. Step counts depend
-only on the topology, so one counted pass gives them: pre_loop + r x
-per_iteration. The dict-based phase functions below (compute_load_currents,
-backward_sweep, forward_sweep, check_convergence) count as they go and remain
-the reference implementation: the tests require solve to reproduce them
-exactly, and oracle.baseline_solve is built from them.
+then sweeps those lists until the voltage profile settles; the forward sweep
+and the convergence check share one loop. Step counts depend only on the
+topology, so one counted pass gives them: pre_loop + r x per_iteration.
+build_report turns the final voltages and currents into a SolveReport; solve
+and oracle.baseline_solve both use it. The dict-based phase functions below
+(compute_load_currents, backward_sweep, forward_sweep, check_convergence) count
+as they go and remain the reference implementation: the tests require solve to
+reproduce them exactly, and oracle.baseline_solve is built from them.
 """
 from __future__ import annotations
 
@@ -142,23 +144,29 @@ def find_leaf_nodes(net: NetworkModel, counter: StepCounter | None = None) -> Le
 
 
 def is_leaf(leaves: LeafSet, node: int, counter: StepCounter | None = None) -> bool:
-    """Binary search over the sorted leaf list; comparisons are counted."""
+    """Binary search over the sorted leaf list; comparisons are counted.
+
+    The count is kept in a local and added to the counter once, on return.
+    """
     lst = leaves.leaves
     low, high = 0, len(lst) - 1
+    steps = 0
+    found = False
     while low <= high:
         mid = (low + high) // 2
-        if counter:
-            counter.current_steps += 1
+        steps += 1
         if lst[mid] > node:
             high = mid - 1
         else:
-            if counter:
-                counter.current_steps += 1
+            steps += 1
             if lst[mid] < node:
                 low = mid + 1
             else:
-                return True
-    return False
+                found = True
+                break
+    if counter:
+        counter.current_steps += steps
+    return found
 
 
 def compute_load_currents(state: SolveState, net: NetworkModel, counter: StepCounter | None = None) -> None:
@@ -395,7 +403,7 @@ def _sweep(net: NetworkModel, leaves: LeafSet, options: SolveOptions):
     Same arithmetic, in the same order, as compute_load_currents,
     backward_sweep, forward_sweep and check_convergence. Returns (iterations,
     delta history, worst polar deviation, steps per iteration, and the final
-    voltages, load currents, branch currents and voltage magnitudes as lists).
+    voltages, load currents and branch currents as complex lists).
     """
     loads, backward, forward, per_iteration = _compile(net, leaves, options.literal_scan)
     nodes = net.nodes()
@@ -429,33 +437,36 @@ def _sweep(net: NetworkModel, leaves: LeafSet, options: SolveOptions):
             ib[k] = i_br
             ib[p] += i_br
 
+        # forward sweep and convergence check in one loop: each node's voltage
+        # is set once per pass, so its magnitude can be taken right away; the
+        # root's never changes, so its delta is always 0
+        converged = True
+        max_delta = 0.0
         for k, s, r, z in forward:
             vr = v[s] - ib[k] * z
-            if not (isfinite(vr.real) and isfinite(vr.imag)):
+            re = vr.real
+            im = vr.imag
+            if not (isfinite(re) and isfinite(im)):
                 raise NumericError(f"non-finite voltage on branch {net.branches[k].branch_id}")
             if debug_polar:
                 dev = _polar_deviation(as_phasor(v[s]), as_phasor(ib[k]), as_phasor(z),
                                        as_phasor(vr), net.branches[k].branch_id)
                 worst_polar = max(worst_polar, dev)
             v[r] = vr
-
-        converged = True
-        max_delta = 0.0
-        for i, vi in enumerate(v):
-            mag = hypot(vi.real, vi.imag)
-            delta = abs(mag - mags[i])
+            mag = hypot(re, im)
+            delta = abs(mag - mags[r])
             if not delta <= tolerance:  # as check_convergence: NaN is not within
                 converged = False
             if delta > max_delta:
                 max_delta = delta
-            mags[i] = mag
+            mags[r] = mag
         deltas.append(max_delta)
         if converged:
             break
     if not converged:
         raise NonConvergenceError(iterations, max_delta)
     del ib[m]  # the spare accumulator of the root-fed branches
-    return iterations, deltas, worst_polar, per_iteration, v, il, ib, mags
+    return iterations, deltas, worst_polar, per_iteration, v, il, ib
 
 
 def solve(net: NetworkModel, options: SolveOptions | None = None) -> SolveReport:
@@ -475,40 +486,23 @@ def solve(net: NetworkModel, options: SolveOptions | None = None) -> SolveReport
     counter = StepCounter()
     leaves = find_leaf_nodes(net, counter)
     counter.mark_pre_loop()
-    iterations, deltas, worst_polar, per_iteration, v, il, ib, mags = _sweep(net, leaves, options)
+    iterations, deltas, worst_polar, per_iteration, v, il, ib = _sweep(net, leaves, options)
 
     # convert one list at a time, dropping each, to keep the peak footprint low
     nodes = net.nodes()
-    final_voltage = dict(zip(nodes, map(Phasor.from_complex, v)))
+    as_phasor = Phasor.from_complex
+    final_voltage = dict(zip(nodes, map(as_phasor, v)))
     del v
-    final_load_current = dict(zip(nodes, map(Phasor.from_complex, il)))
+    final_load_current = dict(zip(nodes, map(as_phasor, il)))
     del il
-    final_branch_current = dict(
-        zip((b.branch_id for b in net.branches), map(Phasor.from_complex, ib))
-    )
+    final_branch_current = dict(zip([b.branch_id for b in net.branches], map(as_phasor, ib)))
     del ib
-    state = SolveState(
-        node_voltage=final_voltage,
-        load_current=final_load_current,
-        branch_current=final_branch_current,
-        prev_voltage_mag=dict(zip(nodes, mags)),
-    )
-    del mags
-
-    loss_rows, total_p, total_q = compute_losses(state, net)
-    return SolveReport(
-        converged=True,
+    return build_report(
+        net,
+        final_voltage,
+        final_load_current,
+        final_branch_current,
         iterations=iterations,
-        node_voltages=tuple(
-            (n, state.node_voltage[n].magnitude, state.node_voltage[n].angle_degrees)
-            for n in nodes
-        ),
-        branch_currents=tuple(
-            (b.branch_id, abs(state.branch_current[b.branch_id])) for b in net.branches
-        ),
-        branch_losses=tuple(loss_rows),
-        total_loss_p=total_p,
-        total_loss_q=total_q,
         step_count_proposed=counter.pre_loop_steps + iterations * per_iteration,
         step_count_baseline=0,
         leaf_count=len(leaves),
@@ -516,9 +510,58 @@ def solve(net: NetworkModel, options: SolveOptions | None = None) -> SolveReport
         per_iteration_steps=(per_iteration,) * iterations,
         delta_history=tuple(deltas),
         max_polar_deviation=worst_polar if options.debug_polar else None,
+    )
+
+
+def build_report(
+    net: NetworkModel,
+    final_voltage: dict[int, Phasor],
+    final_load_current: dict[int, Phasor],
+    final_branch_current: dict[int, Phasor],
+    **fields,
+) -> SolveReport:
+    """The SolveReport of a converged solve; solve and baseline_solve both use it.
+
+    The final_* dicts become the report's own. fields are the remaining
+    SolveReport fields (iterations, step counts, delta history and so on).
+    Magnitudes and angles are computed from each Phasor's parts as
+    Phasor.magnitude and Phasor.angle_degrees compute them; losses come from
+    compute_losses.
+    """
+    hypot = math.hypot
+    atan2 = math.atan2
+    degrees = math.degrees
+    pi = math.pi
+    node_voltages = []
+    for n in net.nodes():
+        p = final_voltage[n]
+        angle = atan2(p.im, p.re)
+        if angle == -pi:
+            angle = pi
+        node_voltages.append((n, hypot(p.re, p.im), degrees(angle)))
+    branch_currents = []
+    for b in net.branches:
+        p = final_branch_current[b.branch_id]
+        branch_currents.append((b.branch_id, hypot(p.re, p.im)))
+
+    state = SolveState(
+        node_voltage=final_voltage,
+        load_current=final_load_current,
+        branch_current=final_branch_current,
+        prev_voltage_mag={},
+    )
+    loss_rows, total_p, total_q = compute_losses(state, net)
+    return SolveReport(
+        converged=True,
+        node_voltages=tuple(node_voltages),
+        branch_currents=tuple(branch_currents),
+        branch_losses=tuple(loss_rows),
+        total_loss_p=total_p,
+        total_loss_q=total_q,
         final_voltage=final_voltage,
         final_load_current=final_load_current,
         final_branch_current=final_branch_current,
+        **fields,
     )
 
 

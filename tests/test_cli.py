@@ -124,6 +124,26 @@ class TestSolve:
         assert code == EXIT_OK
         assert "converged yes" in out
 
+    def test_tie_to_unknown_node_exits_topology(self, capsys, tmp_path):
+        path = tmp_path / "tie.branch"
+        path.write_text("1 1 2 0.1 0.1 10 5\n2 2 3 0.1 0.1 10 5\n3* 3 99 0.1 0.1\n")
+        for extra in ((), ("--renumber",)):
+            code, _, err = run(capsys, "solve", str(path), *extra)
+            assert code == EXIT_TOPOLOGY
+            assert "tie branch 3 ends at node 99" in err
+
+    @pytest.mark.parametrize("doc", [
+        [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05}],
+        {"branches": [{"from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
+        {"branches": [{"id": 1, "from": 1, "to": 2, "r": "x", "x": 0.05}]},
+    ], ids=["top-level-list", "missing-id", "non-numeric-r"])
+    def test_malformed_json_exits_parse(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "solve", str(path))
+        assert code == EXIT_PARSE
+        assert err.startswith(f"parse error: {path}: ")
+
 
 class TestCompare:
     def test_bus69_against_golden(self, capsys):

@@ -16,6 +16,7 @@ from radialflow.ingest import (
     validate_radial,
 )
 from radialflow.model import DataError
+from radialflow.solver import solve
 
 
 class TestParseDelimited:
@@ -77,6 +78,34 @@ class TestParseJson:
     def test_invalid_json_rejected(self):
         with pytest.raises(ParseError):
             parse_branch_table("{not json", "json")
+
+    @pytest.mark.parametrize("doc,message", [
+        ([], "net.json: expected a JSON object at the top level, got list"),
+        ({"branches": [{"from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
+         "net.json: branches[0]: missing key 'id'"),
+        ({"branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05},
+                       {"id": 2, "from": 2, "to": 3, "r": "x", "x": 0.05}]},
+         "net.json: branches[1]: bad value 'x' for key 'r'"),
+        ({"branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05, "cap": [1]}]},
+         "net.json: branches[0]: bad value [1] for key 'cap'"),
+        ({"branches": [7]}, "net.json: branches[0]: expected an object, got int"),
+        ({"branches": {"id": 1}}, 'net.json: "branches" must be a list, got dict'),
+        ({"root": "one", "branches": []}, "net.json: bad \"root\" 'one'"),
+        ({"base": {"kv": 12.66}, "branches": []},
+         "net.json: bad \"base\" {'kv': 12.66} (needs numbers \"kv\" and \"mva\")"),
+    ], ids=["top-level-list", "missing-id", "non-numeric-r", "bad-cap", "entry-not-object",
+            "branches-not-list", "bad-root", "base-without-mva"])
+    def test_malformed_document_names_the_entry_and_key(self, doc, message):
+        with pytest.raises(ParseError) as exc:
+            parse_branch_table(json.dumps(doc), "json", source_name="net.json")
+        assert str(exc.value) == message
+
+    def test_tie_ignores_load_fields(self):
+        doc = {"branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05},
+                            {"id": 2, "from": 1, "to": 2, "r": 0.1, "x": 0.1,
+                             "open": True, "p": "n/a"}]}
+        table = parse_branch_table(json.dumps(doc), "json")
+        assert table.rows[1].is_tie and table.rows[1].load_p == 0.0
 
 
 class TestRoundTrip:
@@ -145,6 +174,49 @@ class TestValidateRadial:
         assert bus69_net.children[3] == (3, 27, 35)
         assert bus69_net.children[27] == ()
 
+    def test_row_order_does_not_matter(self, bus69_table, bus69_net):
+        rows = list(bus69_table.rows)
+        random.Random(3).shuffle(rows)
+        net = validate_radial(type(bus69_table)(rows=tuple(rows), source_name="shuffled"))
+        assert net.branches == bus69_net.branches
+        assert net.children == bus69_net.children
+        assert net.node_count == bus69_net.node_count
+
+
+TOPOLOGY_DEFECTS = [
+    # (rows as (id, from, to), validate_radial message, renumber_sequential message)
+    pytest.param([(3, 2, 3), (1, 1, 2), (2, 1, 3)],
+                 "node 3 is fed by branches 3 and 2", None, id="doubly-fed"),
+    pytest.param([(1, 1, 2), (2, 2, 3), (3, 3, 1)],
+                 "cycle through branch 3 (3->1) feeding the root", None, id="root-fed"),
+    pytest.param([(1, 1, 2), (2, 2, 3), (3, 5, 4)],
+                 "node 5 has no feeding branch", None, id="one-unfed"),
+    # 700 is listed first and is smaller, yet the node named is 1000
+    pytest.param([(1, 1, 2), (2, 700, 3), (3, 2, 4), (4, 1000, 5), (5, 2, 6)],
+                 "node 1000 has no feeding branch", None, id="two-unfed-large-ids"),
+    pytest.param([(1, 1, 2), (2, 3, 4), (3, 4, 3)],
+                 "cycle through branch 3 (4->3)", None, id="detached-cycle"),
+    pytest.param([(1, 2, 3), (2, 3, 4)],
+                 "root 1 is not a sending node", "node 2 has no feeding branch",
+                 id="root-not-sender"),
+    pytest.param([(1, 2, 3), (2, 4, 3)],
+                 "root 1 is not a sending node", "node 3 is fed by branches 1 and 2",
+                 id="root-not-sender-and-doubly-fed"),
+    pytest.param([(1, 1, 2), (2, 9, 3), (3, 5, 6), (4, 6, 5)],
+                 "node 9 has no feeding branch", None, id="unfed-and-detached-cycle"),
+]
+
+
+@pytest.mark.parametrize("rows,validate_msg,renumber_msg", TOPOLOGY_DEFECTS)
+def test_topology_error_text(rows, validate_msg, renumber_msg):
+    table = make_table([row + (0.1, 0.1, 0, 0) for row in rows])
+    with pytest.raises(TopologyError) as exc:
+        validate_radial(table)
+    assert str(exc.value) == f"test: {validate_msg}"
+    with pytest.raises(TopologyError) as exc:
+        renumber_sequential(table)
+    assert str(exc.value) == f"test: {renumber_msg or validate_msg}"
+
 
 class TestRenumber:
     def test_bus69_is_identity(self, bus69_table):
@@ -196,6 +268,19 @@ class TestRenumber:
         with pytest.raises(TopologyError):
             renumber_sequential(table)
 
+    def test_tie_to_unknown_node_rejected(self):
+        table = make_table(
+            [(1, 1, 2, 0.1, 0.1, 10, 5), (2, 2, 3, 0.1, 0.1, 10, 5)],
+            ties=[(3, 3, 99, 0.1, 0.1)],
+        )
+        message = "test: tie branch 3 ends at node 99, which no closed branch connects"
+        with pytest.raises(TopologyError) as exc:
+            renumber_sequential(table)
+        assert str(exc.value) == message
+        with pytest.raises(TopologyError) as exc:
+            validate_radial(table)
+        assert str(exc.value) == message
+
     def test_random_trees_always_orderable(self):
         rng = random.Random(42)
         for trial in range(40):
@@ -208,8 +293,36 @@ class TestRenumber:
             assert net.node_count == n
 
 
+def test_solution_invariant_under_shuffle_and_renumber():
+    """Shuffled node ids, branch ids and row order, renumbered, solve to the
+    ordered table's voltages once mapped back."""
+    rng = random.Random(77)
+    for trial in range(30):
+        n = rng.randint(2, 300)
+        table = generate_random_table(n, rng.uniform(0.05, 0.9), rng)
+        shuffled, relabel = scramble_with_labels(table, rng)
+        rows = list(shuffled.rows)
+        rng.shuffle(rows)
+        shuffled = type(shuffled)(rows=tuple(rows), source_name="shuffled")
+        expected = solve(validate_radial(table))
+        renamed, mapping = renumber_sequential(shuffled)
+        got = solve(validate_radial(renamed))
+        assert (got.iterations, got.leaf_count) == (expected.iterations, expected.leaf_count)
+        for node, shuffled_node in relabel.items():
+            new = mapping.node_old_to_new[shuffled_node]
+            assert mapping.node_new_to_old[new] == shuffled_node
+            assert got.voltage_magnitude(new) == pytest.approx(
+                expected.voltage_magnitude(node), abs=1e-12
+            )
+
+
 def scramble(table, rng):
     """Randomly permute node labels and branch ids to break sequential order."""
+    return scramble_with_labels(table, rng)[0]
+
+
+def scramble_with_labels(table, rng):
+    """scramble, also returning the map from old to new node labels."""
     nodes = sorted({r.sending_node for r in table.rows} | {r.receiving_node for r in table.rows})
     perm = nodes[1:]
     rng.shuffle(perm)
@@ -231,4 +344,4 @@ def scramble(table, rng):
         )
         for r, new_id in zip(table.rows, ids)
     ]
-    return type(table)(rows=tuple(rows), source_name="scrambled")
+    return type(table)(rows=tuple(rows), source_name="scrambled"), relabel

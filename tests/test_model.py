@@ -10,9 +10,6 @@ from radialflow.model import (
     PerUnitBase,
     Phasor,
     SingularityError,
-    phasor_conj,
-    phasor_div,
-    phasor_mul,
     to_per_unit,
     to_physical,
     wrap_angle,
@@ -49,35 +46,35 @@ class TestPhasor:
 
     def test_mul_identity(self):
         one = Phasor.from_polar(1.0, 0.0)
-        assert phasor_mul(one, one) == Phasor(1.0, 0.0)
+        assert one * one == Phasor(1.0, 0.0)
 
     def test_mul_angle_addition(self):
         a = Phasor.from_polar(2.0, math.pi / 2)
         b = Phasor.from_polar(3.0, math.pi / 2)
-        prod = phasor_mul(a, b)
+        prod = a * b
         assert prod.re == pytest.approx(-6.0, rel=1e-12)
         assert prod.im == pytest.approx(0.0, abs=1e-12)
 
     def test_div_hand_checked(self):
-        q = phasor_div(Phasor(1.0, 1.0), Phasor(1.0, -1.0))
+        q = Phasor(1.0, 1.0) / Phasor(1.0, -1.0)
         assert q.re == pytest.approx(0.0, abs=1e-15)
         assert q.im == pytest.approx(1.0, rel=1e-15)
 
     def test_div_by_zero_raises(self):
         with pytest.raises(SingularityError):
-            phasor_div(Phasor(1.0, 0.0), Phasor(0.0, 0.0))
+            Phasor(1.0, 0.0) / Phasor(0.0, 0.0)
 
     def test_product_magnitude_and_angle_properties(self):
         pairs = zip(random_phasors(200, seed=11), random_phasors(200, seed=12))
         for a, b in pairs:
-            p = phasor_mul(a, b)
+            p = a * b
             assert abs(p) == pytest.approx(abs(a) * abs(b), rel=1e-12)
             expected = wrap_angle(a.angle + b.angle)
             assert wrap_angle(p.angle - expected) == pytest.approx(0.0, abs=1e-12)
 
     def test_conjugate_involution_exact(self):
         for p in random_phasors(100, seed=13):
-            assert phasor_conj(phasor_conj(p)) == p
+            assert p.conjugate().conjugate() == p
 
 
 class TestPerUnitBase:
@@ -111,6 +108,19 @@ class TestBranchRecord:
     def test_non_finite_field_rejected(self):
         with pytest.raises(DataError):
             BranchRecord(1, 1, 2, float("nan"), 0.05, 0.0, 0.0)
+
+    @pytest.mark.parametrize("field", ["resistance", "reactance", "load_p", "load_q"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_field_named(self, field, value):
+        values = dict(resistance=0.1, reactance=0.05, load_p=1.0, load_q=0.5)
+        values[field] = value
+        with pytest.raises(DataError) as exc:
+            BranchRecord(3, 1, 2, **values)
+        assert str(exc.value) == f"branch 3: non-finite {field} ({value})"
+
+    def test_finite_fields_with_overflowing_sum_accepted(self):
+        rec = BranchRecord(1, 1, 2, 1e308, 1e308, 1e308, 1e308)
+        assert rec.load_q == 1e308
 
 
 class TestToPerUnit:

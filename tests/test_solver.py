@@ -18,6 +18,7 @@ from radialflow.solver import (
     SweepInvariantError,
     VoltageCollapseError,
     backward_sweep,
+    build_report,
     check_convergence,
     compute_load_currents,
     compute_losses,
@@ -86,6 +87,16 @@ class TestIsLeaf:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             LeafSet(leaves=(5, 2))
+
+    def test_comparison_count_exact_and_accumulated(self):
+        leaves = LeafSet(leaves=(2, 5, 9, 14))
+        counter = StepCounter(current_steps=10)
+        # hit: 5 (>, <), then 9 (>, < and found)
+        assert is_leaf(leaves, 9, counter)
+        assert counter.current_steps == 14
+        # miss: 5 (>), then 2 (>, <)
+        assert not is_leaf(leaves, 3, counter)
+        assert counter.current_steps == 17
 
 
 class TestLoadCurrents:
@@ -304,6 +315,41 @@ class TestSolve:
         report = solve(bus69_net, SolveOptions(debug_polar=True))
         assert report.max_polar_deviation is not None
         assert report.max_polar_deviation <= 1e-10
+
+
+class TestBuildReport:
+    def test_rows_equal_phasor_views(self):
+        net = validate_radial(chain_table([(10.0, 5.0), (20.0, 8.0)]))
+        # -pi angles (negative real part, -0.0 imaginary part) must read +180
+        volts = [complex(1.0, 0.0), complex(-1.0, -0.0), complex(0.3, -0.7)]
+        loads = [0j, complex(0.1, -0.2), complex(-0.4, 0.0)]
+        branches = [complex(-2.5, -0.0), complex(1e-3, 4e-4)]
+        nodes = net.nodes()
+        report = build_report(
+            net,
+            {n: Phasor.from_complex(c) for n, c in zip(nodes, volts)},
+            {n: Phasor.from_complex(c) for n, c in zip(nodes, loads)},
+            {b.branch_id: Phasor.from_complex(c) for b, c in zip(net.branches, branches)},
+            iterations=1, step_count_proposed=0, step_count_baseline=0, leaf_count=1,
+            pre_loop_steps=0, per_iteration_steps=(0,), delta_history=(0.0,),
+            max_polar_deviation=None,
+        )
+        phasors = [Phasor.from_complex(c) for c in volts]
+        assert report.node_voltages == tuple(
+            (n, p.magnitude, p.angle_degrees) for n, p in zip(net.nodes(), phasors)
+        )
+        assert report.node_voltages[1][2] == 180.0
+        assert report.branch_currents == tuple(
+            (b.branch_id, abs(Phasor.from_complex(c))) for b, c in zip(net.branches, branches)
+        )
+        assert report.final_load_current == {
+            n: Phasor.from_complex(c) for n, c in zip(net.nodes(), loads)
+        }
+        state = SolveState(report.final_voltage, report.final_load_current,
+                           report.final_branch_current, {})
+        rows, total_p, total_q = compute_losses(state, net)
+        assert report.branch_losses == tuple(rows)
+        assert (report.total_loss_p, report.total_loss_q) == (total_p, total_q)
 
 
 class TestStepModel:
