@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from pathlib import Path
 
-from . import oracle, solver
+from . import solver
+from .fixtures import read_golden
 from .ingest import (
     OrderingError,
     ParseError,
@@ -83,20 +85,16 @@ def _run_solve(args):
     else:
         root = args.root
     net = validate_radial(table, root=root, base=_base_from_args(args, table))
-    report = solver.solve(net, _options_from_args(args))
-    baseline_steps = 0
-    if getattr(args, "baseline", False):
-        baseline_steps = oracle.baseline_solve(net, _options_from_args(args)).step_count_baseline
-    return net, report, baseline_steps
+    return solver.solve(net, _options_from_args(args))
 
 
-def _report_lines(net, report, baseline_steps) -> list[str]:
+def _report_lines(report) -> list[str]:
     lines = [
         f"converged yes",
         f"iterations {report.iterations}",
         f"leaves {report.leaf_count}",
         f"steps_proposed {report.step_count_proposed}",
-        f"steps_baseline {baseline_steps}",
+        f"steps_baseline {report.step_count_baseline}",
         "node vmag_pu angle_deg",
     ]
     for node, vmag, angle in report.node_voltages:
@@ -111,14 +109,14 @@ def _report_lines(net, report, baseline_steps) -> list[str]:
     return lines
 
 
-def _report_json(net, report, baseline_steps) -> str:
+def _report_json(report) -> str:
     loss_by_id = {bid: (lp, lq) for bid, lp, lq in report.branch_losses}
     doc = {
         "converged": report.converged,
         "iterations": report.iterations,
         "leaves": report.leaf_count,
         "steps_proposed": report.step_count_proposed,
-        "steps_baseline": baseline_steps,
+        "steps_baseline": report.step_count_baseline,
         "nodes": [
             {"node": n, "vmag_pu": round(v, 5), "angle_deg": round(a, 5)}
             for n, v, a in report.node_voltages
@@ -139,29 +137,19 @@ def _report_json(net, report, baseline_steps) -> str:
 
 
 def cmd_solve(args) -> int:
-    net, report, baseline_steps = _run_solve(args)
+    report = _run_solve(args)
     if args.format == "json":
-        print(_report_json(net, report, baseline_steps))
+        print(_report_json(report))
     elif args.format == "csv":
-        lines = [line.replace(" ", ",") for line in _report_lines(net, report, baseline_steps)]
-        print("\n".join(lines))
+        print("\n".join(line.replace(" ", ",") for line in _report_lines(report)))
     else:
-        print("\n".join(_report_lines(net, report, baseline_steps)))
+        print("\n".join(_report_lines(report)))
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    net, report, _ = _run_solve(args)
-    golden = {}
-    for lineno, line in enumerate(Path(args.golden).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("node"):
-            continue
-        try:
-            node_txt, vmag_txt = line.split(",")
-            golden[int(node_txt)] = float(vmag_txt)
-        except ValueError:
-            raise ParseError(f"{args.golden}:{lineno}: bad golden row {line!r}") from None
+    report = _run_solve(args)
+    golden = read_golden(args.golden)
     solved = {n: v for n, v, _ in report.node_voltages}
     if set(golden) != set(solved):
         raise DataError(
@@ -235,7 +223,6 @@ def cmd_bench(args) -> int:
         opts = SolveOptions(tolerance=args.tol, max_iterations=args.max_iter,
                             literal_scan=True)
         report = solver.solve(net, opts)
-        base_report = oracle.baseline_solve(net, opts)
         m = report.leaf_count
         r = report.iterations
         # compare the per-iteration loop cost against the closed forms' r-terms;
@@ -245,7 +232,7 @@ def cmd_bench(args) -> int:
         pred_prop_iter = (pred_prop - prefix) // r
         pred_base_iter = (pred_base - prefix) // r
         iter_prop = sum(report.per_iteration_steps) // r
-        iter_base = sum(base_report.per_iteration_steps) // r
+        iter_base = report.step_count_baseline // r
         saving = iter_base / iter_prop
         print(
             f"{n} {frac:.2f} {m} {r} "
@@ -285,16 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     _add_solve_args(p)
     p.add_argument("--format", choices=["table", "csv", "json"], default="table")
-    p.add_argument("--no-baseline", dest="baseline", action="store_false",
-                   help="skip the baseline step-count run")
-    p.set_defaults(func=cmd_solve, baseline=True)
+    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("compare", help="solve and compare against a golden voltage CSV")
     _add_input_args(p)
     _add_solve_args(p)
     p.add_argument("--golden", required=True, help="CSV of node,vmag_pu")
     p.add_argument("--bound", type=float, default=1e-3, help="max allowed deviation in p.u.")
-    p.set_defaults(func=cmd_compare, baseline=False)
+    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("bench", help="step-count benchmark on random feeders")
     p.add_argument("--sizes", type=int, nargs="+", required=True)
@@ -310,7 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so that the flush at
+        # interpreter exit does not fail again (the idiom of the signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

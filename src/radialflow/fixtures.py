@@ -4,7 +4,7 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .ingest import RawTable, parse_branch_table
+from .ingest import ParseError, RawTable, parse_branch_table
 
 BUS69 = "bus69.branch"
 BUS33 = "bus33.branch"
@@ -29,11 +29,29 @@ def load_bus33() -> RawTable:
     return load_table(BUS33)
 
 
+def read_golden(path: str | Path) -> dict[int, float]:
+    """Per-node voltage magnitudes from a node,vmag_pu CSV file.
+
+    Blank lines and the header (any line starting with "node") are skipped.
+    Raises ParseError for an unreadable file, or naming path:line for a bad row.
+    """
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+    golden = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("node"):
+            continue
+        try:
+            node, vmag = line.split(",")
+            golden[int(node)] = float(vmag)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: bad golden row {line!r}") from None
+    return golden
+
+
 def load_golden69() -> dict[int, float]:
     """Golden per-node voltage magnitudes for the 69-bus feeder."""
-    rows = {}
-    lines = fixture_path(GOLDEN69).read_text().splitlines()
-    for line in lines[1:]:
-        node, vmag = line.split(",")
-        rows[int(node)] = float(vmag)
-    return rows
+    return read_golden(fixture_path(GOLDEN69))

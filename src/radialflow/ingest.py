@@ -179,6 +179,8 @@ def _parse_json(text: str, source: str) -> tuple[tuple[BranchRecord, ...], PerUn
             )
         except (AttributeError, KeyError, *_BAD_VALUE) as exc:
             raise _json_entry_error(entry, f"{source}: branches[{index}]", exc) from None
+        except DataError as exc:  # a value BranchRecord rejects
+            raise ParseError(f"{source}: branches[{index}]: {exc}") from None
     return tuple(rows), base, root
 
 
@@ -326,14 +328,18 @@ def check_sequential_ordering(closed: tuple[BranchRecord, ...], root: int) -> in
     """Return the id of the first branch violating sequential ordering, or None.
 
     The property: for every branch j not fed directly by the root, the branch
-    delivering power to its sending node has a smaller id.
+    delivering power to its sending node has a smaller id. Raises TopologyError
+    for a sending node that no branch feeds.
     """
     parent_of = {b.receiving_node: b.branch_id for b in closed}
-    for b in sorted(closed, key=_branch_id):
-        if b.sending_node == root:
-            continue
-        if parent_of[b.sending_node] >= b.branch_id:
-            return b.branch_id
+    try:
+        for b in sorted(closed, key=_branch_id):
+            if b.sending_node == root:
+                continue
+            if parent_of[b.sending_node] >= b.branch_id:
+                return b.branch_id
+    except KeyError as exc:
+        raise TopologyError(f"node {exc.args[0]} has no feeding branch") from None
     return None
 
 

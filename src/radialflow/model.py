@@ -287,8 +287,10 @@ class SolveReport:
     """Converged results plus instrumentation for one solve.
 
     node_voltages rows are (node, magnitude p.u., angle degrees) sorted by
-    node; branch_losses rows are (branch_id, kW, kVAr). step_count_baseline is
-    zero unless a baseline run was attached.
+    node; branch_losses rows are (branch_id, kW, kVAr). step_count_proposed and
+    step_count_baseline are the steps the stack sweep and the per-iteration
+    rescanning baseline take to reach this solution: solver.solve fills both,
+    oracle.baseline_solve, which runs the baseline, only step_count_baseline.
     """
 
     converged: bool

@@ -9,12 +9,15 @@ solve compiles the network once into flat index lists (sending and receiving
 node, parent branch, leaf flag) and complex lists (impedance, conjugate load),
 then sweeps those lists until the voltage profile settles; the forward sweep
 and the convergence check share one loop. Step counts depend only on the
-topology, so one counted pass gives them: pre_loop + r x per_iteration.
-build_report turns the final voltages and currents into a SolveReport; solve
-and oracle.baseline_solve both use it. The dict-based phase functions below
-(compute_load_currents, backward_sweep, forward_sweep, check_convergence) count
-as they go and remain the reference implementation: the tests require solve to
-reproduce them exactly, and oracle.baseline_solve is built from them.
+topology, so one counted pass gives the counts of both models without running
+the baseline: pre_loop + r x per_iteration for the stack sweep, and r x its own
+per-iteration count for the per-iteration rescanning baseline, which does
+nothing before the loop. build_report turns the final voltages and currents
+into a SolveReport; solve and oracle.baseline_solve both use it. The dict-based
+phase functions below (compute_load_currents, backward_sweep, forward_sweep,
+check_convergence) count as they go and remain the reference implementation:
+the tests require solve to reproduce them exactly, and oracle.baseline_solve is
+built from them.
 """
 from __future__ import annotations
 
@@ -72,9 +75,6 @@ class LeafSet:
 
     def __len__(self) -> int:
         return len(self.leaves)
-
-    def __contains__(self, node: int) -> bool:
-        return is_leaf(self, node)
 
 
 @dataclass
@@ -351,9 +351,10 @@ def _compile(net: NetworkModel, leaves: LeafSet, literal_scan: bool):
       len(net.branches), a spare accumulator nobody reads;
     - forward: (position, sending index, receiving index, z) in ascending
       branch order;
-    - per_iteration: the steps one pass of the counted phase functions takes.
-      It depends on the topology only, so is_leaf's binary search runs here,
-      counted, instead of inside the loop.
+    - per_iteration: the steps one pass takes, as (stack sweep, baseline).
+      They depend on the topology only, so is_leaf's binary search runs here,
+      counted, instead of inside the loop, and the baseline's count comes from
+      the node depths (depth[receiving] = depth[sending] + 1) with no rescan.
 
     Raises SweepInvariantError if a branch's parent does not precede it, which
     would make the backward sweep consume a current before computing it.
@@ -364,6 +365,7 @@ def _compile(net: NetworkModel, leaves: LeafSet, literal_scan: bool):
     counter = StepCounter()
     backward = []
     forward = []
+    depth = [0] * len(index)
     for k, b in enumerate(net.branches):
         parent_id = net.parent_branch.get(b.sending_node)
         if parent_id is None:
@@ -382,8 +384,11 @@ def _compile(net: NetworkModel, leaves: LeafSet, literal_scan: bool):
             # an add per child, then the node's own load current
             c = len(net.children[b.receiving_node])
             counter.current_steps += (m + c if literal_scan else c) + 2 * c + 1
-        backward.append((k, index[b.receiving_node], p, leaf))
-        forward.append((k, index[b.sending_node], index[b.receiving_node], b.z.as_complex()))
+        s = index[b.sending_node]
+        r = index[b.receiving_node]
+        depth[r] = depth[s] + 1
+        backward.append((k, r, p, leaf))
+        forward.append((k, s, r, b.z.as_complex()))
     backward.reverse()
     loads = [
         (i, complex(s.re, -s.im))
@@ -391,10 +396,13 @@ def _compile(net: NetworkModel, leaves: LeafSet, literal_scan: bool):
         if not s.is_zero()
     ]
     n = len(index)
-    # load currents and the convergence check take one step per node, the
-    # forward sweep one per branch
-    per_iteration = counter.total + n + m + n
-    return loads, backward, forward, per_iteration
+    # both take one step per node for the load currents and for the
+    # convergence check, and one per branch for the forward sweep; the baseline
+    # also tests every node against every branch for leaves and every (branch,
+    # node) pair for downstream sets, adding each member, and node k is a member
+    # of depth[k] downstream sets
+    common = n + m + n
+    return loads, backward, forward, (counter.total + common, n * m + m * n + sum(depth) + common)
 
 
 def _sweep(net: NetworkModel, leaves: LeafSet, options: SolveOptions):
@@ -402,8 +410,9 @@ def _sweep(net: NetworkModel, leaves: LeafSet, options: SolveOptions):
 
     Same arithmetic, in the same order, as compute_load_currents,
     backward_sweep, forward_sweep and check_convergence. Returns (iterations,
-    delta history, worst polar deviation, steps per iteration, and the final
-    voltages, load currents and branch currents as complex lists).
+    delta history, worst polar deviation, (stack sweep, baseline) steps per
+    iteration, and the final voltages, load currents and branch currents as
+    complex lists).
     """
     loads, backward, forward, per_iteration = _compile(net, leaves, options.literal_scan)
     nodes = net.nodes()
@@ -475,8 +484,9 @@ def solve(net: NetworkModel, options: SolveOptions | None = None) -> SolveReport
     Leaves are identified once before the loop and the network is compiled
     once into flat lists. Each pass recomputes load currents, sweeps branch
     currents backward, voltages forward, and checks the per-node magnitude
-    deltas against the tolerance. Step counts come from one counted pass over
-    the topology: pre_loop_steps + iterations x per-iteration steps.
+    deltas against the tolerance. Both step counts come from one counted pass
+    over the topology: pre_loop_steps + iterations x per-iteration steps for
+    the stack sweep, iterations x per-iteration steps for the baseline.
     """
     if options is None:
         options = SolveOptions()
@@ -486,7 +496,8 @@ def solve(net: NetworkModel, options: SolveOptions | None = None) -> SolveReport
     counter = StepCounter()
     leaves = find_leaf_nodes(net, counter)
     counter.mark_pre_loop()
-    iterations, deltas, worst_polar, per_iteration, v, il, ib = _sweep(net, leaves, options)
+    iterations, deltas, worst_polar, steps, v, il, ib = _sweep(net, leaves, options)
+    per_iteration, per_iteration_baseline = steps
 
     # convert one list at a time, dropping each, to keep the peak footprint low
     nodes = net.nodes()
@@ -504,7 +515,7 @@ def solve(net: NetworkModel, options: SolveOptions | None = None) -> SolveReport
         final_branch_current,
         iterations=iterations,
         step_count_proposed=counter.pre_loop_steps + iterations * per_iteration,
-        step_count_baseline=0,
+        step_count_baseline=iterations * per_iteration_baseline,
         leaf_count=len(leaves),
         pre_loop_steps=counter.pre_loop_steps,
         per_iteration_steps=(per_iteration,) * iterations,

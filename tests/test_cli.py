@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from radialflow import fixtures
+from radialflow import fixtures, oracle
 from radialflow.cli import (
     EXIT_COMPARE,
+    EXIT_ERROR,
     EXIT_NONCONVERGENCE,
     EXIT_OK,
     EXIT_PARSE,
@@ -96,6 +100,43 @@ class TestSolve:
         }
         assert 0 < steps["steps_proposed"] < steps["steps_baseline"]
 
+    def test_bus69_step_counts_pinned(self, capsys):
+        _, out, _ = run(capsys, "solve", BUS69)
+        lines = out.splitlines()
+        assert "steps_proposed 3120" in lines
+        assert "steps_baseline 41452" in lines
+
+    def test_no_command_runs_the_baseline_solver(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("baseline_solve called")
+
+        monkeypatch.setattr(oracle, "baseline_solve", refuse)
+        for fmt in ("table", "csv", "json"):
+            code, out, _ = run(capsys, "solve", BUS69, "--format", fmt)
+            assert code == EXIT_OK
+            assert "41452" in out
+        assert run(capsys, "compare", BUS69, "--golden", GOLDEN)[0] == EXIT_OK
+        code, out, _ = run(capsys, "bench", "--sizes", "8", "--leaf-fractions", "0.5")
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == 2
+
+    def test_closed_stdout_exits_without_traceback(self):
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # no reader, so the first write fails with EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "radialflow.cli", "solve", BUS69],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        # no traceback, and no "Exception ignored" report from the flush at exit
+        assert proc.stderr == ""
+        assert proc.returncode == EXIT_ERROR
+
     def test_non_convergence_exit(self, capsys, tmp_path):
         path = tmp_path / "hard.branch"
         path.write_text("1 1 2 8.0 4.0 30000 20000\n")
@@ -136,7 +177,9 @@ class TestSolve:
         [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05}],
         {"branches": [{"from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
         {"branches": [{"id": 1, "from": 1, "to": 2, "r": "x", "x": 0.05}]},
-    ], ids=["top-level-list", "missing-id", "non-numeric-r"])
+        {"branches": [{"id": 0, "from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
+        {"branches": [{"id": 1, "from": 1, "to": 2, "r": -0.1, "x": 0.05}]},
+    ], ids=["top-level-list", "missing-id", "non-numeric-r", "id-zero", "negative-r"])
     def test_malformed_json_exits_parse(self, capsys, tmp_path, doc):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -179,6 +222,18 @@ class TestCompare:
         code, _, err = run(capsys, "compare", BUS69, "--golden", str(path))
         assert code == EXIT_PARSE
         assert "node set" in err
+
+    @pytest.mark.parametrize("text,message", [
+        (None, "parse error: cannot read {path}: "),
+        ("node,vmag_pu\n\n1,1.0\n2;0.9\n", "parse error: {path}:4: bad golden row '2;0.9'\n"),
+    ], ids=["missing-file", "bad-row"])
+    def test_unreadable_golden_exits_parse(self, capsys, tmp_path, text, message):
+        path = tmp_path / "golden.csv"
+        if text is not None:
+            path.write_text(text)
+        code, _, err = run(capsys, "compare", BUS69, "--golden", str(path))
+        assert code == EXIT_PARSE
+        assert err.startswith(message.format(path=path))
 
 
 class TestBench:

@@ -93,8 +93,10 @@ class TestParseJson:
         ({"root": "one", "branches": []}, "net.json: bad \"root\" 'one'"),
         ({"base": {"kv": 12.66}, "branches": []},
          "net.json: bad \"base\" {'kv': 12.66} (needs numbers \"kv\" and \"mva\")"),
+        ({"branches": [{"id": 0, "from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
+         "net.json: branches[0]: branch id must be positive, got 0"),
     ], ids=["top-level-list", "missing-id", "non-numeric-r", "bad-cap", "entry-not-object",
-            "branches-not-list", "bad-root", "base-without-mva"])
+            "branches-not-list", "bad-root", "base-without-mva", "id-zero"])
     def test_malformed_document_names_the_entry_and_key(self, doc, message):
         with pytest.raises(ParseError) as exc:
             parse_branch_table(json.dumps(doc), "json", source_name="net.json")
@@ -228,6 +230,12 @@ class TestRenumber:
     def test_bus33_is_identity(self, bus33_table):
         _, mapping = renumber_sequential(bus33_table)
         assert mapping.is_identity()
+
+    def test_ordering_check_names_an_unfed_sending_node(self):
+        table = make_table([(1, 1, 2, 0.1, 0.1, 0, 0), (2, 5, 6, 0.1, 0.1, 0, 0)])
+        with pytest.raises(TopologyError) as exc:
+            check_sequential_ordering(table.closed_rows(), 1)
+        assert str(exc.value) == "node 5 has no feeding branch"
 
     def test_out_of_order_chain(self):
         table = make_table([

@@ -455,6 +455,22 @@ class TestFlatSolveMatchesPhaseFunctions:
             net = validate_radial(generate_random_table(n, rng.uniform(0.05, 0.95), rng))
             assert_solve_matches_phase_functions(net, SolveOptions(literal_scan=literal))
 
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_baseline_step_count_matches_oracle(self, bus69_net, bus33_net, literal):
+        """solve derives the baseline's count from the topology; baseline_solve
+        counts it step by step while it runs."""
+        options = SolveOptions(literal_scan=literal)
+        rng = random.Random(2024)
+        nets = [bus69_net, bus33_net]
+        for _ in range(200):
+            n = rng.randint(2, 30)
+            nets.append(validate_radial(generate_random_table(n, rng.uniform(0.05, 0.95), rng)))
+        for net in nets:
+            report = solve(net, options)
+            base = rf.baseline_solve(net, options)
+            assert report.iterations == base.iterations
+            assert report.step_count_baseline == base.step_count_baseline
+
     def test_non_convergence_carries_last_delta(self, bus69_net):
         options = SolveOptions(max_iterations=2)
         with pytest.raises(NonConvergenceError) as flat:
