@@ -3,7 +3,9 @@ golden voltage table, and benchmark step counts on random feeders."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import random
 import sys
@@ -79,13 +81,29 @@ def cmd_validate(args) -> int:
 
 def _run_solve(args):
     table = _load_table(args.file, args.input_format)
+    mapping = None
     if args.renumber:
-        table, _ = renumber_sequential(table, root=args.root)
+        table, mapping = renumber_sequential(table, root=args.root)
         root = 1 if args.root is not None else None
     else:
         root = args.root
     net = validate_radial(table, root=root, base=_base_from_args(args, table))
-    return solver.solve(net, _options_from_args(args))
+    report = solver.solve(net, _options_from_args(args))
+    return report if mapping is None else _in_input_ids(report, mapping)
+
+
+def _in_input_ids(report, mapping):
+    """The report with its node and branch rows under the input table's ids,
+    sorted by them; what the CLI prints. The final_* views keep the solved
+    network's ids."""
+    node = mapping.node_new_to_old
+    branch = {new: old for old, new in mapping.branch_old_to_new.items()}
+    return dataclasses.replace(
+        report,
+        node_voltages=tuple(sorted((node[n], v, a) for n, v, a in report.node_voltages)),
+        branch_currents=tuple(sorted((branch[b], i) for b, i in report.branch_currents)),
+        branch_losses=tuple(sorted((branch[b], p, q) for b, p, q in report.branch_losses)),
+    )
 
 
 def _report_lines(report) -> list[str]:
@@ -241,6 +259,24 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _checked(convert, ok, requirement: str):
+    """An argparse type: convert the text, then require ok(value)."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse says "invalid float value: ..."
+    return parse
+
+
+_positive = _checked(float, lambda x: 0.0 < x < math.inf, "a positive finite number")
+_iterations = _checked(int, lambda k: k >= 1, "at least 1")
+_size = _checked(int, lambda k: k >= 2, "at least 2")
+_fraction = _checked(float, lambda x: 0.0 <= x <= 1.0, "between 0 and 1")
+_bound = _checked(float, lambda x: x >= 0.0, "a non-negative number")
+
+
 def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file", help="branch table (delimited or .json)")
     p.add_argument("--input-format", choices=["auto", "delimited", "json"], default="auto")
@@ -250,8 +286,9 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solve_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=0.0001, help="convergence tolerance in p.u.")
-    p.add_argument("--max-iter", type=int, default=100)
+    p.add_argument("--tol", type=_positive, default=0.0001,
+                   help="convergence tolerance in p.u.")
+    p.add_argument("--max-iter", type=_iterations, default=100)
     p.add_argument("--renumber", action="store_true", help="renumber into sequential order first")
     p.add_argument("--debug-polar", action="store_true",
                    help="cross-check the polar-form voltage equations every sweep")
@@ -278,15 +315,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     _add_solve_args(p)
     p.add_argument("--golden", required=True, help="CSV of node,vmag_pu")
-    p.add_argument("--bound", type=float, default=1e-3, help="max allowed deviation in p.u.")
+    p.add_argument("--bound", type=_bound, default=1e-3, help="max allowed deviation in p.u.")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("bench", help="step-count benchmark on random feeders")
-    p.add_argument("--sizes", type=int, nargs="+", required=True)
-    p.add_argument("--leaf-fractions", type=float, nargs="+", required=True)
+    p.add_argument("--sizes", type=_size, nargs="+", required=True)
+    p.add_argument("--leaf-fractions", type=_fraction, nargs="+", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=0.0001)
-    p.add_argument("--max-iter", type=int, default=100)
+    p.add_argument("--tol", type=_positive, default=0.0001)
+    p.add_argument("--max-iter", type=_iterations, default=100)
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 
@@ -97,6 +98,34 @@ class Phasor:
 
     def __abs__(self) -> float:
         return self.magnitude
+
+
+class PhasorMap(Mapping):
+    """Read-only view of a list of complex values as Phasors, keyed by id.
+
+    index maps a node or branch id to its position in values; a Phasor is made
+    only when an entry is read. Iteration follows index, and equality is that of
+    a Mapping, so a view compares equal to a dict of equal Phasors.
+    """
+
+    __slots__ = ("_index", "_values")
+
+    def __init__(self, index: dict[int, int], values: list[complex]):
+        self._index = index
+        self._values = values
+
+    def __getitem__(self, key: int) -> Phasor:
+        z = self._values[self._index[key]]
+        return Phasor(z.real, z.imag)
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __repr__(self) -> str:
+        return f"PhasorMap({dict(self)!r})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,7 +247,9 @@ class NetworkModel:
 
     branches hold the closed branches only, sorted by branch id; tie lines are
     parsed but never energized. children maps each node to the ids of branches
-    it feeds. Instances are immutable after construction.
+    it feeds. node_index and branch_position give each node's position in
+    nodes() and each branch's in branches. Instances are immutable after
+    construction.
     """
 
     node_count: int
@@ -233,6 +264,8 @@ class NetworkModel:
     parent_branch: dict[int, int] = field(default_factory=dict, repr=False)
     node_load: dict[int, Phasor] = field(default_factory=dict, repr=False)
     sorted_nodes: tuple[int, ...] = field(default=(), repr=False)
+    node_index: dict[int, int] = field(default_factory=dict, repr=False)
+    branch_position: dict[int, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         seen = {self.root}
@@ -249,6 +282,9 @@ class NetworkModel:
         object.__setattr__(self, "branch_by_id", by_id)
         object.__setattr__(self, "parent_branch", parent)
         object.__setattr__(self, "node_load", load)
+        object.__setattr__(self, "node_index", dict(zip(nodes, range(len(nodes)))))
+        position = {b.branch_id: k for k, b in enumerate(self.branches)}
+        object.__setattr__(self, "branch_position", position)
 
     def nodes(self) -> tuple[int, ...]:
         """Every node id, the root included, in ascending order."""
@@ -287,7 +323,10 @@ class SolveReport:
     """Converged results plus instrumentation for one solve.
 
     node_voltages rows are (node, magnitude p.u., angle degrees) sorted by
-    node; branch_losses rows are (branch_id, kW, kVAr). step_count_proposed and
+    node; branch_losses rows are (branch_id, kW, kVAr). The converged state is
+    kept once, as the solver's complex lists: final_voltage and
+    final_load_current (by node) and final_branch_current (by branch id) are
+    read-only PhasorMap views over them. step_count_proposed and
     step_count_baseline are the steps the stack sweep and the per-iteration
     rescanning baseline take to reach this solution: solver.solve fills both,
     oracle.baseline_solve, which runs the baseline, only step_count_baseline.
@@ -307,9 +346,9 @@ class SolveReport:
     per_iteration_steps: tuple[int, ...]
     delta_history: tuple[float, ...]
     max_polar_deviation: float | None
-    final_voltage: dict[int, Phasor]
-    final_load_current: dict[int, Phasor]
-    final_branch_current: dict[int, Phasor]
+    final_voltage: PhasorMap
+    final_load_current: PhasorMap
+    final_branch_current: PhasorMap
 
     def voltage_magnitude(self, node: int) -> float:
         return self.final_voltage[node].magnitude

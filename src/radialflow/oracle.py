@@ -142,11 +142,12 @@ def baseline_solve(net: NetworkModel, options: SolveOptions | None = None) -> So
     if not converged:
         raise NonConvergenceError(iterations, max_delta)
 
+    nodes = net.nodes()
     return build_report(
         net,
-        state.node_voltage,
-        state.load_current,
-        state.branch_current,
+        [state.node_voltage[n].as_complex() for n in nodes],
+        [state.load_current[n].as_complex() for n in nodes],
+        [state.branch_current[b.branch_id].as_complex() for b in net.branches],
         iterations=iterations,
         step_count_proposed=0,
         step_count_baseline=counter.total,

@@ -12,12 +12,15 @@ and the convergence check share one loop. Step counts depend only on the
 topology, so one counted pass gives the counts of both models without running
 the baseline: pre_loop + r x per_iteration for the stack sweep, and r x its own
 per-iteration count for the per-iteration rescanning baseline, which does
-nothing before the loop. build_report turns the final voltages and currents
-into a SolveReport; solve and oracle.baseline_solve both use it. The dict-based
-phase functions below (compute_load_currents, backward_sweep, forward_sweep,
-check_convergence) count as they go and remain the reference implementation:
-the tests require solve to reproduce them exactly, and oracle.baseline_solve is
-built from them.
+nothing before the loop. build_report turns the final voltages and currents,
+as complex lists, into a SolveReport that keeps those lists and shows them as
+read-only Phasor views (final_*); solve hands over the sweep's own lists and
+oracle.baseline_solve its dicts' values, so both return the same layout. The
+dict-based phase functions below (compute_load_currents, backward_sweep,
+forward_sweep, check_convergence) count as they go and remain the reference
+implementation: the tests require solve to reproduce them exactly,
+oracle.baseline_solve is built from them, and compute_losses is the reference
+for build_report's losses.
 """
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ from .model import (
     LoadFlowError,
     NetworkModel,
     Phasor,
+    PhasorMap,
     SolveReport,
     SolveState,
     wrap_angle,
@@ -341,8 +345,9 @@ def compute_losses(
 def _compile(net: NetworkModel, leaves: LeafSet, literal_scan: bool):
     """Flatten the topology into the lists the sweep iterates on.
 
-    Node indices are positions in net.nodes(), branch positions are positions
-    in net.branches. Returns (loads, backward, forward, per_iteration):
+    Node indices are positions in net.nodes() (net.node_index), branch
+    positions are positions in net.branches (net.branch_position). Returns
+    (loads, backward, forward, per_iteration):
 
     - loads: (node index, conj(S)) for each node with a nonzero load, in node
       order;
@@ -359,8 +364,8 @@ def _compile(net: NetworkModel, leaves: LeafSet, literal_scan: bool):
     Raises SweepInvariantError if a branch's parent does not precede it, which
     would make the backward sweep consume a current before computing it.
     """
-    index = {node: i for i, node in enumerate(net.nodes())}
-    position = {b.branch_id: k for k, b in enumerate(net.branches)}
+    index = net.node_index
+    position = net.branch_position
     m = len(net.branches)
     counter = StepCounter()
     backward = []
@@ -499,20 +504,11 @@ def solve(net: NetworkModel, options: SolveOptions | None = None) -> SolveReport
     iterations, deltas, worst_polar, steps, v, il, ib = _sweep(net, leaves, options)
     per_iteration, per_iteration_baseline = steps
 
-    # convert one list at a time, dropping each, to keep the peak footprint low
-    nodes = net.nodes()
-    as_phasor = Phasor.from_complex
-    final_voltage = dict(zip(nodes, map(as_phasor, v)))
-    del v
-    final_load_current = dict(zip(nodes, map(as_phasor, il)))
-    del il
-    final_branch_current = dict(zip([b.branch_id for b in net.branches], map(as_phasor, ib)))
-    del ib
     return build_report(
         net,
-        final_voltage,
-        final_load_current,
-        final_branch_current,
+        v,
+        il,
+        ib,
         iterations=iterations,
         step_count_proposed=counter.pre_loop_steps + iterations * per_iteration,
         step_count_baseline=iterations * per_iteration_baseline,
@@ -526,42 +522,47 @@ def solve(net: NetworkModel, options: SolveOptions | None = None) -> SolveReport
 
 def build_report(
     net: NetworkModel,
-    final_voltage: dict[int, Phasor],
-    final_load_current: dict[int, Phasor],
-    final_branch_current: dict[int, Phasor],
+    volts: list[complex],
+    loads: list[complex],
+    branches: list[complex],
     **fields,
 ) -> SolveReport:
     """The SolveReport of a converged solve; solve and baseline_solve both use it.
 
-    The final_* dicts become the report's own. fields are the remaining
-    SolveReport fields (iterations, step counts, delta history and so on).
-    Magnitudes and angles are computed from each Phasor's parts as
-    Phasor.magnitude and Phasor.angle_degrees compute them; losses come from
-    compute_losses.
+    volts and loads hold one value per node in net.nodes() order, branches one
+    per branch in net.branches order; the report keeps the lists and shows them
+    through PhasorMap views. fields are the remaining SolveReport fields
+    (iterations, step counts, delta history and so on). Magnitudes, angles and
+    losses come from the complex parts with the arithmetic of
+    Phasor.magnitude, Phasor.angle_degrees and compute_losses, so every value
+    equals theirs exactly.
     """
     hypot = math.hypot
     atan2 = math.atan2
     degrees = math.degrees
     pi = math.pi
     node_voltages = []
-    for n in net.nodes():
-        p = final_voltage[n]
-        angle = atan2(p.im, p.re)
+    for n, z in zip(net.nodes(), volts):
+        re = z.real
+        im = z.imag
+        angle = atan2(im, re)
         if angle == -pi:
             angle = pi
-        node_voltages.append((n, hypot(p.re, p.im), degrees(angle)))
+        node_voltages.append((n, hypot(re, im), degrees(angle)))
+    to_kw = net.base.mva_base * 1000.0
     branch_currents = []
-    for b in net.branches:
-        p = final_branch_current[b.branch_id]
-        branch_currents.append((b.branch_id, hypot(p.re, p.im)))
-
-    state = SolveState(
-        node_voltage=final_voltage,
-        load_current=final_load_current,
-        branch_current=final_branch_current,
-        prev_voltage_mag={},
-    )
-    loss_rows, total_p, total_q = compute_losses(state, net)
+    loss_rows = []
+    total_p = 0.0
+    total_q = 0.0
+    for b, z in zip(net.branches, branches):
+        i_mag = hypot(z.real, z.imag)
+        branch_currents.append((b.branch_id, i_mag))
+        i_sq = i_mag ** 2
+        lp = i_sq * b.z.re * to_kw
+        lq = i_sq * b.z.im * to_kw
+        loss_rows.append((b.branch_id, lp, lq))
+        total_p += lp
+        total_q += lq
     return SolveReport(
         converged=True,
         node_voltages=tuple(node_voltages),
@@ -569,9 +570,9 @@ def build_report(
         branch_losses=tuple(loss_rows),
         total_loss_p=total_p,
         total_loss_q=total_q,
-        final_voltage=final_voltage,
-        final_load_current=final_load_current,
-        final_branch_current=final_branch_current,
+        final_voltage=PhasorMap(net.node_index, volts),
+        final_load_current=PhasorMap(net.node_index, loads),
+        final_branch_current=PhasorMap(net.branch_position, branches),
         **fields,
     )
 

@@ -21,6 +21,13 @@ BUS33 = str(fixtures.fixture_path(fixtures.BUS33))
 GOLDEN = str(fixtures.fixture_path(fixtures.GOLDEN69))
 
 
+def subprocess_env():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -121,9 +128,7 @@ class TestSolve:
         assert len(out.splitlines()) == 2
 
     def test_closed_stdout_exits_without_traceback(self):
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = subprocess_env()
         read_end, write_end = os.pipe()
         os.close(read_end)  # no reader, so the first write fails with EPIPE
         try:
@@ -152,6 +157,73 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", str(path), "--renumber")
         assert code == EXIT_OK
         assert "converged yes" in out
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", BUS69, "--tol", "0"),
+        ("solve", BUS69, "--tol", "nan"),
+        ("solve", BUS69, "--tol=-inf"),
+        ("solve", BUS69, "--max-iter", "0"),
+        ("compare", BUS69, "--golden", GOLDEN, "--tol", "inf"),
+        ("compare", BUS69, "--golden", GOLDEN, "--bound", "nan"),
+        ("bench", "--leaf-fractions", "0.3", "--sizes", "1"),
+        ("bench", "--sizes", "8", "--leaf-fractions", "nan"),
+        ("bench", "--sizes", "8", "--leaf-fractions", "0.3", "--max-iter", "0"),
+    ], ids=["tol-zero", "tol-nan", "tol-minus-inf", "max-iter-zero", "compare-tol-inf",
+            "compare-bound-nan", "bench-size-one", "bench-fraction-nan", "bench-max-iter-zero"])
+    def test_bad_option_value_exits_usage(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "radialflow.cli", *argv],
+            capture_output=True, env=subprocess_env(), text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("usage: radialflow ")
+        assert "error: argument --" in proc.stderr and ": must be " in proc.stderr
+        assert proc.stdout == ""
+
+    # already sequentially ordered, but renumbering relabels it: input nodes
+    # 3, 4 and 2 become nodes 2, 3 and 4 (a cycle, so the inverse map differs)
+    ORDERED = "1 1 4 0.3 0.2 0 0\n2 4 2 0.3 0.2 300 180\n3 1 3 0.3 0.2 100 60\n"
+    # the same table relabelled by hand, in renumbered ids
+    RELABELLED = "1 1 2 0.3 0.2 100 60\n2 1 3 0.3 0.2 0 0\n3 3 4 0.3 0.2 300 180\n"
+    NODE_TO_INPUT = {1: 1, 2: 3, 3: 4, 4: 2}
+    BRANCH_TO_INPUT = {1: 3, 2: 1, 3: 2}
+
+    def relabel(self, output):
+        """A solve printout's lines with node and branch ids mapped by hand to
+        the input's ids, each block of rows sorted by them."""
+        lines, rows, ids = [], [], None
+        for line in output.splitlines():
+            head, _, rest = line.partition(" ")
+            if ids and head.isdigit():
+                new_id = ids[int(head)]
+                rows.append((new_id, f"{new_id} {rest}"))
+                continue
+            lines += [row for _, row in sorted(rows)]
+            rows = []
+            ids = {"node": self.NODE_TO_INPUT, "branch": self.BRANCH_TO_INPUT}.get(head)
+            lines.append(line)
+        return lines
+
+    def test_renumber_reports_in_input_ids(self, capsys, tmp_path):
+        ordered = tmp_path / "ordered.branch"
+        ordered.write_text(self.ORDERED)
+        relabelled = tmp_path / "relabelled.branch"
+        relabelled.write_text(self.RELABELLED)
+        code, out, _ = run(capsys, "solve", str(ordered), "--renumber")
+        assert code == EXIT_OK
+        _, reference, _ = run(capsys, "solve", str(relabelled))
+        assert out.splitlines() == self.relabel(reference)
+        # and every node's voltage row matches the unrenumbered solve's
+        _, plain, _ = run(capsys, "solve", str(ordered))
+        node_rows = [line for line in out.splitlines() if line.count(" ") == 2]
+        assert node_rows == [line for line in plain.splitlines() if line.count(" ") == 2]
+        assert len(node_rows) == 5  # the header and four nodes
+
+    def test_renumber_identity_output_unchanged(self, capsys):
+        _, plain, _ = run(capsys, "solve", BUS69)
+        _, renumbered, _ = run(capsys, "solve", BUS69, "--renumber")
+        assert renumbered == plain
 
     def test_json_input(self, capsys, tmp_path):
         doc = {
@@ -222,6 +294,22 @@ class TestCompare:
         code, _, err = run(capsys, "compare", BUS69, "--golden", str(path))
         assert code == EXIT_PARSE
         assert "node set" in err
+
+    def test_renumber_compares_in_input_ids(self, capsys, tmp_path):
+        ordered = tmp_path / "ordered.branch"
+        ordered.write_text(TestSolve.ORDERED)
+        _, out, _ = run(capsys, "solve", str(ordered))
+        golden = tmp_path / "golden.csv"
+        rows = ["node,vmag_pu"]
+        for line in out.splitlines():
+            parts = line.split()
+            if len(parts) == 3 and parts[0].isdigit():
+                rows.append(f"{parts[0]},{parts[1]}")
+        golden.write_text("\n".join(rows) + "\n")
+        # the golden values are rounded to 5 decimals
+        code, _, err = run(capsys, "compare", str(ordered), "--renumber",
+                           "--golden", str(golden), "--bound", "1e-5")
+        assert (code, err) == (EXIT_OK, "")
 
     @pytest.mark.parametrize("text,message", [
         (None, "parse error: cannot read {path}: "),

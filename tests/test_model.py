@@ -9,6 +9,7 @@ from radialflow.model import (
     DataError,
     PerUnitBase,
     Phasor,
+    PhasorMap,
     SingularityError,
     to_per_unit,
     to_physical,
@@ -75,6 +76,57 @@ class TestPhasor:
     def test_conjugate_involution_exact(self):
         for p in random_phasors(100, seed=13):
             assert p.conjugate().conjugate() == p
+
+
+class TestPhasorMap:
+    IDS = (3, 1, 7)
+    VALUES = [complex(1.0, -0.5), complex(0.25, 0.0), complex(-2.0, 3.5)]
+
+    def view(self):
+        return PhasorMap({k: i for i, k in enumerate(self.IDS)}, list(self.VALUES))
+
+    def as_dict(self):
+        return {k: Phasor(z.real, z.imag) for k, z in zip(self.IDS, self.VALUES)}
+
+    def test_len_and_iteration_in_index_order(self):
+        view = self.view()
+        assert len(view) == 3
+        assert list(view) == [3, 1, 7]
+        assert list(view.items()) == list(self.as_dict().items())
+
+    def test_entry_is_a_phasor_of_the_value(self):
+        assert self.view()[7] == Phasor(-2.0, 3.5)
+
+    def test_unknown_id_raises_key_error(self):
+        with pytest.raises(KeyError):
+            self.view()[2]
+        assert 2 not in self.view()
+        assert self.view().get(2) is None
+
+    def test_read_only(self):
+        view = self.view()
+        with pytest.raises(TypeError):
+            view[3] = Phasor(0.0, 0.0)
+        with pytest.raises(TypeError):
+            del view[3]
+        with pytest.raises(AttributeError):
+            view.extra = 1
+
+    def test_equality_with_dicts_both_ways(self):
+        view = self.view()
+        equal = self.as_dict()
+        unequal = dict(equal)
+        unequal[1] = Phasor(0.25, 1e-12)
+        assert view == equal and equal == view
+        assert view != unequal and unequal != view
+        assert not (view == unequal) and not (unequal == view)
+        assert view != {3: equal[3], 1: equal[1]}
+        assert view == self.view()
+
+    def test_dict_round_trip(self):
+        copy = dict(self.view())
+        assert copy == self.as_dict()
+        assert list(copy) == [3, 1, 7]
 
 
 class TestPerUnitBase:

@@ -317,6 +317,43 @@ class TestSolve:
         assert report.max_polar_deviation <= 1e-10
 
 
+class TestReportLayout:
+    def test_solve_constructs_no_phasor(self, bus69_net, monkeypatch):
+        made = []
+        init = Phasor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Phasor, "__init__", counting_init)
+        report = solve(bus69_net)
+        assert made == []
+        assert report.voltage_magnitude(65) < 1.0  # a view makes a Phasor when read
+        assert len(made) == 1
+
+    def test_both_solvers_return_views_equal_to_their_rows(self, bus33_net):
+        reports = (solve(bus33_net), rf.baseline_solve(bus33_net))
+        for name in ("final_voltage", "final_load_current", "final_branch_current"):
+            ours, theirs = (getattr(r, name) for r in reports)
+            assert all(abs((p - theirs[k]).as_complex()) < 1e-12 for k, p in ours.items())
+        for report in reports:
+            assert list(report.final_voltage) == list(bus33_net.nodes())
+            assert list(report.final_load_current) == list(bus33_net.nodes())
+            assert list(report.final_branch_current) == [b.branch_id for b in bus33_net.branches]
+            assert report.node_voltages == tuple(
+                (n, p.magnitude, p.angle_degrees) for n, p in report.final_voltage.items()
+            )
+            assert report.branch_currents == tuple(
+                (bid, p.magnitude) for bid, p in report.final_branch_current.items()
+            )
+            state = SolveState(dict(report.final_voltage), dict(report.final_load_current),
+                               dict(report.final_branch_current), {})
+            rows, total_p, total_q = compute_losses(state, bus33_net)
+            assert report.branch_losses == tuple(rows)
+            assert (report.total_loss_p, report.total_loss_q) == (total_p, total_q)
+
+
 class TestBuildReport:
     def test_rows_equal_phasor_views(self):
         net = validate_radial(chain_table([(10.0, 5.0), (20.0, 8.0)]))
@@ -324,12 +361,8 @@ class TestBuildReport:
         volts = [complex(1.0, 0.0), complex(-1.0, -0.0), complex(0.3, -0.7)]
         loads = [0j, complex(0.1, -0.2), complex(-0.4, 0.0)]
         branches = [complex(-2.5, -0.0), complex(1e-3, 4e-4)]
-        nodes = net.nodes()
         report = build_report(
-            net,
-            {n: Phasor.from_complex(c) for n, c in zip(nodes, volts)},
-            {n: Phasor.from_complex(c) for n, c in zip(nodes, loads)},
-            {b.branch_id: Phasor.from_complex(c) for b, c in zip(net.branches, branches)},
+            net, volts, loads, branches,
             iterations=1, step_count_proposed=0, step_count_baseline=0, leaf_count=1,
             pre_loop_steps=0, per_iteration_steps=(0,), delta_history=(0.0,),
             max_polar_deviation=None,
