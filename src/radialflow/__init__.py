@@ -13,7 +13,6 @@ from .model import (
     SolveReport,
     SolveState,
     to_per_unit,
-    to_physical,
 )
 from .ingest import (
     OrderingError,
@@ -60,7 +59,6 @@ __all__ = [
     "solve",
     "step_model",
     "to_per_unit",
-    "to_physical",
     "validate_radial",
 ]
 

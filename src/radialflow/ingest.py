@@ -1,14 +1,18 @@
 """Parsing, radial-topology validation, and sequential renumbering of branch tables.
 
-validate_radial and renumber_sequential share one tree check, _check_tree,
+validate_radial and renumber_sequential run the same checks, _check_table, so
+both name the same first defect. Among them is the tree check, _check_tree,
 which builds the adjacency in a single pass over the closed branches: the
 branch feeding each node, and the branches leaving each sending node. The walk
 from the root, the tie-line check and renumber_sequential's relabelling reuse
 that adjacency. validate_radial sorts the closed branches by id once; the
 ordering check, the children tuples (in id order, without a sort per node) and
-the per-unit branches all come from that one sorted list. Every defect found
-raises a typed error: ParseError or DataError for bad input text and values,
-TopologyError for anything that is not a tree rooted at the requested root.
+the per-unit branches all come from that one sorted list. The JSON reader
+converts each value with _number, which names the key of a value that is not
+the number it must be (a bool, a fraction for an id or node). Every defect
+found raises a typed error: ParseError or DataError for bad input text and
+values, TopologyError for anything that is not a tree rooted at the requested
+root.
 """
 from __future__ import annotations
 
@@ -135,6 +139,23 @@ def _parse_delimited(text: str, source: str) -> tuple[BranchRecord, ...]:
 _BAD_VALUE = (TypeError, ValueError, OverflowError)
 
 
+def _number(value, key: str, kind: type):
+    """A JSON value as kind (int or float), or a ParseError naming its key.
+
+    A bool is rejected, and so is a number with a fraction where an int is
+    wanted; text is read by kind() as the delimited format reads it.
+    """
+    if type(value) is kind:
+        return value
+    # a float gets here only when kind is int
+    if type(value) is not bool and (type(value) is not float or value.is_integer()):
+        try:
+            return kind(value)
+        except _BAD_VALUE:
+            pass
+    raise ParseError(f"bad value {value!r} for key {key!r}")
+
+
 def _parse_json(text: str, source: str) -> tuple[tuple[BranchRecord, ...], PerUnitBase | None, int | None]:
     try:
         doc = json.loads(text)
@@ -144,63 +165,52 @@ def _parse_json(text: str, source: str) -> tuple[tuple[BranchRecord, ...], PerUn
         raise ParseError(f"{source}: expected a JSON object at the top level, got {type(doc).__name__}")
     base = None
     if "base" in doc:
+        spec = doc["base"]
         try:
-            base = PerUnitBase(kv_base=float(doc["base"]["kv"]), mva_base=float(doc["base"]["mva"]))
-        except (KeyError, *_BAD_VALUE):
+            base = PerUnitBase(kv_base=_number(spec["kv"], "kv", float),
+                               mva_base=_number(spec["mva"], "mva", float))
+        except (KeyError, TypeError, ParseError):  # not an object with two numbers
             raise ParseError(
-                f"{source}: bad \"base\" {doc['base']!r} (needs numbers \"kv\" and \"mva\")"
+                f'{source}: bad "base" {spec!r} (needs numbers "kv" and "mva")'
             ) from None
+        except DataError as exc:  # numbers PerUnitBase rejects
+            raise ParseError(f'{source}: bad "base" {spec!r}: {exc}') from None
     root = None
     if "root" in doc:
         try:
-            root = int(doc["root"])
-        except _BAD_VALUE:
-            raise ParseError(f"{source}: bad \"root\" {doc['root']!r}") from None
+            root = _number(doc["root"], "root", int)
+        except ParseError:
+            raise ParseError(f'{source}: bad "root" {doc["root"]!r}') from None
     branches = doc.get("branches", [])
     if not isinstance(branches, list):
         raise ParseError(f"{source}: \"branches\" must be a list, got {type(branches).__name__}")
     rows = []
     for index, entry in enumerate(branches):
         try:
-            is_tie = bool(entry.get("open", False))
+            if not isinstance(entry, dict):
+                raise ParseError(f"expected an object, got {type(entry).__name__}")
+            is_tie = entry.get("open", False)
+            if type(is_tie) is not bool:
+                raise ParseError(f"bad value {is_tie!r} for key 'open'")
             cap = entry.get("cap")
             rows.append(
                 BranchRecord(
-                    branch_id=int(entry["id"]),
-                    sending_node=int(entry["from"]),
-                    receiving_node=int(entry["to"]),
-                    resistance=float(entry["r"]),
-                    reactance=float(entry["x"]),
-                    load_p=0.0 if is_tie else float(entry.get("p", 0.0)),
-                    load_q=0.0 if is_tie else float(entry.get("q", 0.0)),
-                    capacity=float(cap) if cap is not None else None,
+                    branch_id=_number(entry["id"], "id", int),
+                    sending_node=_number(entry["from"], "from", int),
+                    receiving_node=_number(entry["to"], "to", int),
+                    resistance=_number(entry["r"], "r", float),
+                    reactance=_number(entry["x"], "x", float),
+                    load_p=0.0 if is_tie else _number(entry.get("p", 0.0), "p", float),
+                    load_q=0.0 if is_tie else _number(entry.get("q", 0.0), "q", float),
+                    capacity=None if cap is None else _number(cap, "cap", float),
                     is_tie=is_tie,
                 )
             )
-        except (AttributeError, KeyError, *_BAD_VALUE) as exc:
-            raise _json_entry_error(entry, f"{source}: branches[{index}]", exc) from None
-        except DataError as exc:  # a value BranchRecord rejects
+        except KeyError as exc:
+            raise ParseError(f"{source}: branches[{index}]: missing key {exc.args[0]!r}") from None
+        except DataError as exc:  # a value _number or BranchRecord rejects
             raise ParseError(f"{source}: branches[{index}]: {exc}") from None
     return tuple(rows), base, root
-
-
-def _json_entry_error(entry, where: str, exc: Exception) -> ParseError:
-    """The ParseError naming the key of a JSON branch entry that could not be read."""
-    if not isinstance(entry, dict):
-        return ParseError(f"{where}: expected an object, got {type(entry).__name__}")
-    if isinstance(exc, KeyError):
-        return ParseError(f"{where}: missing key {exc.args[0]!r}")
-    for key in ("id", "from", "to", "r", "x", "p", "q", "cap"):
-        value = entry.get(key)
-        if key not in entry or (key == "cap" and value is None) or (
-            key in ("p", "q") and entry.get("open", False)
-        ):
-            continue
-        try:
-            (int if key in ("id", "from", "to") else float)(value)
-        except _BAD_VALUE:
-            return ParseError(f"{where}: bad value {value!r} for key {key!r}")
-    return ParseError(f"{where}: {exc}")
 
 
 def parse_branch_table(text: str, fmt: str = "delimited", source_name: str = "<memory>") -> RawTable:
@@ -324,6 +334,27 @@ def _check_ties(ties: tuple[BranchRecord, ...], root: int, incoming: dict[int, B
                 )
 
 
+def _check_table(table: RawTable, root: int | None):
+    """The checks validate_radial and renumber_sequential share.
+
+    Resolves the root (the table's declared root, else 1), then requires
+    closed branches, the root among their sending nodes, a tree rooted there
+    (_check_tree) and tie lines ending on it (_check_ties). Returns (root,
+    closed rows, tie rows, incoming, out), the last two as _check_tree's.
+    """
+    if root is None:
+        root = table.declared_root if table.declared_root is not None else 1
+    closed = table.closed_rows()
+    if not closed:
+        raise TopologyError(f"{table.source_name}: no closed branches")
+    if not any(b.sending_node == root for b in closed):
+        raise TopologyError(f"{table.source_name}: root {root} is not a sending node")
+    incoming, out = _check_tree(closed, root, table.source_name)
+    ties = table.tie_rows()
+    _check_ties(ties, root, incoming, table.source_name)
+    return root, closed, ties, incoming, out
+
+
 def check_sequential_ordering(closed: tuple[BranchRecord, ...], root: int) -> int | None:
     """Return the id of the first branch violating sequential ordering, or None.
 
@@ -355,18 +386,9 @@ def validate_radial(
     branch-numbering property is enforced (recoverable via renumber_sequential);
     otherwise it is only recorded on the model.
     """
-    if root is None:
-        root = table.declared_root if table.declared_root is not None else 1
     if base is None:
         base = table.declared_base if table.declared_base is not None else DEFAULT_BASE
-    closed = table.closed_rows()
-    if not closed:
-        raise TopologyError(f"{table.source_name}: no closed branches")
-    if not any(b.sending_node == root for b in closed):
-        raise TopologyError(f"{table.source_name}: root {root} is not a sending node")
-    incoming, _ = _check_tree(closed, root, table.source_name)
-    ties = table.tie_rows()
-    _check_ties(ties, root, incoming, table.source_name)
+    root, closed, ties, incoming, _ = _check_table(table, root)
 
     closed = sorted(closed, key=_branch_id)
     bad = check_sequential_ordering(closed, root)
@@ -421,14 +443,7 @@ def renumber_sequential(table: RawTable, root: int | None = None) -> tuple[RawTa
     already satisfy the convention of the bundled feeder data (receiving node of
     branch j is j+1, laterals listed after their trunk) map to themselves.
     """
-    if root is None:
-        root = table.declared_root if table.declared_root is not None else 1
-    closed = table.closed_rows()
-    if not closed:
-        raise TopologyError(f"{table.source_name}: no closed branches")
-    incoming, out = _check_tree(closed, root, table.source_name)
-    ties = table.tie_rows()
-    _check_ties(ties, root, incoming, table.source_name)
+    root, _, ties, _, out = _check_table(table, root)
 
     node_map = {root: 1}
     branch_map: dict[int, int] = {}

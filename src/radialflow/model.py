@@ -47,10 +47,6 @@ class Phasor:
         return cls(0.0, 0.0)
 
     @classmethod
-    def from_polar(cls, magnitude: float, angle: float) -> "Phasor":
-        return cls(magnitude * math.cos(angle), magnitude * math.sin(angle))
-
-    @classmethod
     def from_complex(cls, z: complex) -> "Phasor":
         return cls(z.real, z.imag)
 
@@ -84,9 +80,6 @@ class Phasor:
 
     def __sub__(self, other: "Phasor") -> "Phasor":
         return Phasor(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "Phasor":
-        return Phasor(-self.re, -self.im)
 
     def __mul__(self, other: "Phasor") -> "Phasor":
         return Phasor.from_complex(self.as_complex() * other.as_complex())
@@ -224,23 +217,6 @@ def to_per_unit(record: BranchRecord, base: PerUnitBase) -> PerUnitBranch:
     )
 
 
-def to_physical(branch: PerUnitBranch, base: PerUnitBase) -> BranchRecord:
-    """Inverse of to_per_unit: recover a physical-unit record."""
-    zb = base.z_base
-    mva_kw = base.mva_base * 1000.0
-    return BranchRecord(
-        branch_id=branch.branch_id,
-        sending_node=branch.sending_node,
-        receiving_node=branch.receiving_node,
-        resistance=branch.z.re * zb,
-        reactance=branch.z.im * zb,
-        load_p=branch.s_load.re * mva_kw,
-        load_q=branch.s_load.im * mva_kw,
-        capacity=branch.capacity,
-        is_tie=branch.is_tie,
-    )
-
-
 @dataclass(frozen=True)
 class NetworkModel:
     """A validated radial network in per-unit.
@@ -260,7 +236,6 @@ class NetworkModel:
     base: PerUnitBase
     sequentially_ordered: bool = True
     # derived values, filled in __post_init__
-    branch_by_id: dict[int, PerUnitBranch] = field(default_factory=dict, repr=False)
     parent_branch: dict[int, int] = field(default_factory=dict, repr=False)
     node_load: dict[int, Phasor] = field(default_factory=dict, repr=False)
     sorted_nodes: tuple[int, ...] = field(default=(), repr=False)
@@ -273,13 +248,11 @@ class NetworkModel:
             seen.add(b.sending_node)
             seen.add(b.receiving_node)
         nodes = tuple(sorted(seen))
-        by_id = {b.branch_id: b for b in self.branches}
         parent = {b.receiving_node: b.branch_id for b in self.branches}
         load = dict.fromkeys(nodes, Phasor.zero())
         for b in self.branches:
             load[b.receiving_node] = b.s_load
         object.__setattr__(self, "sorted_nodes", nodes)
-        object.__setattr__(self, "branch_by_id", by_id)
         object.__setattr__(self, "parent_branch", parent)
         object.__setattr__(self, "node_load", load)
         object.__setattr__(self, "node_index", dict(zip(nodes, range(len(nodes)))))

@@ -31,7 +31,7 @@ def downstream_sets(net: NetworkModel) -> dict[int, tuple[int, ...]]:
         while k != net.root:
             bid = net.parent_branch[k]
             sets[bid].append(node)
-            k = net.branch_by_id[bid].sending_node
+            k = net.branches[net.branch_position[bid]].sending_node
     return {bid: tuple(sorted(nodes)) for bid, nodes in sets.items()}
 
 
@@ -81,7 +81,7 @@ def _rescan_leaves(net: NetworkModel, counter: StepCounter) -> set[int]:
     for node in net.nodes():
         feeds_any = False
         for b in net.branches:
-            counter.leaf_scan_steps += 1
+            counter.total += 1
             if b.sending_node == node:
                 feeds_any = True
         if not feeds_any and node != net.root:
@@ -91,24 +91,15 @@ def _rescan_leaves(net: NetworkModel, counter: StepCounter) -> set[int]:
 
 def _rescan_branch_currents(state: SolveState, net: NetworkModel, counter: StepCounter) -> None:
     """Recompute every downstream set from scratch and sum the member load
-    currents, one membership test per (branch, node) pair."""
-    membership: dict[int, set[int]] = {}
-    for node in net.nodes():
-        path = set()
-        k = node
-        while k != net.root:
-            bid = net.parent_branch[k]
-            path.add(bid)
-            k = net.branch_by_id[bid].sending_node
-        membership[node] = path
-    for b in net.branches:
+    currents in ascending node order, counting one membership test per
+    (branch, node) pair and one step per member added."""
+    n = len(net.nodes())
+    for bid, members in downstream_sets(net).items():
         total = Phasor.zero()
-        for node in net.nodes():
-            counter.current_steps += 1
-            if b.branch_id in membership[node]:
-                total = total + state.load_current[node]
-                counter.current_steps += 1
-        state.branch_current[b.branch_id] = total
+        for node in members:
+            total = total + state.load_current[node]
+        state.branch_current[bid] = total
+        counter.total += n + len(members)
 
 
 def baseline_solve(net: NetworkModel, options: SolveOptions | None = None) -> SolveReport:

@@ -3,7 +3,10 @@
 Branch currents are accumulated leaf-first over the sequentially ordered
 branch list; node voltages then propagate root-first. Leaf identification runs
 once before the iteration loop, which is where the step saving over the
-per-iteration rescanning baseline comes from.
+per-iteration rescanning baseline comes from. find_leaf_nodes returns the
+leaves as an ascending tuple, which is_leaf binary-searches; a StepCounter
+keeps one running total of the steps taken, marked at the loop's start and at
+the end of each pass.
 
 solve compiles the network once into flat index lists (sending and receiving
 node, parent branch, leaf flag) and complex lists (impedance, conjugate load),
@@ -67,45 +70,20 @@ class PolarMismatchError(LoadFlowError):
 POLAR_AGREEMENT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class LeafSet:
-    """Ascending-sorted node indices with no outgoing closed branch."""
-
-    leaves: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(a >= b for a, b in zip(self.leaves, self.leaves[1:])):
-            raise ValueError("leaf list must be sorted strictly ascending")
-
-    def __len__(self) -> int:
-        return len(self.leaves)
-
-
 @dataclass
 class StepCounter:
-    """Tally of elementary operations, split by solve phase.
+    """Tally of elementary operations over a solve.
 
-    Counters only grow; total is their sum. iteration_totals records the steps
-    spent inside each convergence-loop pass, pre_loop_steps everything before
-    the loop (leaf identification in the proposed method).
+    total only grows: the phase functions, is_leaf and the oracle add to it.
+    pre_loop_steps records the steps spent before the convergence loop (leaf
+    identification in the proposed method), iteration_totals those inside each
+    loop pass.
     """
 
-    leaf_scan_steps: int = 0
-    current_steps: int = 0
-    voltage_steps: int = 0
-    convergence_steps: int = 0
+    total: int = 0
     pre_loop_steps: int = 0
     iteration_totals: list[int] = field(default_factory=list)
     _iter_mark: int = 0
-
-    @property
-    def total(self) -> int:
-        return (
-            self.leaf_scan_steps
-            + self.current_steps
-            + self.voltage_steps
-            + self.convergence_steps
-        )
 
     def mark_pre_loop(self) -> None:
         self.pre_loop_steps = self.total
@@ -131,45 +109,46 @@ class SolveOptions:
             raise ValueError("max_iterations must be at least 1")
 
 
-def find_leaf_nodes(net: NetworkModel, counter: StepCounter | None = None) -> LeafSet:
-    """Nodes appearing as receiving end of some branch but sending end of none."""
+def find_leaf_nodes(net: NetworkModel, counter: StepCounter | None = None) -> tuple[int, ...]:
+    """Nodes appearing as receiving end of some branch but sending end of none,
+    in ascending order."""
     sending = set()
     for b in net.branches:
         sending.add(b.sending_node)
         if counter:
-            counter.leaf_scan_steps += 1
+            counter.total += 1
     leaves = []
     for b in net.branches:
         if b.receiving_node not in sending:
             leaves.append(b.receiving_node)
         if counter:
-            counter.leaf_scan_steps += 1
-    return LeafSet(leaves=tuple(sorted(leaves)))
+            counter.total += 1
+    return tuple(sorted(leaves))
 
 
-def is_leaf(leaves: LeafSet, node: int, counter: StepCounter | None = None) -> bool:
-    """Binary search over the sorted leaf list; comparisons are counted.
+def is_leaf(leaves: tuple[int, ...], node: int, counter: StepCounter | None = None) -> bool:
+    """Binary search over the ascending leaf tuple of find_leaf_nodes;
+    comparisons are counted.
 
     The count is kept in a local and added to the counter once, on return.
     """
-    lst = leaves.leaves
-    low, high = 0, len(lst) - 1
+    low, high = 0, len(leaves) - 1
     steps = 0
     found = False
     while low <= high:
         mid = (low + high) // 2
         steps += 1
-        if lst[mid] > node:
+        if leaves[mid] > node:
             high = mid - 1
         else:
             steps += 1
-            if lst[mid] < node:
+            if leaves[mid] < node:
                 low = mid + 1
             else:
                 found = True
                 break
     if counter:
-        counter.current_steps += steps
+        counter.total += steps
     return found
 
 
@@ -177,7 +156,7 @@ def compute_load_currents(state: SolveState, net: NetworkModel, counter: StepCou
     """LI_i = (PL_i - j QL_i) / conj(V_i); exactly zero at zero-load nodes."""
     for node in net.nodes():
         if counter:
-            counter.current_steps += 1
+            counter.total += 1
         s = net.node_load[node]
         if s.is_zero():
             state.load_current[node] = Phasor.zero()
@@ -191,7 +170,7 @@ def compute_load_currents(state: SolveState, net: NetworkModel, counter: StepCou
 def backward_sweep(
     state: SolveState,
     net: NetworkModel,
-    leaves: LeafSet,
+    leaves: tuple[int, ...],
     counter: StepCounter | None = None,
     literal_scan: bool = False,
 ) -> None:
@@ -211,36 +190,36 @@ def backward_sweep(
         if is_leaf(leaves, r, counter):
             state.branch_current[b.branch_id] = state.load_current[r]
             if counter:
-                counter.current_steps += 1
+                counter.total += 1
         else:
             if literal_scan:
                 stack = []
                 for other in net.branches:
                     if counter:
-                        counter.current_steps += 1
+                        counter.total += 1
                     if other.sending_node == r:
                         stack.append(other.branch_id)
                         if counter:
-                            counter.current_steps += 1
+                            counter.total += 1
             else:
                 stack = list(net.children[r])
                 if counter:
-                    counter.current_steps += len(stack)
+                    counter.total += len(stack)
             total = Phasor.zero()
             while stack:
                 child = stack.pop()
                 if counter:
-                    counter.current_steps += 1
+                    counter.total += 1
                 if child not in computed:
                     raise SweepInvariantError(
                         f"branch {child} consumed before computation (branch {b.branch_id})"
                     )
                 total = total + state.branch_current[child]
                 if counter:
-                    counter.current_steps += 1
+                    counter.total += 1
             total = total + state.load_current[r]
             if counter:
-                counter.current_steps += 1
+                counter.total += 1
             state.branch_current[b.branch_id] = total
         computed.add(b.branch_id)
 
@@ -296,7 +275,7 @@ def forward_sweep(
             worst = max(worst, _polar_deviation(vs, i_br, b.z, vr, b.branch_id))
         state.node_voltage[b.receiving_node] = vr
         if counter:
-            counter.voltage_steps += 1
+            counter.total += 1
     return worst
 
 
@@ -314,7 +293,7 @@ def check_convergence(
     nodes = list(state.node_voltage)
     for node in nodes:
         if counter:
-            counter.convergence_steps += 1
+            counter.total += 1
         mag = state.node_voltage[node].magnitude
         delta = abs(mag - state.prev_voltage_mag[node])
         if delta <= tolerance:
@@ -342,7 +321,7 @@ def compute_losses(
     return rows, total_p, total_q
 
 
-def _compile(net: NetworkModel, leaves: LeafSet, literal_scan: bool):
+def _compile(net: NetworkModel, leaves: tuple[int, ...], literal_scan: bool):
     """Flatten the topology into the lists the sweep iterates on.
 
     Node indices are positions in net.nodes() (net.node_index), branch
@@ -383,12 +362,12 @@ def _compile(net: NetworkModel, leaves: LeafSet, literal_scan: bool):
                 )
         leaf = is_leaf(leaves, b.receiving_node, counter)
         if leaf:
-            counter.current_steps += 1
+            counter.total += 1
         else:
             # child listing (a whole-table scan in literal mode), then a pop and
             # an add per child, then the node's own load current
             c = len(net.children[b.receiving_node])
-            counter.current_steps += (m + c if literal_scan else c) + 2 * c + 1
+            counter.total += (m + c if literal_scan else c) + 2 * c + 1
         s = index[b.sending_node]
         r = index[b.receiving_node]
         depth[r] = depth[s] + 1
@@ -410,7 +389,7 @@ def _compile(net: NetworkModel, leaves: LeafSet, literal_scan: bool):
     return loads, backward, forward, (counter.total + common, n * m + m * n + sum(depth) + common)
 
 
-def _sweep(net: NetworkModel, leaves: LeafSet, options: SolveOptions):
+def _sweep(net: NetworkModel, leaves: tuple[int, ...], options: SolveOptions):
     """Iterate the sweep on flat lists from a flat start until it settles.
 
     Same arithmetic, in the same order, as compute_load_currents,

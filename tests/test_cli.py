@@ -245,13 +245,27 @@ class TestSolve:
             assert code == EXIT_TOPOLOGY
             assert "tie branch 3 ends at node 99" in err
 
+    def test_root_not_a_sender_exits_topology(self, capsys):
+        for extra in ((), ("--renumber",)):
+            code, _, err = run(capsys, "solve", BUS69, "--root", "999", *extra)
+            assert code == EXIT_TOPOLOGY
+            assert err == f"topology error: {BUS69}: root 999 is not a sending node\n"
+
     @pytest.mark.parametrize("doc", [
         [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05}],
         {"branches": [{"from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
         {"branches": [{"id": 1, "from": 1, "to": 2, "r": "x", "x": 0.05}]},
         {"branches": [{"id": 0, "from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
         {"branches": [{"id": 1, "from": 1, "to": 2, "r": -0.1, "x": 0.05}]},
-    ], ids=["top-level-list", "missing-id", "non-numeric-r", "id-zero", "negative-r"])
+        {"branches": [{"id": 1, "from": 1, "to": 2.9, "r": 0.1, "x": 0.05}]},
+        {"branches": [{"id": 1.7, "from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
+        {"root": True, "branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
+        {"branches": [{"id": 1, "from": 1, "to": 2, "r": True, "x": 0.05}]},
+        {"branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05, "open": "false"}]},
+        {"base": {"kv": "nan", "mva": 10},
+         "branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
+    ], ids=["top-level-list", "missing-id", "non-numeric-r", "id-zero", "negative-r",
+            "fractional-to", "fractional-id", "bool-root", "bool-r", "open-as-text", "nan-base"])
     def test_malformed_json_exits_parse(self, capsys, tmp_path, doc):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))

@@ -15,7 +15,7 @@ from radialflow.ingest import (
     renumber_sequential,
     validate_radial,
 )
-from radialflow.model import DataError
+from radialflow.model import BranchRecord, DataError
 from radialflow.solver import solve
 
 
@@ -95,12 +95,36 @@ class TestParseJson:
          "net.json: bad \"base\" {'kv': 12.66} (needs numbers \"kv\" and \"mva\")"),
         ({"branches": [{"id": 0, "from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
          "net.json: branches[0]: branch id must be positive, got 0"),
+        ({"branches": [{"id": 1, "from": 1, "to": 2.9, "r": 0.1, "x": 0.05}]},
+         "net.json: branches[0]: bad value 2.9 for key 'to'"),
+        ({"branches": [{"id": 1.7, "from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
+         "net.json: branches[0]: bad value 1.7 for key 'id'"),
+        ({"root": True, "branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
+         "net.json: bad \"root\" True"),
+        ({"branches": [{"id": 1, "from": 1, "to": 2, "r": True, "x": 0.05}]},
+         "net.json: branches[0]: bad value True for key 'r'"),
+        ({"branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05, "open": "false"}]},
+         "net.json: branches[0]: bad value 'false' for key 'open'"),
+        ({"base": {"kv": "nan", "mva": 10},
+          "branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
+         "net.json: bad \"base\" {'kv': 'nan', 'mva': 10}: "
+         "kv_base must be positive and finite, got nan"),
     ], ids=["top-level-list", "missing-id", "non-numeric-r", "bad-cap", "entry-not-object",
-            "branches-not-list", "bad-root", "base-without-mva", "id-zero"])
+            "branches-not-list", "bad-root", "base-without-mva", "id-zero", "fractional-to",
+            "fractional-id", "bool-root", "bool-r", "open-as-text", "nan-base"])
     def test_malformed_document_names_the_entry_and_key(self, doc, message):
         with pytest.raises(ParseError) as exc:
             parse_branch_table(json.dumps(doc), "json", source_name="net.json")
         assert str(exc.value) == message
+
+    def test_integral_floats_and_numeric_text_read_as_numbers(self):
+        doc = {"root": 1.0, "branches": [{"id": "7", "from": 1.0, "to": " 2 ", "r": "0.5", "x": 1,
+                                          "p": "10", "q": 5, "open": False}]}
+        table = parse_branch_table(json.dumps(doc), "json")
+        (rec,) = table.rows
+        assert rec == BranchRecord(7, 1, 2, 0.5, 1.0, 10.0, 5.0)
+        ids = (table.declared_root, rec.branch_id, rec.sending_node, rec.receiving_node)
+        assert ids == (1, 7, 1, 2) and all(type(i) is int for i in ids)
 
     def test_tie_ignores_load_fields(self):
         doc = {"branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05},
@@ -199,11 +223,9 @@ TOPOLOGY_DEFECTS = [
     pytest.param([(1, 1, 2), (2, 3, 4), (3, 4, 3)],
                  "cycle through branch 3 (4->3)", None, id="detached-cycle"),
     pytest.param([(1, 2, 3), (2, 3, 4)],
-                 "root 1 is not a sending node", "node 2 has no feeding branch",
-                 id="root-not-sender"),
+                 "root 1 is not a sending node", None, id="root-not-sender"),
     pytest.param([(1, 2, 3), (2, 4, 3)],
-                 "root 1 is not a sending node", "node 3 is fed by branches 1 and 2",
-                 id="root-not-sender-and-doubly-fed"),
+                 "root 1 is not a sending node", None, id="root-not-sender-and-doubly-fed"),
     pytest.param([(1, 1, 2), (2, 9, 3), (3, 5, 6), (4, 6, 5)],
                  "node 9 has no feeding branch", None, id="unfed-and-detached-cycle"),
 ]

@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-import radialflow as rf
 from conftest import chain_table, make_table
 from radialflow.cli import generate_random_table
 from radialflow.ingest import validate_radial
 from radialflow.model import Phasor, SolveState
 from radialflow.oracle import baseline_solve, downstream_sets, downstream_sum, power_balance
-from radialflow.solver import SolveOptions, backward_sweep, compute_load_currents, find_leaf_nodes
+from radialflow.solver import backward_sweep, compute_load_currents, find_leaf_nodes
 
 
 class TestDownstreamSets:
@@ -34,7 +33,8 @@ class TestDownstreamSets:
                 node = frontier.pop()
                 subtree.add(node)
                 for child in bus69_net.children[node]:
-                    frontier.append(bus69_net.branch_by_id[child].receiving_node)
+                    position = bus69_net.branch_position[child]
+                    frontier.append(bus69_net.branches[position].receiving_node)
             assert set(sets[b.branch_id]) == subtree
 
     def test_recursive_union_invariant(self, bus33_net):
