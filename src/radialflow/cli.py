@@ -281,8 +281,8 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file", help="branch table (delimited or .json)")
     p.add_argument("--input-format", choices=["auto", "delimited", "json"], default="auto")
     p.add_argument("--root", type=int, default=None, help="substation node (default 1)")
-    p.add_argument("--kv", type=float, default=None, help="voltage base in kV")
-    p.add_argument("--mva", type=float, default=None, help="power base in MVA")
+    p.add_argument("--kv", type=_positive, default=None, help="voltage base in kV")
+    p.add_argument("--mva", type=_positive, default=None, help="power base in MVA")
 
 
 def _add_solve_args(p: argparse.ArgumentParser) -> None:

@@ -5,14 +5,14 @@ both name the same first defect. Among them is the tree check, _check_tree,
 which builds the adjacency in a single pass over the closed branches: the
 branch feeding each node, and the branches leaving each sending node. The walk
 from the root, the tie-line check and renumber_sequential's relabelling reuse
-that adjacency. validate_radial sorts the closed branches by id once; the
-ordering check, the children tuples (in id order, without a sort per node) and
-the per-unit branches all come from that one sorted list. The JSON reader
-converts each value with _number, which names the key of a value that is not
-the number it must be (a bool, a fraction for an id or node). Every defect
-found raises a typed error: ParseError or DataError for bad input text and
-values, TopologyError for anything that is not a tree rooted at the requested
-root.
+that adjacency. validate_radial sorts the closed branches by id once, converts
+them to per-unit and builds the NetworkModel, which derives the rest of the
+topology, the sequential-ordering check included; validate_radial only reads
+its verdict. The JSON reader converts each value with _number, which names the
+key of a value that is not the number it must be (a bool, a fraction for an id
+or node). Every defect found raises a typed error: ParseError or DataError for
+bad input text and values, TopologyError for anything that is not a tree
+rooted at the requested root.
 """
 from __future__ import annotations
 
@@ -340,7 +340,7 @@ def _check_table(table: RawTable, root: int | None):
     Resolves the root (the table's declared root, else 1), then requires
     closed branches, the root among their sending nodes, a tree rooted there
     (_check_tree) and tie lines ending on it (_check_ties). Returns (root,
-    closed rows, tie rows, incoming, out), the last two as _check_tree's.
+    closed rows, tie rows, out), out as _check_tree's.
     """
     if root is None:
         root = table.declared_root if table.declared_root is not None else 1
@@ -352,26 +352,7 @@ def _check_table(table: RawTable, root: int | None):
     incoming, out = _check_tree(closed, root, table.source_name)
     ties = table.tie_rows()
     _check_ties(ties, root, incoming, table.source_name)
-    return root, closed, ties, incoming, out
-
-
-def check_sequential_ordering(closed: tuple[BranchRecord, ...], root: int) -> int | None:
-    """Return the id of the first branch violating sequential ordering, or None.
-
-    The property: for every branch j not fed directly by the root, the branch
-    delivering power to its sending node has a smaller id. Raises TopologyError
-    for a sending node that no branch feeds.
-    """
-    parent_of = {b.receiving_node: b.branch_id for b in closed}
-    try:
-        for b in sorted(closed, key=_branch_id):
-            if b.sending_node == root:
-                continue
-            if parent_of[b.sending_node] >= b.branch_id:
-                return b.branch_id
-    except KeyError as exc:
-        raise TopologyError(f"node {exc.args[0]} has no feeding branch") from None
-    return None
+    return root, closed, ties, out
 
 
 def validate_radial(
@@ -384,41 +365,23 @@ def validate_radial(
 
     Tie branches are set aside unenergized. With require_ordered the sequential
     branch-numbering property is enforced (recoverable via renumber_sequential);
-    otherwise it is only recorded on the model.
+    otherwise it is only recorded on the model, as unordered_branch.
     """
     if base is None:
         base = table.declared_base if table.declared_base is not None else DEFAULT_BASE
-    root, closed, ties, incoming, _ = _check_table(table, root)
-
-    closed = sorted(closed, key=_branch_id)
-    bad = check_sequential_ordering(closed, root)
-    ordered = bad is None
-    if require_ordered and not ordered:
-        raise OrderingError(
-            f"{table.source_name}: branch {bad} precedes the branch feeding its "
-            f"sending node (run renumber_sequential)"
-        )
-
-    # closed is sorted, so each node's children come out in id order
-    kids: dict[int, list[int]] = {}
-    for b in closed:
-        siblings = kids.get(b.sending_node)
-        if siblings is None:
-            kids[b.sending_node] = [b.branch_id]
-        else:
-            siblings.append(b.branch_id)
-    children = dict.fromkeys([root, *incoming], ())
-    for s, ids in kids.items():
-        children[s] = tuple(ids)
-    return NetworkModel(
-        node_count=len(incoming) + 1,
-        branches=tuple([to_per_unit(b, base) for b in closed]),
+    root, closed, ties, _ = _check_table(table, root)
+    net = NetworkModel(
+        branches=tuple([to_per_unit(b, base) for b in sorted(closed, key=_branch_id)]),
         root=root,
         tie_lines=ties,
-        children=children,
         base=base,
-        sequentially_ordered=ordered,
     )
+    if require_ordered and net.unordered_branch is not None:
+        raise OrderingError(
+            f"{table.source_name}: branch {net.unordered_branch} precedes the branch "
+            f"feeding its sending node (run renumber_sequential)"
+        )
+    return net
 
 
 @dataclass(frozen=True)
@@ -443,7 +406,7 @@ def renumber_sequential(table: RawTable, root: int | None = None) -> tuple[RawTa
     already satisfy the convention of the bundled feeder data (receiving node of
     branch j is j+1, laterals listed after their trunk) map to themselves.
     """
-    root, _, ties, _, out = _check_table(table, root)
+    root, _, ties, out = _check_table(table, root)
 
     node_map = {root: 1}
     branch_map: dict[int, int] = {}

@@ -222,46 +222,68 @@ class NetworkModel:
     """A validated radial network in per-unit.
 
     branches hold the closed branches only, sorted by branch id; tie lines are
-    parsed but never energized. children maps each node to the ids of branches
-    it feeds. node_index and branch_position give each node's position in
-    nodes() and each branch's in branches. Instances are immutable after
-    construction.
+    parsed but never energized. Every topology fact is derived from branches
+    and root, here and nowhere else: children maps each node to the ids of the
+    branches it feeds, in id order; parent_branch maps each receiving node to
+    the branch feeding it; node_index and branch_position give each node's
+    position in nodes() and each branch's in branches. unordered_branch is the
+    first branch whose sending node is fed by a branch that does not come
+    before it in branches; with branches sorted by id, the first branch in id
+    order fed through a branch with an id that is not smaller. It is None when
+    the sequential numbering the stack sweep relies on holds. Instances are
+    immutable after construction.
     """
 
-    node_count: int
     branches: tuple[PerUnitBranch, ...]
     root: int
     tie_lines: tuple[BranchRecord, ...]
-    children: dict[int, tuple[int, ...]]
     base: PerUnitBase
-    sequentially_ordered: bool = True
     # derived values, filled in __post_init__
-    parent_branch: dict[int, int] = field(default_factory=dict, repr=False)
-    node_load: dict[int, Phasor] = field(default_factory=dict, repr=False)
-    sorted_nodes: tuple[int, ...] = field(default=(), repr=False)
-    node_index: dict[int, int] = field(default_factory=dict, repr=False)
-    branch_position: dict[int, int] = field(default_factory=dict, repr=False)
+    children: dict[int, tuple[int, ...]] = field(init=False, repr=False)
+    parent_branch: dict[int, int] = field(init=False, repr=False)
+    node_load: dict[int, Phasor] = field(init=False, repr=False)
+    sorted_nodes: tuple[int, ...] = field(init=False, repr=False)
+    node_index: dict[int, int] = field(init=False, repr=False)
+    branch_position: dict[int, int] = field(init=False, repr=False)
+    unordered_branch: int | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        seen = {self.root}
-        for b in self.branches:
-            seen.add(b.sending_node)
-            seen.add(b.receiving_node)
-        nodes = tuple(sorted(seen))
-        parent = {b.receiving_node: b.branch_id for b in self.branches}
+        branches = self.branches
+        parent = {b.receiving_node: b.branch_id for b in branches}
+        nodes = tuple(sorted({self.root, *parent, *(b.sending_node for b in branches)}))
+        kids: dict[int, list[int]] = {}
+        for b in branches:
+            kids.setdefault(b.sending_node, []).append(b.branch_id)
+        children = dict.fromkeys(nodes, ())
+        children.update((s, tuple(ids)) for s, ids in kids.items())
         load = dict.fromkeys(nodes, Phasor.zero())
-        for b in self.branches:
-            load[b.receiving_node] = b.s_load
-        object.__setattr__(self, "sorted_nodes", nodes)
-        object.__setattr__(self, "parent_branch", parent)
-        object.__setattr__(self, "node_load", load)
-        object.__setattr__(self, "node_index", dict(zip(nodes, range(len(nodes)))))
-        position = {b.branch_id: k for k, b in enumerate(self.branches)}
-        object.__setattr__(self, "branch_position", position)
+        load.update((b.receiving_node, b.s_load) for b in branches)
+        position = {b.branch_id: k for k, b in enumerate(branches)}
+        # a node without a feeding branch gets position -1, so it never counts
+        unordered = next(
+            (b.branch_id for k, b in enumerate(branches)
+             if position.get(parent.get(b.sending_node), -1) >= k),
+            None,
+        )
+        derived = dict(
+            children=children, parent_branch=parent, node_load=load, sorted_nodes=nodes,
+            node_index=dict(zip(nodes, range(len(nodes)))), branch_position=position,
+            unordered_branch=unordered,
+        )
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def nodes(self) -> tuple[int, ...]:
         """Every node id, the root included, in ascending order."""
         return self.sorted_nodes
+
+    @property
+    def node_count(self) -> int:
+        return len(self.sorted_nodes)
+
+    @property
+    def sequentially_ordered(self) -> bool:
+        return self.unordered_branch is None
 
     @property
     def branch_count(self) -> int:

@@ -340,8 +340,9 @@ def _compile(net: NetworkModel, leaves: tuple[int, ...], literal_scan: bool):
       counted, instead of inside the loop, and the baseline's count comes from
       the node depths (depth[receiving] = depth[sending] + 1) with no rescan.
 
-    Raises SweepInvariantError if a branch's parent does not precede it, which
-    would make the backward sweep consume a current before computing it.
+    solve compiles only a sequentially ordered network, so every branch's
+    parent precedes it and the backward sweep never reads an accumulator
+    before it is complete.
     """
     index = net.node_index
     position = net.branch_position
@@ -352,14 +353,7 @@ def _compile(net: NetworkModel, leaves: tuple[int, ...], literal_scan: bool):
     depth = [0] * len(index)
     for k, b in enumerate(net.branches):
         parent_id = net.parent_branch.get(b.sending_node)
-        if parent_id is None:
-            p = m
-        else:
-            p = position[parent_id]
-            if p >= k:
-                raise SweepInvariantError(
-                    f"branch {b.branch_id} consumed before computation (branch {parent_id})"
-                )
+        p = m if parent_id is None else position[parent_id]
         leaf = is_leaf(leaves, b.receiving_node, counter)
         if leaf:
             counter.total += 1

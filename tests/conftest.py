@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 import radialflow as rf
 from radialflow import fixtures
+from radialflow.cli import generate_random_table
 from radialflow.ingest import RawTable
 from radialflow.model import BranchRecord
 
@@ -22,6 +25,14 @@ def chain_table(loads, impedance=(0.1, 0.05)):
         for k, (p, q) in enumerate(loads, start=2)
     ]
     return make_table(rows)
+
+
+def criterion_2_tables():
+    """The 200 seeded random trees of acceptance criterion 2, in order."""
+    rng = random.Random(2024)
+    for _ in range(200):
+        n = rng.randint(2, 30)
+        yield generate_random_table(n, rng.uniform(0.05, 0.95), rng)
 
 
 @pytest.fixture(scope="session")

@@ -168,8 +168,12 @@ class TestSolve:
         ("bench", "--leaf-fractions", "0.3", "--sizes", "1"),
         ("bench", "--sizes", "8", "--leaf-fractions", "nan"),
         ("bench", "--sizes", "8", "--leaf-fractions", "0.3", "--max-iter", "0"),
+        ("solve", BUS69, "--kv", "0"),
+        ("solve", BUS69, "--mva", "nan"),
+        ("compare", BUS69, "--golden", GOLDEN, "--kv", "-1"),
     ], ids=["tol-zero", "tol-nan", "tol-minus-inf", "max-iter-zero", "compare-tol-inf",
-            "compare-bound-nan", "bench-size-one", "bench-fraction-nan", "bench-max-iter-zero"])
+            "compare-bound-nan", "bench-size-one", "bench-fraction-nan", "bench-max-iter-zero",
+            "kv-zero", "mva-nan", "compare-kv-negative"])
     def test_bad_option_value_exits_usage(self, argv):
         proc = subprocess.run(
             [sys.executable, "-m", "radialflow.cli", *argv],

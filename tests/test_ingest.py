@@ -3,13 +3,12 @@ import random
 
 import pytest
 
-from conftest import make_table
+from conftest import criterion_2_tables, make_table
 from radialflow.cli import generate_random_table
 from radialflow.ingest import (
     OrderingError,
     ParseError,
     TopologyError,
-    check_sequential_ordering,
     format_branch_table,
     parse_branch_table,
     renumber_sequential,
@@ -190,10 +189,14 @@ class TestValidateRadial:
             (1, 2, 3, 0.1, 0.1, 0, 0),
             (2, 1, 2, 0.1, 0.1, 0, 0),
         ])
-        with pytest.raises(OrderingError):
+        with pytest.raises(OrderingError) as exc:
             validate_radial(table)
+        assert str(exc.value) == (
+            "test: branch 1 precedes the branch feeding its sending node (run renumber_sequential)"
+        )
         net = validate_radial(table, require_ordered=False)
         assert not net.sequentially_ordered
+        assert net.unordered_branch == 1
 
     def test_children_adjacency(self, bus69_net):
         assert bus69_net.children[1] == (1,)
@@ -207,6 +210,38 @@ class TestValidateRadial:
         assert net.branches == bus69_net.branches
         assert net.children == bus69_net.children
         assert net.node_count == bus69_net.node_count
+
+    def test_derived_topology_matches_a_scan_per_node(self, bus69_table, bus33_table):
+        """NetworkModel's derived fields against a plain derivation: a scan of
+        the id-sorted branches per node, and the ordering check in id order, on
+        the criterion-2 trees and relabelled (mostly unordered) copies."""
+        rng = random.Random(5)
+        tables = [bus69_table, bus33_table]
+        for table in criterion_2_tables():
+            tables += [table, scramble(table, rng)]
+        unordered = 0
+        for table in tables:
+            net = validate_radial(table, require_ordered=False)
+            rows = sorted(table.closed_rows(), key=lambda r: r.branch_id)
+            nodes = {1} | {r.sending_node for r in rows} | {r.receiving_node for r in rows}
+            assert net.node_count == len(nodes)
+            for node in nodes:
+                assert net.children[node] == tuple(
+                    r.branch_id for r in rows if r.sending_node == node
+                )
+                feeding = [r.branch_id for r in rows if r.receiving_node == node]
+                assert net.parent_branch.get(node) == (feeding[0] if feeding else None)
+            assert set(net.children) == nodes
+            parent_of = {r.receiving_node: r.branch_id for r in rows}
+            first_bad = next(
+                (r.branch_id for r in rows
+                 if r.sending_node != 1 and parent_of[r.sending_node] >= r.branch_id),
+                None,
+            )
+            assert net.unordered_branch == first_bad
+            assert net.sequentially_ordered == (first_bad is None)
+            unordered += first_bad is not None
+        assert unordered > 100
 
 
 TOPOLOGY_DEFECTS = [
@@ -246,18 +281,12 @@ class TestRenumber:
     def test_bus69_is_identity(self, bus69_table):
         renamed, mapping = renumber_sequential(bus69_table)
         assert mapping.is_identity()
-        assert check_sequential_ordering(renamed.closed_rows(), 1) is None
-        assert check_sequential_ordering(bus69_table.closed_rows(), 1) is None
+        assert validate_radial(renamed, require_ordered=False).sequentially_ordered
+        assert validate_radial(bus69_table, require_ordered=False).sequentially_ordered
 
     def test_bus33_is_identity(self, bus33_table):
         _, mapping = renumber_sequential(bus33_table)
         assert mapping.is_identity()
-
-    def test_ordering_check_names_an_unfed_sending_node(self):
-        table = make_table([(1, 1, 2, 0.1, 0.1, 0, 0), (2, 5, 6, 0.1, 0.1, 0, 0)])
-        with pytest.raises(TopologyError) as exc:
-            check_sequential_ordering(table.closed_rows(), 1)
-        assert str(exc.value) == "node 5 has no feeding branch"
 
     def test_out_of_order_chain(self):
         table = make_table([

@@ -9,6 +9,7 @@ from radialflow.model import (
     DEFAULT_BASE,
     BranchRecord,
     DataError,
+    NetworkModel,
     PerUnitBase,
     Phasor,
     PhasorMap,
@@ -205,6 +206,30 @@ class TestToPerUnit:
         pu = to_per_unit(rec, DEFAULT_BASE)
         assert pu.s_load == Phasor(0.0, 0.0)
         assert pu.z.re > 0.0
+
+
+class TestNetworkModel:
+    @pytest.mark.parametrize("derived", [
+        {"children": {1: (1,), 2: ()}},
+        {"node_count": 2},
+        {"sequentially_ordered": True},
+    ], ids=["children", "node_count", "sequentially_ordered"])
+    def test_topology_is_not_an_argument(self, derived):
+        branch = to_per_unit(BranchRecord(1, 1, 2, 0.1, 0.1, 10.0, 5.0), DEFAULT_BASE)
+        NetworkModel(branches=(branch,), root=1, tie_lines=(), base=DEFAULT_BASE)
+        with pytest.raises(TypeError):
+            NetworkModel(branches=(branch,), root=1, tie_lines=(), base=DEFAULT_BASE, **derived)
+
+    def test_branch_listed_before_its_feeder_is_unordered(self):
+        """Ordering is judged by position in branches, which validate_radial
+        sorts by id, so the sweep never reads a parent accumulator it has
+        already passed, even on branches built out of order."""
+        late = to_per_unit(BranchRecord(2, 2, 3, 0.1, 0.1, 10.0, 5.0), DEFAULT_BASE)
+        feeder = to_per_unit(BranchRecord(1, 1, 2, 0.1, 0.1, 10.0, 5.0), DEFAULT_BASE)
+        net = NetworkModel(branches=(late, feeder), root=1, tie_lines=(), base=DEFAULT_BASE)
+        assert net.unordered_branch == 2
+        with pytest.raises(rf.OrderingError):
+            rf.solve(net)
 
 
 def test_public_api_is_pinned():

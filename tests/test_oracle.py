@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import chain_table, make_table
+from conftest import chain_table, criterion_2_tables, make_table
 from radialflow.cli import generate_random_table
 from radialflow.ingest import validate_radial
 from radialflow.model import Phasor, SolveState
@@ -85,6 +85,15 @@ class TestBaselineSolve:
             diff = base.final_voltage[node] - bus69_report.final_voltage[node]
             assert abs(diff.as_complex()) < 1e-12
         assert base.step_count_baseline > bus69_report.step_count_proposed
+
+    def test_branch_currents_are_the_downstream_sums_exactly(self, bus69_net, bus33_net):
+        """The baseline's branch currents are its final load currents summed over
+        each downstream set in ascending node order, bit for bit; solve is
+        compared with it only to 1e-12, so this pins the baseline's own sums."""
+        nets = [bus69_net, bus33_net, *map(validate_radial, criterion_2_tables())]
+        for net in nets:
+            base = baseline_solve(net)
+            assert base.final_branch_current == downstream_sum(net, base.final_load_current)
 
     def test_loss_totals_match_solver(self, bus69_net, bus69_report):
         base = baseline_solve(bus69_net)

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 import operator
@@ -532,11 +531,16 @@ class TestFlatSolveMatchesPhaseFunctions:
             solve(net)
 
     def test_misordered_network_fails_the_sweep_invariant(self):
+        """solve refuses the network the model marks unordered; the reference
+        backward_sweep, run on it anyway, trips its own invariant."""
         table = make_table([
             (1, 2, 3, 0.1, 0.1, 10, 5),
             (2, 1, 2, 0.1, 0.1, 10, 5),
         ])
         net = validate_radial(table, require_ordered=False)
-        mislabelled = dataclasses.replace(net, sequentially_ordered=True)
+        with pytest.raises(OrderingError):
+            solve(net)
+        state = SolveState.flat_start(net)
+        compute_load_currents(state, net)
         with pytest.raises(SweepInvariantError, match="branch 1 consumed"):
-            solve(mislabelled)
+            backward_sweep(state, net, find_leaf_nodes(net))
