@@ -84,10 +84,9 @@ def _run_solve(args):
     mapping = None
     if args.renumber:
         table, mapping = renumber_sequential(table, root=args.root)
-        root = 1 if args.root is not None else None
-    else:
-        root = args.root
-    net = validate_radial(table, root=root, base=_base_from_args(args, table))
+    # a renumbered table's root is node 1, where validate_radial starts by default
+    net = validate_radial(table, root=None if args.renumber else args.root,
+                          base=_base_from_args(args, table))
     report = solver.solve(net, _options_from_args(args))
     return report if mapping is None else _in_input_ids(report, mapping)
 

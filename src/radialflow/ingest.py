@@ -5,14 +5,17 @@ both name the same first defect. Among them is the tree check, _check_tree,
 which builds the adjacency in a single pass over the closed branches: the
 branch feeding each node, and the branches leaving each sending node. The walk
 from the root, the tie-line check and renumber_sequential's relabelling reuse
-that adjacency. validate_radial sorts the closed branches by id once, converts
-them to per-unit and builds the NetworkModel, which derives the rest of the
-topology, the sequential-ordering check included; validate_radial only reads
-its verdict. The JSON reader converts each value with _number, which names the
-key of a value that is not the number it must be (a bool, a fraction for an id
-or node). Every defect found raises a typed error: ParseError or DataError for
-bad input text and values, TopologyError for anything that is not a tree
-rooted at the requested root.
+that adjacency. renumber_sequential puts the rows in one order, the closed
+branches as its walk from the root pops them and then the tie lines by id, and
+derives the new rows and the whole mapping from that order. validate_radial
+sorts the closed branches by id once, converts them to per-unit and builds the
+NetworkModel, which derives the rest of the topology, the sequential-ordering
+check included; validate_radial only reads its verdict. The JSON reader
+converts each value with _number, which names the key of a value that is not
+the number it must be (a bool, a fraction for an id or node). Every defect
+found raises a typed error: ParseError or DataError for bad input text and
+values, TopologyError for anything that is not a tree rooted at the requested
+root.
 """
 from __future__ import annotations
 
@@ -401,66 +404,50 @@ class RenumberMapping:
 def renumber_sequential(table: RawTable, root: int | None = None) -> tuple[RawTable, RenumberMapping]:
     """Relabel nodes and branches so the sequential-ordering property holds.
 
-    The frontier of reachable nodes is expanded lowest-old-index first, root
-    getting new index 1; the branch feeding new node k gets id k-1. Tables that
-    already satisfy the convention of the bundled feeder data (receiving node of
-    branch j is j+1, laterals listed after their trunk) map to themselves.
+    One order of the rows gives the new table and the whole mapping: the closed
+    branches as a walk from the root pops them, the frontier expanded
+    lowest-old-receiving-node first, then the tie lines by old id. Row k of the
+    order gets id k; the root gets new node 1 and the receiving node of closed
+    row k new node k+1. Tables that already satisfy the convention of the
+    bundled feeder data (receiving node of branch j is j+1, laterals listed
+    after their trunk) map to themselves.
     """
     root, _, ties, out = _check_table(table, root)
 
-    node_map = {root: 1}
-    branch_map: dict[int, int] = {}
-    new_rows = []
+    order = []
     heap = [(b.receiving_node, b) for b in out.get(root, ())]
     heapq.heapify(heap)
-    next_node = 2
     while heap:
         _, b = heapq.heappop(heap)
-        node_map[b.receiving_node] = next_node
-        new_id = next_node - 1
-        branch_map[b.branch_id] = new_id
-        new_rows.append(
-            BranchRecord(
-                branch_id=new_id,
-                sending_node=node_map[b.sending_node],
-                receiving_node=next_node,
-                resistance=b.resistance,
-                reactance=b.reactance,
-                load_p=b.load_p,
-                load_q=b.load_q,
-                capacity=b.capacity,
-                is_tie=False,
-            )
-        )
+        order.append(b)
         for child in out.get(b.receiving_node, ()):
             heapq.heappush(heap, (child.receiving_node, child))
-        next_node += 1
+    node_new_to_old = dict(enumerate([root, *(b.receiving_node for b in order)], start=1))
+    new_node = {old: new for new, old in node_new_to_old.items()}
+    order += sorted(ties, key=_branch_id)
 
-    next_branch = len(new_rows) + 1
-    for t in sorted(ties, key=_branch_id):
-        branch_map[t.branch_id] = next_branch
-        new_rows.append(
-            BranchRecord(
-                branch_id=next_branch,
-                sending_node=node_map[t.sending_node],
-                receiving_node=node_map[t.receiving_node],
-                resistance=t.resistance,
-                reactance=t.reactance,
-                load_p=0.0,
-                load_q=0.0,
-                capacity=t.capacity,
-                is_tie=True,
-            )
+    rows = tuple(
+        BranchRecord(
+            branch_id=k,
+            sending_node=new_node[b.sending_node],
+            receiving_node=new_node[b.receiving_node],
+            resistance=b.resistance,
+            reactance=b.reactance,
+            # a tie row may read -0.0, which format_branch_table would print; write 0.0
+            load_p=0.0 if b.is_tie else b.load_p,
+            load_q=0.0 if b.is_tie else b.load_q,
+            capacity=b.capacity,
+            is_tie=b.is_tie,
         )
-        next_branch += 1
-
+        for k, b in enumerate(order, start=1)
+    )
     mapping = RenumberMapping(
-        node_old_to_new=node_map,
-        node_new_to_old={n: o for o, n in node_map.items()},
-        branch_old_to_new=branch_map,
+        node_old_to_new=new_node,
+        node_new_to_old=node_new_to_old,
+        branch_old_to_new={b.branch_id: k for k, b in enumerate(order, start=1)},
     )
     new_table = RawTable(
-        rows=tuple(new_rows),
+        rows=rows,
         source_name=table.source_name,
         declared_base=table.declared_base,
         declared_root=1 if table.declared_root is not None else None,

@@ -133,6 +133,14 @@ class PerUnitBase:
             raise DataError(f"kv_base must be positive and finite, got {self.kv_base}")
         if not (self.mva_base > 0.0) or not math.isfinite(self.mva_base):
             raise DataError(f"mva_base must be positive and finite, got {self.mva_base}")
+        # what to_per_unit, build_report and compute_losses scale by
+        z_base, kw_base = self.z_base, self.mva_base * 1000.0
+        if not (0.0 < z_base < math.inf and 0.0 < kw_base < math.inf):
+            raise DataError(
+                f"kv_base {self.kv_base} and mva_base {self.mva_base} give an impedance base "
+                f"of {z_base} ohm and a power base of {kw_base} kW; both must be positive "
+                f"and finite"
+            )
 
     @property
     def z_base(self) -> float:

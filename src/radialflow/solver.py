@@ -469,7 +469,10 @@ def solve(net: NetworkModel, options: SolveOptions | None = None) -> SolveReport
     if options is None:
         options = SolveOptions()
     if not net.sequentially_ordered:
-        raise OrderingError("network branches are not sequentially ordered")
+        raise OrderingError(
+            f"branch {net.unordered_branch} precedes the branch feeding its sending node "
+            f"(run renumber_sequential)"
+        )
 
     counter = StepCounter()
     leaves = find_leaf_nodes(net, counter)

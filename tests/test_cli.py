@@ -15,6 +15,7 @@ from radialflow.cli import (
     EXIT_TOPOLOGY,
     main,
 )
+from radialflow.solver import SolveOptions, solve
 
 BUS69 = str(fixtures.fixture_path(fixtures.BUS69))
 BUS33 = str(fixtures.fixture_path(fixtures.BUS33))
@@ -56,6 +57,14 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "no/such/file")
         assert code == EXIT_PARSE
         assert "cannot read" in err
+
+    def test_unordered_table(self, capsys, tmp_path):
+        path = tmp_path / "unordered.branch"
+        path.write_text("1 3 2 0.1 0.05 10 5\n2 1 3 0.1 0.05 10 5\n")
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == EXIT_TOPOLOGY
+        assert out == "NB=3 LN=2 ties=0 leaves=1 ordered=no\n"
+        assert err == "ordering violation: run solve with --renumber\n"
 
 
 class TestSolve:
@@ -141,6 +150,80 @@ class TestSolve:
         # no traceback, and no "Exception ignored" report from the flush at exit
         assert proc.stderr == ""
         assert proc.returncode == EXIT_ERROR
+
+    def test_default_base_given_explicitly_changes_nothing(self, capsys):
+        _, plain, _ = run(capsys, "solve", BUS69)
+        code, out, err = run(capsys, "solve", BUS69, "--kv", "12.66", "--mva", "10")
+        assert (code, out, err) == (EXIT_OK, plain, "")
+
+    def test_mva_override_keeps_the_declared_kv(self, capsys, tmp_path):
+        def write(name, kv, mva):
+            doc = {
+                "base": {"kv": kv, "mva": mva},
+                "branches": [{"id": 1, "from": 1, "to": 2, "r": 0.5, "x": 0.3,
+                              "p": 400, "q": 200}],
+            }
+            path = tmp_path / name
+            path.write_text(json.dumps(doc))
+            return str(path)
+
+        code, out, _ = run(capsys, "solve", write("declared.json", 11.0, 10), "--mva", "20")
+        assert code == EXIT_OK
+        _, expected, _ = run(capsys, "solve", write("kv11.json", 11.0, 20))
+        _, default_kv, _ = run(capsys, "solve", write("kv1266.json", 12.66, 20))
+        assert out == expected
+        assert out != default_kv
+
+    def test_input_format_overrides_the_suffix(self, capsys, tmp_path):
+        text = json.dumps({"branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05,
+                                         "p": 10, "q": 5}]})
+        named = tmp_path / "net.json"
+        named.write_text(text)
+        unnamed = tmp_path / "net.txt"
+        unnamed.write_text(text)
+        _, expected, _ = run(capsys, "solve", str(named))
+        code, out, err = run(capsys, "solve", str(unnamed), "--input-format", "json")
+        assert (code, out, err) == (EXIT_OK, expected, "")
+
+    def test_literal_steps_match_the_library(self, capsys, bus69_net):
+        code, out, _ = run(capsys, "solve", BUS69, "--literal-steps")
+        assert code == EXIT_OK
+        report = solve(bus69_net, SolveOptions(literal_scan=True))
+        lines = out.splitlines()
+        assert f"steps_proposed {report.step_count_proposed}" in lines
+        assert f"steps_baseline {report.step_count_baseline}" in lines
+        assert "steps_proposed 3120" not in lines  # the literal scan counts more
+
+    def test_debug_polar_prints_the_default_node_rows(self, capsys):
+        _, plain, _ = run(capsys, "solve", BUS69)
+        code, out, err = run(capsys, "solve", BUS69, "--debug-polar")
+        assert (code, err) == (EXIT_OK, "")
+        node_rows = [line for line in out.splitlines() if line.count(" ") == 2]
+        assert node_rows == [line for line in plain.splitlines() if line.count(" ") == 2]
+        assert len(node_rows) == 70  # the header and 69 nodes
+
+    @pytest.mark.parametrize("row,message", [
+        # 1 p.u. load through 1 p.u. resistance: the first sweep drives V2 to 0
+        ("1 1 2 16.02756 0 10000 0", "error: zero voltage at loaded node 2\n"),
+        ("1 1 2 1e300 1e300 1e300 1e300", "error: non-finite voltage on branch 1\n"),
+    ], ids=["voltage-collapse", "non-finite-sweep"])
+    def test_solver_failure_exits_one(self, capsys, tmp_path, row, message):
+        path = tmp_path / "failing.branch"
+        path.write_text(row + "\n")
+        code, out, err = run(capsys, "solve", str(path))
+        assert (code, out, err) == (EXIT_ERROR, "", message)
+
+    @pytest.mark.parametrize("option,value,bases", [
+        ("--kv", "1e-300", "kv_base 1e-300 and mva_base 10.0"),
+        ("--kv", "1e200", "kv_base 1e+200 and mva_base 10.0"),
+        ("--mva", "1e306", "kv_base 12.66 and mva_base 1e+306"),
+    ], ids=["kv-underflows-z-base", "kv-overflows-z-base", "mva-overflows-kw-base"])
+    def test_base_with_unusable_scale_exits_parse(self, capsys, tmp_path, option, value, bases):
+        path = tmp_path / "k.branch"
+        path.write_text("1 1 2 0.1 0.1 10 5\n")
+        code, out, err = run(capsys, "solve", str(path), option, value)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith(f"data error: {bases} give an impedance base of ")
 
     def test_non_convergence_exit(self, capsys, tmp_path):
         path = tmp_path / "hard.branch"
@@ -268,8 +351,11 @@ class TestSolve:
         {"branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05, "open": "false"}]},
         {"base": {"kv": "nan", "mva": 10},
          "branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
+        {"base": {"kv": 1e-300, "mva": 10},
+         "branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
     ], ids=["top-level-list", "missing-id", "non-numeric-r", "id-zero", "negative-r",
-            "fractional-to", "fractional-id", "bool-root", "bool-r", "open-as-text", "nan-base"])
+            "fractional-to", "fractional-id", "bool-root", "bool-r", "open-as-text", "nan-base",
+            "underflowing-base"])
     def test_malformed_json_exits_parse(self, capsys, tmp_path, doc):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))

@@ -141,7 +141,8 @@ class TestPerUnitBase:
         base = PerUnitBase(kv_base=12.66, mva_base=10.0)
         assert base.z_base == 12.66 * 12.66 / 10.0
 
-    @pytest.mark.parametrize("kv,mva", [(0.0, 10.0), (-1.0, 10.0), (12.66, 0.0), (12.66, -5.0)])
+    @pytest.mark.parametrize("kv,mva", [(0.0, 10.0), (-1.0, 10.0), (12.66, 0.0), (12.66, -5.0),
+                                        (1e-300, 10.0), (1e200, 10.0), (12.66, 1e306)])
     def test_invalid_base_rejected(self, kv, mva):
         with pytest.raises(DataError):
             PerUnitBase(kv_base=kv, mva_base=mva)
@@ -228,7 +229,7 @@ class TestNetworkModel:
         feeder = to_per_unit(BranchRecord(1, 1, 2, 0.1, 0.1, 10.0, 5.0), DEFAULT_BASE)
         net = NetworkModel(branches=(late, feeder), root=1, tie_lines=(), base=DEFAULT_BASE)
         assert net.unordered_branch == 2
-        with pytest.raises(rf.OrderingError):
+        with pytest.raises(rf.OrderingError, match="^branch 2 precedes the branch feeding"):
             rf.solve(net)
 
 

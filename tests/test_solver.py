@@ -289,7 +289,7 @@ class TestSolve:
             (2, 1, 2, 0.1, 0.1, 10, 5),
         ])
         net = validate_radial(table, require_ordered=False)
-        with pytest.raises(OrderingError):
+        with pytest.raises(OrderingError, match="^branch 1 precedes the branch feeding"):
             solve(net)
 
     def test_non_convergence_reported(self):
@@ -538,7 +538,7 @@ class TestFlatSolveMatchesPhaseFunctions:
             (2, 1, 2, 0.1, 0.1, 10, 5),
         ])
         net = validate_radial(table, require_ordered=False)
-        with pytest.raises(OrderingError):
+        with pytest.raises(OrderingError, match="^branch 1 precedes the branch feeding"):
             solve(net)
         state = SolveState.flat_start(net)
         compute_load_currents(state, net)
