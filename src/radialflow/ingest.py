@@ -92,10 +92,9 @@ def _parse_int(token: str, lineno: int, source: str) -> int:
 def _parse_delimited(text: str, source: str) -> tuple[BranchRecord, ...]:
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].replace(",", " ").split()
+        if not tokens:  # blank, comment-only or commas only (a spreadsheet's empty row)
             continue
-        tokens = line.replace(",", " ").split()
         head = tokens[0]
         is_tie = head.endswith("*")
         if is_tie:

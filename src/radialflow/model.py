@@ -205,21 +205,34 @@ def to_per_unit(record: BranchRecord, base: PerUnitBase) -> PerUnitBranch:
     """Convert a physical-unit branch record to per-unit on the given base.
 
     Impedance divides by z_base; the kW/kVAr load divides by the MVA base
-    after conversion to MW/MVAr. Tie branches convert impedance only.
+    after conversion to MW/MVAr. Tie branches convert impedance only. A finite
+    value can overflow on a tiny base; that raises a DataError naming the
+    branch, the field and both bases.
     """
     zb = base.z_base
-    z = Phasor(record.resistance / zb, record.reactance / zb)
+    r = record.resistance / zb
+    x = record.reactance / zb
     if record.is_tie:
-        s = Phasor.zero()
+        p = q = 0.0
     else:
         mva_kw = base.mva_base * 1000.0
-        s = Phasor(record.load_p / mva_kw, record.load_q / mva_kw)
+        p = record.load_p / mva_kw
+        q = record.load_q / mva_kw
+    # one test on the sum; only when it fails look for the field at fault, as
+    # BranchRecord does
+    if not math.isfinite(r + x + p + q):
+        for name, v in (("resistance", r), ("reactance", x), ("load_p", p), ("load_q", q)):
+            if not math.isfinite(v):
+                raise DataError(
+                    f"branch {record.branch_id}: {name} is not finite in per unit "
+                    f"(kv_base {base.kv_base}, mva_base {base.mva_base})"
+                )
     return PerUnitBranch(
         branch_id=record.branch_id,
         sending_node=record.sending_node,
         receiving_node=record.receiving_node,
-        z=z,
-        s_load=s,
+        z=Phasor(r, x),
+        s_load=Phasor(p, q),
         capacity=record.capacity,
         is_tie=record.is_tie,
     )

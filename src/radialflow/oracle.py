@@ -113,20 +113,21 @@ def baseline_solve(net: NetworkModel, options: SolveOptions | None = None) -> So
         options = SolveOptions()
     state = SolveState.flat_start(net)
     counter = StepCounter()
-    counter.mark_pre_loop()
 
     converged = False
     max_delta = math.inf
     deltas = []
+    per_iteration = []
     iterations = 0
     leaf_count = 0
     for iterations in range(1, options.max_iterations + 1):
+        start = counter.total
         compute_load_currents(state, net, counter)
         leaf_count = len(_rescan_leaves(net, counter))
         _rescan_branch_currents(state, net, counter)
         forward_sweep(state, net, counter, debug_polar=options.debug_polar)
         converged, max_delta = check_convergence(state, options.tolerance, counter)
-        counter.end_iteration()
+        per_iteration.append(counter.total - start)
         deltas.append(max_delta)
         if converged:
             break
@@ -143,8 +144,8 @@ def baseline_solve(net: NetworkModel, options: SolveOptions | None = None) -> So
         step_count_proposed=0,
         step_count_baseline=counter.total,
         leaf_count=leaf_count,
-        pre_loop_steps=counter.pre_loop_steps,
-        per_iteration_steps=tuple(counter.iteration_totals),
+        pre_loop_steps=0,
+        per_iteration_steps=tuple(per_iteration),
         delta_history=tuple(deltas),
         max_polar_deviation=None,
     )

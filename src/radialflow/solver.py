@@ -5,8 +5,9 @@ branch list; node voltages then propagate root-first. Leaf identification runs
 once before the iteration loop, which is where the step saving over the
 per-iteration rescanning baseline comes from. find_leaf_nodes returns the
 leaves as an ascending tuple, which is_leaf binary-searches; a StepCounter
-keeps one running total of the steps taken, marked at the loop's start and at
-the end of each pass.
+keeps one running total of the steps taken, and a caller that wants the steps
+of one stretch (before the loop, or one pass) reads the total before and after
+it.
 
 solve compiles the network once into flat index lists (sending and receiving
 node, parent branch, leaf flag) and complex lists (impedance, conjugate load),
@@ -20,7 +21,7 @@ as complex lists, into a SolveReport that keeps those lists and shows them as
 read-only Phasor views (final_*); solve hands over the sweep's own lists and
 oracle.baseline_solve its dicts' values, so both return the same layout. The
 dict-based phase functions below (compute_load_currents, backward_sweep,
-forward_sweep, check_convergence) count as they go and remain the reference
+forward_sweep, check_convergence) count their steps and remain the reference
 implementation: the tests require solve to reproduce them exactly,
 oracle.baseline_solve is built from them, and compute_losses is the reference
 for build_report's losses.
@@ -28,7 +29,7 @@ for build_report's losses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ingest import OrderingError
 from .model import (
@@ -72,27 +73,14 @@ POLAR_AGREEMENT_TOL = 1e-10
 
 @dataclass
 class StepCounter:
-    """Tally of elementary operations over a solve.
+    """Running total of elementary operations over a solve.
 
-    total only grows: the phase functions, is_leaf and the oracle add to it.
-    pre_loop_steps records the steps spent before the convergence loop (leaf
-    identification in the proposed method), iteration_totals those inside each
-    loop pass.
+    total only grows: find_leaf_nodes, is_leaf, the phase functions and the
+    oracle add to it. Each call that returns adds exactly the steps it took;
+    what a call that raises has added is unspecified.
     """
 
     total: int = 0
-    pre_loop_steps: int = 0
-    iteration_totals: list[int] = field(default_factory=list)
-    _iter_mark: int = 0
-
-    def mark_pre_loop(self) -> None:
-        self.pre_loop_steps = self.total
-        self._iter_mark = self.total
-
-    def end_iteration(self) -> None:
-        t = self.total
-        self.iteration_totals.append(t - self._iter_mark)
-        self._iter_mark = t
 
 
 @dataclass(frozen=True)
@@ -111,19 +99,11 @@ class SolveOptions:
 
 def find_leaf_nodes(net: NetworkModel, counter: StepCounter | None = None) -> tuple[int, ...]:
     """Nodes appearing as receiving end of some branch but sending end of none,
-    in ascending order."""
-    sending = set()
-    for b in net.branches:
-        sending.add(b.sending_node)
-        if counter:
-            counter.total += 1
-    leaves = []
-    for b in net.branches:
-        if b.receiving_node not in sending:
-            leaves.append(b.receiving_node)
-        if counter:
-            counter.total += 1
-    return tuple(sorted(leaves))
+    in ascending order; one step per branch in each of the two scans."""
+    sending = {b.sending_node for b in net.branches}
+    if counter:
+        counter.total += 2 * len(net.branches)
+    return tuple(sorted(b.receiving_node for b in net.branches if b.receiving_node not in sending))
 
 
 def is_leaf(leaves: tuple[int, ...], node: int, counter: StepCounter | None = None) -> bool:
@@ -153,10 +133,14 @@ def is_leaf(leaves: tuple[int, ...], node: int, counter: StepCounter | None = No
 
 
 def compute_load_currents(state: SolveState, net: NetworkModel, counter: StepCounter | None = None) -> None:
-    """LI_i = (PL_i - j QL_i) / conj(V_i); exactly zero at zero-load nodes."""
-    for node in net.nodes():
-        if counter:
-            counter.total += 1
+    """LI_i = (PL_i - j QL_i) / conj(V_i); exactly zero at zero-load nodes.
+
+    One step per node.
+    """
+    nodes = net.nodes()
+    if counter:
+        counter.total += len(nodes)
+    for node in nodes:
         s = net.node_load[node]
         if s.is_zero():
             state.load_current[node] = Phasor.zero()
@@ -182,46 +166,40 @@ def backward_sweep(
     finds those child branches by scanning the whole branch list (the counting
     the complexity formulas assume); the default uses the precomputed children
     adjacency. Both orders of accumulation are identical.
+
+    is_leaf counts its own comparisons; the other steps are summed in a local
+    and added to the counter once, on return, as is_leaf does.
     """
     ordered = sorted(net.branches, key=lambda b: b.branch_id, reverse=True)
     computed = set()
+    steps = 0
     for b in ordered:
         r = b.receiving_node
         if is_leaf(leaves, r, counter):
             state.branch_current[b.branch_id] = state.load_current[r]
-            if counter:
-                counter.total += 1
+            steps += 1
         else:
             if literal_scan:
-                stack = []
-                for other in net.branches:
-                    if counter:
-                        counter.total += 1
-                    if other.sending_node == r:
-                        stack.append(other.branch_id)
-                        if counter:
-                            counter.total += 1
+                stack = [other.branch_id for other in net.branches if other.sending_node == r]
+                steps += len(net.branches)
             else:
                 stack = list(net.children[r])
-                if counter:
-                    counter.total += len(stack)
+            # a step per child listed (after a step per branch scanned in
+            # literal mode), a pop and an add per child, then the node's own
+            # load current
+            steps += 3 * len(stack) + 1
             total = Phasor.zero()
             while stack:
                 child = stack.pop()
-                if counter:
-                    counter.total += 1
                 if child not in computed:
                     raise SweepInvariantError(
                         f"branch {child} consumed before computation (branch {b.branch_id})"
                     )
                 total = total + state.branch_current[child]
-                if counter:
-                    counter.total += 1
-            total = total + state.load_current[r]
-            if counter:
-                counter.total += 1
-            state.branch_current[b.branch_id] = total
+            state.branch_current[b.branch_id] = total + state.load_current[r]
         computed.add(b.branch_id)
+    if counter:
+        counter.total += steps
 
 
 def _polar_voltage(vs: Phasor, i_br: Phasor, z: Phasor) -> tuple[float, float]:
@@ -263,7 +241,10 @@ def forward_sweep(
 
     Returns the worst polar/rectangular disagreement seen (0.0 when debug_polar
     is off); disagreement beyond POLAR_AGREEMENT_TOL raises PolarMismatchError.
+    One step per branch.
     """
+    if counter:
+        counter.total += len(net.branches)
     worst = 0.0
     for b in net.branches:
         vs = state.node_voltage[b.sending_node]
@@ -274,8 +255,6 @@ def forward_sweep(
         if debug_polar:
             worst = max(worst, _polar_deviation(vs, i_br, b.z, vr, b.branch_id))
         state.node_voltage[b.receiving_node] = vr
-        if counter:
-            counter.total += 1
     return worst
 
 
@@ -286,14 +265,15 @@ def check_convergence(
 ) -> tuple[bool, float]:
     """Converged iff every node's voltage-magnitude change is within tolerance.
 
-    Overwrites the stored previous magnitudes with the current ones.
+    Overwrites the stored previous magnitudes with the current ones. One step
+    per node.
     """
     within = 0
     max_delta = 0.0
     nodes = list(state.node_voltage)
+    if counter:
+        counter.total += len(nodes)
     for node in nodes:
-        if counter:
-            counter.total += 1
         mag = state.node_voltage[node].magnitude
         delta = abs(mag - state.prev_voltage_mag[node])
         if delta <= tolerance:
@@ -476,7 +456,7 @@ def solve(net: NetworkModel, options: SolveOptions | None = None) -> SolveReport
 
     counter = StepCounter()
     leaves = find_leaf_nodes(net, counter)
-    counter.mark_pre_loop()
+    pre_loop_steps = counter.total
     iterations, deltas, worst_polar, steps, v, il, ib = _sweep(net, leaves, options)
     per_iteration, per_iteration_baseline = steps
 
@@ -486,10 +466,10 @@ def solve(net: NetworkModel, options: SolveOptions | None = None) -> SolveReport
         il,
         ib,
         iterations=iterations,
-        step_count_proposed=counter.pre_loop_steps + iterations * per_iteration,
+        step_count_proposed=pre_loop_steps + iterations * per_iteration,
         step_count_baseline=iterations * per_iteration_baseline,
         leaf_count=len(leaves),
-        pre_loop_steps=counter.pre_loop_steps,
+        pre_loop_steps=pre_loop_steps,
         per_iteration_steps=(per_iteration,) * iterations,
         delta_history=tuple(deltas),
         max_polar_deviation=worst_polar if options.debug_polar else None,

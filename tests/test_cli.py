@@ -225,6 +225,19 @@ class TestSolve:
         assert (code, out) == (EXIT_PARSE, "")
         assert err.startswith(f"data error: {bases} give an impedance base of ")
 
+    @pytest.mark.parametrize("row,option,value,message", [
+        ("1 1 2 1e200 0 10 5", "--kv", "1e-100",
+         "branch 1: resistance is not finite in per unit (kv_base 1e-100, mva_base 10.0)"),
+        ("1 1 2 0.1 0.1 1e300 0", "--mva", "1e-300",
+         "branch 1: load_p is not finite in per unit (kv_base 12.66, mva_base 1e-300)"),
+    ], ids=["impedance", "load"])
+    def test_per_unit_overflow_exits_parse(self, capsys, tmp_path, row, option, value, message):
+        path = tmp_path / "overflow.branch"
+        path.write_text(row + "\n")
+        for command in ("validate", "solve"):
+            code, out, err = run(capsys, command, str(path), option, value)
+            assert (code, out, err) == (EXIT_PARSE, "", f"data error: {message}\n")
+
     def test_non_convergence_exit(self, capsys, tmp_path):
         path = tmp_path / "hard.branch"
         path.write_text("1 1 2 8.0 4.0 30000 20000\n")
@@ -331,6 +344,14 @@ class TestSolve:
             code, _, err = run(capsys, "solve", str(path), *extra)
             assert code == EXIT_TOPOLOGY
             assert "tie branch 3 ends at node 99" in err
+
+    def test_all_tie_table_exits_topology(self, capsys, tmp_path):
+        path = tmp_path / "ties.branch"
+        path.write_text("1* 1 2 0.1 0.1\n2* 2 3 0.1 0.1 566\n")
+        for command in (("validate",), ("solve",), ("solve", "--renumber")):
+            code, out, err = run(capsys, *command, str(path))
+            assert (code, out) == (EXIT_TOPOLOGY, "")
+            assert err == f"topology error: {path}: no closed branches\n"
 
     def test_root_not_a_sender_exits_topology(self, capsys):
         for extra in ((), ("--renumber",)):

@@ -42,16 +42,31 @@ class TestParseDelimited:
         assert table.rows[0].load_p == 10.0
 
     def test_comments_and_blanks_skipped(self):
-        text = "# header\n\n1 1 2 0.1 0.05 10 5  # trailing\n"
+        text = "# header\n\n,\n , ,\n1 1 2 0.1 0.05 10 5  # trailing\n"
         assert len(parse_branch_table(text).rows) == 1
 
     def test_empty_stream_rejected(self):
         with pytest.raises(DataError):
             parse_branch_table("# only a comment\n")
 
-    def test_malformed_numeric_names_line(self):
-        with pytest.raises(ParseError, match=":3:"):
-            parse_branch_table("1 1 2 0.1 0.05 10 5\n2 2 3 0.1 0.05 10 5\n3 3 4 bad 0.05 10 5\n")
+    @pytest.mark.parametrize("text,message", [
+        ("1 1 2 0.1 0.05 10 5\n2 2 3 0.1 0.05 10 5\n3 3 4 bad 0.05 10 5\n",
+         "f:3: bad numeric field 'bad'"),
+        ("1x 1 2 0.1 0.05 10 5\n", "f:1: bad integer field '1x'"),
+        ("1 1.5 2 0.1 0.05 10 5\n", "f:1: bad integer field '1.5'"),
+        ("1 1 2 0.1\n", "f:1: expected at least 5 columns, got 4"),
+        ("1 1 2 0.1 0.05 10\n", "f:1: unexpected column count 6"),
+        ("1 1 2 -0.1 0.05 10 5\n", "f:1: branch 1: negative impedance component"),
+    ], ids=["bad-numeric", "bad-integer-suffix", "bad-integer-fraction", "four-columns",
+            "six-columns", "record-error"])
+    def test_malformed_numeric_names_line(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_branch_table(text, source_name="f")
+        assert str(exc.value) == message
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            parse_branch_table("1 1 2 0.1 0.05 10 5\n", "xml")
 
     def test_duplicate_branch_id_rejected(self):
         with pytest.raises(DataError, match="duplicate"):

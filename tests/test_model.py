@@ -202,6 +202,17 @@ class TestToPerUnit:
         assert pu.s_load.re == pytest.approx(0.01, rel=1e-14)
         assert pu.s_load.im == pytest.approx(0.006, rel=1e-14)
 
+    @pytest.mark.parametrize("row,base,message", [
+        ((1, 1, 2, 1e200, 0.0, 10.0, 5.0), PerUnitBase(1e-100, 10.0),
+         "branch 1: resistance is not finite in per unit (kv_base 1e-100, mva_base 10.0)"),
+        ((1, 1, 2, 0.1, 0.1, 1e300, 0.0), PerUnitBase(12.66, 1e-300),
+         "branch 1: load_p is not finite in per unit (kv_base 12.66, mva_base 1e-300)"),
+    ], ids=["impedance", "load"])
+    def test_overflow_names_branch_field_and_bases(self, row, base, message):
+        with pytest.raises(DataError) as exc:
+            to_per_unit(BranchRecord(*row), base)
+        assert str(exc.value) == message
+
     def test_tie_converts_impedance_only(self):
         rec = BranchRecord(69, 11, 43, 0.5, 0.5, 0.0, 0.0, 566.0, True)
         pu = to_per_unit(rec, DEFAULT_BASE)

@@ -292,6 +292,14 @@ class TestSolve:
         with pytest.raises(OrderingError, match="^branch 1 precedes the branch feeding"):
             solve(net)
 
+    @pytest.mark.parametrize("field,message", [
+        ({"tolerance": 0.0}, "tolerance must be positive"),
+        ({"max_iterations": 0}, "max_iterations must be at least 1"),
+    ], ids=["zero-tolerance", "zero-iterations"])
+    def test_invalid_options_rejected(self, field, message):
+        with pytest.raises(ValueError, match=message):
+            SolveOptions(**field)
+
     def test_non_convergence_reported(self):
         # absurd load so the sweep oscillates or collapses instead of settling
         net = validate_radial(chain_table([(80000.0, 60000.0)], impedance=(8.0, 4.0)))
@@ -435,30 +443,34 @@ class TestStepCounting:
 
 def phase_function_solve(net, options):
     """solve's iteration written with the dict phase functions, counting every
-    step as it goes. Returns (state, counter, iterations, delta history,
-    worst polar deviation)."""
+    step as it goes. Returns (state, pre-loop steps, steps per iteration,
+    total steps, iterations, delta history, worst polar deviation)."""
     state = SolveState.flat_start(net)
     counter = StepCounter()
     leaves = find_leaf_nodes(net, counter)
-    counter.mark_pre_loop()
+    pre_loop = counter.total
+    per_iteration = []
     deltas = []
     worst_polar = 0.0
     for iterations in range(1, options.max_iterations + 1):
+        start = counter.total
         compute_load_currents(state, net, counter)
         backward_sweep(state, net, leaves, counter, literal_scan=options.literal_scan)
         dev = forward_sweep(state, net, counter, debug_polar=options.debug_polar)
         worst_polar = max(worst_polar, dev)
         converged, max_delta = check_convergence(state, options.tolerance, counter)
-        counter.end_iteration()
+        per_iteration.append(counter.total - start)
         deltas.append(max_delta)
         if converged:
-            return state, counter, iterations, deltas, worst_polar
+            return state, pre_loop, per_iteration, counter.total, iterations, deltas, worst_polar
     raise NonConvergenceError(iterations, max_delta)
 
 
 def assert_solve_matches_phase_functions(net, options):
     report = solve(net, options)
-    state, counter, iterations, deltas, worst_polar = phase_function_solve(net, options)
+    state, pre_loop, per_iteration, total, iterations, deltas, worst_polar = (
+        phase_function_solve(net, options)
+    )
     assert report.final_voltage == state.node_voltage
     assert report.final_load_current == state.load_current
     assert report.final_branch_current == state.branch_current
@@ -471,9 +483,9 @@ def assert_solve_matches_phase_functions(net, options):
     )
     assert report.delta_history == tuple(deltas)
     assert report.iterations == iterations
-    assert report.pre_loop_steps == counter.pre_loop_steps
-    assert report.per_iteration_steps == tuple(counter.iteration_totals)
-    assert report.step_count_proposed == counter.total
+    assert report.pre_loop_steps == pre_loop
+    assert report.per_iteration_steps == tuple(per_iteration)
+    assert report.step_count_proposed == total
     assert report.max_polar_deviation == (worst_polar if options.debug_polar else None)
 
 
@@ -520,8 +532,10 @@ class TestFlatSolveMatchesPhaseFunctions:
             solve(bus69_net, options)
         with pytest.raises(NonConvergenceError) as reference:
             phase_function_solve(bus69_net, options)
-        assert flat.value.iterations == reference.value.iterations == 2
-        assert flat.value.max_delta == reference.value.max_delta
+        with pytest.raises(NonConvergenceError) as baseline:
+            rf.baseline_solve(bus69_net, options)
+        assert flat.value.iterations == reference.value.iterations == baseline.value.iterations == 2
+        assert flat.value.max_delta == reference.value.max_delta == baseline.value.max_delta
 
     def test_collapse_names_the_node(self):
         # 1 p.u. load through 1 p.u. resistance: the first sweep drives V2 to 0
