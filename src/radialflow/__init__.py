@@ -6,19 +6,19 @@ from .model import (
     DataError,
     LoadFlowError,
     NetworkModel,
+    OrderingError,
     PerUnitBase,
     PerUnitBranch,
     Phasor,
     SingularityError,
     SolveReport,
     SolveState,
+    TopologyError,
     to_per_unit,
 )
 from .ingest import (
-    OrderingError,
     ParseError,
     RawTable,
-    TopologyError,
     parse_branch_table,
     renumber_sequential,
     validate_radial,

@@ -12,17 +12,15 @@ import sys
 from pathlib import Path
 
 from . import solver
-from .fixtures import read_golden
+from .fixtures import read_golden, read_text
 from .ingest import (
-    OrderingError,
     ParseError,
     RawTable,
-    TopologyError,
     parse_branch_table,
     renumber_sequential,
     validate_radial,
 )
-from .model import DEFAULT_BASE, BranchRecord, DataError, LoadFlowError, PerUnitBase
+from .model import DEFAULT_BASE, BranchRecord, DataError, LoadFlowError, PerUnitBase, TopologyError
 from .solver import NonConvergenceError, SolveOptions
 
 EXIT_OK = 0
@@ -37,11 +35,7 @@ def _load_table(path: str, input_format: str) -> RawTable:
     p = Path(path)
     if input_format == "auto":
         input_format = "json" if p.suffix.lower() == ".json" else "delimited"
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    return parse_branch_table(text, input_format, source_name=str(path))
+    return parse_branch_table(read_text(p), input_format, source_name=str(path))
 
 
 def _base_from_args(args, table: RawTable) -> PerUnitBase | None:
@@ -117,9 +111,9 @@ def _report_lines(report) -> list[str]:
     for node, vmag, angle in report.node_voltages:
         lines.append(f"{node} {vmag:.5f} {angle:.5f}")
     lines.append("branch imag_pu loss_kw loss_kvar")
-    loss_by_id = {bid: (lp, lq) for bid, lp, lq in report.branch_losses}
-    for bid, imag in report.branch_currents:
-        lp, lq = loss_by_id[bid]
+    # one row per branch in both, in the same order (build_report makes them
+    # together, _in_input_ids sorts both by id)
+    for (bid, imag), (_, lp, lq) in zip(report.branch_currents, report.branch_losses):
         lines.append(f"{bid} {imag:.5f} {lp:.4f} {lq:.4f}")
     lines.append(f"total_loss_kw {report.total_loss_p:.4f}")
     lines.append(f"total_loss_kvar {report.total_loss_q:.4f}")
@@ -127,7 +121,6 @@ def _report_lines(report) -> list[str]:
 
 
 def _report_json(report) -> str:
-    loss_by_id = {bid: (lp, lq) for bid, lp, lq in report.branch_losses}
     doc = {
         "converged": report.converged,
         "iterations": report.iterations,
@@ -142,10 +135,10 @@ def _report_json(report) -> str:
             {
                 "branch": bid,
                 "imag_pu": round(imag, 5),
-                "loss_kw": round(loss_by_id[bid][0], 4),
-                "loss_kvar": round(loss_by_id[bid][1], 4),
+                "loss_kw": round(lp, 4),
+                "loss_kvar": round(lq, 4),
             }
-            for bid, imag in report.branch_currents
+            for (bid, imag), (_, lp, lq) in zip(report.branch_currents, report.branch_losses)
         ],
         "total_loss_kw": round(report.total_loss_p, 4),
         "total_loss_kvar": round(report.total_loss_q, 4),
@@ -345,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (OrderingError, TopologyError) as exc:
+    except TopologyError as exc:  # OrderingError included
         print(f"topology error: {exc}", file=sys.stderr)
         return EXIT_TOPOLOGY
     except NonConvergenceError as exc:

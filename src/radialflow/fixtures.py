@@ -29,18 +29,24 @@ def load_bus33() -> RawTable:
     return load_table(BUS33)
 
 
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of an input file, or a ParseError naming the file when
+    it cannot be opened or is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+
+
 def read_golden(path: str | Path) -> dict[int, float]:
     """Per-node voltage magnitudes from a node,vmag_pu CSV file.
 
     Blank lines and the header (any line starting with "node") are skipped.
-    Raises ParseError for an unreadable file, or naming path:line for a bad row.
+    Raises ParseError for a file read_text cannot read, or naming path:line
+    for a bad row.
     """
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
     golden = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("node"):
             continue

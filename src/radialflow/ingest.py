@@ -1,21 +1,21 @@
 """Parsing, radial-topology validation, and sequential renumbering of branch tables.
 
-validate_radial and renumber_sequential run the same checks, _check_table, so
-both name the same first defect. Among them is the tree check, _check_tree,
-which builds the adjacency in a single pass over the closed branches: the
-branch feeding each node, and the branches leaving each sending node. The walk
-from the root, the tie-line check and renumber_sequential's relabelling reuse
-that adjacency. renumber_sequential puts the rows in one order, the closed
-branches as its walk from the root pops them and then the tie lines by id, and
-derives the new rows and the whole mapping from that order. validate_radial
-sorts the closed branches by id once, converts them to per-unit and builds the
-NetworkModel, which derives the rest of the topology, the sequential-ordering
-check included; validate_radial only reads its verdict. The JSON reader
-converts each value with _number, which names the key of a value that is not
-the number it must be (a bool, a fraction for an id or node). Every defect
-found raises a typed error: ParseError or DataError for bad input text and
-values, TopologyError for anything that is not a tree rooted at the requested
-root.
+validate_radial converts the closed branches, sorted by id, to per-unit and
+builds the NetworkModel, whose construction checks the tree (model.radial_tree)
+and derives the topology, the sequential-ordering verdict included;
+validate_radial only reads that verdict. renumber_sequential runs the same
+radial_tree on the same id-sorted branches, so both name the same first
+defect, whatever the order of the rows; a value that cannot be put in per-unit
+is a DataError that validate_radial raises before any topology check, as the
+parser names bad values before anything else. renumber_sequential puts the
+rows in one order, the closed branches as its walk from the root pops them and
+then the tie lines by id, and derives the new rows and the whole mapping from
+that order. The JSON reader converts each value with _number, which names the
+key of a value that is not the number it must be (a bool, a fraction for an id
+or node). Every defect found raises a typed error: ParseError or DataError for
+bad input text and values, TopologyError (prefixed with the table's source)
+for anything that is not a tree rooted at the requested root. TopologyError
+and OrderingError live in model and are importable from here too.
 """
 from __future__ import annotations
 
@@ -28,9 +28,11 @@ from .model import (
     DEFAULT_BASE,
     BranchRecord,
     DataError,
-    LoadFlowError,
     NetworkModel,
+    OrderingError,
     PerUnitBase,
+    TopologyError,
+    radial_tree,
     to_per_unit,
 )
 
@@ -40,14 +42,6 @@ _branch_id = attrgetter("branch_id")
 
 class ParseError(DataError):
     """Malformed input text; carries the offending line number in the message."""
-
-
-class TopologyError(LoadFlowError):
-    """Closed branches do not form a tree rooted at the requested root."""
-
-
-class OrderingError(TopologyError):
-    """Tree is radial but violates the sequential branch-numbering property."""
 
 
 @dataclass(frozen=True)
@@ -244,117 +238,11 @@ def format_branch_table(table: RawTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_tree(closed: tuple[BranchRecord, ...], root: int, source: str):
-    """Verify the closed branches form a tree rooted at root.
-
-    One pass over closed builds the adjacency. Returns (incoming, out): the
-    branch feeding each node, and the branches leaving each sending node in
-    input order. Raises TopologyError naming a doubly-fed node, a cycle edge,
-    or a node with no feeding branch otherwise.
-    """
-    incoming: dict[int, BranchRecord] = {}
-    out: dict[int, list[BranchRecord]] = {}
-    for b in closed:
-        r = b.receiving_node
-        if r in incoming:
-            raise TopologyError(
-                f"{source}: node {r} is fed by branches {incoming[r].branch_id} and {b.branch_id}"
-            )
-        incoming[r] = b
-        siblings = out.get(b.sending_node)
-        if siblings is None:
-            out[b.sending_node] = [b]
-        else:
-            siblings.append(b)
-    if root in incoming:
-        edge = incoming[root]
-        raise TopologyError(
-            f"{source}: cycle through branch {edge.branch_id} "
-            f"({edge.sending_node}->{edge.receiving_node}) feeding the root"
-        )
-    # every node but the root has exactly one feeding branch, so the walk from
-    # the root meets each node at most once; it misses some node exactly when
-    # a node has no feeding branch or lies on a cycle
-    reached = 0
-    stack = [root]
-    while stack:
-        reached += 1
-        fed = out.get(stack.pop())
-        if fed is not None:
-            for b in fed:
-                stack.append(b.receiving_node)
-    if reached != len(incoming) + 1:
-        raise _unreached(closed, root, source, incoming, out)
-    return incoming, out
-
-
-def _unreached(closed: tuple[BranchRecord, ...], root: int, source: str,
-               incoming: dict[int, BranchRecord],
-               out: dict[int, list[BranchRecord]]) -> TopologyError:
-    """The error for a tree check whose walk from the root missed some node.
-
-    Names the first node without a feeding branch in the iteration order of
-    the set of all nodes; failing that, a cycle edge reached from the smallest
-    unreached node.
-    """
-    nodes = {root}
-    for b in closed:
-        nodes.add(b.sending_node)
-        nodes.add(b.receiving_node)
-    for n in nodes:
-        if n != root and n not in incoming:
-            return TopologyError(f"{source}: node {n} has no feeding branch")
-    reached = {root}
-    stack = [root]
-    while stack:
-        for b in out.get(stack.pop(), ()):
-            reached.add(b.receiving_node)
-            stack.append(b.receiving_node)
-    # unreached nodes all have a feeding branch, so they lie on a cycle
-    start = min(n for n in nodes if n not in reached)
-    seen = []
-    n = start
-    while n not in seen:
-        seen.append(n)
-        n = incoming[n].sending_node
-    edge = incoming[n]
-    return TopologyError(
-        f"{source}: cycle through branch {edge.branch_id} "
-        f"({edge.sending_node}->{edge.receiving_node})"
-    )
-
-
-def _check_ties(ties: tuple[BranchRecord, ...], root: int, incoming: dict[int, BranchRecord],
-                source: str) -> None:
-    """Raise TopologyError for a tie branch ending at a node the closed branches lack."""
-    for t in ties:
-        for node in (t.sending_node, t.receiving_node):
-            if node != root and node not in incoming:
-                raise TopologyError(
-                    f"{source}: tie branch {t.branch_id} ends at node {node}, "
-                    f"which no closed branch connects"
-                )
-
-
-def _check_table(table: RawTable, root: int | None):
-    """The checks validate_radial and renumber_sequential share.
-
-    Resolves the root (the table's declared root, else 1), then requires
-    closed branches, the root among their sending nodes, a tree rooted there
-    (_check_tree) and tie lines ending on it (_check_ties). Returns (root,
-    closed rows, tie rows, out), out as _check_tree's.
-    """
-    if root is None:
-        root = table.declared_root if table.declared_root is not None else 1
-    closed = table.closed_rows()
-    if not closed:
-        raise TopologyError(f"{table.source_name}: no closed branches")
-    if not any(b.sending_node == root for b in closed):
-        raise TopologyError(f"{table.source_name}: root {root} is not a sending node")
-    incoming, out = _check_tree(closed, root, table.source_name)
-    ties = table.tie_rows()
-    _check_ties(ties, root, incoming, table.source_name)
-    return root, closed, ties, out
+def _root(table: RawTable, root: int | None) -> int:
+    """The root to use: root if given, else the table's declared root, else 1."""
+    if root is not None:
+        return root
+    return table.declared_root if table.declared_root is not None else 1
 
 
 def validate_radial(
@@ -365,19 +253,25 @@ def validate_radial(
 ) -> NetworkModel:
     """Validate the closed branches as a radial tree and build a NetworkModel.
 
-    Tie branches are set aside unenergized. With require_ordered the sequential
-    branch-numbering property is enforced (recoverable via renumber_sequential);
-    otherwise it is only recorded on the model, as unordered_branch.
+    Every closed branch is converted to per-unit before the tree is checked,
+    so a value that overflows on base is a DataError even in a table that is
+    not a tree. Tie branches are set aside unenergized, sorted by id. With
+    require_ordered the sequential branch-numbering property is enforced
+    (recoverable via renumber_sequential); otherwise it is only recorded on
+    the model, as unordered_branch.
     """
     if base is None:
         base = table.declared_base if table.declared_base is not None else DEFAULT_BASE
-    root, closed, ties, _ = _check_table(table, root)
-    net = NetworkModel(
-        branches=tuple([to_per_unit(b, base) for b in sorted(closed, key=_branch_id)]),
-        root=root,
-        tie_lines=ties,
-        base=base,
-    )
+    branches = tuple([to_per_unit(b, base) for b in sorted(table.closed_rows(), key=_branch_id)])
+    try:
+        net = NetworkModel(
+            branches=branches,
+            root=_root(table, root),
+            tie_lines=tuple(sorted(table.tie_rows(), key=_branch_id)),
+            base=base,
+        )
+    except TopologyError as exc:
+        raise type(exc)(f"{table.source_name}: {exc}") from None
     if require_ordered and net.unordered_branch is not None:
         raise OrderingError(
             f"{table.source_name}: branch {net.unordered_branch} precedes the branch "
@@ -411,7 +305,12 @@ def renumber_sequential(table: RawTable, root: int | None = None) -> tuple[RawTa
     bundled feeder data (receiving node of branch j is j+1, laterals listed
     after their trunk) map to themselves.
     """
-    root, _, ties, out = _check_table(table, root)
+    root = _root(table, root)
+    ties = sorted(table.tie_rows(), key=_branch_id)
+    try:
+        _, out = radial_tree(sorted(table.closed_rows(), key=_branch_id), root, ties)
+    except TopologyError as exc:
+        raise type(exc)(f"{table.source_name}: {exc}") from None
 
     order = []
     heap = [(b.receiving_node, b) for b in out.get(root, ())]
@@ -423,7 +322,7 @@ def renumber_sequential(table: RawTable, root: int | None = None) -> tuple[RawTa
             heapq.heappush(heap, (child.receiving_node, child))
     node_new_to_old = dict(enumerate([root, *(b.receiving_node for b in order)], start=1))
     new_node = {old: new for new, old in node_new_to_old.items()}
-    order += sorted(ties, key=_branch_id)
+    order += ties
 
     rows = tuple(
         BranchRecord(

@@ -1,4 +1,10 @@
-"""Core domain types: phasors, branch records, per-unit bases, networks, reports."""
+"""Core domain types: phasors, branch records, per-unit bases, networks, reports.
+
+radial_tree is the one check that closed branches form a tree rooted at the
+root, and the one place their adjacency is built; NetworkModel and
+ingest.renumber_sequential both call it on the closed branches in id order, so
+every caller names the same first defect.
+"""
 from __future__ import annotations
 
 import math
@@ -16,6 +22,14 @@ class DataError(LoadFlowError):
 
 class SingularityError(LoadFlowError):
     """Division by a zero-magnitude phasor."""
+
+
+class TopologyError(LoadFlowError):
+    """Closed branches do not form a tree rooted at the requested root."""
+
+
+class OrderingError(TopologyError):
+    """Tree is radial but violates the sequential branch-numbering property."""
 
 
 TWO_PI = 2.0 * math.pi
@@ -238,20 +252,100 @@ def to_per_unit(record: BranchRecord, base: PerUnitBase) -> PerUnitBranch:
     )
 
 
+def radial_tree(branches, root: int, tie_lines):
+    """Check that branches form a tree rooted at root and return its adjacency.
+
+    branches are the closed branches and tie_lines the open ones, each with
+    branch_id, sending_node and receiving_node (BranchRecord or
+    PerUnitBranch). Returns (parent, out): parent maps each node but the root
+    to the id of the branch feeding it, and out maps each sending node to the
+    branches leaving it, in the order of branches. Raises TopologyError, with
+    no source in its text, for the first of these defects: no branches; root
+    not a sending node; a node fed twice (the first branch in the order of
+    branches that feeds a node already fed); a branch feeding the root; a node
+    with no feeding branch (the smallest); a cycle (one reached from the
+    smallest node the root does not reach); a tie line ending at a node
+    outside the tree (the first in the order of tie_lines).
+    """
+    if not branches:
+        raise TopologyError("no closed branches")
+    if not any(b.sending_node == root for b in branches):
+        raise TopologyError(f"root {root} is not a sending node")
+    parent: dict[int, int] = {}
+    out: dict[int, list] = {}
+    for b in branches:
+        r = b.receiving_node
+        if r in parent:
+            raise TopologyError(f"node {r} is fed by branches {parent[r]} and {b.branch_id}")
+        parent[r] = b.branch_id
+        siblings = out.get(b.sending_node)
+        if siblings is None:
+            out[b.sending_node] = [b]
+        else:
+            siblings.append(b)
+    if root in parent:
+        edge = next(b for b in branches if b.receiving_node == root)
+        raise TopologyError(
+            f"cycle through branch {edge.branch_id} "
+            f"({edge.sending_node}->{edge.receiving_node}) feeding the root"
+        )
+    # every node but the root has exactly one feeding branch, so the walk from
+    # the root meets each node at most once; it misses some node exactly when
+    # a node has no feeding branch or lies on a cycle
+    reached = [root]
+    for n in reached:
+        for b in out.get(n, ()):
+            reached.append(b.receiving_node)
+    if len(reached) != len(parent) + 1:
+        raise _unreached(branches, root, parent, out, set(reached))
+    for t in tie_lines:
+        for node in (t.sending_node, t.receiving_node):
+            if node != root and node not in parent:
+                raise TopologyError(
+                    f"tie branch {t.branch_id} ends at node {node}, "
+                    f"which no closed branch connects"
+                )
+    return parent, out
+
+
+def _unreached(branches, root: int, parent: dict[int, int], out: dict[int, list],
+               reached: set[int]) -> TopologyError:
+    """The error for a tree whose walk from the root reached only the nodes in
+    reached: the smallest node with no feeding branch, else a cycle edge met
+    by following feeding branches up from the smallest unreached node."""
+    unfed = [n for n in out if n != root and n not in parent]
+    if unfed:
+        return TopologyError(f"node {min(unfed)} has no feeding branch")
+    # unreached nodes all have a feeding branch, so they lie on a cycle or below one
+    feeding = {b.receiving_node: b for b in branches}
+    n = min(n for n in feeding if n not in reached)
+    seen = set()
+    while n not in seen:
+        seen.add(n)
+        n = feeding[n].sending_node
+    edge = feeding[n]
+    return TopologyError(
+        f"cycle through branch {edge.branch_id} ({edge.sending_node}->{edge.receiving_node})"
+    )
+
+
 @dataclass(frozen=True)
 class NetworkModel:
-    """A validated radial network in per-unit.
+    """A radial network in per-unit, checked as a tree on construction.
 
-    branches hold the closed branches only, sorted by branch id; tie lines are
-    parsed but never energized. Every topology fact is derived from branches
-    and root, here and nowhere else: children maps each node to the ids of the
-    branches it feeds, in id order; parent_branch maps each receiving node to
-    the branch feeding it; node_index and branch_position give each node's
-    position in nodes() and each branch's in branches. unordered_branch is the
-    first branch whose sending node is fed by a branch that does not come
-    before it in branches; with branches sorted by id, the first branch in id
-    order fed through a branch with an id that is not smaller. It is None when
-    the sequential numbering the stack sweep relies on holds. Instances are
+    branches hold the closed branches only; tie lines are parsed but never
+    energized. validate_radial passes both sorted by id. Construction runs
+    radial_tree on them, so a network that is not a tree rooted at root, or
+    whose tie lines end outside it, raises TopologyError. Every topology fact
+    is derived from branches and root, here and nowhere else: children maps
+    each node to the ids of the branches it feeds, in the order of branches;
+    parent_branch maps each receiving node to the branch feeding it;
+    node_index and branch_position give each node's position in nodes() and
+    each branch's in branches. unordered_branch is the first branch whose
+    sending node is fed by a branch that does not come before it in
+    branches; with branches sorted by id, the first branch in id order fed
+    through a branch with an id that is not smaller. It is None when the
+    sequential numbering the stack sweep relies on holds. Instances are
     immutable after construction.
     """
 
@@ -270,17 +364,15 @@ class NetworkModel:
 
     def __post_init__(self):
         branches = self.branches
-        parent = {b.receiving_node: b.branch_id for b in branches}
-        nodes = tuple(sorted({self.root, *parent, *(b.sending_node for b in branches)}))
-        kids: dict[int, list[int]] = {}
-        for b in branches:
-            kids.setdefault(b.sending_node, []).append(b.branch_id)
+        parent, out = radial_tree(branches, self.root, self.tie_lines)
+        # a tree's nodes are its root and its receiving nodes
+        nodes = tuple(sorted([self.root, *parent]))
         children = dict.fromkeys(nodes, ())
-        children.update((s, tuple(ids)) for s, ids in kids.items())
+        children.update((s, tuple([b.branch_id for b in fed])) for s, fed in out.items())
         load = dict.fromkeys(nodes, Phasor.zero())
         load.update((b.receiving_node, b.s_load) for b in branches)
         position = {b.branch_id: k for k, b in enumerate(branches)}
-        # a node without a feeding branch gets position -1, so it never counts
+        # the root has no feeding branch and gets position -1, so it never counts
         unordered = next(
             (b.branch_id for k, b in enumerate(branches)
              if position.get(parent.get(b.sending_node), -1) >= k),

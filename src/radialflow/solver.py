@@ -31,10 +31,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ingest import OrderingError
 from .model import (
     LoadFlowError,
     NetworkModel,
+    OrderingError,
     Phasor,
     PhasorMap,
     SolveReport,

@@ -230,7 +230,10 @@ class TestSolve:
          "branch 1: resistance is not finite in per unit (kv_base 1e-100, mva_base 10.0)"),
         ("1 1 2 0.1 0.1 1e300 0", "--mva", "1e-300",
          "branch 1: load_p is not finite in per unit (kv_base 12.66, mva_base 1e-300)"),
-    ], ids=["impedance", "load"])
+        # node 3 has no feeding branch, but values are checked before the tree
+        ("1 1 2 1e200 0 10 5\n2 3 4 0.1 0.1 1 1", "--kv", "1e-100",
+         "branch 1: resistance is not finite in per unit (kv_base 1e-100, mva_base 10.0)"),
+    ], ids=["impedance", "load", "before-topology"])
     def test_per_unit_overflow_exits_parse(self, capsys, tmp_path, row, option, value, message):
         path = tmp_path / "overflow.branch"
         path.write_text(row + "\n")
@@ -447,6 +450,22 @@ class TestCompare:
         code, _, err = run(capsys, "compare", BUS69, "--golden", str(path))
         assert code == EXIT_PARSE
         assert err.startswith(message.format(path=path))
+
+
+@pytest.mark.parametrize("command,name", [
+    (("validate", "{path}"), "t.branch"),
+    (("compare", BUS69, "--golden", "{path}"), "golden.csv"),
+], ids=["validate", "compare-golden"])
+def test_non_utf8_input_exits_parse(tmp_path, command, name):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe1 1 2 0.1 0.1 10 5\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "radialflow.cli", *(a.format(path=path) for a in command)],
+        capture_output=True, env=subprocess_env(), text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_PARSE, "")
+    assert proc.stderr.startswith(f"parse error: cannot read {path}: 'utf-8' codec can't decode")
+    assert "Traceback" not in proc.stderr
 
 
 class TestBench:

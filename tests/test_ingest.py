@@ -261,15 +261,16 @@ class TestValidateRadial:
 
 TOPOLOGY_DEFECTS = [
     # (rows as (id, from, to), validate_radial message, renumber_sequential message)
+    # the branches are named in id order, whatever the order of the rows
     pytest.param([(3, 2, 3), (1, 1, 2), (2, 1, 3)],
-                 "node 3 is fed by branches 3 and 2", None, id="doubly-fed"),
+                 "node 3 is fed by branches 2 and 3", None, id="doubly-fed"),
     pytest.param([(1, 1, 2), (2, 2, 3), (3, 3, 1)],
                  "cycle through branch 3 (3->1) feeding the root", None, id="root-fed"),
     pytest.param([(1, 1, 2), (2, 2, 3), (3, 5, 4)],
                  "node 5 has no feeding branch", None, id="one-unfed"),
-    # 700 is listed first and is smaller, yet the node named is 1000
+    # of two unfed nodes the smaller is named
     pytest.param([(1, 1, 2), (2, 700, 3), (3, 2, 4), (4, 1000, 5), (5, 2, 6)],
-                 "node 1000 has no feeding branch", None, id="two-unfed-large-ids"),
+                 "node 700 has no feeding branch", None, id="two-unfed-large-ids"),
     pytest.param([(1, 1, 2), (2, 3, 4), (3, 4, 3)],
                  "cycle through branch 3 (4->3)", None, id="detached-cycle"),
     pytest.param([(1, 2, 3), (2, 3, 4)],

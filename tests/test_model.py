@@ -14,6 +14,7 @@ from radialflow.model import (
     Phasor,
     PhasorMap,
     SingularityError,
+    TopologyError,
     to_per_unit,
     wrap_angle,
 )
@@ -231,6 +232,25 @@ class TestNetworkModel:
         NetworkModel(branches=(branch,), root=1, tie_lines=(), base=DEFAULT_BASE)
         with pytest.raises(TypeError):
             NetworkModel(branches=(branch,), root=1, tie_lines=(), base=DEFAULT_BASE, **derived)
+
+    @pytest.mark.parametrize("edges,ties,message", [
+        ([(1, 1, 2), (2, 5, 6)], [], "node 5 has no feeding branch"),
+        ([(1, 1, 2), (2, 1, 3), (3, 2, 3)], [], "node 3 is fed by branches 2 and 3"),
+        ([(1, 1, 2), (2, 3, 4), (3, 4, 3)], [], "cycle through branch 3 (4->3)"),
+        ([(1, 1, 2), (2, 2, 3), (3, 3, 1)], [],
+         "cycle through branch 3 (3->1) feeding the root"),
+        ([], [], "no closed branches"),
+        ([(1, 1, 2)], [(9, 2, 7)], "tie branch 9 ends at node 7, which no closed branch connects"),
+    ], ids=["unfed-island", "doubly-fed", "cycle", "root-fed", "no-branches", "tie-to-unknown"])
+    def test_construction_checks_the_tree(self, edges, ties, message):
+        """A hand-built model is checked as validate_radial's is, and its
+        error names no source."""
+        branches = tuple(to_per_unit(BranchRecord(*edge, 0.1, 0.1, 10.0, 5.0), DEFAULT_BASE)
+                         for edge in edges)
+        tie_lines = tuple(BranchRecord(*edge, 0.1, 0.1, 0.0, 0.0, None, True) for edge in ties)
+        with pytest.raises(TopologyError) as exc:
+            NetworkModel(branches=branches, root=1, tie_lines=tie_lines, base=DEFAULT_BASE)
+        assert str(exc.value) == message
 
     def test_branch_listed_before_its_feeder_is_unordered(self):
         """Ordering is judged by position in branches, which validate_radial
