@@ -235,12 +235,12 @@ def cmd_bench(args) -> int:
         report = solver.solve(net, opts)
         m = report.leaf_count
         r = report.iterations
-        # compare the per-iteration loop cost against the closed forms' r-terms;
-        # the one-off prefix is excluded on both sides
+        # compare the per-iteration loop cost against the closed forms' cost of
+        # one more iteration; the one-off prefix is excluded on both sides
         pred_prop, pred_base = solver.step_model(n, m, r)
-        prefix = 3 * n + n * n
-        pred_prop_iter = (pred_prop - prefix) // r
-        pred_base_iter = (pred_base - prefix) // r
+        next_prop, next_base = solver.step_model(n, m, r + 1)
+        pred_prop_iter = next_prop - pred_prop
+        pred_base_iter = next_base - pred_base
         iter_prop = sum(report.per_iteration_steps) // r
         iter_base = report.step_count_baseline // r
         saving = iter_base / iter_prop

@@ -1,6 +1,7 @@
 """Access to the bundled feeder data and golden voltage table."""
 from __future__ import annotations
 
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -17,8 +18,7 @@ def fixture_path(name: str) -> Path:
 
 
 def load_table(name: str) -> RawTable:
-    text = fixture_path(name).read_text()
-    return parse_branch_table(text, "delimited", source_name=name)
+    return parse_branch_table(read_text(fixture_path(name)), "delimited", source_name=name)
 
 
 def load_bus69() -> RawTable:
@@ -30,10 +30,10 @@ def load_bus33() -> RawTable:
 
 
 def read_text(path: str | Path) -> str:
-    """The UTF-8 text of an input file, or a ParseError naming the file when
-    it cannot be opened or is not UTF-8."""
+    """The UTF-8 text of an input file without a leading byte-order mark, or a
+    ParseError naming the file when it cannot be opened or is not UTF-8."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
@@ -43,7 +43,7 @@ def read_golden(path: str | Path) -> dict[int, float]:
 
     Blank lines and the header (any line starting with "node") are skipped.
     Raises ParseError for a file read_text cannot read, or naming path:line
-    for a bad row.
+    for a bad row, a magnitude that is not finite or a node listed twice.
     """
     golden = {}
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
@@ -52,9 +52,14 @@ def read_golden(path: str | Path) -> dict[int, float]:
             continue
         try:
             node, vmag = line.split(",")
-            golden[int(node)] = float(vmag)
+            node, vmag = int(node), float(vmag)
         except ValueError:
             raise ParseError(f"{path}:{lineno}: bad golden row {line!r}") from None
+        if not math.isfinite(vmag):
+            raise ParseError(f"{path}:{lineno}: golden magnitude of node {node} is not finite")
+        if node in golden:
+            raise ParseError(f"{path}:{lineno}: node {node} is listed twice")
+        golden[node] = vmag
     return golden
 
 

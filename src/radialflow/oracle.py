@@ -3,8 +3,6 @@ baseline solver that pays the per-iteration rescanning cost the proposed
 method avoids."""
 from __future__ import annotations
 
-import math
-
 from .model import NetworkModel, Phasor, SolveReport, SolveState
 from .solver import (
     NonConvergenceError,
@@ -114,12 +112,8 @@ def baseline_solve(net: NetworkModel, options: SolveOptions | None = None) -> So
     state = SolveState.flat_start(net)
     counter = StepCounter()
 
-    converged = False
-    max_delta = math.inf
     deltas = []
     per_iteration = []
-    iterations = 0
-    leaf_count = 0
     for iterations in range(1, options.max_iterations + 1):
         start = counter.total
         compute_load_currents(state, net, counter)
@@ -131,7 +125,7 @@ def baseline_solve(net: NetworkModel, options: SolveOptions | None = None) -> So
         deltas.append(max_delta)
         if converged:
             break
-    if not converged:
+    else:
         raise NonConvergenceError(iterations, max_delta)
 
     nodes = net.nodes()

@@ -12,15 +12,20 @@ it.
 solve compiles the network once into flat index lists (sending and receiving
 node, parent branch, leaf flag) and complex lists (impedance, conjugate load),
 then sweeps those lists until the voltage profile settles; the forward sweep
-and the convergence check share one loop. Step counts depend only on the
-topology, so one counted pass gives the counts of both models without running
-the baseline: pre_loop + r x per_iteration for the stack sweep, and r x its own
-per-iteration count for the per-iteration rescanning baseline, which does
-nothing before the loop. build_report turns the final voltages and currents,
-as complex lists, into a SolveReport that keeps those lists and shows them as
-read-only Phasor views (final_*); solve hands over the sweep's own lists and
-oracle.baseline_solve its dicts' values, so both return the same layout. The
-dict-based phase functions below (compute_load_currents, backward_sweep,
+and the convergence check share one loop, and no per-branch loop reads an
+option. Step counts depend only on the topology, so they are known without
+running the baseline: pre_loop + r x per_iteration for the stack sweep, and
+r x its own per-iteration count for the per-iteration rescanning baseline,
+which does nothing before the loop. The compile pass counts is_leaf's binary
+search for each branch, the only count that needs a search; the rest of each
+per-iteration count is a closed form in the node, branch and root-child
+counts and the node depths, and literal_scan's table scans are added once per
+solve. debug_polar checks each pass in polar form after its forward loop.
+
+build_report turns the final voltages and currents, as complex lists, into a
+SolveReport that keeps those lists and shows them as read-only Phasor views
+(final_*); solve hands over the sweep's own lists and oracle.baseline_solve
+its dicts' values, so both return the same layout. The dict-based phase functions below (compute_load_currents, backward_sweep,
 forward_sweep, check_convergence) count their steps and remain the reference
 implementation: the tests require solve to reproduce them exactly,
 oracle.baseline_solve is built from them, and compute_losses is the reference
@@ -301,7 +306,7 @@ def compute_losses(
     return rows, total_p, total_q
 
 
-def _compile(net: NetworkModel, leaves: tuple[int, ...], literal_scan: bool):
+def _compile(net: NetworkModel, leaves: tuple[int, ...]):
     """Flatten the topology into the lists the sweep iterates on.
 
     Node indices are positions in net.nodes() (net.node_index), branch
@@ -315,10 +320,13 @@ def _compile(net: NetworkModel, leaves: tuple[int, ...], literal_scan: bool):
       len(net.branches), a spare accumulator nobody reads;
     - forward: (position, sending index, receiving index, z) in ascending
       branch order;
-    - per_iteration: the steps one pass takes, as (stack sweep, baseline).
-      They depend on the topology only, so is_leaf's binary search runs here,
-      counted, instead of inside the loop, and the baseline's count comes from
-      the node depths (depth[receiving] = depth[sending] + 1) with no rescan.
+    - per_iteration: the steps one pass takes, as (stack sweep, baseline),
+      with the stack sweep's children listed from the adjacency (solve adds
+      literal_scan's table scans). They depend on the topology only, so
+      is_leaf's binary search runs here, counted, instead of inside the loop;
+      it is the only count that needs a search. The rest is a closed form in
+      n nodes, m branches, the root's c children and D, the sum of node
+      depths (depth[receiving] = depth[sending] + 1).
 
     solve compiles only a sequentially ordered network, so every branch's
     parent precedes it and the backward sweep never reads an accumulator
@@ -334,18 +342,10 @@ def _compile(net: NetworkModel, leaves: tuple[int, ...], literal_scan: bool):
     for k, b in enumerate(net.branches):
         parent_id = net.parent_branch.get(b.sending_node)
         p = m if parent_id is None else position[parent_id]
-        leaf = is_leaf(leaves, b.receiving_node, counter)
-        if leaf:
-            counter.total += 1
-        else:
-            # child listing (a whole-table scan in literal mode), then a pop and
-            # an add per child, then the node's own load current
-            c = len(net.children[b.receiving_node])
-            counter.total += (m + c if literal_scan else c) + 2 * c + 1
         s = index[b.sending_node]
         r = index[b.receiving_node]
         depth[r] = depth[s] + 1
-        backward.append((k, r, p, leaf))
+        backward.append((k, r, p, is_leaf(leaves, b.receiving_node, counter)))
         forward.append((k, s, r, b.z.as_complex()))
     backward.reverse()
     loads = [
@@ -355,12 +355,17 @@ def _compile(net: NetworkModel, leaves: tuple[int, ...], literal_scan: bool):
     ]
     n = len(index)
     # both take one step per node for the load currents and for the
-    # convergence check, and one per branch for the forward sweep; the baseline
-    # also tests every node against every branch for leaves and every (branch,
-    # node) pair for downstream sets, adding each member, and node k is a member
-    # of depth[k] downstream sets
+    # convergence check, and one per branch for the forward sweep. Backward, a
+    # branch with c children takes 3c + 1 steps (list, pop and add each child,
+    # then the node's own load current; a leaf has c = 0), and every branch
+    # not fed by the root is one branch's child, so the branches take
+    # 4m - 3 x (the root's children) in all. The baseline also tests every node
+    # against every branch for leaves and every (branch, node) pair for
+    # downstream sets, adding each member, and node k is a member of depth[k]
+    # downstream sets
     common = n + m + n
-    return loads, backward, forward, (counter.total + common, n * m + m * n + sum(depth) + common)
+    backward_steps = counter.total + 4 * m - 3 * len(net.children[net.root])
+    return loads, backward, forward, (backward_steps + common, n * m + m * n + sum(depth) + common)
 
 
 def _sweep(net: NetworkModel, leaves: tuple[int, ...], options: SolveOptions):
@@ -369,26 +374,27 @@ def _sweep(net: NetworkModel, leaves: tuple[int, ...], options: SolveOptions):
     Same arithmetic, in the same order, as compute_load_currents,
     backward_sweep, forward_sweep and check_convergence. Returns (iterations,
     delta history, worst polar deviation, (stack sweep, baseline) steps per
-    iteration, and the final voltages, load currents and branch currents as
-    complex lists).
+    iteration without literal_scan's table scans, and the final voltages,
+    load currents and branch currents as complex lists).
+
+    With debug_polar, each pass's branches are checked in polar form after
+    its forward loop, from that pass's final voltages: each sending node's
+    voltage was set earlier in the pass (or is the root's) and is set only
+    once, so the check reads the values the forward loop read. A non-finite
+    voltage anywhere in the pass is therefore raised before a polar mismatch.
     """
-    loads, backward, forward, per_iteration = _compile(net, leaves, options.literal_scan)
+    loads, backward, forward, per_iteration = _compile(net, leaves)
     nodes = net.nodes()
     n = len(nodes)
     m = len(net.branches)
     hypot = math.hypot
     isfinite = math.isfinite
     tolerance = options.tolerance
-    debug_polar = options.debug_polar
-    as_phasor = Phasor.from_complex
     v = [complex(1.0, 0.0)] * n
     il = [0j] * n
     mags = [1.0] * n
     deltas = []
     worst_polar = 0.0
-    converged = False
-    max_delta = math.inf
-    iterations = 0
     for iterations in range(1, options.max_iterations + 1):
         try:
             for i, s_conj in loads:
@@ -415,10 +421,6 @@ def _sweep(net: NetworkModel, leaves: tuple[int, ...], options: SolveOptions):
             im = vr.imag
             if not (isfinite(re) and isfinite(im)):
                 raise NumericError(f"non-finite voltage on branch {net.branches[k].branch_id}")
-            if debug_polar:
-                dev = _polar_deviation(as_phasor(v[s]), as_phasor(ib[k]), as_phasor(z),
-                                       as_phasor(vr), net.branches[k].branch_id)
-                worst_polar = max(worst_polar, dev)
             v[r] = vr
             mag = hypot(re, im)
             delta = abs(mag - mags[r])
@@ -427,10 +429,16 @@ def _sweep(net: NetworkModel, leaves: tuple[int, ...], options: SolveOptions):
             if delta > max_delta:
                 max_delta = delta
             mags[r] = mag
+        if options.debug_polar:
+            as_phasor = Phasor.from_complex
+            for k, s, r, z in forward:
+                dev = _polar_deviation(as_phasor(v[s]), as_phasor(ib[k]), as_phasor(z),
+                                       as_phasor(v[r]), net.branches[k].branch_id)
+                worst_polar = max(worst_polar, dev)
         deltas.append(max_delta)
         if converged:
             break
-    if not converged:
+    else:
         raise NonConvergenceError(iterations, max_delta)
     del ib[m]  # the spare accumulator of the root-fed branches
     return iterations, deltas, worst_polar, per_iteration, v, il, ib
@@ -442,9 +450,9 @@ def solve(net: NetworkModel, options: SolveOptions | None = None) -> SolveReport
     Leaves are identified once before the loop and the network is compiled
     once into flat lists. Each pass recomputes load currents, sweeps branch
     currents backward, voltages forward, and checks the per-node magnitude
-    deltas against the tolerance. Both step counts come from one counted pass
-    over the topology: pre_loop_steps + iterations x per-iteration steps for
-    the stack sweep, iterations x per-iteration steps for the baseline.
+    deltas against the tolerance. Both step counts come from the topology, not
+    from the loop: pre_loop_steps + iterations x per-iteration steps for the
+    stack sweep, iterations x per-iteration steps for the baseline.
     """
     if options is None:
         options = SolveOptions()
@@ -459,6 +467,10 @@ def solve(net: NetworkModel, options: SolveOptions | None = None) -> SolveReport
     pre_loop_steps = counter.total
     iterations, deltas, worst_polar, steps, v, il, ib = _sweep(net, leaves, options)
     per_iteration, per_iteration_baseline = steps
+    if options.literal_scan:
+        # each non-leaf branch scans the whole table for its children
+        m = len(net.branches)
+        per_iteration += m * (m - len(leaves))
 
     return build_report(
         net,

@@ -20,6 +20,7 @@ from radialflow.solver import SolveOptions, solve
 BUS69 = str(fixtures.fixture_path(fixtures.BUS69))
 BUS33 = str(fixtures.fixture_path(fixtures.BUS33))
 GOLDEN = str(fixtures.fixture_path(fixtures.GOLDEN69))
+GOLDEN_TEXT = fixtures.read_text(GOLDEN)
 
 
 def subprocess_env():
@@ -442,7 +443,15 @@ class TestCompare:
     @pytest.mark.parametrize("text,message", [
         (None, "parse error: cannot read {path}: "),
         ("node,vmag_pu\n\n1,1.0\n2;0.9\n", "parse error: {path}:4: bad golden row '2;0.9'\n"),
-    ], ids=["missing-file", "bad-row"])
+        ("node,vmag_pu\n" + "".join(f"{n},nan\n" for n in range(1, 70)),
+         "parse error: {path}:2: golden magnitude of node 1 is not finite\n"),
+        (GOLDEN_TEXT.replace("\n12,0.96814\n", "\n12,nan\n"),
+         "parse error: {path}:13: golden magnitude of node 12 is not finite\n"),
+        (GOLDEN_TEXT.replace("node,vmag_pu\n", "node,vmag_pu\n61,0.5\n"),
+         "parse error: {path}:63: node 61 is listed twice\n"),
+        ("node,vmag_pu\n1,1.0\n2,inf\n",
+         "parse error: {path}:3: golden magnitude of node 2 is not finite\n"),
+    ], ids=["missing-file", "bad-row", "all-nan", "one-nan", "repeated-node", "inf"])
     def test_unreadable_golden_exits_parse(self, capsys, tmp_path, text, message):
         path = tmp_path / "golden.csv"
         if text is not None:
@@ -466,6 +475,28 @@ def test_non_utf8_input_exits_parse(tmp_path, command, name):
     assert (proc.returncode, proc.stdout) == (EXIT_PARSE, "")
     assert proc.stderr.startswith(f"parse error: cannot read {path}: 'utf-8' codec can't decode")
     assert "Traceback" not in proc.stderr
+
+
+def test_byte_order_mark_is_ignored(capsys, tmp_path):
+    bom = b"\xef\xbb\xbf"
+    table = tmp_path / "bus69.branch"
+    table.write_bytes(bom + fixtures.fixture_path(fixtures.BUS69).read_bytes())
+    golden = tmp_path / "golden.csv"
+    golden.write_bytes(bom + fixtures.fixture_path(fixtures.GOLDEN69).read_bytes())
+    assert run(capsys, "validate", str(table)) == run(capsys, "validate", BUS69)
+    code, out, err = run(capsys, "compare", BUS69, "--golden", str(golden))
+    assert (code, err) == (EXIT_OK, "")
+    assert out == run(capsys, "compare", BUS69, "--golden", GOLDEN)[1]
+
+
+def test_bundled_data_reads_without_default_encoding():
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-c",
+         "from radialflow.fixtures import load_bus33, load_bus69, load_golden69; "
+         "load_bus69(); load_bus33(); load_golden69()"],
+        capture_output=True, env=subprocess_env(), text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestBench:

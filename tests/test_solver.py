@@ -7,12 +7,15 @@ import pytest
 
 import radialflow as rf
 from conftest import chain_table, make_table
+from radialflow import solver
 from radialflow.cli import generate_random_table
 from radialflow.ingest import OrderingError, validate_radial
 from radialflow.model import Phasor, SolveState
 from radialflow.oracle import downstream_sum
 from radialflow.solver import (
     NonConvergenceError,
+    NumericError,
+    PolarMismatchError,
     SolveOptions,
     StepCounter,
     SweepInvariantError,
@@ -536,6 +539,27 @@ class TestFlatSolveMatchesPhaseFunctions:
             rf.baseline_solve(bus69_net, options)
         assert flat.value.iterations == reference.value.iterations == baseline.value.iterations == 2
         assert flat.value.max_delta == reference.value.max_delta == baseline.value.max_delta
+
+    def test_polar_mismatch_names_the_first_branch(self, bus33_net, monkeypatch):
+        """A tolerance below 0 fails every branch, so both sweeps name branch 1."""
+        monkeypatch.setattr(solver, "POLAR_AGREEMENT_TOL", -1.0)
+        options = SolveOptions(debug_polar=True)
+        with pytest.raises(PolarMismatchError, match="^branch 1: ") as flat:
+            solve(bus33_net, options)
+        with pytest.raises(PolarMismatchError) as reference:
+            phase_function_solve(bus33_net, options)
+        assert str(flat.value) == str(reference.value)
+
+    def test_non_finite_voltage_comes_before_polar_mismatch(self, monkeypatch):
+        """solve checks a pass in polar form after its forward loop, so a
+        non-finite voltage at branch 2 is raised before branch 1's mismatch."""
+        monkeypatch.setattr(solver, "POLAR_AGREEMENT_TOL", -1.0)
+        net = validate_radial(make_table([
+            (1, 1, 2, 0.1, 0.1, 0.0, 0.0),
+            (2, 2, 3, 1e300, 0.0, 1e15, 0.0),
+        ]))
+        with pytest.raises(NumericError, match="^non-finite voltage on branch 2$"):
+            solve(net, SolveOptions(debug_polar=True))
 
     def test_collapse_names_the_node(self):
         # 1 p.u. load through 1 p.u. resistance: the first sweep drives V2 to 0
