@@ -30,7 +30,18 @@ from .solver import (
     solve,
     step_model,
 )
-from .oracle import baseline_solve, downstream_sum, power_balance
+
+_ORACLE = ("baseline_solve", "downstream_sum", "power_balance")
+
+
+def __getattr__(name):
+    # the oracle is imported on first use, so the CLI, which never uses it,
+    # does not load it (PEP 562)
+    if name in _ORACLE:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "DEFAULT_BASE",

@@ -1,21 +1,26 @@
 """Parsing, radial-topology validation, and sequential renumbering of branch tables.
 
-validate_radial converts the closed branches, sorted by id, to per-unit and
-builds the NetworkModel, whose construction checks the tree (model.radial_tree)
-and derives the topology, the sequential-ordering verdict included;
-validate_radial only reads that verdict. renumber_sequential runs the same
-radial_tree on the same id-sorted branches, so both name the same first
-defect, whatever the order of the rows; a value that cannot be put in per-unit
-is a DataError that validate_radial raises before any topology check, as the
-parser names bad values before anything else. renumber_sequential puts the
-rows in one order, the closed branches as its walk from the root pops them and
-then the tie lines by id, and derives the new rows and the whole mapping from
-that order. The JSON reader converts each value with _number, which names the
-key of a value that is not the number it must be (a bool, a fraction for an id
-or node). Every defect found raises a typed error: ParseError or DataError for
-bad input text and values, TopologyError (prefixed with the table's source)
-for anything that is not a tree rooted at the requested root. TopologyError
-and OrderingError live in model and are importable from here too.
+A RawTable keeps its rows as nine parallel columns, one per BranchRecord
+field. Both parsers check each row with model._check_row, BranchRecord's own
+checks, and store it in the columns; no record is built on this path.
+validate_radial converts the closed branches, sorted by id, to per-unit
+straight from the columns and builds the NetworkModel, whose construction
+checks the tree (model.radial_tree) and derives the topology, the
+sequential-ordering verdict included; validate_radial only reads that verdict.
+renumber_sequential runs the same radial_tree on the same id-sorted
+branches' columns, so both name the same first defect, whatever the order of
+the rows; a value that cannot be put in per-unit is a DataError that
+validate_radial raises before any topology check, as the parser names bad
+values before anything else. renumber_sequential puts the rows in one order,
+the closed branches as its walk from the root pops them and then the tie
+lines by id, and applies that order to every column; the new nodes and the
+whole mapping are read off the same order. The JSON reader converts each
+value with _number, which names the key of a value that is not the number it
+must be (a bool, a fraction for an id or node). Every defect found raises a
+typed error: ParseError or DataError for bad input text and values,
+TopologyError (prefixed with the table's source) for anything that is not a
+tree rooted at the requested root. TopologyError and OrderingError live in
+model and are importable from here too.
 """
 from __future__ import annotations
 
@@ -32,35 +37,70 @@ from .model import (
     OrderingError,
     PerUnitBase,
     TopologyError,
+    _check_row,
+    _per_unit_branch,
     radial_tree,
-    to_per_unit,
 )
 
 
-_branch_id = attrgetter("branch_id")
+# a record's fields in field order, the order of RawTable's columns
+_record_values = attrgetter(*BranchRecord.__match_args__)
 
 
 class ParseError(DataError):
     """Malformed input text; carries the offending line number in the message."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class RawTable:
-    """Parsed branch rows before validation, in physical units."""
+    """Parsed branch rows before validation, in physical units, as columns.
 
-    rows: tuple[BranchRecord, ...]
-    source_name: str = "<memory>"
-    declared_base: PerUnitBase | None = None
-    declared_root: int | None = None
+    columns holds nine parallel tuples, one per BranchRecord field in field
+    order (branch_id, sending_node, receiving_node, resistance, reactance,
+    load_p, load_q, capacity, is_tie); entry k of each is row k. The parsers
+    and renumber_sequential fill the columns directly, and RawTable(rows=...)
+    reads them off BranchRecords. rows, closed_rows() and tie_rows() build
+    equal BranchRecords on demand, so the objects a table keeps for the cyclic
+    collector to track are a fixed few whatever its size.
+    """
 
-    def __post_init__(self):
-        if not self.rows:
-            raise DataError(f"{self.source_name}: empty branch table")
+    columns: tuple[tuple, ...]
+    source_name: str
+    declared_base: PerUnitBase | None
+    declared_root: int | None
+
+    def __init__(self, rows, source_name: str = "<memory>",
+                 declared_base: PerUnitBase | None = None, declared_root: int | None = None):
+        self._fill(_columns(map(_record_values, rows)), source_name, declared_base,
+                   declared_root)
+
+    @classmethod
+    def _from_columns(cls, columns, source_name, declared_base=None, declared_root=None):
+        table = object.__new__(cls)
+        table._fill(columns, source_name, declared_base, declared_root)
+        return table
+
+    def _fill(self, columns, source_name, declared_base, declared_root) -> None:
+        """Check the ids (some rows, none repeated) and set the fields."""
+        if not columns[0]:
+            raise DataError(f"{source_name}: empty branch table")
         seen = set()
-        for r in self.rows:
-            if r.branch_id in seen:
-                raise DataError(f"{self.source_name}: duplicate branch id {r.branch_id}")
-            seen.add(r.branch_id)
+        for b in columns[0]:
+            if b in seen:
+                raise DataError(f"{source_name}: duplicate branch id {b}")
+            seen.add(b)
+        object.__setattr__(self, "columns", tuple(map(tuple, columns)))
+        object.__setattr__(self, "source_name", source_name)
+        object.__setattr__(self, "declared_base", declared_base)
+        object.__setattr__(self, "declared_root", declared_root)
+
+    def __repr__(self) -> str:
+        return (f"RawTable(rows={self.rows!r}, source_name={self.source_name!r}, "
+                f"declared_base={self.declared_base!r}, declared_root={self.declared_root!r})")
+
+    @property
+    def rows(self) -> tuple[BranchRecord, ...]:
+        return tuple(map(BranchRecord, *self.columns))
 
     def closed_rows(self) -> tuple[BranchRecord, ...]:
         return tuple(r for r in self.rows if not r.is_tie)
@@ -83,7 +123,7 @@ def _parse_int(token: str, lineno: int, source: str) -> int:
         raise ParseError(f"{source}:{lineno}: bad integer field {token!r}") from None
 
 
-def _parse_delimited(text: str, source: str) -> tuple[BranchRecord, ...]:
+def _parse_delimited(text: str, source: str) -> tuple[tuple, ...]:
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split("#", 1)[0].replace(",", " ").split()
@@ -112,23 +152,18 @@ def _parse_delimited(text: str, source: str) -> tuple[BranchRecord, ...]:
             p, q, cap = rest
         elif rest:
             raise ParseError(f"{source}:{lineno}: unexpected column count {len(tokens)}")
+        row = (branch_id, sending, receiving, r_ohm, x_ohm, p, q, cap, is_tie)
         try:
-            rows.append(
-                BranchRecord(
-                    branch_id=branch_id,
-                    sending_node=sending,
-                    receiving_node=receiving,
-                    resistance=r_ohm,
-                    reactance=x_ohm,
-                    load_p=p,
-                    load_q=q,
-                    capacity=cap,
-                    is_tie=is_tie,
-                )
-            )
+            _check_row(*row)
         except DataError as exc:
             raise ParseError(f"{source}:{lineno}: {exc}") from None
-    return tuple(rows)
+        rows.append(row)
+    return _columns(rows)
+
+
+def _columns(rows) -> tuple[tuple, ...]:
+    """The nine columns of rows given as tuples of the BranchRecord fields."""
+    return tuple(zip(*rows)) or ((),) * len(BranchRecord.__match_args__)
 
 
 # what int() and float() raise on a value they cannot convert
@@ -152,7 +187,7 @@ def _number(value, key: str, kind: type):
     raise ParseError(f"bad value {value!r} for key {key!r}")
 
 
-def _parse_json(text: str, source: str) -> tuple[tuple[BranchRecord, ...], PerUnitBase | None, int | None]:
+def _parse_json(text: str, source: str) -> tuple[tuple[tuple, ...], PerUnitBase | None, int | None]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -189,24 +224,24 @@ def _parse_json(text: str, source: str) -> tuple[tuple[BranchRecord, ...], PerUn
             if type(is_tie) is not bool:
                 raise ParseError(f"bad value {is_tie!r} for key 'open'")
             cap = entry.get("cap")
-            rows.append(
-                BranchRecord(
-                    branch_id=_number(entry["id"], "id", int),
-                    sending_node=_number(entry["from"], "from", int),
-                    receiving_node=_number(entry["to"], "to", int),
-                    resistance=_number(entry["r"], "r", float),
-                    reactance=_number(entry["x"], "x", float),
-                    load_p=0.0 if is_tie else _number(entry.get("p", 0.0), "p", float),
-                    load_q=0.0 if is_tie else _number(entry.get("q", 0.0), "q", float),
-                    capacity=None if cap is None else _number(cap, "cap", float),
-                    is_tie=is_tie,
-                )
+            row = (
+                _number(entry["id"], "id", int),
+                _number(entry["from"], "from", int),
+                _number(entry["to"], "to", int),
+                _number(entry["r"], "r", float),
+                _number(entry["x"], "x", float),
+                0.0 if is_tie else _number(entry.get("p", 0.0), "p", float),
+                0.0 if is_tie else _number(entry.get("q", 0.0), "q", float),
+                None if cap is None else _number(cap, "cap", float),
+                is_tie,
             )
+            _check_row(*row)
         except KeyError as exc:
             raise ParseError(f"{source}: branches[{index}]: missing key {exc.args[0]!r}") from None
-        except DataError as exc:  # a value _number or BranchRecord rejects
+        except DataError as exc:  # a value _number or _check_row rejects
             raise ParseError(f"{source}: branches[{index}]: {exc}") from None
-    return tuple(rows), base, root
+        rows.append(row)
+    return _columns(rows), base, root
 
 
 def parse_branch_table(text: str, fmt: str = "delimited", source_name: str = "<memory>") -> RawTable:
@@ -217,11 +252,10 @@ def parse_branch_table(text: str, fmt: str = "delimited", source_name: str = "<m
     comment. Tie rows may leave the load columns blank.
     """
     if fmt == "delimited":
-        rows = _parse_delimited(text, source_name)
-        return RawTable(rows=rows, source_name=source_name)
+        return RawTable._from_columns(_parse_delimited(text, source_name), source_name)
     if fmt == "json":
-        rows, base, root = _parse_json(text, source_name)
-        return RawTable(rows=rows, source_name=source_name, declared_base=base, declared_root=root)
+        columns, base, root = _parse_json(text, source_name)
+        return RawTable._from_columns(columns, source_name, base, root)
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -245,6 +279,13 @@ def _root(table: RawTable, root: int | None) -> int:
     return table.declared_root if table.declared_root is not None else 1
 
 
+def _by_id(table: RawTable) -> tuple[list[int], list[int]]:
+    """Positions of the closed rows and of the tie rows, each in id order."""
+    ids, *_, tie = table.columns
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    return [k for k in order if not tie[k]], [k for k in order if tie[k]]
+
+
 def validate_radial(
     table: RawTable,
     root: int | None = None,
@@ -262,12 +303,17 @@ def validate_radial(
     """
     if base is None:
         base = table.declared_base if table.declared_base is not None else DEFAULT_BASE
-    branches = tuple([to_per_unit(b, base) for b in sorted(table.closed_rows(), key=_branch_id)])
+    closed, ties = _by_id(table)
+    ids, sending, receiving, r, x, p, q, cap, _ = columns = table.columns
     try:
         net = NetworkModel(
-            branches=branches,
+            branches=tuple([
+                _per_unit_branch(ids[k], sending[k], receiving[k], r[k], x[k], p[k], q[k], cap[k],
+                                 False, base)
+                for k in closed
+            ]),
             root=_root(table, root),
-            tie_lines=tuple(sorted(table.tie_rows(), key=_branch_id)),
+            tie_lines=tuple([BranchRecord(*[c[k] for c in columns]) for k in ties]),
             base=base,
         )
     except TopologyError as exc:
@@ -306,48 +352,49 @@ def renumber_sequential(table: RawTable, root: int | None = None) -> tuple[RawTa
     after their trunk) map to themselves.
     """
     root = _root(table, root)
-    ties = sorted(table.tie_rows(), key=_branch_id)
+    closed, ties = _by_id(table)
+    ids, sending, receiving, r, x, p, q, cap, _ = table.columns
+    fed = [receiving[k] for k in closed]
     try:
-        _, out = radial_tree(sorted(table.closed_rows(), key=_branch_id), root, ties)
+        _, out = radial_tree([ids[k] for k in closed], [sending[k] for k in closed], fed, root,
+                             [(ids[k], sending[k], receiving[k]) for k in ties])
     except TopologyError as exc:
         raise type(exc)(f"{table.source_name}: {exc}") from None
 
-    order = []
-    heap = [(b.receiving_node, b) for b in out.get(root, ())]
+    walk = []  # the closed branches' rows, as the walk pops them
+    heap = [(fed[j], j) for j in out.get(root, ())]
     heapq.heapify(heap)
     while heap:
-        _, b = heapq.heappop(heap)
-        order.append(b)
-        for child in out.get(b.receiving_node, ()):
-            heapq.heappush(heap, (child.receiving_node, child))
-    node_new_to_old = dict(enumerate([root, *(b.receiving_node for b in order)], start=1))
+        node, j = heapq.heappop(heap)
+        walk.append(closed[j])
+        for child in out.get(node, ()):
+            heapq.heappush(heap, (fed[child], child))
+    node_new_to_old = dict(enumerate([root, *(receiving[k] for k in walk)], start=1))
     new_node = {old: new for new, old in node_new_to_old.items()}
-    order += ties
+    order = walk + ties
 
-    rows = tuple(
-        BranchRecord(
-            branch_id=k,
-            sending_node=new_node[b.sending_node],
-            receiving_node=new_node[b.receiving_node],
-            resistance=b.resistance,
-            reactance=b.reactance,
-            # a tie row may read -0.0, which format_branch_table would print; write 0.0
-            load_p=0.0 if b.is_tie else b.load_p,
-            load_q=0.0 if b.is_tie else b.load_q,
-            capacity=b.capacity,
-            is_tie=b.is_tie,
-        )
-        for k, b in enumerate(order, start=1)
+    # a tie row may read -0.0, which format_branch_table would print; write 0.0
+    zeros = [0.0] * len(ties)
+    columns = (
+        range(1, len(order) + 1),
+        [new_node[sending[k]] for k in order],
+        [new_node[receiving[k]] for k in order],
+        [r[k] for k in order],
+        [x[k] for k in order],
+        [p[k] for k in walk] + zeros,
+        [q[k] for k in walk] + zeros,
+        [cap[k] for k in order],
+        [False] * len(walk) + [True] * len(ties),
     )
     mapping = RenumberMapping(
         node_old_to_new=new_node,
         node_new_to_old=node_new_to_old,
-        branch_old_to_new={b.branch_id: k for k, b in enumerate(order, start=1)},
+        branch_old_to_new={ids[k]: new for new, k in enumerate(order, start=1)},
     )
-    new_table = RawTable(
-        rows=rows,
-        source_name=table.source_name,
-        declared_base=table.declared_base,
-        declared_root=1 if table.declared_root is not None else None,
+    new_table = RawTable._from_columns(
+        columns,
+        table.source_name,
+        table.declared_base,
+        1 if table.declared_root is not None else None,
     )
     return new_table, mapping

@@ -1,9 +1,13 @@
 """Core domain types: phasors, branch records, per-unit bases, networks, reports.
 
 radial_tree is the one check that closed branches form a tree rooted at the
-root, and the one place their adjacency is built; NetworkModel and
-ingest.renumber_sequential both call it on the closed branches in id order, so
-every caller names the same first defect.
+root, and the one place their adjacency is built; it reads the branches as id,
+sending-node and receiving-node columns. NetworkModel passes its branches'
+columns and ingest.renumber_sequential the table's, both of the closed
+branches in id order, so every caller names the same first defect.
+BranchRecord and both parsers check a row in one function, _check_row;
+to_per_unit and validate_radial convert a row in one function,
+_per_unit_branch.
 """
 from __future__ import annotations
 
@@ -182,24 +186,32 @@ class BranchRecord:
     is_tie: bool = False
 
     def __post_init__(self):
-        b = self.branch_id
-        if b <= 0:
-            raise DataError(f"branch id must be positive, got {b}")
-        # one test on the sum; only when it fails look for the field at fault
-        # (a sum of finite values may also overflow)
-        if not math.isfinite(self.resistance + self.reactance + self.load_p + self.load_q):
-            for name in ("resistance", "reactance", "load_p", "load_q"):
-                v = getattr(self, name)
-                if not math.isfinite(v):
-                    raise DataError(f"branch {b}: non-finite {name} ({v})")
-        if self.resistance < 0.0 or self.reactance < 0.0:
-            raise DataError(f"branch {b}: negative impedance component")
-        if self.capacity is not None and not (self.capacity > 0.0):
-            raise DataError(f"branch {b}: capacity must be positive when present")
-        if self.sending_node == self.receiving_node:
-            raise DataError(f"branch {b}: sending and receiving node are both {self.sending_node}")
-        if self.is_tie and (self.load_p != 0.0 or self.load_q != 0.0):
-            raise DataError(f"branch {b}: tie-line must carry zero load")
+        _check_row(self.branch_id, self.sending_node, self.receiving_node, self.resistance,
+                   self.reactance, self.load_p, self.load_q, self.capacity, self.is_tie)
+
+
+def _check_row(branch_id, sending_node, receiving_node, resistance, reactance, load_p, load_q,
+               capacity, is_tie) -> None:
+    """Raise DataError for the first defect of one branch row, given as the
+    BranchRecord fields in field order; BranchRecord and both parsers check
+    their rows here."""
+    if branch_id <= 0:
+        raise DataError(f"branch id must be positive, got {branch_id}")
+    # one test on the sum; only when it fails look for the field at fault
+    # (a sum of finite values may also overflow)
+    if not math.isfinite(resistance + reactance + load_p + load_q):
+        for name, v in (("resistance", resistance), ("reactance", reactance),
+                        ("load_p", load_p), ("load_q", load_q)):
+            if not math.isfinite(v):
+                raise DataError(f"branch {branch_id}: non-finite {name} ({v})")
+    if resistance < 0.0 or reactance < 0.0:
+        raise DataError(f"branch {branch_id}: negative impedance component")
+    if capacity is not None and not (capacity > 0.0):
+        raise DataError(f"branch {branch_id}: capacity must be positive when present")
+    if sending_node == receiving_node:
+        raise DataError(f"branch {branch_id}: sending and receiving node are both {sending_node}")
+    if is_tie and (load_p != 0.0 or load_q != 0.0):
+        raise DataError(f"branch {branch_id}: tie-line must carry zero load")
 
 
 @dataclass(frozen=True, slots=True)
@@ -223,93 +235,93 @@ def to_per_unit(record: BranchRecord, base: PerUnitBase) -> PerUnitBranch:
     value can overflow on a tiny base; that raises a DataError naming the
     branch, the field and both bases.
     """
+    return _per_unit_branch(record.branch_id, record.sending_node, record.receiving_node,
+                            record.resistance, record.reactance, record.load_p, record.load_q,
+                            record.capacity, record.is_tie, base)
+
+
+def _per_unit_branch(branch_id, sending_node, receiving_node, resistance, reactance, load_p,
+                     load_q, capacity, is_tie, base: PerUnitBase) -> PerUnitBranch:
+    """to_per_unit of one row given as the BranchRecord fields in field order;
+    validate_radial converts a table's columns row by row here."""
     zb = base.z_base
-    r = record.resistance / zb
-    x = record.reactance / zb
-    if record.is_tie:
+    r = resistance / zb
+    x = reactance / zb
+    if is_tie:
         p = q = 0.0
     else:
         mva_kw = base.mva_base * 1000.0
-        p = record.load_p / mva_kw
-        q = record.load_q / mva_kw
+        p = load_p / mva_kw
+        q = load_q / mva_kw
     # one test on the sum; only when it fails look for the field at fault, as
-    # BranchRecord does
+    # _check_row does
     if not math.isfinite(r + x + p + q):
         for name, v in (("resistance", r), ("reactance", x), ("load_p", p), ("load_q", q)):
             if not math.isfinite(v):
                 raise DataError(
-                    f"branch {record.branch_id}: {name} is not finite in per unit "
+                    f"branch {branch_id}: {name} is not finite in per unit "
                     f"(kv_base {base.kv_base}, mva_base {base.mva_base})"
                 )
-    return PerUnitBranch(
-        branch_id=record.branch_id,
-        sending_node=record.sending_node,
-        receiving_node=record.receiving_node,
-        z=Phasor(r, x),
-        s_load=Phasor(p, q),
-        capacity=record.capacity,
-        is_tie=record.is_tie,
-    )
+    return PerUnitBranch(branch_id, sending_node, receiving_node, Phasor(r, x), Phasor(p, q),
+                         capacity, is_tie)
 
 
-def radial_tree(branches, root: int, tie_lines):
+def radial_tree(ids, sending, receiving, root: int, tie_lines):
     """Check that branches form a tree rooted at root and return its adjacency.
 
-    branches are the closed branches and tie_lines the open ones, each with
-    branch_id, sending_node and receiving_node (BranchRecord or
-    PerUnitBranch). Returns (parent, out): parent maps each node but the root
-    to the id of the branch feeding it, and out maps each sending node to the
-    branches leaving it, in the order of branches. Raises TopologyError, with
-    no source in its text, for the first of these defects: no branches; root
-    not a sending node; a node fed twice (the first branch in the order of
-    branches that feeds a node already fed); a branch feeding the root; a node
-    with no feeding branch (the smallest); a cycle (one reached from the
-    smallest node the root does not reach); a tie line ending at a node
-    outside the tree (the first in the order of tie_lines).
+    ids, sending and receiving are the closed branches' columns (branch id,
+    sending node, receiving node), and tie_lines the open ones as (id,
+    sending, receiving) triples. Returns (parent, out): parent maps each node
+    but the root to the id of the branch feeding it, and out maps each sending
+    node to the positions in the columns of the branches leaving it, in
+    ascending order. Raises TopologyError, with no source in its text, for the
+    first of these defects: no branches; root not a sending node; a node fed
+    twice (the first branch in column order that feeds a node already fed); a
+    branch feeding the root; a node with no feeding branch (the smallest); a
+    cycle (one reached from the smallest node the root does not reach); a tie
+    line ending at a node outside the tree (the first in the order of
+    tie_lines).
     """
-    if not branches:
+    if not ids:
         raise TopologyError("no closed branches")
-    if not any(b.sending_node == root for b in branches):
+    if root not in sending:
         raise TopologyError(f"root {root} is not a sending node")
     parent: dict[int, int] = {}
-    out: dict[int, list] = {}
-    for b in branches:
-        r = b.receiving_node
+    out: dict[int, list[int]] = {}
+    for k, (b, s, r) in enumerate(zip(ids, sending, receiving)):
         if r in parent:
-            raise TopologyError(f"node {r} is fed by branches {parent[r]} and {b.branch_id}")
-        parent[r] = b.branch_id
-        siblings = out.get(b.sending_node)
+            raise TopologyError(f"node {r} is fed by branches {parent[r]} and {b}")
+        parent[r] = b
+        siblings = out.get(s)
         if siblings is None:
-            out[b.sending_node] = [b]
+            out[s] = [k]
         else:
-            siblings.append(b)
+            siblings.append(k)
     if root in parent:
-        edge = next(b for b in branches if b.receiving_node == root)
+        k = receiving.index(root)
         raise TopologyError(
-            f"cycle through branch {edge.branch_id} "
-            f"({edge.sending_node}->{edge.receiving_node}) feeding the root"
+            f"cycle through branch {ids[k]} ({sending[k]}->{root}) feeding the root"
         )
     # every node but the root has exactly one feeding branch, so the walk from
     # the root meets each node at most once; it misses some node exactly when
     # a node has no feeding branch or lies on a cycle
     reached = [root]
     for n in reached:
-        for b in out.get(n, ()):
-            reached.append(b.receiving_node)
+        for k in out.get(n, ()):
+            reached.append(receiving[k])
     if len(reached) != len(parent) + 1:
-        raise _unreached(branches, root, parent, out, set(reached))
-    for t in tie_lines:
-        for node in (t.sending_node, t.receiving_node):
+        raise _unreached(ids, sending, receiving, root, parent, out, set(reached))
+    for t, s, r in tie_lines:
+        for node in (s, r):
             if node != root and node not in parent:
                 raise TopologyError(
-                    f"tie branch {t.branch_id} ends at node {node}, "
-                    f"which no closed branch connects"
+                    f"tie branch {t} ends at node {node}, which no closed branch connects"
                 )
     return parent, out
 
 
-def _unreached(branches, root: int, parent: dict[int, int], out: dict[int, list],
-               reached: set[int]) -> TopologyError:
+def _unreached(ids, sending, receiving, root: int, parent: dict[int, int],
+               out: dict[int, list[int]], reached: set[int]) -> TopologyError:
     """The error for a tree whose walk from the root reached only the nodes in
     reached: the smallest node with no feeding branch, else a cycle edge met
     by following feeding branches up from the smallest unreached node."""
@@ -317,16 +329,14 @@ def _unreached(branches, root: int, parent: dict[int, int], out: dict[int, list]
     if unfed:
         return TopologyError(f"node {min(unfed)} has no feeding branch")
     # unreached nodes all have a feeding branch, so they lie on a cycle or below one
-    feeding = {b.receiving_node: b for b in branches}
+    feeding = {r: k for k, r in enumerate(receiving)}
     n = min(n for n in feeding if n not in reached)
     seen = set()
     while n not in seen:
         seen.add(n)
-        n = feeding[n].sending_node
-    edge = feeding[n]
-    return TopologyError(
-        f"cycle through branch {edge.branch_id} ({edge.sending_node}->{edge.receiving_node})"
-    )
+        n = sending[feeding[n]]
+    k = feeding[n]
+    return TopologyError(f"cycle through branch {ids[k]} ({sending[k]}->{receiving[k]})")
 
 
 @dataclass(frozen=True)
@@ -335,8 +345,9 @@ class NetworkModel:
 
     branches hold the closed branches only; tie lines are parsed but never
     energized. validate_radial passes both sorted by id. Construction runs
-    radial_tree on them, so a network that is not a tree rooted at root, or
-    whose tie lines end outside it, raises TopologyError. Every topology fact
+    radial_tree on the branches' id, sending and receiving columns and the tie
+    lines' ends, so a network that is not a tree rooted at root, or whose tie
+    lines end outside it, raises TopologyError. Every topology fact
     is derived from branches and root, here and nowhere else: children maps
     each node to the ids of the branches it feeds, in the order of branches;
     parent_branch maps each receiving node to the branch feeding it;
@@ -364,18 +375,23 @@ class NetworkModel:
 
     def __post_init__(self):
         branches = self.branches
-        parent, out = radial_tree(branches, self.root, self.tie_lines)
+        ids = [b.branch_id for b in branches]
+        sending = [b.sending_node for b in branches]
+        receiving = [b.receiving_node for b in branches]
+        parent, out = radial_tree(
+            ids, sending, receiving, self.root,
+            [(t.branch_id, t.sending_node, t.receiving_node) for t in self.tie_lines],
+        )
         # a tree's nodes are its root and its receiving nodes
         nodes = tuple(sorted([self.root, *parent]))
         children = dict.fromkeys(nodes, ())
-        children.update((s, tuple([b.branch_id for b in fed])) for s, fed in out.items())
+        children.update((s, tuple([ids[k] for k in fed])) for s, fed in out.items())
         load = dict.fromkeys(nodes, Phasor.zero())
         load.update((b.receiving_node, b.s_load) for b in branches)
-        position = {b.branch_id: k for k, b in enumerate(branches)}
+        position = dict(zip(ids, range(len(ids))))
         # the root has no feeding branch and gets position -1, so it never counts
         unordered = next(
-            (b.branch_id for k, b in enumerate(branches)
-             if position.get(parent.get(b.sending_node), -1) >= k),
+            (ids[k] for k, s in enumerate(sending) if position.get(parent.get(s), -1) >= k),
             None,
         )
         derived = dict(

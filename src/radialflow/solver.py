@@ -17,7 +17,7 @@ option. Step counts depend only on the topology, so they are known without
 running the baseline: pre_loop + r x per_iteration for the stack sweep, and
 r x its own per-iteration count for the per-iteration rescanning baseline,
 which does nothing before the loop. The compile pass counts is_leaf's binary
-search for each branch, the only count that needs a search; the rest of each
+search for each branch from a table of its per-outcome counts; the rest of each
 per-iteration count is a closed form in the node, branch and root-child
 counts and the node depths, and literal_scan's table scans are added once per
 solve. debug_polar checks each pass in polar form after its forward loop.
@@ -34,6 +34,7 @@ for build_report's losses.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .model import (
@@ -135,6 +136,29 @@ def is_leaf(leaves: tuple[int, ...], node: int, counter: StepCounter | None = No
     if counter:
         counter.total += steps
     return found
+
+
+def _leaf_search_steps(leaves: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """The comparisons is_leaf counts for each outcome of its search of leaves.
+
+    A binary search's count depends only on where it ends: found[i] when the
+    node is leaves[i], missed[i] when it lies between leaves[i - 1] and
+    leaves[i] (either way i = bisect_left(leaves, node)). One walk of the
+    search's implicit tree visits each of the 2L + 1 outcomes once.
+    """
+    found = [0] * len(leaves)
+    missed = [0] * (len(leaves) + 1)
+    stack = [(0, len(leaves) - 1, 0)]
+    while stack:
+        low, high, steps = stack.pop()
+        if low > high:
+            missed[low] = steps
+            continue
+        mid = (low + high) // 2
+        found[mid] = steps + 2  # leaves[mid] > node fails, then leaves[mid] < node fails
+        stack.append((low, mid - 1, steps + 1))
+        stack.append((mid + 1, high, steps + 2))
+    return found, missed
 
 
 def compute_load_currents(state: SolveState, net: NetworkModel, counter: StepCounter | None = None) -> None:
@@ -322,11 +346,11 @@ def _compile(net: NetworkModel, leaves: tuple[int, ...]):
       branch order;
     - per_iteration: the steps one pass takes, as (stack sweep, baseline),
       with the stack sweep's children listed from the adjacency (solve adds
-      literal_scan's table scans). They depend on the topology only, so
-      is_leaf's binary search runs here, counted, instead of inside the loop;
-      it is the only count that needs a search. The rest is a closed form in
-      n nodes, m branches, the root's c children and D, the sum of node
-      depths (depth[receiving] = depth[sending] + 1).
+      literal_scan's table scans). They depend on the topology only: each
+      branch's is_leaf search is counted here, by one bisect_left into the
+      per-outcome counts of _leaf_search_steps, instead of inside the loop.
+      The rest is a closed form in n nodes, m branches, the root's c children
+      and D, the sum of node depths (depth[receiving] = depth[sending] + 1).
 
     solve compiles only a sequentially ordered network, so every branch's
     parent precedes it and the backward sweep never reads an accumulator
@@ -335,17 +359,22 @@ def _compile(net: NetworkModel, leaves: tuple[int, ...]):
     index = net.node_index
     position = net.branch_position
     m = len(net.branches)
-    counter = StepCounter()
+    found, missed = _leaf_search_steps(leaves)
+    search_steps = 0
     backward = []
     forward = []
     depth = [0] * len(index)
     for k, b in enumerate(net.branches):
         parent_id = net.parent_branch.get(b.sending_node)
         p = m if parent_id is None else position[parent_id]
+        node = b.receiving_node
         s = index[b.sending_node]
-        r = index[b.receiving_node]
+        r = index[node]
         depth[r] = depth[s] + 1
-        backward.append((k, r, p, is_leaf(leaves, b.receiving_node, counter)))
+        i = bisect_left(leaves, node)
+        leaf = i < len(leaves) and leaves[i] == node
+        search_steps += found[i] if leaf else missed[i]
+        backward.append((k, r, p, leaf))
         forward.append((k, s, r, b.z.as_complex()))
     backward.reverse()
     loads = [
@@ -364,7 +393,7 @@ def _compile(net: NetworkModel, leaves: tuple[int, ...]):
     # downstream sets, adding each member, and node k is a member of depth[k]
     # downstream sets
     common = n + m + n
-    backward_steps = counter.total + 4 * m - 3 * len(net.children[net.root])
+    backward_steps = search_steps + 4 * m - 3 * len(net.children[net.root])
     return loads, backward, forward, (backward_steps + common, n * m + m * n + sum(depth) + common)
 
 

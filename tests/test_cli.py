@@ -499,6 +499,16 @@ def test_bundled_data_reads_without_default_encoding():
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+def test_cli_import_leaves_the_oracle_unloaded():
+    """radialflow loads its oracle on first use, which no CLI command makes."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, radialflow.cli; print('radialflow.oracle' in sys.modules)"],
+        capture_output=True, env=subprocess_env(), text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 class TestBench:
     def test_smallest_case_saves_steps(self, capsys):
         code, out, _ = run(capsys, "bench", "--sizes", "2", "--leaf-fractions", "0.5",

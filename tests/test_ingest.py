@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 
@@ -389,6 +390,49 @@ def test_solution_invariant_under_shuffle_and_renumber():
             assert got.voltage_magnitude(new) == pytest.approx(
                 expected.voltage_magnitude(node), abs=1e-12
             )
+
+
+def seeded_feeder_texts(n, seed):
+    """A seeded radial table of n branches rooted at node 1, with shuffled
+    node labels, branch ids and rows, as delimited text and as JSON text."""
+    rng = random.Random(seed)
+    labels = [1, *rng.sample(range(2, 10 * n), n)]
+    ids = rng.sample(range(1, 10 * n), n)
+    rows = [(ids[k - 1], labels[rng.randrange(k)], labels[k], rng.uniform(0.01, 0.3),
+             rng.uniform(0.01, 0.3), rng.uniform(0.0, 10.0), rng.uniform(0.0, 5.0))
+            for k in range(1, n + 1)]
+    rng.shuffle(rows)
+    delimited = "".join(" ".join(map(repr, row)) + "\n" for row in rows)
+    keys = ("id", "from", "to", "r", "x", "p", "q")
+    return delimited, json.dumps({"root": 1, "branches": [dict(zip(keys, row)) for row in rows]})
+
+
+def retained_tracked_objects(call):
+    """How many more objects the cyclic collector tracks while the result of
+    call() is kept, after a first call has filled any cache."""
+    call()
+    gc.collect()
+    before = len(gc.get_objects())
+    result = call()
+    gc.collect()
+    retained = len(gc.get_objects()) - before
+    del result
+    return retained
+
+
+# a table is nine column tuples plus a few fixed objects, whatever its size;
+# a per-row object would add about n
+RETAINED_PER_TABLE = 16
+
+
+@pytest.mark.parametrize("n", [500, 2000])
+def test_ingest_retains_a_fixed_number_of_tracked_objects(n):
+    delimited, doc = seeded_feeder_texts(n, seed=n)
+    table = parse_branch_table(delimited)
+    assert len(table.rows) == n
+    assert retained_tracked_objects(lambda: parse_branch_table(delimited)) <= RETAINED_PER_TABLE
+    assert retained_tracked_objects(lambda: parse_branch_table(doc, "json")) <= RETAINED_PER_TABLE
+    assert retained_tracked_objects(lambda: renumber_sequential(table)) <= RETAINED_PER_TABLE
 
 
 def scramble(table, rng):

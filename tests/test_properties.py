@@ -6,7 +6,10 @@ examples. (Hypothesis still caches the constants it reads from the source in
 .hypothesis/constants/ while it collects; .gitignore lists that directory.)
 """
 import contextlib
+import dataclasses
 import io
+import json
+from operator import attrgetter
 
 import pytest
 
@@ -54,6 +57,61 @@ def test_format_then_parse_returns_the_table(table):
     again = parse_branch_table(format_branch_table(table), source_name="t")
     assert again.rows == table.rows
     assert [repr(r) for r in again.rows] == [repr(r) for r in table.rows]
+
+
+@REPEATABLE
+@given(tables())
+def test_json_dump_then_parse_returns_the_rows(table):
+    keys = ("id", "from", "to", "r", "x", "p", "q", "cap", "open")
+    branches = [
+        {key: value for key, value in zip(keys, dataclasses.astuple(r)) if value is not None}
+        for r in table.rows
+    ]
+    again = parse_branch_table(json.dumps({"branches": branches}), "json", source_name="t")
+    assert again.rows == table.rows
+
+
+@st.composite
+def radial_tables(draw):
+    """A random tree under drawn node labels and branch ids, with drawn
+    values, up to two tie lines between its nodes and its rows shuffled; and
+    its root."""
+    n = draw(st.integers(2, 8))
+    labels = draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n, unique=True))
+    edges = [(labels[draw(st.integers(0, k - 1))], labels[k]) for k in range(1, n)]
+    pair = st.lists(st.sampled_from(labels), min_size=2, max_size=2, unique=True)
+    edges += draw(st.lists(pair, max_size=2))
+    ids = draw(st.lists(st.integers(1, 10**9), min_size=len(edges), max_size=len(edges),
+                        unique=True))
+    rows = []
+    for k, (branch_id, (sending, receiving)) in enumerate(zip(ids, edges)):
+        is_tie = k >= n - 1
+        load = st.sampled_from([0.0, -0.0]) if is_tie else finite
+        rows.append(BranchRecord(branch_id, sending, receiving, draw(non_negative),
+                                 draw(non_negative), draw(load), draw(load), draw(capacity),
+                                 is_tie))
+    return RawTable(rows=tuple(draw(st.permutations(rows))), source_name="t"), labels[0]
+
+
+@REPEATABLE
+@given(radial_tables())
+def test_renumbered_rows_map_back_to_the_input(drawn):
+    """Mapped back through the RenumberMapping, the new rows are the input's,
+    with a tie line's load read as 0.0."""
+    table, root = drawn
+    renamed, mapping = renumber_sequential(table, root=root)
+    assert [r.branch_id for r in renamed.rows] == list(range(1, len(table.rows) + 1))
+    node = mapping.node_new_to_old
+    branch = {new: old for old, new in mapping.branch_old_to_new.items()}
+    back = [dataclasses.replace(r, branch_id=branch[r.branch_id],
+                                sending_node=node[r.sending_node],
+                                receiving_node=node[r.receiving_node])
+            for r in renamed.rows]
+    expected = [dataclasses.replace(r, load_p=0.0, load_q=0.0) if r.is_tie else r
+                for r in table.rows]
+    by_id = attrgetter("branch_id")
+    assert ([repr(r) for r in sorted(back, key=by_id)]
+            == [repr(r) for r in sorted(expected, key=by_id)])
 
 
 @st.composite

@@ -2,11 +2,12 @@ import functools
 import math
 import operator
 import random
+from bisect import bisect_left
 
 import pytest
 
 import radialflow as rf
-from conftest import chain_table, make_table
+from conftest import chain_table, criterion_2_tables, make_table
 from radialflow import solver
 from radialflow.cli import generate_random_table
 from radialflow.ingest import OrderingError, validate_radial
@@ -442,6 +443,36 @@ class TestStepCounting:
             base = rf.baseline_solve(net, opts)
             for p_steps, b_steps in zip(rep.per_iteration_steps, base.per_iteration_steps):
                 assert p_steps <= b_steps
+
+    def test_leaf_search_steps_cover_every_outcome(self, bus69_net):
+        """Each of the 2L + 1 ends of is_leaf's search, a leaf or a gap around
+        one, has the count is_leaf makes for it."""
+        leaves = find_leaf_nodes(bus69_net)
+        found, missed = solver._leaf_search_steps(leaves)
+        for node in sorted({x + d for x in leaves for d in (-0.5, 0, 0.5)}):
+            counter = StepCounter()
+            hit = is_leaf(leaves, node, counter)
+            i = bisect_left(leaves, node)
+            assert counter.total == (found[i] if hit else missed[i])
+        assert solver._leaf_search_steps(()) == ([], [0])
+
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_leaf_search_totals_equal_counted_is_leaf(self, bus69_net, bus33_net, literal):
+        """solve counts each branch's leaf search by lookup; the reference is
+        a loop of counted is_leaf calls plus the documented closed form."""
+        nets = [bus69_net, bus33_net, *map(validate_radial, criterion_2_tables())]
+        assert len(nets) == 202
+        for net in nets:
+            leaves = find_leaf_nodes(net)
+            counter = StepCounter()
+            for b in net.branches:
+                is_leaf(leaves, b.receiving_node, counter)
+            n, m = net.node_count, net.branch_count
+            expected = counter.total + 2 * n + m + 4 * m - 3 * len(net.children[net.root])
+            if literal:
+                expected += m * (m - len(leaves))
+            report = solve(net, SolveOptions(literal_scan=literal))
+            assert report.per_iteration_steps == (expected,) * report.iterations
 
 
 def phase_function_solve(net, options):
