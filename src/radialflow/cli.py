@@ -99,15 +99,19 @@ def _in_input_ids(report, mapping):
     )
 
 
+def _summary(report) -> dict[str, int]:
+    """The counts solve prints before the node rows, by their printed names."""
+    return {
+        "iterations": report.iterations,
+        "leaves": report.leaf_count,
+        "steps_proposed": report.step_count_proposed,
+        "steps_baseline": report.step_count_baseline,
+    }
+
+
 def _report_lines(report) -> list[str]:
-    lines = [
-        f"converged yes",
-        f"iterations {report.iterations}",
-        f"leaves {report.leaf_count}",
-        f"steps_proposed {report.step_count_proposed}",
-        f"steps_baseline {report.step_count_baseline}",
-        "node vmag_pu angle_deg",
-    ]
+    lines = ["converged yes", *(f"{key} {value}" for key, value in _summary(report).items()),
+             "node vmag_pu angle_deg"]
     for node, vmag, angle in report.node_voltages:
         lines.append(f"{node} {vmag:.5f} {angle:.5f}")
     lines.append("branch imag_pu loss_kw loss_kvar")
@@ -123,10 +127,7 @@ def _report_lines(report) -> list[str]:
 def _report_json(report) -> str:
     doc = {
         "converged": report.converged,
-        "iterations": report.iterations,
-        "leaves": report.leaf_count,
-        "steps_proposed": report.step_count_proposed,
-        "steps_baseline": report.step_count_baseline,
+        **_summary(report),
         "nodes": [
             {"node": n, "vmag_pu": round(v, 5), "angle_deg": round(a, 5)}
             for n, v, a in report.node_voltages

@@ -6,7 +6,8 @@ checks, and store it in the columns; no record is built on this path.
 validate_radial converts the closed branches, sorted by id, to per-unit
 straight from the columns and builds the NetworkModel, whose construction
 checks the tree (model.radial_tree) and derives the topology, the
-sequential-ordering verdict included; validate_radial only reads that verdict.
+sequential-ordering verdict included; validate_radial refuses an unordered
+network through NetworkModel.check_ordering.
 renumber_sequential runs the same radial_tree on the same id-sorted
 branches' columns, so both name the same first defect, whatever the order of
 the rows; a value that cannot be put in per-unit is a DataError that
@@ -27,9 +28,8 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
-from operator import attrgetter
 
-from .model import (
+from .model import (  # TopologyError and OrderingError are also ingest's names
     DEFAULT_BASE,
     BranchRecord,
     DataError,
@@ -39,12 +39,9 @@ from .model import (
     TopologyError,
     _check_row,
     _per_unit_branch,
+    _record_values,
     radial_tree,
 )
-
-
-# a record's fields in field order, the order of RawTable's columns
-_record_values = attrgetter(*BranchRecord.__match_args__)
 
 
 class ParseError(DataError):
@@ -59,9 +56,9 @@ class RawTable:
     order (branch_id, sending_node, receiving_node, resistance, reactance,
     load_p, load_q, capacity, is_tie); entry k of each is row k. The parsers
     and renumber_sequential fill the columns directly, and RawTable(rows=...)
-    reads them off BranchRecords. rows, closed_rows() and tie_rows() build
-    equal BranchRecords on demand, so the objects a table keeps for the cyclic
-    collector to track are a fixed few whatever its size.
+    reads them off BranchRecords with model._record_values. rows, closed_rows()
+    and tie_rows() build equal BranchRecords on demand, so the objects a table
+    keeps for the cyclic collector to track are a fixed few whatever its size.
     """
 
     columns: tuple[tuple, ...]
@@ -109,18 +106,13 @@ class RawTable:
         return tuple(r for r in self.rows if r.is_tie)
 
 
-def _parse_float(token: str, lineno: int, source: str) -> float:
+def _parse_token(token: str, kind: type, lineno: int, source: str):
+    """A delimited field as kind (int or float), or a ParseError naming the line."""
     try:
-        return float(token)
+        return kind(token)
     except ValueError:
-        raise ParseError(f"{source}:{lineno}: bad numeric field {token!r}") from None
-
-
-def _parse_int(token: str, lineno: int, source: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"{source}:{lineno}: bad integer field {token!r}") from None
+        what = "integer" if kind is int else "numeric"
+        raise ParseError(f"{source}:{lineno}: bad {what} field {token!r}") from None
 
 
 def _parse_delimited(text: str, source: str) -> tuple[tuple, ...]:
@@ -133,14 +125,11 @@ def _parse_delimited(text: str, source: str) -> tuple[tuple, ...]:
         is_tie = head.endswith("*")
         if is_tie:
             head = head[:-1]
-        branch_id = _parse_int(head, lineno, source)
+        branch_id = _parse_token(head, int, lineno, source)
         if len(tokens) < 5:
             raise ParseError(f"{source}:{lineno}: expected at least 5 columns, got {len(tokens)}")
-        sending = _parse_int(tokens[1], lineno, source)
-        receiving = _parse_int(tokens[2], lineno, source)
-        r_ohm = _parse_float(tokens[3], lineno, source)
-        x_ohm = _parse_float(tokens[4], lineno, source)
-        rest = [_parse_float(t, lineno, source) for t in tokens[5:]]
+        sending, receiving = [_parse_token(t, int, lineno, source) for t in tokens[1:3]]
+        r_ohm, x_ohm, *rest = [_parse_token(t, float, lineno, source) for t in tokens[3:]]
         p = q = 0.0
         cap = None
         if is_tie and len(rest) == 1:
@@ -259,19 +248,6 @@ def parse_branch_table(text: str, fmt: str = "delimited", source_name: str = "<m
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def format_branch_table(table: RawTable) -> str:
-    """Serialize a RawTable back to the delimited format (a parse fixed point)."""
-    lines = ["# branch from to r_ohm x_ohm p_kw q_kvar [cap_kva]"]
-    for r in table.rows:
-        head = f"{r.branch_id}*" if r.is_tie else f"{r.branch_id}"
-        cols = [head, str(r.sending_node), str(r.receiving_node),
-                repr(r.resistance), repr(r.reactance), repr(r.load_p), repr(r.load_q)]
-        if r.capacity is not None:
-            cols.append(repr(r.capacity))
-        lines.append(" ".join(cols))
-    return "\n".join(lines) + "\n"
-
-
 def _root(table: RawTable, root: int | None) -> int:
     """The root to use: root if given, else the table's declared root, else 1."""
     if root is not None:
@@ -297,9 +273,11 @@ def validate_radial(
     Every closed branch is converted to per-unit before the tree is checked,
     so a value that overflows on base is a DataError even in a table that is
     not a tree. Tie branches are set aside unenergized, sorted by id. With
-    require_ordered the sequential branch-numbering property is enforced
-    (recoverable via renumber_sequential); otherwise it is only recorded on
-    the model, as unordered_branch.
+    require_ordered the sequential branch-numbering property is enforced by
+    NetworkModel.check_ordering (recoverable via renumber_sequential);
+    otherwise it is only recorded on the model, as unordered_branch. Every
+    TopologyError, OrderingError included, has the table's source in front of
+    its text.
     """
     if base is None:
         base = table.declared_base if table.declared_base is not None else DEFAULT_BASE
@@ -316,13 +294,10 @@ def validate_radial(
             tie_lines=tuple([BranchRecord(*[c[k] for c in columns]) for k in ties]),
             base=base,
         )
-    except TopologyError as exc:
+        if require_ordered:
+            net.check_ordering()
+    except TopologyError as exc:  # OrderingError included
         raise type(exc)(f"{table.source_name}: {exc}") from None
-    if require_ordered and net.unordered_branch is not None:
-        raise OrderingError(
-            f"{table.source_name}: branch {net.unordered_branch} precedes the branch "
-            f"feeding its sending node (run renumber_sequential)"
-        )
     return net
 
 
@@ -373,7 +348,7 @@ def renumber_sequential(table: RawTable, root: int | None = None) -> tuple[RawTa
     new_node = {old: new for new, old in node_new_to_old.items()}
     order = walk + ties
 
-    # a tie row may read -0.0, which format_branch_table would print; write 0.0
+    # a tie carries no load: write 0.0, also where its row reads -0.0
     zeros = [0.0] * len(ties)
     columns = (
         range(1, len(order) + 1),

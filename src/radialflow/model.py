@@ -7,13 +7,18 @@ columns and ingest.renumber_sequential the table's, both of the closed
 branches in id order, so every caller names the same first defect.
 BranchRecord and both parsers check a row in one function, _check_row;
 to_per_unit and validate_radial convert a row in one function,
-_per_unit_branch.
+_per_unit_branch. Both take a row as the BranchRecord fields in field order,
+the order in which _record_values reads a record (for BranchRecord's own
+check, to_per_unit and RawTable(rows=...)). PerUnitBase.kw_base is the one kW
+scale, and NetworkModel.check_ordering the one place that raises the
+OrderingError that validate_radial and solve refuse an unordered network with.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 
 class LoadFlowError(Exception):
@@ -141,7 +146,8 @@ class PhasorMap(Mapping):
 
 @dataclass(frozen=True, slots=True)
 class PerUnitBase:
-    """Voltage/power base pair; impedance base is derived from it."""
+    """Voltage/power base pair; the impedance base (z_base) and the power
+    base in kW (kw_base) are derived from it."""
 
     kv_base: float
     mva_base: float
@@ -152,7 +158,7 @@ class PerUnitBase:
         if not (self.mva_base > 0.0) or not math.isfinite(self.mva_base):
             raise DataError(f"mva_base must be positive and finite, got {self.mva_base}")
         # what to_per_unit, build_report and compute_losses scale by
-        z_base, kw_base = self.z_base, self.mva_base * 1000.0
+        z_base, kw_base = self.z_base, self.kw_base
         if not (0.0 < z_base < math.inf and 0.0 < kw_base < math.inf):
             raise DataError(
                 f"kv_base {self.kv_base} and mva_base {self.mva_base} give an impedance base "
@@ -164,6 +170,11 @@ class PerUnitBase:
     def z_base(self) -> float:
         """Impedance base in ohms: kv_base**2 / mva_base."""
         return self.kv_base * self.kv_base / self.mva_base
+
+    @property
+    def kw_base(self) -> float:
+        """Power base in kW: mva_base * 1000."""
+        return self.mva_base * 1000.0
 
 
 # Bases calibrated once against the bundled 69-bus golden voltage table; only
@@ -186,8 +197,12 @@ class BranchRecord:
     is_tie: bool = False
 
     def __post_init__(self):
-        _check_row(self.branch_id, self.sending_node, self.receiving_node, self.resistance,
-                   self.reactance, self.load_p, self.load_q, self.capacity, self.is_tie)
+        _check_row(*_record_values(self))
+
+
+# a record's fields in field order, the order _check_row, _per_unit_branch and
+# RawTable's columns take them in
+_record_values = attrgetter(*BranchRecord.__match_args__)
 
 
 def _check_row(branch_id, sending_node, receiving_node, resistance, reactance, load_p, load_q,
@@ -230,14 +245,11 @@ class PerUnitBranch:
 def to_per_unit(record: BranchRecord, base: PerUnitBase) -> PerUnitBranch:
     """Convert a physical-unit branch record to per-unit on the given base.
 
-    Impedance divides by z_base; the kW/kVAr load divides by the MVA base
-    after conversion to MW/MVAr. Tie branches convert impedance only. A finite
-    value can overflow on a tiny base; that raises a DataError naming the
-    branch, the field and both bases.
+    Impedance divides by z_base and the kW/kVAr load by kw_base. Tie branches
+    convert impedance only. A finite value can overflow on a tiny base; that
+    raises a DataError naming the branch, the field and both bases.
     """
-    return _per_unit_branch(record.branch_id, record.sending_node, record.receiving_node,
-                            record.resistance, record.reactance, record.load_p, record.load_q,
-                            record.capacity, record.is_tie, base)
+    return _per_unit_branch(*_record_values(record), base)
 
 
 def _per_unit_branch(branch_id, sending_node, receiving_node, resistance, reactance, load_p,
@@ -250,9 +262,9 @@ def _per_unit_branch(branch_id, sending_node, receiving_node, resistance, reacta
     if is_tie:
         p = q = 0.0
     else:
-        mva_kw = base.mva_base * 1000.0
-        p = load_p / mva_kw
-        q = load_q / mva_kw
+        kw_base = base.kw_base
+        p = load_p / kw_base
+        q = load_q / kw_base
     # one test on the sum; only when it fails look for the field at fault, as
     # _check_row does
     if not math.isfinite(r + x + p + q):
@@ -356,8 +368,9 @@ class NetworkModel:
     sending node is fed by a branch that does not come before it in
     branches; with branches sorted by id, the first branch in id order fed
     through a branch with an id that is not smaller. It is None when the
-    sequential numbering the stack sweep relies on holds. Instances are
-    immutable after construction.
+    sequential numbering the stack sweep relies on holds, and check_ordering
+    raises the OrderingError that names it otherwise. Instances are immutable
+    after construction.
     """
 
     branches: tuple[PerUnitBranch, ...]
@@ -413,6 +426,15 @@ class NetworkModel:
     @property
     def sequentially_ordered(self) -> bool:
         return self.unordered_branch is None
+
+    def check_ordering(self) -> None:
+        """Raise OrderingError naming unordered_branch unless the network is
+        sequentially ordered; validate_radial and solve both refuse one here."""
+        if self.unordered_branch is not None:
+            raise OrderingError(
+                f"branch {self.unordered_branch} precedes the branch feeding its sending "
+                f"node (run renumber_sequential)"
+            )
 
     @property
     def branch_count(self) -> int:

@@ -105,7 +105,9 @@ def baseline_solve(net: NetworkModel, options: SolveOptions | None = None) -> So
     sets are recomputed inside every iteration, with steps counted accordingly.
 
     A cost model of the per-iteration rescanning approach, not a performance
-    path; voltages agree with solver.solve to rounding error.
+    path; voltages agree with solver.solve to rounding error. With debug_polar,
+    max_polar_deviation is the worst polar/rectangular disagreement over every
+    pass, as in solver.solve.
     """
     if options is None:
         options = SolveOptions()
@@ -114,12 +116,13 @@ def baseline_solve(net: NetworkModel, options: SolveOptions | None = None) -> So
 
     deltas = []
     per_iteration = []
+    worst_polar = 0.0
     for iterations in range(1, options.max_iterations + 1):
         start = counter.total
         compute_load_currents(state, net, counter)
         leaf_count = len(_rescan_leaves(net, counter))
         _rescan_branch_currents(state, net, counter)
-        forward_sweep(state, net, counter, debug_polar=options.debug_polar)
+        worst_polar = max(worst_polar, forward_sweep(state, net, counter, options.debug_polar))
         converged, max_delta = check_convergence(state, options.tolerance, counter)
         per_iteration.append(counter.total - start)
         deltas.append(max_delta)
@@ -141,5 +144,5 @@ def baseline_solve(net: NetworkModel, options: SolveOptions | None = None) -> So
         pre_loop_steps=0,
         per_iteration_steps=tuple(per_iteration),
         delta_history=tuple(deltas),
-        max_polar_deviation=None,
+        max_polar_deviation=worst_polar if options.debug_polar else None,
     )

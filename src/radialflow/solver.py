@@ -25,7 +25,9 @@ solve. debug_polar checks each pass in polar form after its forward loop.
 build_report turns the final voltages and currents, as complex lists, into a
 SolveReport that keeps those lists and shows them as read-only Phasor views
 (final_*); solve hands over the sweep's own lists and oracle.baseline_solve
-its dicts' values, so both return the same layout. The dict-based phase functions below (compute_load_currents, backward_sweep,
+its dicts' values, so both return the same layout.
+
+The dict-based phase functions below (compute_load_currents, backward_sweep,
 forward_sweep, check_convergence) count their steps and remain the reference
 implementation: the tests require solve to reproduce them exactly,
 oracle.baseline_solve is built from them, and compute_losses is the reference
@@ -40,7 +42,6 @@ from dataclasses import dataclass
 from .model import (
     LoadFlowError,
     NetworkModel,
-    OrderingError,
     Phasor,
     PhasorMap,
     SolveReport,
@@ -315,8 +316,9 @@ def check_convergence(
 def compute_losses(
     state: SolveState, net: NetworkModel
 ) -> tuple[list[tuple[int, float, float]], float, float]:
-    """Per-branch and total losses in kW/kVAr: |I|^2 R and |I|^2 X scaled off p.u."""
-    to_kw = net.base.mva_base * 1000.0
+    """Per-branch and total losses in kW/kVAr: |I|^2 R and |I|^2 X times the
+    base's kw_base."""
+    to_kw = net.base.kw_base
     rows = []
     total_p = 0.0
     total_q = 0.0
@@ -481,15 +483,12 @@ def solve(net: NetworkModel, options: SolveOptions | None = None) -> SolveReport
     currents backward, voltages forward, and checks the per-node magnitude
     deltas against the tolerance. Both step counts come from the topology, not
     from the loop: pre_loop_steps + iterations x per-iteration steps for the
-    stack sweep, iterations x per-iteration steps for the baseline.
+    stack sweep, iterations x per-iteration steps for the baseline. A network
+    that is not sequentially ordered is refused by NetworkModel.check_ordering.
     """
     if options is None:
         options = SolveOptions()
-    if not net.sequentially_ordered:
-        raise OrderingError(
-            f"branch {net.unordered_branch} precedes the branch feeding its sending node "
-            f"(run renumber_sequential)"
-        )
+    net.check_ordering()
 
     counter = StepCounter()
     leaves = find_leaf_nodes(net, counter)
@@ -546,7 +545,7 @@ def build_report(
         if angle == -pi:
             angle = pi
         node_voltages.append((n, hypot(re, im), degrees(angle)))
-    to_kw = net.base.mva_base * 1000.0
+    to_kw = net.base.kw_base
     branch_currents = []
     loss_rows = []
     total_p = 0.0

@@ -17,6 +17,20 @@ def make_table(rows, source="test", ties=()):
     return RawTable(rows=tuple(records), source_name=source)
 
 
+def format_branch_table(table):
+    """The delimited text of a RawTable, which parse_branch_table reads back
+    into the same rows (the round-trip tests' writer)."""
+    lines = ["# branch from to r_ohm x_ohm p_kw q_kvar [cap_kva]"]
+    for r in table.rows:
+        head = f"{r.branch_id}*" if r.is_tie else f"{r.branch_id}"
+        cols = [head, str(r.sending_node), str(r.receiving_node),
+                repr(r.resistance), repr(r.reactance), repr(r.load_p), repr(r.load_q)]
+        if r.capacity is not None:
+            cols.append(repr(r.capacity))
+        lines.append(" ".join(cols))
+    return "\n".join(lines) + "\n"
+
+
 def chain_table(loads, impedance=(0.1, 0.05)):
     """A path 1 -> 2 -> ... with the given (p_kw, q_kvar) load at each non-root node."""
     r, x = impedance

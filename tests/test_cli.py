@@ -123,6 +123,17 @@ class TestSolve:
         assert "steps_proposed 3120" in lines
         assert "steps_baseline 41452" in lines
 
+    def test_every_format_prints_the_same_summary(self, capsys):
+        counts = {"iterations": 4, "leaves": 8, "steps_proposed": 3120, "steps_baseline": 41452}
+        lines = ["converged yes", *(f"{k} {v}" for k, v in counts.items())]
+        _, table_out, _ = run(capsys, "solve", BUS69)
+        assert table_out.splitlines()[:5] == lines
+        _, csv_out, _ = run(capsys, "solve", BUS69, "--format", "csv")
+        assert csv_out.splitlines()[:5] == [line.replace(" ", ",") for line in lines]
+        _, json_out, _ = run(capsys, "solve", BUS69, "--format", "json")
+        doc = json.loads(json_out)
+        assert doc["converged"] is True and {k: doc[k] for k in counts} == counts
+
     def test_no_command_runs_the_baseline_solver(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("baseline_solve called")

@@ -4,13 +4,12 @@ import random
 
 import pytest
 
-from conftest import criterion_2_tables, make_table
+from conftest import criterion_2_tables, format_branch_table, make_table
 from radialflow.cli import generate_random_table
 from radialflow.ingest import (
     OrderingError,
     ParseError,
     TopologyError,
-    format_branch_table,
     parse_branch_table,
     renumber_sequential,
     validate_radial,
@@ -140,6 +139,17 @@ class TestParseJson:
         assert rec == BranchRecord(7, 1, 2, 0.5, 1.0, 10.0, 5.0)
         ids = (table.declared_root, rec.branch_id, rec.sending_node, rec.receiving_node)
         assert ids == (1, 7, 1, 2) and all(type(i) is int for i in ids)
+
+    def test_repr_reads_as_the_constructor_call(self):
+        doc = {"base": {"kv": 11, "mva": 1}, "root": 1,
+               "branches": [{"id": 1, "from": 1, "to": 2, "r": 0.5, "x": 0.25, "p": 3, "cap": 9}]}
+        table = parse_branch_table(json.dumps(doc), "json", source_name="net.json")
+        assert repr(table) == (
+            "RawTable(rows=(BranchRecord(branch_id=1, sending_node=1, receiving_node=2, "
+            "resistance=0.5, reactance=0.25, load_p=3.0, load_q=0.0, capacity=9.0, "
+            "is_tie=False),), source_name='net.json', "
+            "declared_base=PerUnitBase(kv_base=11.0, mva_base=1.0), declared_root=1)"
+        )
 
     def test_tie_ignores_load_fields(self):
         doc = {"branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05},
@@ -433,6 +443,17 @@ def test_ingest_retains_a_fixed_number_of_tracked_objects(n):
     assert retained_tracked_objects(lambda: parse_branch_table(delimited)) <= RETAINED_PER_TABLE
     assert retained_tracked_objects(lambda: parse_branch_table(doc, "json")) <= RETAINED_PER_TABLE
     assert retained_tracked_objects(lambda: renumber_sequential(table)) <= RETAINED_PER_TABLE
+
+
+@pytest.mark.parametrize("n", [500, 2000])
+def test_validate_and_solve_retain_a_bounded_number_of_tracked_objects(n):
+    """validate_radial keeps a PerUnitBranch and two Phasors per branch and a
+    few fixed objects; a solve's report keeps a fixed few whatever the size.
+    Keeping the per-unit branches as columns may only lower the first bound."""
+    table, _ = renumber_sequential(parse_branch_table(seeded_feeder_texts(n, seed=n)[0]))
+    assert retained_tracked_objects(lambda: validate_radial(table)) <= 3 * n + RETAINED_PER_TABLE
+    net = validate_radial(table)
+    assert retained_tracked_objects(lambda: solve(net)) <= RETAINED_PER_TABLE
 
 
 def scramble(table, rng):

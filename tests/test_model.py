@@ -131,6 +131,12 @@ class TestPhasorMap:
         assert view != {3: equal[3], 1: equal[1]}
         assert view == self.view()
 
+    def test_repr_shows_the_entries_as_phasors(self):
+        assert repr(self.view()) == (
+            "PhasorMap({3: Phasor(re=1.0, im=-0.5), 1: Phasor(re=0.25, im=0.0), "
+            "7: Phasor(re=-2.0, im=3.5)})"
+        )
+
     def test_dict_round_trip(self):
         copy = dict(self.view())
         assert copy == self.as_dict()
@@ -141,6 +147,9 @@ class TestPerUnitBase:
     def test_z_base_relation(self):
         base = PerUnitBase(kv_base=12.66, mva_base=10.0)
         assert base.z_base == 12.66 * 12.66 / 10.0
+
+    def test_kw_base_relation(self):
+        assert PerUnitBase(kv_base=12.66, mva_base=2.5).kw_base == 2500.0
 
     @pytest.mark.parametrize("kv,mva", [(0.0, 10.0), (-1.0, 10.0), (12.66, 0.0), (12.66, -5.0),
                                         (1e-300, 10.0), (1e200, 10.0), (12.66, 1e306)])

@@ -3,11 +3,20 @@ import random
 import pytest
 
 from conftest import chain_table, criterion_2_tables, make_table
+from radialflow import oracle
 from radialflow.cli import generate_random_table
 from radialflow.ingest import validate_radial
 from radialflow.model import Phasor, SolveState
 from radialflow.oracle import baseline_solve, downstream_sets, downstream_sum, power_balance
-from radialflow.solver import backward_sweep, compute_load_currents, find_leaf_nodes
+from radialflow.solver import (
+    POLAR_AGREEMENT_TOL,
+    SolveOptions,
+    backward_sweep,
+    compute_load_currents,
+    find_leaf_nodes,
+    forward_sweep,
+    solve,
+)
 
 
 class TestDownstreamSets:
@@ -94,6 +103,26 @@ class TestBaselineSolve:
         for net in nets:
             base = baseline_solve(net)
             assert base.final_branch_current == downstream_sum(net, base.final_load_current)
+
+    @pytest.mark.parametrize("fixture", ["bus69_net", "bus33_net"])
+    def test_debug_polar_reports_the_worst_deviation(self, request, fixture, monkeypatch):
+        """Both solvers check every pass in polar form and report the worst
+        disagreement they saw; the baseline's is the largest its forward
+        sweeps returned."""
+        net = request.getfixturevalue(fixture)
+        options = SolveOptions(debug_polar=True)
+        passes = []
+
+        def recorded(*args):
+            passes.append(forward_sweep(*args))
+            return passes[-1]
+
+        monkeypatch.setattr(oracle, "forward_sweep", recorded)
+        base = baseline_solve(net, options)
+        assert len(passes) == base.iterations
+        assert base.max_polar_deviation == max(passes) > 0.0
+        for report in (solve(net, options), base):
+            assert 0.0 < report.max_polar_deviation <= POLAR_AGREEMENT_TOL
 
     def test_loss_totals_match_solver(self, bus69_net, bus69_report):
         base = baseline_solve(bus69_net)

@@ -17,10 +17,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import format_branch_table
 from radialflow.cli import main
 from radialflow.ingest import (
     RawTable,
-    format_branch_table,
     parse_branch_table,
     renumber_sequential,
     validate_radial,

@@ -592,6 +592,17 @@ class TestFlatSolveMatchesPhaseFunctions:
         with pytest.raises(NumericError, match="^non-finite voltage on branch 2$"):
             solve(net, SolveOptions(debug_polar=True))
 
+    def test_non_finite_voltage_names_the_same_branch(self):
+        net = validate_radial(make_table([
+            (1, 1, 2, 0.1, 0.1, 0.0, 0.0),
+            (2, 2, 3, 1e300, 0.0, 1e15, 0.0),
+        ]))
+        with pytest.raises(NumericError) as flat:
+            solve(net)
+        with pytest.raises(NumericError) as reference:
+            phase_function_solve(net, SolveOptions())
+        assert str(flat.value) == str(reference.value) == "non-finite voltage on branch 2"
+
     def test_collapse_names_the_node(self):
         # 1 p.u. load through 1 p.u. resistance: the first sweep drives V2 to 0
         zb = rf.DEFAULT_BASE.z_base
