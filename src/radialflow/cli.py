@@ -3,8 +3,6 @@ golden voltage table, and benchmark step counts on random feeders."""
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import math
 import os
 import random
@@ -91,8 +89,7 @@ def _in_input_ids(report, mapping):
     network's ids."""
     node = mapping.node_new_to_old
     branch = {new: old for old, new in mapping.branch_old_to_new.items()}
-    return dataclasses.replace(
-        report,
+    return report._replace(
         node_voltages=tuple(sorted((node[n], v, a) for n, v, a in report.node_voltages)),
         branch_currents=tuple(sorted((branch[b], i) for b, i in report.branch_currents)),
         branch_losses=tuple(sorted((branch[b], p, q) for b, p, q in report.branch_losses)),
@@ -125,6 +122,8 @@ def _report_lines(report) -> list[str]:
 
 
 def _report_json(report) -> str:
+    import json  # here, so that the other formats do not load it
+
     doc = {
         "converged": report.converged,
         **_summary(report),

@@ -22,12 +22,15 @@ typed error: ParseError or DataError for bad input text and values,
 TopologyError (prefixed with the table's source) for anything that is not a
 tree rooted at the requested root. TopologyError and OrderingError live in
 model and are importable from here too.
+
+RawTable is an immutable __slots__ class and RenumberMapping a namedtuple
+record, both on model's bases (model._Frozen, model._Record); json is imported
+by the JSON reader only, so reading a delimited table does not load it.
 """
 from __future__ import annotations
 
 import heapq
-import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .model import (  # TopologyError and OrderingError are also ingest's names
     DEFAULT_BASE,
@@ -38,8 +41,9 @@ from .model import (  # TopologyError and OrderingError are also ingest's names
     PerUnitBase,
     TopologyError,
     _check_row,
+    _Frozen,
     _per_unit_branch,
-    _record_values,
+    _Record,
     radial_tree,
 )
 
@@ -48,28 +52,25 @@ class ParseError(DataError):
     """Malformed input text; carries the offending line number in the message."""
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class RawTable:
+class RawTable(_Frozen):
     """Parsed branch rows before validation, in physical units, as columns.
 
     columns holds nine parallel tuples, one per BranchRecord field in field
     order (branch_id, sending_node, receiving_node, resistance, reactance,
     load_p, load_q, capacity, is_tie); entry k of each is row k. The parsers
     and renumber_sequential fill the columns directly, and RawTable(rows=...)
-    reads them off BranchRecords with model._record_values. rows, closed_rows()
-    and tie_rows() build equal BranchRecords on demand, so the objects a table
-    keeps for the cyclic collector to track are a fixed few whatever its size.
+    transposes BranchRecords, which are tuples of those fields. rows,
+    closed_rows() and tie_rows() build equal BranchRecords on demand, so the
+    objects a table keeps for the cyclic collector to track are a fixed few
+    whatever its size. A table is immutable; it equals, and hashes as, the
+    tuple of its four fields.
     """
 
-    columns: tuple[tuple, ...]
-    source_name: str
-    declared_base: PerUnitBase | None
-    declared_root: int | None
+    __slots__ = __match_args__ = ("columns", "source_name", "declared_base", "declared_root")
 
     def __init__(self, rows, source_name: str = "<memory>",
                  declared_base: PerUnitBase | None = None, declared_root: int | None = None):
-        self._fill(_columns(map(_record_values, rows)), source_name, declared_base,
-                   declared_root)
+        self._fill(_columns(rows), source_name, declared_base, declared_root)
 
     @classmethod
     def _from_columns(cls, columns, source_name, declared_base=None, declared_root=None):
@@ -90,6 +91,12 @@ class RawTable:
         object.__setattr__(self, "source_name", source_name)
         object.__setattr__(self, "declared_base", declared_base)
         object.__setattr__(self, "declared_root", declared_root)
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return RawTable._from_columns, self._values()
 
     def __repr__(self) -> str:
         return (f"RawTable(rows={self.rows!r}, source_name={self.source_name!r}, "
@@ -177,6 +184,8 @@ def _number(value, key: str, kind: type):
 
 
 def _parse_json(text: str, source: str) -> tuple[tuple[tuple, ...], PerUnitBase | None, int | None]:
+    import json  # here, so that reading a delimited table does not load it
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -301,13 +310,11 @@ def validate_radial(
     return net
 
 
-@dataclass(frozen=True)
-class RenumberMapping:
+class RenumberMapping(_Record, namedtuple(
+        "RenumberMapping", "node_old_to_new node_new_to_old branch_old_to_new")):
     """Old-to-new index maps produced by renumber_sequential."""
 
-    node_old_to_new: dict[int, int]
-    node_new_to_old: dict[int, int]
-    branch_old_to_new: dict[int, int]
+    __slots__ = ()
 
     def is_identity(self) -> bool:
         return all(o == n for o, n in self.node_old_to_new.items()) and all(

@@ -1,5 +1,15 @@
 """Core domain types: phasors, branch records, per-unit bases, networks, reports.
 
+The value types are immutable records, built without a class decorator so
+that importing the package stays cheap. Phasor, PerUnitBase, BranchRecord,
+PerUnitBranch and SolveReport are collections.namedtuple subclasses on
+_Record: a record is the tuple of its fields in field order, equals only a
+record of its own type with equal fields, hashes as that tuple, and _make and
+_replace build through the constructor, so they run its checks. NetworkModel
+and SolveState take == and repr from _Fields, over the fields their
+__match_args__ name; NetworkModel is a _Frozen __slots__ class, whose fields
+cannot be set after construction.
+
 radial_tree is the one check that closed branches form a tree rooted at the
 root, and the one place their adjacency is built; it reads the branches as id,
 sending-node and receiving-node columns. NetworkModel passes its branches'
@@ -8,17 +18,16 @@ branches in id order, so every caller names the same first defect.
 BranchRecord and both parsers check a row in one function, _check_row;
 to_per_unit and validate_radial convert a row in one function,
 _per_unit_branch. Both take a row as the BranchRecord fields in field order,
-the order in which _record_values reads a record (for BranchRecord's own
-check, to_per_unit and RawTable(rows=...)). PerUnitBase.kw_base is the one kW
-scale, and NetworkModel.check_ordering the one place that raises the
-OrderingError that validate_radial and solve refuse an unordered network with.
+which is what a BranchRecord is (for its own check, to_per_unit and
+RawTable(rows=...)). PerUnitBase.kw_base is the one kW scale, and
+NetworkModel.check_ordering the one place that raises the OrderingError that
+validate_radial and solve refuse an unordered network with.
 """
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass, field
-from operator import attrgetter
 
 
 class LoadFlowError(Exception):
@@ -44,6 +53,65 @@ class OrderingError(TopologyError):
 TWO_PI = 2.0 * math.pi
 
 
+class _Record(tuple):
+    """Base of the namedtuple records: equal only to a record of the same type
+    with equal fields, and _make (which _replace calls) builds through the
+    constructor, so both run its checks."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return tuple.__eq__(self, other)
+        # a tuple subclass is asked first, even on the right of ==; declining
+        # would let tuple.__eq__ compare the values
+        return False if isinstance(other, tuple) else NotImplemented
+
+    __ne__ = object.__ne__  # the negation of __eq__
+    __hash__ = tuple.__hash__
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _Fields:
+    """== and repr over the fields that __match_args__ names: equal only to
+    an instance of the same type with equal fields, shown as
+    Type(field=value, ...)."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Frozen(_Fields):
+    """A _Fields class whose attributes cannot be set or deleted once its
+    __init__ has set them with object.__setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, as they cannot set a field
+        return type(self), self._values()
+
+
 def wrap_angle(angle: float) -> float:
     """Normalize an angle in radians to (-pi, pi]."""
     a = math.fmod(angle, TWO_PI)
@@ -54,16 +122,14 @@ def wrap_angle(angle: float) -> float:
     return a
 
 
-@dataclass(frozen=True, slots=True)
-class Phasor:
+class Phasor(_Record, namedtuple("Phasor", "re im")):
     """A complex electrical quantity stored in rectangular form.
 
     The rectangular representation is authoritative; magnitude and angle are
     derived views. Addition of phasors is therefore exact complex addition.
     """
 
-    re: float
-    im: float
+    __slots__ = ()
 
     @classmethod
     def zero(cls) -> "Phasor":
@@ -144,27 +210,27 @@ class PhasorMap(Mapping):
         return f"PhasorMap({dict(self)!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class PerUnitBase:
+class PerUnitBase(_Record, namedtuple("PerUnitBase", "kv_base mva_base")):
     """Voltage/power base pair; the impedance base (z_base) and the power
     base in kW (kw_base) are derived from it."""
 
-    kv_base: float
-    mva_base: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.kv_base > 0.0) or not math.isfinite(self.kv_base):
-            raise DataError(f"kv_base must be positive and finite, got {self.kv_base}")
-        if not (self.mva_base > 0.0) or not math.isfinite(self.mva_base):
-            raise DataError(f"mva_base must be positive and finite, got {self.mva_base}")
+    def __new__(cls, kv_base: float, mva_base: float):
+        if not (kv_base > 0.0) or not math.isfinite(kv_base):
+            raise DataError(f"kv_base must be positive and finite, got {kv_base}")
+        if not (mva_base > 0.0) or not math.isfinite(mva_base):
+            raise DataError(f"mva_base must be positive and finite, got {mva_base}")
+        self = tuple.__new__(cls, (kv_base, mva_base))
         # what to_per_unit, build_report and compute_losses scale by
         z_base, kw_base = self.z_base, self.kw_base
         if not (0.0 < z_base < math.inf and 0.0 < kw_base < math.inf):
             raise DataError(
-                f"kv_base {self.kv_base} and mva_base {self.mva_base} give an impedance base "
+                f"kv_base {kv_base} and mva_base {mva_base} give an impedance base "
                 f"of {z_base} ohm and a power base of {kw_base} kW; both must be positive "
                 f"and finite"
             )
+        return self
 
     @property
     def z_base(self) -> float:
@@ -182,27 +248,24 @@ class PerUnitBase:
 DEFAULT_BASE = PerUnitBase(kv_base=12.66, mva_base=10.0)
 
 
-@dataclass(frozen=True, slots=True)
-class BranchRecord:
-    """One row of a branch table, in physical units (ohms, kW, kVAr, kVA)."""
+class BranchRecord(_Record, namedtuple(
+        "BranchRecord",
+        "branch_id sending_node receiving_node resistance reactance load_p load_q capacity is_tie")):
+    """One row of a branch table, in physical units (ohms, kW, kVAr, kVA).
 
-    branch_id: int
-    sending_node: int
-    receiving_node: int
-    resistance: float
-    reactance: float
-    load_p: float
-    load_q: float
-    capacity: float | None = None
-    is_tie: bool = False
+    Its fields in field order are the order _check_row, _per_unit_branch and
+    RawTable's columns take a row in.
+    """
 
-    def __post_init__(self):
-        _check_row(*_record_values(self))
+    __slots__ = ()
 
-
-# a record's fields in field order, the order _check_row, _per_unit_branch and
-# RawTable's columns take them in
-_record_values = attrgetter(*BranchRecord.__match_args__)
+    def __new__(cls, branch_id: int, sending_node: int, receiving_node: int, resistance: float,
+                reactance: float, load_p: float, load_q: float, capacity: float | None = None,
+                is_tie: bool = False):
+        row = (branch_id, sending_node, receiving_node, resistance, reactance, load_p, load_q,
+               capacity, is_tie)
+        _check_row(*row)
+        return tuple.__new__(cls, row)
 
 
 def _check_row(branch_id, sending_node, receiving_node, resistance, reactance, load_p, load_q,
@@ -229,17 +292,12 @@ def _check_row(branch_id, sending_node, receiving_node, resistance, reactance, l
         raise DataError(f"branch {branch_id}: tie-line must carry zero load")
 
 
-@dataclass(frozen=True, slots=True)
-class PerUnitBranch:
+class PerUnitBranch(_Record, namedtuple(
+        "PerUnitBranch", "branch_id sending_node receiving_node z s_load capacity is_tie",
+        defaults=(None, False))):
     """A branch with impedance and receiving-end load converted to per-unit."""
 
-    branch_id: int
-    sending_node: int
-    receiving_node: int
-    z: Phasor
-    s_load: Phasor
-    capacity: float | None = None
-    is_tie: bool = False
+    __slots__ = ()
 
 
 def to_per_unit(record: BranchRecord, base: PerUnitBase) -> PerUnitBranch:
@@ -249,7 +307,7 @@ def to_per_unit(record: BranchRecord, base: PerUnitBase) -> PerUnitBranch:
     convert impedance only. A finite value can overflow on a tiny base; that
     raises a DataError naming the branch, the field and both bases.
     """
-    return _per_unit_branch(*_record_values(record), base)
+    return _per_unit_branch(*record, base)
 
 
 def _per_unit_branch(branch_id, sending_node, receiving_node, resistance, reactance, load_p,
@@ -351,15 +409,15 @@ def _unreached(ids, sending, receiving, root: int, parent: dict[int, int],
     return TopologyError(f"cycle through branch {ids[k]} ({sending[k]}->{receiving[k]})")
 
 
-@dataclass(frozen=True)
-class NetworkModel:
+class NetworkModel(_Frozen):
     """A radial network in per-unit, checked as a tree on construction.
 
     branches hold the closed branches only; tie lines are parsed but never
     energized. validate_radial passes both sorted by id. Construction runs
-    radial_tree on the branches' id, sending and receiving columns and the tie
-    lines' ends, so a network that is not a tree rooted at root, or whose tie
-    lines end outside it, raises TopologyError. Every topology fact
+    radial_tree on the branches' id, sending and receiving columns, read off
+    the branch tuples in one transpose, and the tie lines' ends, so a network
+    that is not a tree rooted at root, or whose tie lines end outside it,
+    raises TopologyError. Every topology fact
     is derived from branches and root, here and nowhere else: children maps
     each node to the ids of the branches it feeds, in the order of branches;
     parent_branch maps each receiving node to the branch feeding it;
@@ -370,49 +428,42 @@ class NetworkModel:
     through a branch with an id that is not smaller. It is None when the
     sequential numbering the stack sweep relies on holds, and check_ordering
     raises the OrderingError that names it otherwise. Instances are immutable
-    after construction.
+    after construction; == and repr cover the four constructor arguments,
+    which determine the rest.
     """
 
-    branches: tuple[PerUnitBranch, ...]
-    root: int
-    tie_lines: tuple[BranchRecord, ...]
-    base: PerUnitBase
-    # derived values, filled in __post_init__
-    children: dict[int, tuple[int, ...]] = field(init=False, repr=False)
-    parent_branch: dict[int, int] = field(init=False, repr=False)
-    node_load: dict[int, Phasor] = field(init=False, repr=False)
-    sorted_nodes: tuple[int, ...] = field(init=False, repr=False)
-    node_index: dict[int, int] = field(init=False, repr=False)
-    branch_position: dict[int, int] = field(init=False, repr=False)
-    unordered_branch: int | None = field(init=False, repr=False)
+    __slots__ = ("branches", "root", "tie_lines", "base", "children", "parent_branch",
+                 "node_load", "sorted_nodes", "node_index", "branch_position", "unordered_branch")
+    __match_args__ = ("branches", "root", "tie_lines", "base")
 
-    def __post_init__(self):
-        branches = self.branches
-        ids = [b.branch_id for b in branches]
-        sending = [b.sending_node for b in branches]
-        receiving = [b.receiving_node for b in branches]
+    def __init__(self, branches: tuple[PerUnitBranch, ...], root: int,
+                 tie_lines: tuple[BranchRecord, ...], base: PerUnitBase):
+        # the columns of the PerUnitBranch fields; an empty network gets empty
+        # columns, which radial_tree refuses
+        ids, sending, receiving, _, loads, _, _ = tuple(zip(*branches)) or ((),) * 7
         parent, out = radial_tree(
-            ids, sending, receiving, self.root,
-            [(t.branch_id, t.sending_node, t.receiving_node) for t in self.tie_lines],
+            ids, sending, receiving, root,
+            [(t.branch_id, t.sending_node, t.receiving_node) for t in tie_lines],
         )
         # a tree's nodes are its root and its receiving nodes
-        nodes = tuple(sorted([self.root, *parent]))
+        nodes = tuple(sorted([root, *parent]))
         children = dict.fromkeys(nodes, ())
         children.update((s, tuple([ids[k] for k in fed])) for s, fed in out.items())
         load = dict.fromkeys(nodes, Phasor.zero())
-        load.update((b.receiving_node, b.s_load) for b in branches)
+        load.update(zip(receiving, loads))
         position = dict(zip(ids, range(len(ids))))
         # the root has no feeding branch and gets position -1, so it never counts
         unordered = next(
             (ids[k] for k, s in enumerate(sending) if position.get(parent.get(s), -1) >= k),
             None,
         )
-        derived = dict(
-            children=children, parent_branch=parent, node_load=load, sorted_nodes=nodes,
+        fields = dict(
+            branches=branches, root=root, tie_lines=tie_lines, base=base, children=children,
+            parent_branch=parent, node_load=load, sorted_nodes=nodes,
             node_index=dict(zip(nodes, range(len(nodes)))), branch_position=position,
             unordered_branch=unordered,
         )
-        for name, value in derived.items():
+        for name, value in fields.items():
             object.__setattr__(self, name, value)
 
     def nodes(self) -> tuple[int, ...]:
@@ -441,14 +492,17 @@ class NetworkModel:
         return len(self.branches)
 
 
-@dataclass
-class SolveState:
+class SolveState(_Fields):
     """Mutable per-iteration arrays for one solve."""
 
-    node_voltage: dict[int, Phasor]
-    load_current: dict[int, Phasor]
-    branch_current: dict[int, Phasor]
-    prev_voltage_mag: dict[int, float]
+    __match_args__ = ("node_voltage", "load_current", "branch_current", "prev_voltage_mag")
+
+    def __init__(self, node_voltage: dict[int, Phasor], load_current: dict[int, Phasor],
+                 branch_current: dict[int, Phasor], prev_voltage_mag: dict[int, float]):
+        self.node_voltage = node_voltage
+        self.load_current = load_current
+        self.branch_current = branch_current
+        self.prev_voltage_mag = prev_voltage_mag
 
     @classmethod
     def flat_start(cls, net: NetworkModel) -> "SolveState":
@@ -464,8 +518,11 @@ class SolveState:
         )
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(_Record, namedtuple("SolveReport", (
+        "converged iterations node_voltages branch_currents branch_losses total_loss_p "
+        "total_loss_q step_count_proposed step_count_baseline leaf_count pre_loop_steps "
+        "per_iteration_steps delta_history max_polar_deviation final_voltage "
+        "final_load_current final_branch_current"))):
     """Converged results plus instrumentation for one solve.
 
     node_voltages rows are (node, magnitude p.u., angle degrees) sorted by
@@ -478,23 +535,7 @@ class SolveReport:
     oracle.baseline_solve, which runs the baseline, only step_count_baseline.
     """
 
-    converged: bool
-    iterations: int
-    node_voltages: tuple[tuple[int, float, float], ...]
-    branch_currents: tuple[tuple[int, float], ...]
-    branch_losses: tuple[tuple[int, float, float], ...]
-    total_loss_p: float
-    total_loss_q: float
-    step_count_proposed: int
-    step_count_baseline: int
-    leaf_count: int
-    pre_loop_steps: int
-    per_iteration_steps: tuple[int, ...]
-    delta_history: tuple[float, ...]
-    max_polar_deviation: float | None
-    final_voltage: PhasorMap
-    final_load_current: PhasorMap
-    final_branch_current: PhasorMap
+    __slots__ = ()
 
     def voltage_magnitude(self, node: int) -> float:
         return self.final_voltage[node].magnitude

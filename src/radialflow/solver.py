@@ -27,6 +27,11 @@ SolveReport that keeps those lists and shows them as read-only Phasor views
 (final_*); solve hands over the sweep's own lists and oracle.baseline_solve
 its dicts' values, so both return the same layout.
 
+SolveOptions is a model._Record namedtuple, so options that would end a solve
+in a TypeError or a first-pass "convergence" (a max_iterations that is not an
+int, an infinite tolerance) are refused however the record is built, _replace
+included; StepCounter is a plain mutable class.
+
 The dict-based phase functions below (compute_load_currents, backward_sweep,
 forward_sweep, check_convergence) count their steps and remain the reference
 implementation: the tests require solve to reproduce them exactly,
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .model import (
     LoadFlowError,
@@ -46,6 +51,8 @@ from .model import (
     PhasorMap,
     SolveReport,
     SolveState,
+    _Fields,
+    _Record,
     wrap_angle,
 )
 
@@ -78,8 +85,7 @@ class PolarMismatchError(LoadFlowError):
 POLAR_AGREEMENT_TOL = 1e-10
 
 
-@dataclass
-class StepCounter:
+class StepCounter(_Fields):
     """Running total of elementary operations over a solve.
 
     total only grows: find_leaf_nodes, is_leaf, the phase functions and the
@@ -87,21 +93,31 @@ class StepCounter:
     what a call that raises has added is unspecified.
     """
 
-    total: int = 0
+    __match_args__ = ("total",)
+
+    def __init__(self, total: int = 0):
+        self.total = total
 
 
-@dataclass(frozen=True)
-class SolveOptions:
-    tolerance: float = 0.0001
-    max_iterations: int = 100
-    debug_polar: bool = False
-    literal_scan: bool = False
+class SolveOptions(_Record, namedtuple(
+        "SolveOptions", "tolerance max_iterations debug_polar literal_scan")):
+    """How solve iterates: until every node's voltage-magnitude change is at
+    most tolerance (positive and finite), for at most max_iterations passes
+    (an int, at least 1)."""
 
-    def __post_init__(self):
-        if not (self.tolerance > 0.0):
+    __slots__ = ()
+
+    def __new__(cls, tolerance: float = 0.0001, max_iterations: int = 100,
+                debug_polar: bool = False, literal_scan: bool = False):
+        if not (tolerance > 0.0):
             raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
+        if tolerance == math.inf:  # every pass would count as converged
+            raise ValueError("tolerance must be finite")
+        if not isinstance(max_iterations, int) or isinstance(max_iterations, bool):
+            raise ValueError("max_iterations must be an integer")
+        if max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        return tuple.__new__(cls, (tolerance, max_iterations, debug_polar, literal_scan))
 
 
 def find_leaf_nodes(net: NetworkModel, counter: StepCounter | None = None) -> tuple[int, ...]:

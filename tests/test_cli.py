@@ -511,13 +511,19 @@ def test_bundled_data_reads_without_default_encoding():
 
 
 def test_cli_import_leaves_the_oracle_unloaded():
-    """radialflow loads its oracle on first use, which no CLI command makes."""
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, radialflow.cli; print('radialflow.oracle' in sys.modules)"],
-        capture_output=True, env=subprocess_env(), text=True, timeout=60,
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+    """radialflow loads its oracle on first use, which no CLI command makes,
+    and neither it nor the CLI imports dataclasses, inspect or json to start.
+    A module the interpreter had loaded before the import (a site hook's, as
+    `python -c pass` would load it) does not count."""
+    watched = ["dataclasses", "inspect", "json", "radialflow.oracle"]
+    for module in ("radialflow.cli", "radialflow"):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys; bare = set(sys.modules); import {module}; "
+             f"print(sorted(set({watched!r}) & (set(sys.modules) - bare)))"],
+            capture_output=True, env=subprocess_env(), text=True, timeout=60,
+        )
+        assert (module, proc.returncode, proc.stdout, proc.stderr) == (module, 0, "[]\n", "")
 
 
 class TestBench:

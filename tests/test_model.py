@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -271,6 +273,99 @@ class TestNetworkModel:
         assert net.unordered_branch == 2
         with pytest.raises(rf.OrderingError, match="^branch 2 precedes the branch feeding"):
             rf.solve(net)
+
+
+def value_types():
+    """One instance of each public value type, keyed by the type's name."""
+    table = rf.RawTable(rows=(BranchRecord(2, 2, 3, 0.1, 0.1, 10.0, 5.0),
+                              BranchRecord(1, 1, 2, 0.1, 0.1, 10.0, 5.0)), source_name="t")
+    net = rf.validate_radial(table)
+    values = (
+        Phasor(1.0, 2.0),
+        PerUnitBase(12.66, 10.0),
+        BranchRecord(1, 1, 2, 0.1, 0.2, 3.0, 4.0),
+        net.branches[0],
+        rf.solve(net),
+        rf.SolveOptions(),
+        rf.renumber_sequential(table)[1],
+        net,
+        table,
+    )
+    return {type(v).__name__: v for v in values}
+
+
+VALUE_TYPES = sorted(value_types())
+
+
+def fields_of(value):
+    return tuple(getattr(value, name) for name in type(value).__match_args__)
+
+
+class TestValueSemantics:
+    """Every public value type is immutable and equals only a value of its
+    own type; the record types' _make and _replace run the constructor's
+    checks."""
+
+    @pytest.mark.parametrize("name", VALUE_TYPES)
+    def test_fields_cannot_be_assigned(self, name):
+        value = value_types()[name]
+        for field in (*type(value).__match_args__, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, field, None)
+
+    @pytest.mark.parametrize("name", VALUE_TYPES)
+    def test_not_equal_to_the_tuple_of_its_fields(self, name):
+        value = value_types()[name]
+        values = fields_of(value)
+        assert value != values and values != value
+        assert not (value == values) and not (values == value)
+        assert value == value_types()[name]
+
+    @pytest.mark.parametrize("name", VALUE_TYPES)
+    def test_pickle_and_copy_rebuild_an_equal_value(self, name):
+        value = value_types()[name]
+        for rebuilt in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                        copy.deepcopy(value)):
+            assert type(rebuilt) is type(value) and rebuilt == value
+
+    def test_not_equal_to_a_record_of_another_type(self):
+        phasor, base = Phasor(12.66, 10.0), PerUnitBase(12.66, 10.0)
+        assert phasor != base and base != phasor and not (phasor == base)
+        assert len({phasor, base}) == 2
+
+    @pytest.mark.parametrize("name", ["Phasor", "PerUnitBase", "BranchRecord", "PerUnitBranch",
+                                      "SolveOptions", "RawTable"])
+    def test_hash_is_that_of_the_fields(self, name):
+        value = value_types()[name]
+        assert hash(value) == hash(fields_of(value))
+
+    @pytest.mark.parametrize("name", ["Phasor", "PerUnitBase", "BranchRecord", "PerUnitBranch",
+                                      "SolveReport", "SolveOptions", "RenumberMapping"])
+    def test_replace_and_make_rebuild_an_equal_record(self, name):
+        value = value_types()[name]
+        assert value._replace() == value and type(value._replace()) is type(value)
+        assert value._make(fields_of(value)) == value
+
+    @pytest.mark.parametrize("value,change,error", [
+        (PerUnitBase(12.66, 10.0), {"kv_base": 0.0}, DataError),
+        (PerUnitBase(12.66, 10.0), {"mva_base": 1e306}, DataError),
+        (BranchRecord(1, 1, 2, 0.1, 0.2, 3.0, 4.0), {"resistance": -1.0}, DataError),
+        (BranchRecord(1, 1, 2, 0.1, 0.2, 3.0, 4.0), {"receiving_node": 1}, DataError),
+        (BranchRecord(1, 1, 2, 0.1, 0.2, 3.0, 4.0), {"is_tie": True}, DataError),
+        (rf.SolveOptions(), {"tolerance": 0.0}, ValueError),
+        (rf.SolveOptions(), {"max_iterations": 0}, ValueError),
+    ], ids=["kv-zero", "kw-base-overflow", "negative-resistance", "self-loop", "tie-with-load",
+            "zero-tolerance", "zero-iterations"])
+    def test_replace_and_make_run_the_checks(self, value, change, error):
+        fields = {name: getattr(value, name) for name in type(value).__match_args__}
+        fields.update(change)
+        with pytest.raises(error) as built:
+            type(value)(**fields)
+        with pytest.raises(error) as replaced:
+            value._replace(**change)
+        with pytest.raises(error) as made:
+            type(value)._make(fields.values())
+        assert str(replaced.value) == str(made.value) == str(built.value)
 
 
 def test_public_api_is_pinned():

@@ -6,7 +6,6 @@ examples. (Hypothesis still caches the constants it reads from the source in
 .hypothesis/constants/ while it collects; .gitignore lists that directory.)
 """
 import contextlib
-import dataclasses
 import io
 import json
 from operator import attrgetter
@@ -64,7 +63,7 @@ def test_format_then_parse_returns_the_table(table):
 def test_json_dump_then_parse_returns_the_rows(table):
     keys = ("id", "from", "to", "r", "x", "p", "q", "cap", "open")
     branches = [
-        {key: value for key, value in zip(keys, dataclasses.astuple(r)) if value is not None}
+        {key: value for key, value in zip(keys, r) if value is not None}
         for r in table.rows
     ]
     again = parse_branch_table(json.dumps({"branches": branches}), "json", source_name="t")
@@ -103,11 +102,11 @@ def test_renumbered_rows_map_back_to_the_input(drawn):
     assert [r.branch_id for r in renamed.rows] == list(range(1, len(table.rows) + 1))
     node = mapping.node_new_to_old
     branch = {new: old for old, new in mapping.branch_old_to_new.items()}
-    back = [dataclasses.replace(r, branch_id=branch[r.branch_id],
-                                sending_node=node[r.sending_node],
-                                receiving_node=node[r.receiving_node])
+    back = [r._replace(branch_id=branch[r.branch_id],
+                       sending_node=node[r.sending_node],
+                       receiving_node=node[r.receiving_node])
             for r in renamed.rows]
-    expected = [dataclasses.replace(r, load_p=0.0, load_q=0.0) if r.is_tie else r
+    expected = [r._replace(load_p=0.0, load_q=0.0) if r.is_tie else r
                 for r in table.rows]
     by_id = attrgetter("branch_id")
     assert ([repr(r) for r in sorted(back, key=by_id)]

@@ -304,6 +304,27 @@ class TestSolve:
         with pytest.raises(ValueError, match=message):
             SolveOptions(**field)
 
+    @pytest.mark.parametrize("field,message", [
+        ({"tolerance": math.inf}, "tolerance must be finite"),
+        ({"max_iterations": 2.5}, "max_iterations must be an integer"),
+        ({"max_iterations": 3.0}, "max_iterations must be an integer"),
+        ({"max_iterations": True}, "max_iterations must be an integer"),
+        ({"max_iterations": "3"}, "max_iterations must be an integer"),
+    ], ids=["infinite-tolerance", "fractional-iterations", "float-iterations",
+            "bool-iterations", "text-iterations"])
+    def test_unusable_options_rejected_on_every_path(self, field, message):
+        """A limit that is not an int would end a solve in range's TypeError,
+        and an infinite tolerance would count the first pass as converged."""
+        (name, value), = field.items()
+        defaults = SolveOptions()
+        position = SolveOptions.__match_args__.index(name)
+        values = list(defaults)
+        values[position] = value
+        for build in (lambda: SolveOptions(**field), lambda: SolveOptions(*values),
+                      lambda: SolveOptions._make(values), lambda: defaults._replace(**field)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build()
+
     def test_non_convergence_reported(self):
         # absurd load so the sweep oscillates or collapses instead of settling
         net = validate_radial(chain_table([(80000.0, 60000.0)], impedance=(8.0, 4.0)))
@@ -342,13 +363,13 @@ class TestSolve:
 class TestReportLayout:
     def test_solve_constructs_no_phasor(self, bus69_net, monkeypatch):
         made = []
-        init = Phasor.__init__
+        new = Phasor.__new__
 
-        def counting_init(self, *args, **kwargs):
+        def counting_new(cls, *args, **kwargs):
             made.append(args)
-            init(self, *args, **kwargs)
+            return new(cls, *args, **kwargs)
 
-        monkeypatch.setattr(Phasor, "__init__", counting_init)
+        monkeypatch.setattr(Phasor, "__new__", counting_new)
         report = solve(bus69_net)
         assert made == []
         assert report.voltage_magnitude(65) < 1.0  # a view makes a Phasor when read
