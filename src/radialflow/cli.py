@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import random
 import sys
 from pathlib import Path
 
@@ -184,8 +183,9 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def generate_random_table(n: int, leaf_fraction: float, rng: random.Random) -> RawTable:
-    """Seeded random radial feeder with roughly the requested leaf fraction.
+def generate_random_table(n: int, leaf_fraction: float, rng) -> RawTable:
+    """Seeded random radial feeder with roughly the requested leaf fraction,
+    drawn from rng, a random.Random (not imported here: only bench uses it).
 
     Node k attaches to an already-placed parent; attaching to an internal node
     adds a leaf, attaching to a leaf keeps the count, so the builder steers the
@@ -224,6 +224,8 @@ def generate_random_table(n: int, leaf_fraction: float, rng: random.Random) -> R
 
 
 def cmd_bench(args) -> int:
+    import random  # here, as no other command uses it
+
     cells = sorted((n, f) for n in args.sizes for f in args.leaf_fractions)
     print("n leaf_frac m r iter_proposed pred_proposed iter_baseline pred_baseline saving")
     for n, frac in cells:

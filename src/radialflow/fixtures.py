@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from importlib import resources
 from pathlib import Path
 
 from .ingest import ParseError, RawTable, parse_branch_table
@@ -13,6 +12,10 @@ GOLDEN69 = "golden69_vmag.csv"
 
 
 def fixture_path(name: str) -> Path:
+    # imported here: importlib.resources loads tempfile and random, which no
+    # CLI command needs
+    from importlib import resources
+
     path = resources.files("radialflow.data").joinpath(name)
     return Path(str(path))
 

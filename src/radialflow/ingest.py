@@ -3,11 +3,13 @@
 A RawTable keeps its rows as nine parallel columns, one per BranchRecord
 field. Both parsers check each row with model._check_row, BranchRecord's own
 checks, and store it in the columns; no record is built on this path.
-validate_radial converts the closed branches, sorted by id, to per-unit
-straight from the columns and builds the NetworkModel, whose construction
-checks the tree (model.radial_tree) and derives the topology, the
-sequential-ordering verdict included; validate_radial refuses an unordered
-network through NetworkModel.check_ordering.
+validate_radial takes the closed branches' columns in id order, converts
+them to per-unit in one pass (model._per_unit_columns) and hands the columns
+to the NetworkModel, which keeps them as they are; no PerUnitBranch or Phasor
+is built. The model's construction checks the tree (model.radial_tree) and
+derives the topology, the sequential-ordering verdict included;
+validate_radial refuses an unordered network through
+NetworkModel.check_ordering.
 renumber_sequential runs the same radial_tree on the same id-sorted
 branches' columns, so both name the same first defect, whatever the order of
 the rows; a value that cannot be put in per-unit is a DataError that
@@ -42,7 +44,7 @@ from .model import (  # TopologyError and OrderingError are also ingest's names
     TopologyError,
     _check_row,
     _Frozen,
-    _per_unit_branch,
+    _per_unit_columns,
     _Record,
     radial_tree,
 )
@@ -291,14 +293,13 @@ def validate_radial(
     if base is None:
         base = table.declared_base if table.declared_base is not None else DEFAULT_BASE
     closed, ties = _by_id(table)
-    ids, sending, receiving, r, x, p, q, cap, _ = columns = table.columns
+    columns = table.columns
+    # the closed rows' columns in id order, but for is_tie (false on each)
+    ids, sending, receiving, r, x, p, q, cap = [tuple([c[k] for k in closed]) for c in columns[:-1]]
+    z, s_load = _per_unit_columns(ids, r, x, p, q, base)
     try:
-        net = NetworkModel(
-            branches=tuple([
-                _per_unit_branch(ids[k], sending[k], receiving[k], r[k], x[k], p[k], q[k], cap[k],
-                                 False, base)
-                for k in closed
-            ]),
+        net = NetworkModel._from_columns(
+            (ids, sending, receiving, z, s_load, cap),
             root=_root(table, root),
             tie_lines=tuple([BranchRecord(*[c[k] for c in columns]) for k in ties]),
             base=base,

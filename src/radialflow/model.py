@@ -12,22 +12,30 @@ cannot be set after construction.
 
 radial_tree is the one check that closed branches form a tree rooted at the
 root, and the one place their adjacency is built; it reads the branches as id,
-sending-node and receiving-node columns. NetworkModel passes its branches'
-columns and ingest.renumber_sequential the table's, both of the closed
-branches in id order, so every caller names the same first defect.
-BranchRecord and both parsers check a row in one function, _check_row;
-to_per_unit and validate_radial convert a row in one function,
-_per_unit_branch. Both take a row as the BranchRecord fields in field order,
-which is what a BranchRecord is (for its own check, to_per_unit and
-RawTable(rows=...)). PerUnitBase.kw_base is the one kW scale, and
-NetworkModel.check_ordering the one place that raises the OrderingError that
-validate_radial and solve refuse an unordered network with.
+sending-node and receiving-node columns. NetworkModel passes its own columns
+and ingest.renumber_sequential the table's, both of the closed branches in id
+order, so every caller names the same first defect.
+BranchRecord and both parsers check a row in one function, _check_row. It
+takes a row as the BranchRecord fields in field order, which is what a
+BranchRecord is; to_per_unit and RawTable(rows=...) read a record the same way.
+_per_unit_columns is the one per-unit conversion: validate_radial converts
+the closed branches' columns there, and to_per_unit a single row.
+
+NetworkModel keeps the closed branches as per-unit columns (ids, sending and
+receiving nodes, z and s_load as complex, capacity), and the solver reads
+those; branches is a read-only BranchView that builds a PerUnitBranch only
+when an entry is read, and node_load a PhasorMap over a per-node complex
+tuple, so no per-branch record or Phasor is built between parse and sweep.
+PerUnitBase.kw_base is the one kW scale, and NetworkModel.check_ordering the
+one place that raises the OrderingError that validate_radial and solve refuse
+an unordered network with.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
+from itertools import starmap
 
 
 class LoadFlowError(Exception):
@@ -253,8 +261,8 @@ class BranchRecord(_Record, namedtuple(
         "branch_id sending_node receiving_node resistance reactance load_p load_q capacity is_tie")):
     """One row of a branch table, in physical units (ohms, kW, kVAr, kVA).
 
-    Its fields in field order are the order _check_row, _per_unit_branch and
-    RawTable's columns take a row in.
+    Its fields in field order are the order _check_row and RawTable's columns
+    take a row in.
     """
 
     __slots__ = ()
@@ -307,33 +315,40 @@ def to_per_unit(record: BranchRecord, base: PerUnitBase) -> PerUnitBranch:
     convert impedance only. A finite value can overflow on a tiny base; that
     raises a DataError naming the branch, the field and both bases.
     """
-    return _per_unit_branch(*record, base)
-
-
-def _per_unit_branch(branch_id, sending_node, receiving_node, resistance, reactance, load_p,
-                     load_q, capacity, is_tie, base: PerUnitBase) -> PerUnitBranch:
-    """to_per_unit of one row given as the BranchRecord fields in field order;
-    validate_radial converts a table's columns row by row here."""
-    zb = base.z_base
-    r = resistance / zb
-    x = reactance / zb
+    branch_id, sending_node, receiving_node, resistance, reactance, p, q, capacity, is_tie = record
     if is_tie:
         p = q = 0.0
-    else:
-        kw_base = base.kw_base
-        p = load_p / kw_base
-        q = load_q / kw_base
-    # one test on the sum; only when it fails look for the field at fault, as
-    # _check_row does
-    if not math.isfinite(r + x + p + q):
-        for name, v in (("resistance", r), ("reactance", x), ("load_p", p), ("load_q", q)):
-            if not math.isfinite(v):
-                raise DataError(
-                    f"branch {branch_id}: {name} is not finite in per unit "
-                    f"(kv_base {base.kv_base}, mva_base {base.mva_base})"
-                )
-    return PerUnitBranch(branch_id, sending_node, receiving_node, Phasor(r, x), Phasor(p, q),
-                         capacity, is_tie)
+    (z,), (s,) = _per_unit_columns((branch_id,), (resistance,), (reactance,), (p,), (q,), base)
+    return PerUnitBranch(branch_id, sending_node, receiving_node, Phasor(z.real, z.imag),
+                         Phasor(s.real, s.imag), capacity, is_tie)
+
+
+def _per_unit_columns(ids, resistance, reactance, load_p, load_q, base: PerUnitBase):
+    """The per-unit impedance and load columns, as tuples of complex, of
+    branches given as physical columns; to_per_unit and validate_radial both
+    convert here.
+
+    A finite value can overflow on a tiny base. One test on the sum of both
+    columns finds that; only when it fails are the rows searched in column
+    order, and the first non-finite field (resistance, reactance, load_p,
+    load_q) raises a DataError naming the branch, the field and both bases.
+    """
+    zb = base.z_base
+    kw_base = base.kw_base
+    z = [complex(r / zb, x / zb) for r, x in zip(resistance, reactance)]
+    s = [complex(p / kw_base, q / kw_base) for p, q in zip(load_p, load_q)]
+    # a sum of finite values may also overflow; then the search finds nothing
+    total = sum(z) + sum(s)
+    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+        for branch_id, zk, sk in zip(ids, z, s):
+            for name, v in (("resistance", zk.real), ("reactance", zk.imag),
+                            ("load_p", sk.real), ("load_q", sk.imag)):
+                if not math.isfinite(v):
+                    raise DataError(
+                        f"branch {branch_id}: {name} is not finite in per unit "
+                        f"(kv_base {base.kv_base}, mva_base {base.mva_base})"
+                    )
+    return tuple(z), tuple(s)
 
 
 def radial_tree(ids, sending, receiving, root: int, tie_lines):
@@ -409,22 +424,73 @@ def _unreached(ids, sending, receiving, root: int, parent: dict[int, int],
     return TopologyError(f"cycle through branch {ids[k]} ({sending[k]}->{receiving[k]})")
 
 
+class BranchView(_Frozen, Sequence):
+    """Read-only view of a NetworkModel's branch columns as PerUnitBranches.
+
+    columns holds the six per-branch columns (branch id, sending node,
+    receiving node, z and s_load as complex, capacity); entry k of each is
+    branch k. A PerUnitBranch, with its two Phasors, is made only when an
+    entry is read, and every branch is closed (is_tie False). A view equals
+    another with equal columns and a tuple of equal PerUnitBranches, in
+    either order of ==.
+    """
+
+    __slots__ = __match_args__ = ("_columns",)
+
+    def __init__(self, columns: tuple[tuple, ...]):
+        object.__setattr__(self, "_columns", columns)
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self.__getitem__, range(len(self))[k]))
+        return _closed_branch(*[column[k] for column in self._columns])
+
+    def __iter__(self):
+        return map(_closed_branch, *self._columns)
+
+    def __eq__(self, other):
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return _Frozen.__eq__(self, other)
+
+    def __repr__(self) -> str:
+        return f"BranchView({tuple(self)!r})"
+
+
+def _closed_branch(branch_id, sending_node, receiving_node, z, s_load, capacity) -> PerUnitBranch:
+    """The PerUnitBranch of one entry of a BranchView's columns."""
+    return PerUnitBranch(branch_id, sending_node, receiving_node, Phasor(z.real, z.imag),
+                         Phasor(s_load.real, s_load.imag), capacity, False)
+
+
 class NetworkModel(_Frozen):
     """A radial network in per-unit, checked as a tree on construction.
 
-    branches hold the closed branches only; tie lines are parsed but never
-    energized. validate_radial passes both sorted by id. Construction runs
-    radial_tree on the branches' id, sending and receiving columns, read off
-    the branch tuples in one transpose, and the tie lines' ends, so a network
-    that is not a tree rooted at root, or whose tie lines end outside it,
-    raises TopologyError. Every topology fact
-    is derived from branches and root, here and nowhere else: children maps
-    each node to the ids of the branches it feeds, in the order of branches;
-    parent_branch maps each receiving node to the branch feeding it;
-    node_index and branch_position give each node's position in nodes() and
-    each branch's in branches. unordered_branch is the first branch whose
-    sending node is fed by a branch that does not come before it in
-    branches; with branches sorted by id, the first branch in id order fed
+    The closed branches are kept as columns, one entry per branch in the
+    order given: branch_ids, sending, receiving, z and s_load (per-unit
+    impedance and receiving-end load, as complex) and capacity. branches is a
+    read-only BranchView of those columns, which builds each PerUnitBranch
+    when it is read. Tie lines are parsed but never energized; tie_lines
+    keeps them as BranchRecords. validate_radial passes the columns of the
+    closed branches and the tie lines, both sorted by id, to _from_columns;
+    NetworkModel(branches, ...) transposes the PerUnitBranches it is given,
+    which must all be closed (is_tie false), into the same columns. Either
+    way construction runs radial_tree on the id, sending and receiving
+    columns and the tie lines' ends, so a network that is not a tree rooted
+    at root, or whose tie lines end outside it, raises TopologyError.
+
+    Every topology fact is derived from the columns and root, here and
+    nowhere else: children maps each node to the ids of the branches it
+    feeds, in branch order; parent_branch maps each receiving node to the
+    branch feeding it; node_index and branch_position give each node's
+    position in nodes() and each branch's in the columns. node_s_load holds
+    each node's load in nodes() order (0j where no load is fed), and
+    node_load is a read-only PhasorMap view of it. unordered_branch is the
+    first branch whose sending node is fed by a branch that does not come
+    before it; with branches sorted by id, the first branch in id order fed
     through a branch with an id that is not smaller. It is None when the
     sequential numbering the stack sweep relies on holds, and check_ordering
     raises the OrderingError that names it otherwise. Instances are immutable
@@ -432,15 +498,35 @@ class NetworkModel(_Frozen):
     which determine the rest.
     """
 
-    __slots__ = ("branches", "root", "tie_lines", "base", "children", "parent_branch",
+    __slots__ = ("branches", "root", "tie_lines", "base", "branch_ids", "sending", "receiving",
+                 "z", "s_load", "capacity", "children", "parent_branch", "node_s_load",
                  "node_load", "sorted_nodes", "node_index", "branch_position", "unordered_branch")
     __match_args__ = ("branches", "root", "tie_lines", "base")
 
-    def __init__(self, branches: tuple[PerUnitBranch, ...], root: int,
+    def __init__(self, branches: Sequence[PerUnitBranch], root: int,
                  tie_lines: tuple[BranchRecord, ...], base: PerUnitBase):
-        # the columns of the PerUnitBranch fields; an empty network gets empty
-        # columns, which radial_tree refuses
-        ids, sending, receiving, _, loads, _, _ = tuple(zip(*branches)) or ((),) * 7
+        # an empty network gets empty columns, which radial_tree refuses
+        ids, sending, receiving, z, s_load, capacity, is_tie = (
+            tuple(zip(*branches)) or ((),) * len(PerUnitBranch._fields))
+        for branch_id, tie in zip(ids, is_tie):
+            if tie:
+                raise DataError(
+                    f"branch {branch_id} is a tie line; a network holds closed branches only")
+        # a Phasor is the (re, im) pair complex() takes
+        self._fill((ids, sending, receiving, tuple(starmap(complex, z)),
+                    tuple(starmap(complex, s_load)), capacity), root, tie_lines, base)
+
+    @classmethod
+    def _from_columns(cls, columns: tuple[tuple, ...], root: int,
+                      tie_lines: tuple[BranchRecord, ...], base: PerUnitBase) -> "NetworkModel":
+        """The network of the six BranchView columns, given as tuples."""
+        net = object.__new__(cls)
+        net._fill(columns, root, tie_lines, base)
+        return net
+
+    def _fill(self, columns, root, tie_lines, base) -> None:
+        """Check the tree, derive the topology and set the fields."""
+        ids, sending, receiving, z, s_load, capacity = columns
         parent, out = radial_tree(
             ids, sending, receiving, root,
             [(t.branch_id, t.sending_node, t.receiving_node) for t in tie_lines],
@@ -449,8 +535,10 @@ class NetworkModel(_Frozen):
         nodes = tuple(sorted([root, *parent]))
         children = dict.fromkeys(nodes, ())
         children.update((s, tuple([ids[k] for k in fed])) for s, fed in out.items())
-        load = dict.fromkeys(nodes, Phasor.zero())
-        load.update(zip(receiving, loads))
+        load = dict.fromkeys(nodes, 0j)
+        load.update(zip(receiving, s_load))
+        node_s_load = tuple(load.values())
+        index = dict(zip(nodes, range(len(nodes))))
         position = dict(zip(ids, range(len(ids))))
         # the root has no feeding branch and gets position -1, so it never counts
         unordered = next(
@@ -458,9 +546,11 @@ class NetworkModel(_Frozen):
             None,
         )
         fields = dict(
-            branches=branches, root=root, tie_lines=tie_lines, base=base, children=children,
-            parent_branch=parent, node_load=load, sorted_nodes=nodes,
-            node_index=dict(zip(nodes, range(len(nodes)))), branch_position=position,
+            branches=BranchView(columns), root=root, tie_lines=tie_lines, base=base,
+            branch_ids=ids, sending=sending, receiving=receiving, z=z, s_load=s_load,
+            capacity=capacity, children=children, parent_branch=parent,
+            node_s_load=node_s_load, node_load=PhasorMap(index, node_s_load),
+            sorted_nodes=nodes, node_index=index, branch_position=position,
             unordered_branch=unordered,
         )
         for name, value in fields.items():
@@ -489,7 +579,7 @@ class NetworkModel(_Frozen):
 
     @property
     def branch_count(self) -> int:
-        return len(self.branches)
+        return len(self.branch_ids)
 
 
 class SolveState(_Fields):
@@ -513,7 +603,7 @@ class SolveState(_Fields):
         return cls(
             node_voltage={n: one for n in nodes},
             load_current={n: zero for n in nodes},
-            branch_current={b.branch_id: zero for b in net.branches},
+            branch_current={b: zero for b in net.branch_ids},
             prev_voltage_mag={n: 1.0 for n in nodes},
         )
 

@@ -21,7 +21,7 @@ def downstream_sets(net: NetworkModel) -> dict[int, tuple[int, ...]]:
     Built by walking every node's ancestor chain to the root, so it assumes
     nothing about branch ordering or the children adjacency.
     """
-    sets: dict[int, list[int]] = {b.branch_id: [] for b in net.branches}
+    sets: dict[int, list[int]] = {bid: [] for bid in net.branch_ids}
     for node in net.nodes():
         if node == net.root:
             continue
@@ -29,7 +29,7 @@ def downstream_sets(net: NetworkModel) -> dict[int, tuple[int, ...]]:
         while k != net.root:
             bid = net.parent_branch[k]
             sets[bid].append(node)
-            k = net.branches[net.branch_position[bid]].sending_node
+            k = net.sending[net.branch_position[bid]]
     return {bid: tuple(sorted(nodes)) for bid, nodes in sets.items()}
 
 
@@ -78,9 +78,9 @@ def _rescan_leaves(net: NetworkModel, counter: StepCounter) -> set[int]:
     leaves = set()
     for node in net.nodes():
         feeds_any = False
-        for b in net.branches:
+        for sending in net.sending:
             counter.total += 1
-            if b.sending_node == node:
+            if sending == node:
                 feeds_any = True
         if not feeds_any and node != net.root:
             leaves.add(node)
@@ -136,7 +136,7 @@ def baseline_solve(net: NetworkModel, options: SolveOptions | None = None) -> So
         net,
         [state.node_voltage[n].as_complex() for n in nodes],
         [state.load_current[n].as_complex() for n in nodes],
-        [state.branch_current[b.branch_id].as_complex() for b in net.branches],
+        [state.branch_current[bid].as_complex() for bid in net.branch_ids],
         iterations=iterations,
         step_count_proposed=0,
         step_count_baseline=counter.total,

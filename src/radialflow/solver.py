@@ -9,23 +9,26 @@ keeps one running total of the steps taken, and a caller that wants the steps
 of one stretch (before the loop, or one pass) reads the total before and after
 it.
 
-solve compiles the network once into flat index lists (sending and receiving
-node, parent branch, leaf flag) and complex lists (impedance, conjugate load),
-then sweeps those lists until the voltage profile settles; the forward sweep
-and the convergence check share one loop, and no per-branch loop reads an
-option. Step counts depend only on the topology, so they are known without
-running the baseline: pre_loop + r x per_iteration for the stack sweep, and
-r x its own per-iteration count for the per-iteration rescanning baseline,
-which does nothing before the loop. The compile pass counts is_leaf's binary
-search for each branch from a table of its per-outcome counts; the rest of each
-per-iteration count is a closed form in the node, branch and root-child
-counts and the node depths, and literal_scan's table scans are added once per
-solve. debug_polar checks each pass in polar form after its forward loop.
+solve reads the network's per-unit columns (NetworkModel.sending, receiving,
+z and node_s_load), never a PerUnitBranch, and compiles them once into flat
+index lists (sending and receiving node, parent branch, leaf flag) and complex
+lists (impedance, conjugate load), then sweeps those lists until the voltage
+profile settles; the forward sweep and the convergence check share one loop,
+and no per-branch loop reads an option. Step counts depend only on the
+topology, so they are known without running the baseline: pre_loop + r x
+per_iteration for the stack sweep, and r x its own per-iteration count for the
+per-iteration rescanning baseline, which does nothing before the loop. The
+compile pass counts is_leaf's binary search for each branch from a table of
+its per-outcome counts; the rest of each per-iteration count is a closed form
+in the node, branch and root-child counts and the node depths, and
+literal_scan's table scans are added once per solve. debug_polar checks each
+pass in polar form after its forward loop.
 
 build_report turns the final voltages and currents, as complex lists, into a
 SolveReport that keeps those lists and shows them as read-only Phasor views
-(final_*); solve hands over the sweep's own lists and oracle.baseline_solve
-its dicts' values, so both return the same layout.
+(final_*), reading the branch ids and impedances from the network's columns;
+solve hands over the sweep's own lists and oracle.baseline_solve its dicts'
+values, so both return the same layout.
 
 SolveOptions is a model._Record namedtuple, so options that would end a solve
 in a TypeError or a first-pass "convergence" (a max_iterations that is not an
@@ -123,10 +126,10 @@ class SolveOptions(_Record, namedtuple(
 def find_leaf_nodes(net: NetworkModel, counter: StepCounter | None = None) -> tuple[int, ...]:
     """Nodes appearing as receiving end of some branch but sending end of none,
     in ascending order; one step per branch in each of the two scans."""
-    sending = {b.sending_node for b in net.branches}
     if counter:
-        counter.total += 2 * len(net.branches)
-    return tuple(sorted(b.receiving_node for b in net.branches if b.receiving_node not in sending))
+        counter.total += 2 * len(net.sending)
+    # a tree feeds each node once, so the receiving column holds no node twice
+    return tuple(sorted(set(net.receiving).difference(net.sending)))
 
 
 def is_leaf(leaves: tuple[int, ...], node: int, counter: StepCounter | None = None) -> bool:
@@ -216,18 +219,17 @@ def backward_sweep(
     is_leaf counts its own comparisons; the other steps are summed in a local
     and added to the counter once, on return, as is_leaf does.
     """
-    ordered = sorted(net.branches, key=lambda b: b.branch_id, reverse=True)
+    ordered = sorted(zip(net.branch_ids, net.receiving), reverse=True)
     computed = set()
     steps = 0
-    for b in ordered:
-        r = b.receiving_node
+    for branch_id, r in ordered:
         if is_leaf(leaves, r, counter):
-            state.branch_current[b.branch_id] = state.load_current[r]
+            state.branch_current[branch_id] = state.load_current[r]
             steps += 1
         else:
             if literal_scan:
-                stack = [other.branch_id for other in net.branches if other.sending_node == r]
-                steps += len(net.branches)
+                stack = [child for child, s in zip(net.branch_ids, net.sending) if s == r]
+                steps += len(net.branch_ids)
             else:
                 stack = list(net.children[r])
             # a step per child listed (after a step per branch scanned in
@@ -239,11 +241,11 @@ def backward_sweep(
                 child = stack.pop()
                 if child not in computed:
                     raise SweepInvariantError(
-                        f"branch {child} consumed before computation (branch {b.branch_id})"
+                        f"branch {child} consumed before computation (branch {branch_id})"
                     )
                 total = total + state.branch_current[child]
-            state.branch_current[b.branch_id] = total + state.load_current[r]
-        computed.add(b.branch_id)
+            state.branch_current[branch_id] = total + state.load_current[r]
+        computed.add(branch_id)
     if counter:
         counter.total += steps
 
@@ -351,17 +353,18 @@ def compute_losses(
 def _compile(net: NetworkModel, leaves: tuple[int, ...]):
     """Flatten the topology into the lists the sweep iterates on.
 
-    Node indices are positions in net.nodes() (net.node_index), branch
-    positions are positions in net.branches (net.branch_position). Returns
-    (loads, backward, forward, per_iteration):
+    Reads the network's columns (sending, receiving, z, node_s_load), not
+    its PerUnitBranch view. Node indices are positions in net.nodes()
+    (net.node_index), branch positions are positions in the columns
+    (net.branch_position). Returns (loads, backward, forward, per_iteration):
 
     - loads: (node index, conj(S)) for each node with a nonzero load, in node
       order;
     - backward: (position, receiving index, parent position, is leaf) in
       descending branch order; branches fed by the root get parent position
-      len(net.branches), a spare accumulator nobody reads;
+      m (the branch count), a spare accumulator nobody reads;
     - forward: (position, sending index, receiving index, z) in ascending
-      branch order;
+      branch order, z being the column's complex value;
     - per_iteration: the steps one pass takes, as (stack sweep, baseline),
       with the stack sweep's children listed from the adjacency (solve adds
       literal_scan's table scans). They depend on the topology only: each
@@ -376,30 +379,26 @@ def _compile(net: NetworkModel, leaves: tuple[int, ...]):
     """
     index = net.node_index
     position = net.branch_position
-    m = len(net.branches)
+    parent_branch = net.parent_branch
+    m = len(net.branch_ids)
     found, missed = _leaf_search_steps(leaves)
     search_steps = 0
     backward = []
     forward = []
     depth = [0] * len(index)
-    for k, b in enumerate(net.branches):
-        parent_id = net.parent_branch.get(b.sending_node)
+    for k, (sending, node, z) in enumerate(zip(net.sending, net.receiving, net.z)):
+        parent_id = parent_branch.get(sending)
         p = m if parent_id is None else position[parent_id]
-        node = b.receiving_node
-        s = index[b.sending_node]
+        s = index[sending]
         r = index[node]
         depth[r] = depth[s] + 1
         i = bisect_left(leaves, node)
         leaf = i < len(leaves) and leaves[i] == node
         search_steps += found[i] if leaf else missed[i]
         backward.append((k, r, p, leaf))
-        forward.append((k, s, r, b.z.as_complex()))
+        forward.append((k, s, r, z))
     backward.reverse()
-    loads = [
-        (i, complex(s.re, -s.im))
-        for i, s in enumerate(net.node_load[node] for node in net.nodes())
-        if not s.is_zero()
-    ]
+    loads = [(i, s.conjugate()) for i, s in enumerate(net.node_s_load) if s]
     n = len(index)
     # both take one step per node for the load currents and for the
     # convergence check, and one per branch for the forward sweep. Backward, a
@@ -433,7 +432,7 @@ def _sweep(net: NetworkModel, leaves: tuple[int, ...], options: SolveOptions):
     loads, backward, forward, per_iteration = _compile(net, leaves)
     nodes = net.nodes()
     n = len(nodes)
-    m = len(net.branches)
+    m = len(net.branch_ids)
     hypot = math.hypot
     isfinite = math.isfinite
     tolerance = options.tolerance
@@ -467,7 +466,7 @@ def _sweep(net: NetworkModel, leaves: tuple[int, ...], options: SolveOptions):
             re = vr.real
             im = vr.imag
             if not (isfinite(re) and isfinite(im)):
-                raise NumericError(f"non-finite voltage on branch {net.branches[k].branch_id}")
+                raise NumericError(f"non-finite voltage on branch {net.branch_ids[k]}")
             v[r] = vr
             mag = hypot(re, im)
             delta = abs(mag - mags[r])
@@ -480,7 +479,7 @@ def _sweep(net: NetworkModel, leaves: tuple[int, ...], options: SolveOptions):
             as_phasor = Phasor.from_complex
             for k, s, r, z in forward:
                 dev = _polar_deviation(as_phasor(v[s]), as_phasor(ib[k]), as_phasor(z),
-                                       as_phasor(v[r]), net.branches[k].branch_id)
+                                       as_phasor(v[r]), net.branch_ids[k])
                 worst_polar = max(worst_polar, dev)
         deltas.append(max_delta)
         if converged:
@@ -513,7 +512,7 @@ def solve(net: NetworkModel, options: SolveOptions | None = None) -> SolveReport
     per_iteration, per_iteration_baseline = steps
     if options.literal_scan:
         # each non-leaf branch scans the whole table for its children
-        m = len(net.branches)
+        m = len(net.branch_ids)
         per_iteration += m * (m - len(leaves))
 
     return build_report(
@@ -542,12 +541,13 @@ def build_report(
     """The SolveReport of a converged solve; solve and baseline_solve both use it.
 
     volts and loads hold one value per node in net.nodes() order, branches one
-    per branch in net.branches order; the report keeps the lists and shows them
-    through PhasorMap views. fields are the remaining SolveReport fields
-    (iterations, step counts, delta history and so on). Magnitudes, angles and
-    losses come from the complex parts with the arithmetic of
-    Phasor.magnitude, Phasor.angle_degrees and compute_losses, so every value
-    equals theirs exactly.
+    per branch in column order; the report keeps the lists and shows them
+    through PhasorMap views. Branch ids and impedances are read from the
+    network's branch_ids and z columns, so no PerUnitBranch is built. fields
+    are the remaining SolveReport fields (iterations, step counts, delta
+    history and so on). Magnitudes, angles and losses come from the complex
+    parts with the arithmetic of Phasor.magnitude, Phasor.angle_degrees and
+    compute_losses, so every value equals theirs exactly.
     """
     hypot = math.hypot
     atan2 = math.atan2
@@ -566,13 +566,13 @@ def build_report(
     loss_rows = []
     total_p = 0.0
     total_q = 0.0
-    for b, z in zip(net.branches, branches):
-        i_mag = hypot(z.real, z.imag)
-        branch_currents.append((b.branch_id, i_mag))
+    for branch_id, z, c in zip(net.branch_ids, net.z, branches):
+        i_mag = hypot(c.real, c.imag)
+        branch_currents.append((branch_id, i_mag))
         i_sq = i_mag ** 2
-        lp = i_sq * b.z.re * to_kw
-        lq = i_sq * b.z.im * to_kw
-        loss_rows.append((b.branch_id, lp, lq))
+        lp = i_sq * z.real * to_kw
+        lq = i_sq * z.imag * to_kw
+        loss_rows.append((branch_id, lp, lq))
         total_p += lp
         total_q += lq
     return SolveReport(

@@ -512,13 +512,14 @@ def test_bundled_data_reads_without_default_encoding():
 
 def test_cli_import_leaves_the_oracle_unloaded():
     """radialflow loads its oracle on first use, which no CLI command makes,
-    and neither it nor the CLI imports dataclasses, inspect or json to start.
-    A module the interpreter had loaded before the import (a site hook's, as
-    `python -c pass` would load it) does not count."""
-    watched = ["dataclasses", "inspect", "json", "radialflow.oracle"]
+    and neither it nor the CLI imports dataclasses, inspect, json or random to
+    start. The interpreter runs without the site hook (-S), whose .pth files
+    may load any of these first; a module loaded before the import does not
+    count."""
+    watched = ["dataclasses", "inspect", "json", "random", "radialflow.oracle"]
     for module in ("radialflow.cli", "radialflow"):
         proc = subprocess.run(
-            [sys.executable, "-c",
+            [sys.executable, "-S", "-c",
              f"import sys; bare = set(sys.modules); import {module}; "
              f"print(sorted(set({watched!r}) & (set(sys.modules) - bare)))"],
             capture_output=True, env=subprocess_env(), text=True, timeout=60,

@@ -9,12 +9,13 @@ from radialflow.cli import generate_random_table
 from radialflow.ingest import (
     OrderingError,
     ParseError,
+    RawTable,
     TopologyError,
     parse_branch_table,
     renumber_sequential,
     validate_radial,
 )
-from radialflow.model import BranchRecord, DataError
+from radialflow.model import BranchRecord, DataError, PerUnitBase, PerUnitBranch, Phasor
 from radialflow.solver import solve
 
 
@@ -304,6 +305,35 @@ def test_topology_error_text(rows, validate_msg, renumber_msg):
     assert str(exc.value) == f"test: {renumber_msg or validate_msg}"
 
 
+PER_UNIT_FIELDS = ("resistance", "reactance", "load_p", "load_q")
+
+
+@pytest.mark.parametrize("field", PER_UNIT_FIELDS)
+@pytest.mark.parametrize("edges", [
+    [(4, 4, 5), (2, 2, 3), (3, 3, 4), (1, 1, 2)],
+    [(4, 4, 5), (2, 2, 3), (3, 6, 4), (1, 1, 2)],  # node 6 has no feeding branch
+], ids=["tree", "not-a-tree"])
+def test_per_unit_overflow_names_the_first_branch_by_id_and_field(field, edges):
+    """On a tiny base 1e300 is finite, but not in per unit. Branch 2 holds it
+    in field and every later field, branch 4 in every field: validate_radial
+    names branch 2, the first by id, and field, the first of its fields,
+    before it looks at the tree."""
+    base = PerUnitBase(1e-160, 1e-300)  # z_base about 1e-20 ohm, kw_base 1e-297 kW
+    overflowing = {2: PER_UNIT_FIELDS[PER_UNIT_FIELDS.index(field):], 4: PER_UNIT_FIELDS}
+    rows = []
+    for branch_id, s, r in edges:
+        rows.append(BranchRecord(branch_id, s, r, **{
+            name: 1e300 if name in overflowing.get(branch_id, ()) else 0.1
+            for name in PER_UNIT_FIELDS
+        }))
+    with pytest.raises(DataError) as exc:
+        validate_radial(RawTable(rows=tuple(rows), source_name="t"), base=base)
+    assert type(exc.value) is DataError
+    assert str(exc.value) == (
+        f"branch 2: {field} is not finite in per unit (kv_base 1e-160, mva_base 1e-300)"
+    )
+
+
 class TestRenumber:
     def test_bus69_is_identity(self, bus69_table):
         renamed, mapping = renumber_sequential(bus69_table)
@@ -447,13 +477,24 @@ def test_ingest_retains_a_fixed_number_of_tracked_objects(n):
 
 @pytest.mark.parametrize("n", [500, 2000])
 def test_validate_and_solve_retain_a_bounded_number_of_tracked_objects(n):
-    """validate_radial keeps a PerUnitBranch and two Phasors per branch and a
-    few fixed objects; a solve's report keeps a fixed few whatever the size.
-    Keeping the per-unit branches as columns may only lower the first bound."""
+    """A network keeps its branches as per-unit columns and a solve's report
+    its results as lists, so each keeps a fixed few tracked objects whatever
+    the size; a PerUnitBranch or Phasor kept per branch would add about n."""
     table, _ = renumber_sequential(parse_branch_table(seeded_feeder_texts(n, seed=n)[0]))
-    assert retained_tracked_objects(lambda: validate_radial(table)) <= 3 * n + RETAINED_PER_TABLE
+    assert retained_tracked_objects(lambda: validate_radial(table)) <= RETAINED_PER_TABLE
     net = validate_radial(table)
     assert retained_tracked_objects(lambda: solve(net)) <= RETAINED_PER_TABLE
+
+
+def test_validate_radial_constructs_no_per_unit_branch_or_phasor(bus69_table, monkeypatch):
+    made = []
+    for cls in (PerUnitBranch, Phasor):
+        monkeypatch.setattr(cls, "__new__", lambda c, *a, _new=cls.__new__, **k:
+                            made.append(c.__name__) or _new(c, *a, **k))
+    net = validate_radial(bus69_table)
+    assert made == []
+    net.branches[-1]  # the view builds a record and its two Phasors when read
+    assert sorted(made) == ["PerUnitBranch", "Phasor", "Phasor"]
 
 
 def scramble(table, rng):

@@ -275,6 +275,89 @@ class TestNetworkModel:
             rf.solve(net)
 
 
+class TestBranchView:
+    """NetworkModel keeps its branches as columns; branches is a read-only
+    view that builds an equal PerUnitBranch when an entry is read."""
+
+    RECORDS = (BranchRecord(1, 1, 2, 0.1, 0.2, 10.0, 5.0, 100.0),
+               BranchRecord(2, 2, 3, 0.3, 0.1, 0.0, 0.0),
+               BranchRecord(3, 2, 4, 0.2, 0.2, 4.0, -1.0, 50.0))
+
+    def branches(self):
+        return tuple(to_per_unit(rec, DEFAULT_BASE) for rec in self.RECORDS)
+
+    def net(self):
+        return NetworkModel(branches=self.branches(), root=1, tie_lines=(), base=DEFAULT_BASE)
+
+    def test_entries_equal_the_records_given(self):
+        view, branches = self.net().branches, self.branches()
+        for k in range(-3, 3):
+            assert view[k] == branches[k] and type(view[k]) is rf.PerUnitBranch
+        assert view[1:] == branches[1:] and view[::-1] == branches[::-1]
+        for k in (3, -4):
+            with pytest.raises(IndexError):
+                view[k]
+
+    def test_columns_hold_the_records_fields(self):
+        net, branches = self.net(), self.branches()
+        assert net.branch_ids == (1, 2, 3)
+        assert (net.sending, net.receiving) == ((1, 2, 2), (2, 3, 4))
+        assert net.z == tuple(b.z.as_complex() for b in branches)
+        assert net.s_load == tuple(b.s_load.as_complex() for b in branches)
+        assert net.capacity == (100.0, None, 50.0)
+
+    def test_length_iteration_and_equality(self):
+        view, branches = self.net().branches, self.branches()
+        assert len(view) == 3 and tuple(view) == branches and list(view) == list(branches)
+        assert view == branches and branches == view and not (view != branches)
+        assert view == self.net().branches
+        assert view != branches[:2] and branches[:2] != view
+        assert view != branches[:2] + (branches[2]._replace(capacity=51.0),)
+        assert view != list(branches)
+        for change in ({"z": Phasor(0.5, 0.5)}, {"s_load": Phasor(0.5, 0.5)}):
+            other = NetworkModel(branches[:2] + (branches[2]._replace(**change),), 1, (),
+                                 DEFAULT_BASE)
+            assert view != other.branches and not (view == other.branches)
+        assert branches[0] in view and view.index(branches[2]) == 2
+
+    def test_model_rebuilt_from_its_view_is_equal(self, bus69_net):
+        for net in (self.net(), bus69_net):
+            assert NetworkModel(net.branches, net.root, net.tie_lines, net.base) == net
+
+    def test_pickle_and_copy_rebuild_an_equal_view(self):
+        view = self.net().branches
+        for rebuilt in (pickle.loads(pickle.dumps(view)), copy.copy(view), copy.deepcopy(view)):
+            assert type(rebuilt) is type(view) and rebuilt == view
+
+    def test_node_load_equals_the_dict_of_phasors(self):
+        net, branches = self.net(), self.branches()
+        expected = {1: Phasor(0.0, 0.0), 2: branches[0].s_load, 3: branches[1].s_load,
+                    4: branches[2].s_load}
+        assert net.node_load == expected and expected == net.node_load
+        assert list(net.node_load.items()) == list(expected.items())
+
+    def test_view_and_model_cannot_be_assigned(self):
+        net = self.net()
+        view = net.branches
+        with pytest.raises(TypeError):
+            view[0] = view[1]
+        with pytest.raises(TypeError):
+            del view[0]
+        for name in ("_columns", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(view, name, ())
+        for name in NetworkModel.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(net, name, None)
+
+    def test_a_tie_line_is_not_a_closed_branch(self):
+        tie = to_per_unit(BranchRecord(2, 2, 3, 0.1, 0.1, 0.0, 0.0, None, True), DEFAULT_BASE)
+        with pytest.raises(DataError) as exc:
+            NetworkModel(branches=(self.branches()[0], tie), root=1, tie_lines=(),
+                         base=DEFAULT_BASE)
+        assert str(exc.value) == "branch 2 is a tie line; a network holds closed branches only"
+
+
 def value_types():
     """One instance of each public value type, keyed by the type's name."""
     table = rf.RawTable(rows=(BranchRecord(2, 2, 3, 0.1, 0.1, 10.0, 5.0),
