@@ -1,5 +1,9 @@
 """Command-line surface: validate and solve feeder files, compare against a
-golden voltage table, and benchmark step counts on random feeders."""
+golden voltage table, and benchmark step counts on random feeders.
+
+read_text and read_golden are the CLI's file readers: every input file is read
+as UTF-8 without a leading byte-order mark, and a file that cannot be read is
+a ParseError naming it."""
 from __future__ import annotations
 
 import argparse
@@ -9,7 +13,6 @@ import sys
 from pathlib import Path
 
 from . import solver
-from .fixtures import read_golden, read_text
 from .ingest import (
     ParseError,
     RawTable,
@@ -26,6 +29,40 @@ EXIT_PARSE = 2
 EXIT_TOPOLOGY = 3
 EXIT_NONCONVERGENCE = 4
 EXIT_COMPARE = 5
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of an input file without a leading byte-order mark, or a
+    ParseError naming the file when it cannot be opened or is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+
+
+def read_golden(path: str | Path) -> dict[int, float]:
+    """Per-node voltage magnitudes from a node,vmag_pu CSV file.
+
+    Blank lines and the header (any line starting with "node") are skipped.
+    Raises ParseError for a file read_text cannot read, or naming path:line
+    for a bad row, a magnitude that is not finite or a node listed twice.
+    """
+    golden = {}
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("node"):
+            continue
+        try:
+            node, vmag = line.split(",")
+            node, vmag = int(node), float(vmag)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: bad golden row {line!r}") from None
+        if not math.isfinite(vmag):
+            raise ParseError(f"{path}:{lineno}: golden magnitude of node {node} is not finite")
+        if node in golden:
+            raise ParseError(f"{path}:{lineno}: node {node} is listed twice")
+        golden[node] = vmag
+    return golden
 
 
 def _load_table(path: str, input_format: str) -> RawTable:

@@ -298,6 +298,9 @@ def _check_row(branch_id, sending_node, receiving_node, resistance, reactance, l
         raise DataError(f"branch {branch_id}: sending and receiving node are both {sending_node}")
     if is_tie and (load_p != 0.0 or load_q != 0.0):
         raise DataError(f"branch {branch_id}: tie-line must carry zero load")
+    # after the checks above, so a row they reject keeps its message
+    if capacity is not None and not math.isfinite(capacity):
+        raise DataError(f"branch {branch_id}: non-finite capacity ({capacity})")
 
 
 class PerUnitBranch(_Record, namedtuple(
@@ -500,7 +503,7 @@ class NetworkModel(_Frozen):
 
     __slots__ = ("branches", "root", "tie_lines", "base", "branch_ids", "sending", "receiving",
                  "z", "s_load", "capacity", "children", "parent_branch", "node_s_load",
-                 "node_load", "sorted_nodes", "node_index", "branch_position", "unordered_branch")
+                 "node_load", "_nodes", "node_index", "branch_position", "unordered_branch")
     __match_args__ = ("branches", "root", "tie_lines", "base")
 
     def __init__(self, branches: Sequence[PerUnitBranch], root: int,
@@ -550,7 +553,7 @@ class NetworkModel(_Frozen):
             branch_ids=ids, sending=sending, receiving=receiving, z=z, s_load=s_load,
             capacity=capacity, children=children, parent_branch=parent,
             node_s_load=node_s_load, node_load=PhasorMap(index, node_s_load),
-            sorted_nodes=nodes, node_index=index, branch_position=position,
+            _nodes=nodes, node_index=index, branch_position=position,
             unordered_branch=unordered,
         )
         for name, value in fields.items():
@@ -558,11 +561,11 @@ class NetworkModel(_Frozen):
 
     def nodes(self) -> tuple[int, ...]:
         """Every node id, the root included, in ascending order."""
-        return self.sorted_nodes
+        return self._nodes
 
     @property
     def node_count(self) -> int:
-        return len(self.sorted_nodes)
+        return len(self._nodes)
 
     @property
     def sequentially_ordered(self) -> bool:

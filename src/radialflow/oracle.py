@@ -1,6 +1,10 @@
-"""Brute-force references: downstream-set branch currents, power balance, and a
-baseline solver that pays the per-iteration rescanning cost the proposed
-method avoids."""
+"""Brute-force references: downstream-set branch currents, power balance,
+per-branch losses, and a baseline solver that pays the per-iteration
+rescanning cost the proposed method avoids.
+
+compute_losses is the reference for solver.build_report's losses. No command
+calls anything here, and radialflow imports this module on first use only, so
+the CLI never loads it."""
 from __future__ import annotations
 
 from .model import NetworkModel, Phasor, SolveReport, SolveState
@@ -70,6 +74,25 @@ def power_balance(net: NetworkModel, report: SolveReport) -> dict[str, float]:
         "loss_p": loss.re,
         "loss_q": loss.im,
     }
+
+
+def compute_losses(
+    state: SolveState, net: NetworkModel
+) -> tuple[list[tuple[int, float, float]], float, float]:
+    """Per-branch and total losses in kW/kVAr: |I|^2 R and |I|^2 X times the
+    base's kw_base."""
+    to_kw = net.base.kw_base
+    rows = []
+    total_p = 0.0
+    total_q = 0.0
+    for b in net.branches:
+        i_sq = abs(state.branch_current[b.branch_id]) ** 2
+        lp = i_sq * b.z.re * to_kw
+        lq = i_sq * b.z.im * to_kw
+        rows.append((b.branch_id, lp, lq))
+        total_p += lp
+        total_q += lq
+    return rows, total_p, total_q
 
 
 def _rescan_leaves(net: NetworkModel, counter: StepCounter) -> set[int]:

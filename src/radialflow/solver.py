@@ -37,9 +37,9 @@ included; StepCounter is a plain mutable class.
 
 The dict-based phase functions below (compute_load_currents, backward_sweep,
 forward_sweep, check_convergence) count their steps and remain the reference
-implementation: the tests require solve to reproduce them exactly,
-oracle.baseline_solve is built from them, and compute_losses is the reference
-for build_report's losses.
+implementation: the tests require solve to reproduce them exactly, and
+oracle.baseline_solve is built from them. The reference for build_report's
+losses, compute_losses, lives in oracle.
 """
 from __future__ import annotations
 
@@ -331,25 +331,6 @@ def check_convergence(
     return within == len(nodes), max_delta
 
 
-def compute_losses(
-    state: SolveState, net: NetworkModel
-) -> tuple[list[tuple[int, float, float]], float, float]:
-    """Per-branch and total losses in kW/kVAr: |I|^2 R and |I|^2 X times the
-    base's kw_base."""
-    to_kw = net.base.kw_base
-    rows = []
-    total_p = 0.0
-    total_q = 0.0
-    for b in net.branches:
-        i_sq = abs(state.branch_current[b.branch_id]) ** 2
-        lp = i_sq * b.z.re * to_kw
-        lq = i_sq * b.z.im * to_kw
-        rows.append((b.branch_id, lp, lq))
-        total_p += lp
-        total_q += lq
-    return rows, total_p, total_q
-
-
 def _compile(net: NetworkModel, leaves: tuple[int, ...]):
     """Flatten the topology into the lists the sweep iterates on.
 
@@ -547,7 +528,7 @@ def build_report(
     are the remaining SolveReport fields (iterations, step counts, delta
     history and so on). Magnitudes, angles and losses come from the complex
     parts with the arithmetic of Phasor.magnitude, Phasor.angle_degrees and
-    compute_losses, so every value equals theirs exactly.
+    oracle.compute_losses, so every value equals theirs exactly.
     """
     hypot = math.hypot
     atan2 = math.atan2

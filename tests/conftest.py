@@ -1,12 +1,39 @@
 import random
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
 import radialflow as rf
-from radialflow import fixtures
-from radialflow.cli import generate_random_table
-from radialflow.ingest import RawTable
+from radialflow.cli import generate_random_table, read_golden, read_text
+from radialflow.ingest import RawTable, parse_branch_table
 from radialflow.model import BranchRecord
+
+BUS69 = "bus69.branch"
+BUS33 = "bus33.branch"
+GOLDEN69 = "golden69_vmag.csv"
+
+
+def fixture_path(name: str) -> Path:
+    """The path of a data file bundled with the package."""
+    return Path(str(resources.files("radialflow.data").joinpath(name)))
+
+
+def load_table(name: str) -> RawTable:
+    return parse_branch_table(read_text(fixture_path(name)), "delimited", source_name=name)
+
+
+def load_bus69() -> RawTable:
+    return load_table(BUS69)
+
+
+def load_bus33() -> RawTable:
+    return load_table(BUS33)
+
+
+def load_golden69() -> dict[int, float]:
+    """Golden per-node voltage magnitudes for the 69-bus feeder."""
+    return read_golden(fixture_path(GOLDEN69))
 
 
 def make_table(rows, source="test", ties=()):
@@ -51,12 +78,12 @@ def criterion_2_tables():
 
 @pytest.fixture(scope="session")
 def bus69_table():
-    return fixtures.load_bus69()
+    return load_bus69()
 
 
 @pytest.fixture(scope="session")
 def bus33_table():
-    return fixtures.load_bus33()
+    return load_bus33()
 
 
 @pytest.fixture(scope="session")
@@ -81,4 +108,4 @@ def bus33_report(bus33_net):
 
 @pytest.fixture(scope="session")
 def golden69():
-    return fixtures.load_golden69()
+    return load_golden69()

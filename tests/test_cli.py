@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from radialflow import fixtures, oracle
+import conftest
+from radialflow import oracle
 from radialflow.cli import (
     EXIT_COMPARE,
     EXIT_ERROR,
@@ -14,13 +15,14 @@ from radialflow.cli import (
     EXIT_PARSE,
     EXIT_TOPOLOGY,
     main,
+    read_text,
 )
 from radialflow.solver import SolveOptions, solve
 
-BUS69 = str(fixtures.fixture_path(fixtures.BUS69))
-BUS33 = str(fixtures.fixture_path(fixtures.BUS33))
-GOLDEN = str(fixtures.fixture_path(fixtures.GOLDEN69))
-GOLDEN_TEXT = fixtures.read_text(GOLDEN)
+BUS69 = str(conftest.fixture_path(conftest.BUS69))
+BUS33 = str(conftest.fixture_path(conftest.BUS33))
+GOLDEN = str(conftest.fixture_path(conftest.GOLDEN69))
+GOLDEN_TEXT = read_text(GOLDEN)
 
 
 def subprocess_env():
@@ -225,6 +227,13 @@ class TestSolve:
         code, out, err = run(capsys, "solve", str(path))
         assert (code, out, err) == (EXIT_ERROR, "", message)
 
+    def test_infinite_capacity_exits_parse(self, capsys, tmp_path):
+        path = tmp_path / "cap.branch"
+        path.write_text("1 1 2 0.1 0.1 10 5 inf\n")
+        code, out, err = run(capsys, "solve", str(path))
+        assert (code, out, err) == (
+            EXIT_PARSE, "", f"parse error: {path}:1: branch 1: non-finite capacity (inf)\n")
+
     @pytest.mark.parametrize("option,value,bases", [
         ("--kv", "1e-300", "kv_base 1e-300 and mva_base 10.0"),
         ("--kv", "1e200", "kv_base 1e+200 and mva_base 10.0"),
@@ -420,7 +429,7 @@ class TestCompare:
         assert "max_deviation 0.00000" in out
 
     def test_perturbed_golden_fails_naming_node(self, capsys, tmp_path):
-        original = fixtures.load_golden69()
+        original = conftest.load_golden69()
         original[40] += 0.01
         path = tmp_path / "bad.csv"
         path.write_text("node,vmag_pu\n" + "\n".join(f"{n},{v:.5f}" for n, v in original.items()))
@@ -491,9 +500,9 @@ def test_non_utf8_input_exits_parse(tmp_path, command, name):
 def test_byte_order_mark_is_ignored(capsys, tmp_path):
     bom = b"\xef\xbb\xbf"
     table = tmp_path / "bus69.branch"
-    table.write_bytes(bom + fixtures.fixture_path(fixtures.BUS69).read_bytes())
+    table.write_bytes(bom + conftest.fixture_path(conftest.BUS69).read_bytes())
     golden = tmp_path / "golden.csv"
-    golden.write_bytes(bom + fixtures.fixture_path(fixtures.GOLDEN69).read_bytes())
+    golden.write_bytes(bom + conftest.fixture_path(conftest.GOLDEN69).read_bytes())
     assert run(capsys, "validate", str(table)) == run(capsys, "validate", BUS69)
     code, out, err = run(capsys, "compare", BUS69, "--golden", str(golden))
     assert (code, err) == (EXIT_OK, "")
@@ -501,21 +510,23 @@ def test_byte_order_mark_is_ignored(capsys, tmp_path):
 
 
 def test_bundled_data_reads_without_default_encoding():
-    proc = subprocess.run(
-        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-c",
-         "from radialflow.fixtures import load_bus33, load_bus69, load_golden69; "
-         "load_bus69(); load_bus33(); load_golden69()"],
-        capture_output=True, env=subprocess_env(), text=True, timeout=60,
-    )
-    assert (proc.returncode, proc.stderr) == (0, "")
+    """The CLI reads the bundled tables and the golden CSV with an explicit
+    encoding: no EncodingWarning, turned into an error, stops it."""
+    for command in (("compare", BUS69, "--golden", GOLDEN), ("validate", BUS33)):
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "radialflow.cli", *command],
+            capture_output=True, env=subprocess_env(), text=True, timeout=60,
+        )
+        assert (command, proc.returncode, proc.stderr) == (command, EXIT_OK, "")
 
 
 def test_cli_import_leaves_the_oracle_unloaded():
     """radialflow loads its oracle on first use, which no CLI command makes,
     and neither it nor the CLI imports dataclasses, inspect, json or random to
-    start. The interpreter runs without the site hook (-S), whose .pth files
-    may load any of these first; a module loaded before the import does not
-    count."""
+    start; the CLI loads no package module but the four it runs on. The
+    interpreter runs without the site hook (-S), whose .pth files may load any
+    of these first; a module loaded before the import does not count."""
     watched = ["dataclasses", "inspect", "json", "random", "radialflow.oracle"]
     for module in ("radialflow.cli", "radialflow"):
         proc = subprocess.run(
@@ -525,6 +536,15 @@ def test_cli_import_leaves_the_oracle_unloaded():
             capture_output=True, env=subprocess_env(), text=True, timeout=60,
         )
         assert (module, proc.returncode, proc.stdout, proc.stderr) == (module, 0, "[]\n", "")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys; import radialflow.cli; "
+         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'radialflow'))"],
+        capture_output=True, env=subprocess_env(), text=True, timeout=60,
+    )
+    loaded = ["radialflow", "radialflow.cli", "radialflow.ingest", "radialflow.model",
+              "radialflow.solver"]
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{loaded}\n", "")
 
 
 class TestBench:

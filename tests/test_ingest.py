@@ -132,6 +132,13 @@ class TestParseJson:
             parse_branch_table(json.dumps(doc), "json", source_name="net.json")
         assert str(exc.value) == message
 
+    def test_capacity_beyond_float_range_rejected(self):
+        # json reads 1e400 as inf
+        text = '{"branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05, "cap": 1e400}]}'
+        with pytest.raises(ParseError) as exc:
+            parse_branch_table(text, "json", source_name="net.json")
+        assert str(exc.value) == "net.json: branches[0]: branch 1: non-finite capacity (inf)"
+
     def test_integral_floats_and_numeric_text_read_as_numbers(self):
         doc = {"root": 1.0, "branches": [{"id": "7", "from": 1.0, "to": " 2 ", "r": "0.5", "x": 1,
                                           "p": "10", "q": 5, "open": False}]}

@@ -190,6 +190,16 @@ class TestBranchRecord:
             BranchRecord(3, 1, 2, **values)
         assert str(exc.value) == f"branch 3: non-finite {field} ({value})"
 
+    def test_infinite_capacity_rejected(self):
+        with pytest.raises(DataError) as exc:
+            BranchRecord(3, 1, 2, 0.1, 0.05, 1.0, 0.5, capacity=float("inf"))
+        assert str(exc.value) == "branch 3: non-finite capacity (inf)"
+
+    def test_earlier_defect_named_before_infinite_capacity(self):
+        with pytest.raises(DataError) as exc:
+            BranchRecord(3, 2, 2, 0.1, 0.05, 1.0, 0.5, capacity=float("inf"))
+        assert str(exc.value) == "branch 3: sending and receiving node are both 2"
+
     def test_finite_fields_with_overflowing_sum_accepted(self):
         rec = BranchRecord(1, 1, 2, 1e308, 1e308, 1e308, 1e308)
         assert rec.load_q == 1e308

@@ -12,7 +12,7 @@ from radialflow import solver
 from radialflow.cli import generate_random_table
 from radialflow.ingest import OrderingError, validate_radial
 from radialflow.model import Phasor, SolveState
-from radialflow.oracle import downstream_sum
+from radialflow.oracle import compute_losses, downstream_sum
 from radialflow.solver import (
     NonConvergenceError,
     NumericError,
@@ -25,7 +25,6 @@ from radialflow.solver import (
     build_report,
     check_convergence,
     compute_load_currents,
-    compute_losses,
     find_leaf_nodes,
     forward_sweep,
     is_leaf,
