@@ -17,12 +17,15 @@ validate_radial raises before any topology check, as the parser names bad
 values before anything else. renumber_sequential puts the rows in one order,
 the closed branches as its walk from the root pops them and then the tie
 lines by id, and applies that order to every column; the new nodes and the
-whole mapping are read off the same order. The JSON reader converts each
-value with _number, which names the key of a value that is not the number it
-must be (a bool, a fraction for an id or node). Every defect found raises a
-typed error: ParseError or DataError for bad input text and values,
-TopologyError (prefixed with the table's source) for anything that is not a
-tree rooted at the requested root. TopologyError and OrderingError live in
+whole mapping are read off the same order. The walk runs on radial_tree's
+position lists: its frontier is a heap of node positions, which follow the
+old node ids, and each node's children are a slice of the offsets-plus-
+targets pair, so no id-keyed lookup is made until the mapping is built. The
+JSON reader converts each value with _number, which names the key of a value
+that is not the number it must be (a bool, a fraction for an id or node).
+Every defect found raises a typed error: ParseError or DataError for bad input
+text and values, TopologyError (prefixed with the table's source) for anything
+that is not a tree rooted at the requested root. TopologyError and OrderingError live in
 model and are importable from here too.
 
 RawTable is an immutable __slots__ class and RenumberMapping a namedtuple
@@ -337,23 +340,36 @@ def renumber_sequential(table: RawTable, root: int | None = None) -> tuple[RawTa
     root = _root(table, root)
     closed, ties = _by_id(table)
     ids, sending, receiving, r, x, p, q, cap, _ = table.columns
-    fed = [receiving[k] for k in closed]
     try:
-        _, out = radial_tree([ids[k] for k in closed], [sending[k] for k in closed], fed, root,
-                             [(ids[k], sending[k], receiving[k]) for k in ties])
+        _, index, _, _, feeding, offsets, targets = radial_tree(
+            [ids[k] for k in closed], [sending[k] for k in closed],
+            [receiving[k] for k in closed], root,
+            [(ids[k], sending[k], receiving[k]) for k in ties])
     except TopologyError as exc:
         raise type(exc)(f"{table.source_name}: {exc}") from None
 
-    walk = []  # the closed branches' rows, as the walk pops them
-    heap = [(fed[j], j) for j in out.get(root, ())]
-    heapq.heapify(heap)
-    while heap:
-        node, j = heapq.heappop(heap)
-        walk.append(closed[j])
-        for child in out.get(node, ()):
-            heapq.heappush(heap, (fed[child], child))
-    node_new_to_old = dict(enumerate([root, *(receiving[k] for k in walk)], start=1))
-    new_node = {old: new for new, old in node_new_to_old.items()}
+    # node positions follow old ids, so a heap of positions pops the lowest old
+    # receiving node first. Each node's children join the frontier and the
+    # least of it is popped at once (heappushpop, which returns a child that
+    # is already the least without a sift: a lateral's next node, mostly)
+    popped = []
+    heap = []
+    i = index[root]
+    while True:
+        fed = targets[offsets[i]:offsets[i + 1]]
+        if fed:
+            for j in fed[1:]:
+                heapq.heappush(heap, j)
+            i = heapq.heappushpop(heap, fed[0])
+        elif heap:
+            i = heapq.heappop(heap)
+        else:
+            break
+        popped.append(i)
+    walk = [closed[feeding[i]] for i in popped]  # the closed rows in walk order
+    old_nodes = [root, *map(receiving.__getitem__, walk)]
+    node_new_to_old = dict(zip(range(1, len(old_nodes) + 1), old_nodes))
+    new_node = dict(zip(old_nodes, range(1, len(old_nodes) + 1)))
     order = walk + ties
 
     # a tie carries no load: write 0.0, also where its row reads -0.0

@@ -14,7 +14,12 @@ radial_tree is the one check that closed branches form a tree rooted at the
 root, and the one place their adjacency is built; it reads the branches as id,
 sending-node and receiving-node columns. NetworkModel passes its own columns
 and ingest.renumber_sequential the table's, both of the closed branches in id
-order, so every caller names the same first defect.
+order, so every caller names the same first defect. It maps node ids to dense
+positions 0..n-1 once, with one sort, and returns the tree as tuples indexed
+by position: the sending and receiving columns as node positions, each node's
+feeding branch, and the children as one offsets-plus-targets pair. Ids stay
+at the edges: the parsers, error texts, BranchView, the id-keyed views and
+the report.
 BranchRecord and both parsers check a row in one function, _check_row. It
 takes a row as the BranchRecord fields in field order, which is what a
 BranchRecord is; to_per_unit and RawTable(rows=...) read a record the same way.
@@ -22,10 +27,14 @@ _per_unit_columns is the one per-unit conversion: validate_radial converts
 the closed branches' columns there, and to_per_unit a single row.
 
 NetworkModel keeps the closed branches as per-unit columns (ids, sending and
-receiving nodes, z and s_load as complex, capacity), and the solver reads
-those; branches is a read-only BranchView that builds a PerUnitBranch only
-when an entry is read, and node_load a PhasorMap over a per-node complex
-tuple, so no per-branch record or Phasor is built between parse and sweep.
+receiving nodes, z and s_load as complex, capacity) and radial_tree's
+position lists, and the solver reads those; branches is a read-only
+BranchView that builds a PerUnitBranch only when an entry is read, node_load
+a PhasorMap over a per-node complex tuple, children and parent_branch
+read-only Mapping views that read the position lists when an entry is read,
+and node_index and branch_position read-only views of id-to-position dicts,
+so no per-branch record, Phasor or per-node container is built between parse
+and sweep.
 PerUnitBase.kw_base is the one kW scale, and NetworkModel.check_ordering the
 one place that raises the OrderingError that validate_radial and solve refuse
 an unordered network with.
@@ -35,7 +44,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
-from itertools import starmap
+from itertools import accumulate, starmap
 
 
 class LoadFlowError(Exception):
@@ -293,6 +302,8 @@ def _check_row(branch_id, sending_node, receiving_node, resistance, reactance, l
     if resistance < 0.0 or reactance < 0.0:
         raise DataError(f"branch {branch_id}: negative impedance component")
     if capacity is not None and not (capacity > 0.0):
+        if not math.isfinite(capacity):  # NaN or -inf
+            raise DataError(f"branch {branch_id}: non-finite capacity ({capacity})")
         raise DataError(f"branch {branch_id}: capacity must be positive when present")
     if sending_node == receiving_node:
         raise DataError(f"branch {branch_id}: sending and receiving node are both {sending_node}")
@@ -355,76 +366,140 @@ def _per_unit_columns(ids, resistance, reactance, load_p, load_q, base: PerUnitB
 
 
 def radial_tree(ids, sending, receiving, root: int, tie_lines):
-    """Check that branches form a tree rooted at root and return its adjacency.
+    """Check that branches form a tree rooted at root and return it as lists
+    indexed by position.
 
     ids, sending and receiving are the closed branches' columns (branch id,
     sending node, receiving node), and tie_lines the open ones as (id,
-    sending, receiving) triples. Returns (parent, out): parent maps each node
-    but the root to the id of the branch feeding it, and out maps each sending
-    node to the positions in the columns of the branches leaving it, in
-    ascending order. Raises TopologyError, with no source in its text, for the
-    first of these defects: no branches; root not a sending node; a node fed
-    twice (the first branch in column order that feeds a node already fed); a
-    branch feeding the root; a node with no feeding branch (the smallest); a
-    cycle (one reached from the smallest node the root does not reach); a tie
-    line ending at a node outside the tree (the first in the order of
-    tie_lines).
+    sending, receiving) triples. Nodes get positions 0..n-1 in ascending id
+    order and branches keep their positions in the columns. Returns (nodes,
+    index, send, recv, feeding, offsets, targets): nodes is the ascending tuple
+    of node ids, the root and every receiving node, and index the dict from id
+    to position; send and recv are the sending and receiving columns as node
+    positions; feeding[i] is the position of the branch feeding node i (-1 for
+    the root); and the nodes that node i feeds are
+    targets[offsets[i]:offsets[i + 1]], in the column order of their
+    branches. All but index are tuples.
+
+    Raises TopologyError, with no source in its text, for the first of these
+    defects: no branches; root not a sending node; a node fed twice (the first
+    branch in column order that feeds a node already fed); a branch feeding
+    the root; a node with no feeding branch (the smallest); a cycle (one
+    reached from the smallest node the root does not reach); a tie line
+    ending at a node outside the tree (the first in the order of tie_lines).
     """
     if not ids:
         raise TopologyError("no closed branches")
     if root not in sending:
         raise TopologyError(f"root {root} is not a sending node")
-    parent: dict[int, int] = {}
-    out: dict[int, list[int]] = {}
-    for k, (b, s, r) in enumerate(zip(ids, sending, receiving)):
-        if r in parent:
-            raise TopologyError(f"node {r} is fed by branches {parent[r]} and {b}")
-        parent[r] = b
-        siblings = out.get(s)
-        if siblings is None:
-            out[s] = [k]
-        else:
-            siblings.append(k)
-    if root in parent:
-        k = receiving.index(root)
+    # the one sort: the root and the receiving nodes, m + 1 of them in a tree
+    nodes = sorted({root, *receiving})
+    index = dict(zip(nodes, range(len(nodes))))
+    recv = tuple(map(index.__getitem__, receiving))
+    feeding = [-1] * len(nodes)
+    for k, r in enumerate(recv):
+        if feeding[r] >= 0:
+            raise TopologyError(
+                f"node {receiving[k]} is fed by branches {ids[feeding[r]]} and {ids[k]}")
+        feeding[r] = k
+    k = feeding[index[root]]
+    if k >= 0:
         raise TopologyError(
-            f"cycle through branch {ids[k]} ({sending[k]}->{root}) feeding the root"
-        )
+            f"cycle through branch {ids[k]} ({sending[k]}->{root}) feeding the root")
+    try:
+        send = tuple(map(index.__getitem__, sending))
+    except KeyError:  # a sending node that is neither the root nor fed
+        raise TopologyError(
+            f"node {min(set(sending).difference(index))} has no feeding branch") from None
+    m = len(ids)
+    counts = [0] * (m + 1)
+    for s in send:
+        counts[s] += 1
+    offsets = tuple(accumulate(counts, initial=0))
+    # a counting sort by sending node, which keeps each node's children in
+    # column order
+    targets = [0] * m
+    fill = list(offsets)
+    for s, r in zip(send, recv):
+        j = fill[s]
+        targets[j] = r
+        fill[s] = j + 1
     # every node but the root has exactly one feeding branch, so the walk from
     # the root meets each node at most once; it misses some node exactly when
-    # a node has no feeding branch or lies on a cycle
-    reached = [root]
-    for n in reached:
-        for k in out.get(n, ()):
-            reached.append(receiving[k])
-    if len(reached) != len(parent) + 1:
-        raise _unreached(ids, sending, receiving, root, parent, out, set(reached))
+    # a node lies on a cycle or below one
+    reached = [index[root]]
+    for i in reached:
+        reached += targets[offsets[i]:offsets[i + 1]]
+    if len(reached) != m + 1:
+        raise _cycle(ids, sending, receiving, send, feeding, reached)
     for t, s, r in tie_lines:
         for node in (s, r):
-            if node != root and node not in parent:
+            if node not in index:
                 raise TopologyError(
                     f"tie branch {t} ends at node {node}, which no closed branch connects"
                 )
-    return parent, out
+    return tuple(nodes), index, send, recv, tuple(feeding), offsets, tuple(targets)
 
 
-def _unreached(ids, sending, receiving, root: int, parent: dict[int, int],
-               out: dict[int, list[int]], reached: set[int]) -> TopologyError:
-    """The error for a tree whose walk from the root reached only the nodes in
-    reached: the smallest node with no feeding branch, else a cycle edge met
-    by following feeding branches up from the smallest unreached node."""
-    unfed = [n for n in out if n != root and n not in parent]
-    if unfed:
-        return TopologyError(f"node {min(unfed)} has no feeding branch")
-    # unreached nodes all have a feeding branch, so they lie on a cycle or below one
-    feeding = {r: k for k, r in enumerate(receiving)}
-    n = min(n for n in feeding if n not in reached)
+def _cycle(ids, sending, receiving, send, feeding, reached) -> TopologyError:
+    """The error for a tree whose walk from the root reached only the node
+    positions in reached: a cycle edge met by following feeding branches up
+    from the smallest node not reached."""
+    i = min(set(range(len(feeding))).difference(reached))
     seen = set()
-    while n not in seen:
-        seen.add(n)
-        n = sending[feeding[n]]
-    k = feeding[n]
+    while i not in seen:
+        seen.add(i)
+        i = send[feeding[i]]
+    k = feeding[i]
     return TopologyError(f"cycle through branch {ids[k]} ({sending[k]}->{receiving[k]})")
+
+
+class _Topology(Mapping):
+    """NetworkModel's read-only topology views: a Mapping keyed by the ids in
+    keys, in that order, and shown as the dict it equals. This base maps each
+    key to its position, index[key]; a subclass reads its value off the
+    position lists in lists by that position."""
+
+    __slots__ = ("_keys", "_index", "_lists")
+
+    def __init__(self, keys, index, *lists):
+        self._keys, self._index, self._lists = keys, index, lists
+
+    def __getitem__(self, key: int) -> int:
+        return self._index[key]
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
+class _Children(_Topology):
+    """Each node mapped to the ids of the branches it feeds, in column order."""
+
+    __slots__ = ()
+
+    def __getitem__(self, node: int) -> tuple[int, ...]:
+        ids, feeding, offsets, targets = self._lists
+        i = self._index[node]
+        return tuple([ids[feeding[j]] for j in targets[offsets[i]:offsets[i + 1]]])
+
+
+class _ParentBranch(_Topology):
+    """Each node but the root mapped to the id of the branch feeding it."""
+
+    __slots__ = ()
+
+    def __getitem__(self, node: int) -> int:
+        ids, feeding = self._lists
+        k = feeding[self._index[node]]
+        if k < 0:  # the root
+            raise KeyError(node)
+        return ids[k]
 
 
 class BranchView(_Frozen, Sequence):
@@ -486,10 +561,14 @@ class NetworkModel(_Frozen):
     at root, or whose tie lines end outside it, raises TopologyError.
 
     Every topology fact is derived from the columns and root, here and
-    nowhere else: children maps each node to the ids of the branches it
-    feeds, in branch order; parent_branch maps each receiving node to the
-    branch feeding it; node_index and branch_position give each node's
-    position in nodes() and each branch's in the columns. node_s_load holds
+    nowhere else, as radial_tree's position lists: nodes have positions in
+    nodes() (ascending ids) and branches in the columns. The id-keyed facts
+    are read-only Mapping views over those lists, each equal to, iterated in
+    the order of and shown as the dict it stands for: children maps each node
+    to the ids of the branches it feeds, in branch order; parent_branch maps
+    each receiving node, in branch order, to the branch feeding it; node_index
+    and branch_position give each node's position in nodes() and each
+    branch's in the columns. node_s_load holds
     each node's load in nodes() order (0j where no load is fed), and
     node_load is a read-only PhasorMap view of it. unordered_branch is the
     first branch whose sending node is fed by a branch that does not come
@@ -503,7 +582,8 @@ class NetworkModel(_Frozen):
 
     __slots__ = ("branches", "root", "tie_lines", "base", "branch_ids", "sending", "receiving",
                  "z", "s_load", "capacity", "children", "parent_branch", "node_s_load",
-                 "node_load", "_nodes", "node_index", "branch_position", "unordered_branch")
+                 "node_load", "_nodes", "node_index", "branch_position", "unordered_branch",
+                 "_index", "_send", "_recv", "_feeding", "_offsets")
     __match_args__ = ("branches", "root", "tie_lines", "base")
 
     def __init__(self, branches: Sequence[PerUnitBranch], root: int,
@@ -530,31 +610,26 @@ class NetworkModel(_Frozen):
     def _fill(self, columns, root, tie_lines, base) -> None:
         """Check the tree, derive the topology and set the fields."""
         ids, sending, receiving, z, s_load, capacity = columns
-        parent, out = radial_tree(
+        nodes, index, send, recv, feeding, offsets, targets = radial_tree(
             ids, sending, receiving, root,
             [(t.branch_id, t.sending_node, t.receiving_node) for t in tie_lines],
         )
-        # a tree's nodes are its root and its receiving nodes
-        nodes = tuple(sorted([root, *parent]))
-        children = dict.fromkeys(nodes, ())
-        children.update((s, tuple([ids[k] for k in fed])) for s, fed in out.items())
-        load = dict.fromkeys(nodes, 0j)
-        load.update(zip(receiving, s_load))
-        node_s_load = tuple(load.values())
-        index = dict(zip(nodes, range(len(nodes))))
+        # each node's load is that of the branch feeding it; the root's, at
+        # feeding -1, is the 0j put after the column
+        node_s_load = tuple(map((*s_load, 0j).__getitem__, feeding))
+        # the last position of an id listed twice, as dict() keeps it
         position = dict(zip(ids, range(len(ids))))
-        # the root has no feeding branch and gets position -1, so it never counts
-        unordered = next(
-            (ids[k] for k, s in enumerate(sending) if position.get(parent.get(s), -1) >= k),
-            None,
-        )
+        # the root's feeding branch is -1, so a branch it feeds never counts
+        unordered = next((ids[k] for k, s in enumerate(send) if feeding[s] >= k), None)
         fields = dict(
             branches=BranchView(columns), root=root, tie_lines=tie_lines, base=base,
             branch_ids=ids, sending=sending, receiving=receiving, z=z, s_load=s_load,
-            capacity=capacity, children=children, parent_branch=parent,
-            node_s_load=node_s_load, node_load=PhasorMap(index, node_s_load),
-            _nodes=nodes, node_index=index, branch_position=position,
-            unordered_branch=unordered,
+            capacity=capacity, children=_Children(nodes, index, ids, feeding, offsets, targets),
+            parent_branch=_ParentBranch(receiving, index, ids, feeding),
+            node_s_load=node_s_load, node_load=PhasorMap(index, node_s_load), _nodes=nodes,
+            node_index=_Topology(index, index), branch_position=_Topology(position, position),
+            unordered_branch=unordered, _index=index, _send=send, _recv=recv,
+            _feeding=feeding, _offsets=offsets,
         )
         for name, value in fields.items():
             object.__setattr__(self, name, value)

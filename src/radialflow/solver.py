@@ -9,19 +9,22 @@ keeps one running total of the steps taken, and a caller that wants the steps
 of one stretch (before the loop, or one pass) reads the total before and after
 it.
 
-solve reads the network's per-unit columns (NetworkModel.sending, receiving,
-z and node_s_load), never a PerUnitBranch, and compiles them once into flat
-index lists (sending and receiving node, parent branch, leaf flag) and complex
-lists (impedance, conjugate load), then sweeps those lists until the voltage
+solve reads the network's per-unit columns (z and node_s_load) and its
+position lists (sending and receiving node positions, each node's feeding
+branch, the children offsets), never a PerUnitBranch or an id-keyed view, and
+compiles them once into parallel columns: index columns (sending and
+receiving node, parent branch, leaf flag) and complex columns (impedance,
+conjugate load). It then sweeps those columns, zipped, until the voltage
 profile settles; the forward sweep and the convergence check share one loop,
 and no per-branch loop reads an option. Step counts depend only on the
 topology, so they are known without running the baseline: pre_loop + r x
 per_iteration for the stack sweep, and r x its own per-iteration count for the
 per-iteration rescanning baseline, which does nothing before the loop. The
 compile pass counts is_leaf's binary search for each branch from a table of
-its per-outcome counts; the rest of each per-iteration count is a closed form
-in the node, branch and root-child counts and the node depths, and
-literal_scan's table scans are added once per solve. debug_polar checks each
+its per-outcome counts, indexed by each node's rank among the leaves; the
+rest of each per-iteration count is a closed form in the node, branch and
+root-child counts and the node depths, and literal_scan's table scans are
+added once per solve. debug_polar checks each
 pass in polar form after its forward loop.
 
 build_report turns the final voltages and currents, as complex lists, into a
@@ -44,8 +47,8 @@ losses, compute_losses, lives in oracle.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import namedtuple
+from itertools import accumulate
 
 from .model import (
     LoadFlowError,
@@ -332,55 +335,59 @@ def check_convergence(
 
 
 def _compile(net: NetworkModel, leaves: tuple[int, ...]):
-    """Flatten the topology into the lists the sweep iterates on.
+    """Flatten the topology into the columns the sweep iterates on.
 
-    Reads the network's columns (sending, receiving, z, node_s_load), not
-    its PerUnitBranch view. Node indices are positions in net.nodes()
-    (net.node_index), branch positions are positions in the columns
-    (net.branch_position). Returns (loads, backward, forward, per_iteration):
+    Reads the network's columns (z, node_s_load) and its position lists (the
+    sending and receiving columns as node positions, each node's feeding
+    branch and the children offsets), not its PerUnitBranch view or its
+    id-keyed views. Node indices are positions in net.nodes(), branch
+    positions are positions in the columns. Returns (loads, backward,
+    forward, per_iteration), the first three as tuples of parallel columns:
 
     - loads: (node index, conj(S)) for each node with a nonzero load, in node
       order;
     - backward: (position, receiving index, parent position, is leaf) in
       descending branch order; branches fed by the root get parent position
-      m (the branch count), a spare accumulator nobody reads;
+      -1, the last entry of the sweep's accumulators, a spare nobody reads;
     - forward: (position, sending index, receiving index, z) in ascending
       branch order, z being the column's complex value;
     - per_iteration: the steps one pass takes, as (stack sweep, baseline),
       with the stack sweep's children listed from the adjacency (solve adds
       literal_scan's table scans). They depend on the topology only: each
-      branch's is_leaf search is counted here, by one bisect_left into the
-      per-outcome counts of _leaf_search_steps, instead of inside the loop.
-      The rest is a closed form in n nodes, m branches, the root's c children
-      and D, the sum of node depths (depth[receiving] = depth[sending] + 1).
+      branch's is_leaf search is counted here, from the per-outcome counts of
+      _leaf_search_steps, instead of inside the loop: a node's search ends at
+      its rank among the leaves, read off a running count of the childless
+      nodes in node order. The rest is a closed form in n nodes,
+      m branches, the root's c children and D, the sum of node depths
+      (depth[receiving] = depth[sending] + 1).
 
     solve compiles only a sequentially ordered network, so every branch's
     parent precedes it and the backward sweep never reads an accumulator
     before it is complete.
     """
-    index = net.node_index
-    position = net.branch_position
-    parent_branch = net.parent_branch
-    m = len(net.branch_ids)
+    send, recv, feeding, offsets = net._send, net._recv, net._feeding, net._offsets
+    n = len(feeding)
+    m = len(send)
+    childless = [a == b for a, b in zip(offsets, offsets[1:])]
     found, missed = _leaf_search_steps(leaves)
-    search_steps = 0
-    backward = []
-    forward = []
-    depth = [0] * len(index)
-    for k, (sending, node, z) in enumerate(zip(net.sending, net.receiving, net.z)):
-        parent_id = parent_branch.get(sending)
-        p = m if parent_id is None else position[parent_id]
-        s = index[sending]
-        r = index[node]
+    # is_leaf's search for a node ends at the count of leaves before it: the
+    # i-th leaf (from 0) takes found[i] comparisons and any other node with i
+    # leaves before it missed[i]. Every leaf is searched for once, and every
+    # other node but the root, which no branch feeds
+    before = list(accumulate(childless, initial=0))
+    root = net._index[net.root]
+    search_steps = (sum(found) - missed[before[root]]
+                    + sum([missed[i] for i, leaf in zip(before, childless) if not leaf]))
+    depth = [0] * n
+    for s, r in zip(send, recv):
         depth[r] = depth[s] + 1
-        i = bisect_left(leaves, node)
-        leaf = i < len(leaves) and leaves[i] == node
-        search_steps += found[i] if leaf else missed[i]
-        backward.append((k, r, p, leaf))
-        forward.append((k, s, r, z))
-    backward.reverse()
-    loads = [(i, s.conjugate()) for i, s in enumerate(net.node_s_load) if s]
-    n = len(index)
+    recv_desc = recv[::-1]
+    backward = (range(m - 1, -1, -1), recv_desc,
+                list(map(feeding.__getitem__, send[::-1])),
+                list(map(childless.__getitem__, recv_desc)))
+    forward = (range(m), send, recv, net.z)
+    loaded = [i for i, s in enumerate(net.node_s_load) if s]
+    loads = (loaded, [net.node_s_load[i].conjugate() for i in loaded])
     # both take one step per node for the load currents and for the
     # convergence check, and one per branch for the forward sweep. Backward, a
     # branch with c children takes 3c + 1 steps (list, pop and add each child,
@@ -391,7 +398,7 @@ def _compile(net: NetworkModel, leaves: tuple[int, ...]):
     # downstream sets, adding each member, and node k is a member of depth[k]
     # downstream sets
     common = n + m + n
-    backward_steps = search_steps + 4 * m - 3 * len(net.children[net.root])
+    backward_steps = search_steps + 4 * m - 3 * (offsets[root + 1] - offsets[root])
     return loads, backward, forward, (backward_steps + common, n * m + m * n + sum(depth) + common)
 
 
@@ -424,7 +431,7 @@ def _sweep(net: NetworkModel, leaves: tuple[int, ...], options: SolveOptions):
     worst_polar = 0.0
     for iterations in range(1, options.max_iterations + 1):
         try:
-            for i, s_conj in loads:
+            for i, s_conj in zip(*loads):
                 il[i] = s_conj / v[i].conjugate()
         except ZeroDivisionError:  # complex division fails only on exactly 0j
             raise VoltageCollapseError(f"zero voltage at loaded node {nodes[i]}") from None
@@ -432,7 +439,7 @@ def _sweep(net: NetworkModel, leaves: tuple[int, ...], options: SolveOptions):
         # each current is scattered into its parent's accumulator, so siblings
         # add highest id first, as backward_sweep's stack pops them
         ib = [0j] * (m + 1)
-        for k, r, p, leaf in backward:
+        for k, r, p, leaf in zip(*backward):
             i_br = il[r] if leaf else ib[k] + il[r]
             ib[k] = i_br
             ib[p] += i_br
@@ -442,7 +449,7 @@ def _sweep(net: NetworkModel, leaves: tuple[int, ...], options: SolveOptions):
         # root's never changes, so its delta is always 0
         converged = True
         max_delta = 0.0
-        for k, s, r, z in forward:
+        for k, s, r, z in zip(*forward):
             vr = v[s] - ib[k] * z
             re = vr.real
             im = vr.imag
@@ -458,7 +465,7 @@ def _sweep(net: NetworkModel, leaves: tuple[int, ...], options: SolveOptions):
             mags[r] = mag
         if options.debug_polar:
             as_phasor = Phasor.from_complex
-            for k, s, r, z in forward:
+            for k, s, r, z in zip(*forward):
                 dev = _polar_deviation(as_phasor(v[s]), as_phasor(ib[k]), as_phasor(z),
                                        as_phasor(v[r]), net.branch_ids[k])
                 worst_polar = max(worst_polar, dev)
@@ -563,8 +570,8 @@ def build_report(
         branch_losses=tuple(loss_rows),
         total_loss_p=total_p,
         total_loss_q=total_q,
-        final_voltage=PhasorMap(net.node_index, volts),
-        final_load_current=PhasorMap(net.node_index, loads),
+        final_voltage=PhasorMap(net._index, volts),
+        final_load_current=PhasorMap(net._index, loads),
         final_branch_current=PhasorMap(net.branch_position, branches),
         **fields,
     )

@@ -58,6 +58,20 @@ def format_branch_table(table):
     return "\n".join(lines) + "\n"
 
 
+def topology_dicts(table, root):
+    """The topology a network validated from table keeps, rebuilt from the
+    table's closed rows in id order as the dicts it must equal: children,
+    parent_branch, node_index and branch_position, by name."""
+    closed = sorted(table.closed_rows(), key=lambda r: r.branch_id)
+    nodes = sorted({root, *(r.receiving_node for r in closed)})
+    return {
+        "children": {n: tuple(r.branch_id for r in closed if r.sending_node == n) for n in nodes},
+        "parent_branch": {r.receiving_node: r.branch_id for r in closed},
+        "node_index": {n: i for i, n in enumerate(nodes)},
+        "branch_position": {r.branch_id: k for k, r in enumerate(closed)},
+    }
+
+
 def chain_table(loads, impedance=(0.1, 0.05)):
     """A path 1 -> 2 -> ... with the given (p_kw, q_kvar) load at each non-root node."""
     r, x = impedance

@@ -234,6 +234,14 @@ class TestSolve:
         assert (code, out, err) == (
             EXIT_PARSE, "", f"parse error: {path}:1: branch 1: non-finite capacity (inf)\n")
 
+    @pytest.mark.parametrize("cap", ["nan", "-inf"])
+    def test_nan_or_negative_infinite_capacity_exits_parse(self, capsys, tmp_path, cap):
+        path = tmp_path / "cap.branch"
+        path.write_text(f"1 1 2 0.1 0.1 10 5 {cap}\n")
+        code, out, err = run(capsys, "solve", str(path))
+        assert (code, out, err) == (
+            EXIT_PARSE, "", f"parse error: {path}:1: branch 1: non-finite capacity ({cap})\n")
+
     @pytest.mark.parametrize("option,value,bases", [
         ("--kv", "1e-300", "kv_base 1e-300 and mva_base 10.0"),
         ("--kv", "1e200", "kv_base 1e+200 and mva_base 10.0"),

@@ -58,8 +58,12 @@ class TestParseDelimited:
         ("1 1 2 0.1\n", "f:1: expected at least 5 columns, got 4"),
         ("1 1 2 0.1 0.05 10\n", "f:1: unexpected column count 6"),
         ("1 1 2 -0.1 0.05 10 5\n", "f:1: branch 1: negative impedance component"),
+        ("1 1 2 0.1 0.05 10 5 nan\n", "f:1: branch 1: non-finite capacity (nan)"),
+        ("1 1 2 0.1 0.05 10 5 -inf\n", "f:1: branch 1: non-finite capacity (-inf)"),
+        ("1 1 2 0.1 0.05 10 5 -1\n", "f:1: branch 1: capacity must be positive when present"),
     ], ids=["bad-numeric", "bad-integer-suffix", "bad-integer-fraction", "four-columns",
-            "six-columns", "record-error"])
+            "six-columns", "record-error", "nan-capacity", "minus-inf-capacity",
+            "negative-capacity"])
     def test_malformed_numeric_names_line(self, text, message):
         with pytest.raises(ParseError) as exc:
             parse_branch_table(text, source_name="f")
@@ -138,6 +142,16 @@ class TestParseJson:
         with pytest.raises(ParseError) as exc:
             parse_branch_table(text, "json", source_name="net.json")
         assert str(exc.value) == "net.json: branches[0]: branch 1: non-finite capacity (inf)"
+
+    @pytest.mark.parametrize("cap,shown", [("-1e400", "-inf"), ("NaN", "nan"),
+                                           ("-Infinity", "-inf")])
+    def test_nan_or_negative_infinite_capacity_named(self, cap, shown):
+        # json reads NaN and -Infinity as the floats they name
+        text = ('{"branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05, "cap": %s}]}'
+                % cap)
+        with pytest.raises(ParseError) as exc:
+            parse_branch_table(text, "json", source_name="net.json")
+        assert str(exc.value) == f"net.json: branches[0]: branch 1: non-finite capacity ({shown})"
 
     def test_integral_floats_and_numeric_text_read_as_numbers(self):
         doc = {"root": 1.0, "branches": [{"id": "7", "from": 1.0, "to": " 2 ", "r": "0.5", "x": 1,

@@ -7,6 +7,7 @@ import random
 import pytest
 
 import radialflow as rf
+from conftest import topology_dicts
 from radialflow.model import (
     DEFAULT_BASE,
     BranchRecord,
@@ -195,6 +196,12 @@ class TestBranchRecord:
             BranchRecord(3, 1, 2, 0.1, 0.05, 1.0, 0.5, capacity=float("inf"))
         assert str(exc.value) == "branch 3: non-finite capacity (inf)"
 
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+    def test_nan_or_negative_infinite_capacity_named(self, value):
+        with pytest.raises(DataError) as exc:
+            BranchRecord(3, 1, 2, 0.1, 0.05, 1.0, 0.5, capacity=value)
+        assert str(exc.value) == f"branch 3: non-finite capacity ({value})"
+
     def test_earlier_defect_named_before_infinite_capacity(self):
         with pytest.raises(DataError) as exc:
             BranchRecord(3, 2, 2, 0.1, 0.05, 1.0, 0.5, capacity=float("inf"))
@@ -366,6 +373,111 @@ class TestBranchView:
             NetworkModel(branches=(self.branches()[0], tie), root=1, tie_lines=(),
                          base=DEFAULT_BASE)
         assert str(exc.value) == "branch 2 is a tie line; a network holds closed branches only"
+
+
+def sparse_shuffled(table, seed=11):
+    """table with its nodes and branch ids relabelled into a sparse range and
+    its rows shuffled, and the new label of node 1 (the root)."""
+    rng = random.Random(seed)
+    nodes = sorted({n for r in table.rows for n in (r.sending_node, r.receiving_node)})
+    label = dict(zip(nodes, rng.sample(range(2, 50 * len(nodes)), len(nodes))))
+    ids = dict(zip([r.branch_id for r in table.rows],
+                   rng.sample(range(1, 50 * len(table.rows)), len(table.rows))))
+    rows = [r._replace(branch_id=ids[r.branch_id], sending_node=label[r.sending_node],
+                       receiving_node=label[r.receiving_node]) for r in table.rows]
+    rng.shuffle(rows)
+    return rf.RawTable(rows=tuple(rows), source_name="sparse"), label[1]
+
+
+TOPOLOGY = ("children", "parent_branch", "node_index", "branch_position")
+
+
+class TestTopologyViews:
+    """children, parent_branch, node_index and branch_position are read-only
+    views over the network's position lists, equal to the dicts they stand
+    for: on the bundled feeders and on a relabelled, unordered network."""
+
+    @pytest.fixture(scope="class", params=["bus69", "bus33", "sparse"])
+    def case(self, request, bus69_table, bus33_table):
+        if request.param == "sparse":
+            table, root = sparse_shuffled(bus69_table)
+        else:
+            table, root = {"bus69": bus69_table, "bus33": bus33_table}[request.param], 1
+        return rf.validate_radial(table, root=root, require_ordered=False), table, root
+
+    def test_each_view_equals_its_dict_both_ways(self, case):
+        net, table, root = case
+        for name, expected in topology_dicts(table, root).items():
+            view = getattr(net, name)
+            assert view == expected and expected == view
+            assert not (view != expected) and not (expected != view)
+            assert dict(view) == expected and type(view) is not dict
+            changed = dict(expected)
+            changed[next(iter(changed))] = -1
+            assert view != changed and changed != view
+
+    def test_length_order_and_repr(self, case):
+        net, table, root = case
+        for name, expected in topology_dicts(table, root).items():
+            view = getattr(net, name)
+            assert len(view) == len(expected)
+            assert list(view) == list(expected)
+            assert list(view.items()) == list(expected.items())
+            assert repr(view) == repr(expected)
+
+    def test_lookups_of_unknown_keys(self, case):
+        net, _, root = case
+        unknown = max(net.nodes()) + max(net.branch_ids) + 1
+        for name in TOPOLOGY:
+            view = getattr(net, name)
+            assert unknown not in view and view.get(unknown) is None
+            with pytest.raises(KeyError):
+                view[unknown]
+        assert root not in net.parent_branch and root in net.children
+        with pytest.raises(KeyError):
+            net.parent_branch[root]
+
+    def test_views_cannot_be_assigned(self, case):
+        net, _, root = case
+        for name in TOPOLOGY:
+            view = getattr(net, name)
+            with pytest.raises(TypeError):
+                view[root] = 1
+            with pytest.raises(TypeError):
+                del view[root]
+            with pytest.raises(AttributeError):
+                view.extra = 1
+
+    def test_model_equality_repr_pickle_and_copy(self, case):
+        net, _, _ = case
+        assert repr(net) == (f"NetworkModel(branches={net.branches!r}, root={net.root!r}, "
+                             f"tie_lines={net.tie_lines!r}, base={net.base!r})")
+        rebuilt = NetworkModel(net.branches, net.root, net.tie_lines, net.base)
+        assert rebuilt == net and repr(rebuilt) == repr(net)
+        for again in (pickle.loads(pickle.dumps(net)), copy.copy(net), copy.deepcopy(net)):
+            assert type(again) is NetworkModel and again == net
+            for name in TOPOLOGY:
+                assert list(getattr(again, name).items()) == list(getattr(net, name).items())
+
+    def test_report_lookups_read_the_solved_values(self, case):
+        net, table, root = case
+        if not net.sequentially_ordered:
+            table, mapping = rf.renumber_sequential(table, root=root)
+            net = rf.validate_radial(table)
+        report = rf.solve(net)
+        expected = topology_dicts(table, net.root)
+        for view, index in ((report.final_voltage, "node_index"),
+                            (report.final_load_current, "node_index"),
+                            (report.final_branch_current, "branch_position")):
+            values = view._values
+            assert list(view) == list(expected[index])
+            for key, k in expected[index].items():
+                assert view[key] == Phasor(values[k].real, values[k].imag)
+        for node, magnitude, _ in report.node_voltages:
+            assert report.final_voltage[node].magnitude == magnitude
+        for branch_id, magnitude in report.branch_currents:
+            assert report.final_branch_current[branch_id].magnitude == magnitude
+        assert pickle.loads(pickle.dumps(report)) == report
 
 
 def value_types():

@@ -16,7 +16,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import format_branch_table
+from conftest import format_branch_table, topology_dicts
 from radialflow.cli import main
 from radialflow.ingest import (
     RawTable,
@@ -157,6 +157,51 @@ def test_validation_does_not_depend_on_row_order(tables, require_ordered):
 def test_renumbering_does_not_depend_on_row_order(tables):
     rows, shuffled = tables
     assert outcome(renumber_sequential, rows) == outcome(renumber_sequential, shuffled)
+
+
+@st.composite
+def sparse_small_tables(draw):
+    """As shuffled_small_tables, but node labels and branch ids are drawn from
+    1..40 and the root, the first label, is never node 1; and the root."""
+    n = draw(st.integers(2, 7))
+    labels = draw(st.lists(st.integers(1, 40), min_size=n + 2, max_size=n + 2, unique=True)
+                  .filter(lambda drawn: drawn[0] != 1))
+    edges = [(labels[draw(st.integers(0, k - 1))], labels[k]) for k in range(1, n)]
+    pair = st.lists(st.sampled_from(labels), min_size=2, max_size=2, unique=True)
+    edges += draw(st.lists(pair, max_size=2))
+    ids = draw(st.lists(st.integers(1, 40), min_size=len(edges), max_size=len(edges),
+                        unique=True))
+    rows = []
+    for branch_id, (sending, receiving) in zip(ids, edges):
+        is_tie = draw(st.integers(0, 5)) == 0
+        load = 0.0 if is_tie else 10.0
+        rows.append(BranchRecord(branch_id, sending, receiving, 0.1, 0.05, load, load / 2,
+                                 None, is_tie))
+    return RawTable(rows=tuple(draw(st.permutations(rows))), source_name="t"), labels[0]
+
+
+@REPEATABLE
+@given(sparse_small_tables())
+def test_validation_and_renumbering_agree_on_sparse_ids(drawn):
+    """validate_radial and renumber_sequential run the same tree check, so on
+    any table they both succeed or raise the same error; a network validated
+    from it keeps the topology dicts its rows give, in their order."""
+    table, root = drawn
+
+    def error(call):
+        try:
+            return None, call(table)
+        except LoadFlowError as exc:
+            return (type(exc), str(exc)), None
+
+    failed, net = error(lambda t: validate_radial(t, root=root, require_ordered=False))
+    assert error(lambda t: renumber_sequential(t, root=root))[0] == failed
+    if failed:
+        return
+    for name, expected in topology_dicts(table, root).items():
+        view = getattr(net, name)
+        assert view == expected and expected == view
+        assert list(view.items()) == list(expected.items())
 
 
 TOKENS = ["", "1", "2", "3", "0", "-1", "2*", "1.5", "0.1", "-0.2", "1e300", "1e-300",
