@@ -46,6 +46,7 @@ from .model import (  # TopologyError and OrderingError are also ingest's names
     PerUnitBase,
     TopologyError,
     _check_row,
+    _check_unique,
     _Frozen,
     _per_unit_columns,
     _Record,
@@ -77,21 +78,11 @@ class RawTable(_Frozen):
                  declared_base: PerUnitBase | None = None, declared_root: int | None = None):
         self._fill(_columns(rows), source_name, declared_base, declared_root)
 
-    @classmethod
-    def _from_columns(cls, columns, source_name, declared_base=None, declared_root=None):
-        table = object.__new__(cls)
-        table._fill(columns, source_name, declared_base, declared_root)
-        return table
-
-    def _fill(self, columns, source_name, declared_base, declared_root) -> None:
+    def _fill(self, columns, source_name, declared_base=None, declared_root=None) -> None:
         """Check the ids (some rows, none repeated) and set the fields."""
         if not columns[0]:
             raise DataError(f"{source_name}: empty branch table")
-        seen = set()
-        for b in columns[0]:
-            if b in seen:
-                raise DataError(f"{source_name}: duplicate branch id {b}")
-            seen.add(b)
+        _check_unique(columns[0], f"{source_name}: ")
         object.__setattr__(self, "columns", tuple(map(tuple, columns)))
         object.__setattr__(self, "source_name", source_name)
         object.__setattr__(self, "declared_base", declared_base)

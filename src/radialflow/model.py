@@ -29,12 +29,14 @@ the closed branches' columns there, and to_per_unit a single row.
 NetworkModel keeps the closed branches as per-unit columns (ids, sending and
 receiving nodes, z and s_load as complex, capacity) and radial_tree's
 position lists, and the solver reads those; branches is a read-only
-BranchView that builds a PerUnitBranch only when an entry is read, node_load
-a PhasorMap over a per-node complex tuple, children and parent_branch
-read-only Mapping views that read the position lists when an entry is read,
-and node_index and branch_position read-only views of id-to-position dicts,
-so no per-branch record, Phasor or per-node container is built between parse
-and sweep.
+BranchView that builds a PerUnitBranch only when an entry is read. Every
+id-keyed lookup is one kind of read-only Mapping, _IdView: the keys in order,
+an id-to-position dict and a function that reads the value at a position.
+children, parent_branch, node_index and branch_position are _IdViews over the
+position lists and the node and branch id-to-position dicts; PhasorMap, the
+view of node_load and of a report's final values, is the _IdView that reads a
+Phasor out of a list of complex values. So no per-branch record, Phasor or
+per-node container is built between parse and sweep.
 PerUnitBase.kw_base is the one kW scale, and NetworkModel.check_ordering the
 one place that raises the OrderingError that validate_radial and solve refuse
 an unordered network with.
@@ -128,6 +130,14 @@ class _Frozen(_Fields):
         # pickle and copy rebuild through the constructor, as they cannot set a field
         return type(self), self._values()
 
+    @classmethod
+    def _from_columns(cls, columns, *args, **kwargs):
+        """The instance that _fill builds from columns and the other fields,
+        without the transposing the constructor does first."""
+        self = object.__new__(cls)
+        self._fill(columns, *args, **kwargs)
+        return self
+
 
 def wrap_angle(angle: float) -> float:
     """Normalize an angle in radians to (-pi, pi]."""
@@ -199,29 +209,48 @@ class Phasor(_Record, namedtuple("Phasor", "re im")):
         return self.magnitude
 
 
-class PhasorMap(Mapping):
+class _IdView(Mapping):
+    """A read-only Mapping keyed by the ids in keys, in that order: index maps
+    each key to a position, and read(position) is the key's value, found only
+    when the entry is read. Equality is that of a Mapping, so a view equals
+    the dict it stands for, and it is shown as that dict."""
+
+    __slots__ = ("_keys", "_index", "_read")
+
+    def __init__(self, keys, index: dict[int, int], read):
+        self._keys, self._index, self._read = keys, index, read
+
+    def __getitem__(self, key: int):
+        return self._read(self._index[key])
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
+class PhasorMap(_IdView):
     """Read-only view of a list of complex values as Phasors, keyed by id.
 
-    index maps a node or branch id to its position in values; a Phasor is made
-    only when an entry is read. Iteration follows index, and equality is that of
-    a Mapping, so a view compares equal to a dict of equal Phasors.
+    index maps a node or branch id to its position in values, and iteration
+    follows it; a Phasor is made only when an entry is read. It reads values
+    itself rather than through a stored function, so it pickles as its index
+    and values.
     """
 
-    __slots__ = ("_index", "_values")
+    __slots__ = ("_values",)
 
     def __init__(self, index: dict[int, int], values: list[complex]):
-        self._index = index
+        self._keys = self._index = index
         self._values = values
 
     def __getitem__(self, key: int) -> Phasor:
         z = self._values[self._index[key]]
         return Phasor(z.real, z.imag)
-
-    def __iter__(self):
-        return iter(self._index)
-
-    def __len__(self) -> int:
-        return len(self._index)
 
     def __repr__(self) -> str:
         return f"PhasorMap({dict(self)!r})"
@@ -283,6 +312,16 @@ class BranchRecord(_Record, namedtuple(
                capacity, is_tie)
         _check_row(*row)
         return tuple.__new__(cls, row)
+
+
+def _check_unique(ids, prefix: str = "") -> None:
+    """Raise DataError, its text after prefix, naming the first branch id in
+    ids that repeats an earlier one; RawTable and NetworkModel check here."""
+    seen = set()
+    for b in ids:
+        if b in seen:
+            raise DataError(f"{prefix}duplicate branch id {b}")
+        seen.add(b)
 
 
 def _check_row(branch_id, sending_node, receiving_node, resistance, reactance, load_p, load_q,
@@ -454,54 +493,6 @@ def _cycle(ids, sending, receiving, send, feeding, reached) -> TopologyError:
     return TopologyError(f"cycle through branch {ids[k]} ({sending[k]}->{receiving[k]})")
 
 
-class _Topology(Mapping):
-    """NetworkModel's read-only topology views: a Mapping keyed by the ids in
-    keys, in that order, and shown as the dict it equals. This base maps each
-    key to its position, index[key]; a subclass reads its value off the
-    position lists in lists by that position."""
-
-    __slots__ = ("_keys", "_index", "_lists")
-
-    def __init__(self, keys, index, *lists):
-        self._keys, self._index, self._lists = keys, index, lists
-
-    def __getitem__(self, key: int) -> int:
-        return self._index[key]
-
-    def __iter__(self):
-        return iter(self._keys)
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
-
-
-class _Children(_Topology):
-    """Each node mapped to the ids of the branches it feeds, in column order."""
-
-    __slots__ = ()
-
-    def __getitem__(self, node: int) -> tuple[int, ...]:
-        ids, feeding, offsets, targets = self._lists
-        i = self._index[node]
-        return tuple([ids[feeding[j]] for j in targets[offsets[i]:offsets[i + 1]]])
-
-
-class _ParentBranch(_Topology):
-    """Each node but the root mapped to the id of the branch feeding it."""
-
-    __slots__ = ()
-
-    def __getitem__(self, node: int) -> int:
-        ids, feeding = self._lists
-        k = feeding[self._index[node]]
-        if k < 0:  # the root
-            raise KeyError(node)
-        return ids[k]
-
-
 class BranchView(_Frozen, Sequence):
     """Read-only view of a NetworkModel's branch columns as PerUnitBranches.
 
@@ -558,17 +549,22 @@ class NetworkModel(_Frozen):
     which must all be closed (is_tie false), into the same columns. Either
     way construction runs radial_tree on the id, sending and receiving
     columns and the tie lines' ends, so a network that is not a tree rooted
-    at root, or whose tie lines end outside it, raises TopologyError.
+    at root, or whose tie lines end outside it, raises TopologyError. The
+    constructor first refuses, with a DataError, a tie line among branches
+    and then a branch id that repeats (the first in branch order, in
+    RawTable's text without a source). _from_columns needs neither check:
+    RawTable refuses a repeated id, and validate_radial passes tie lines apart.
 
     Every topology fact is derived from the columns and root, here and
     nowhere else, as radial_tree's position lists: nodes have positions in
-    nodes() (ascending ids) and branches in the columns. The id-keyed facts
-    are read-only Mapping views over those lists, each equal to, iterated in
-    the order of and shown as the dict it stands for: children maps each node
-    to the ids of the branches it feeds, in branch order; parent_branch maps
-    each receiving node, in branch order, to the branch feeding it; node_index
-    and branch_position give each node's position in nodes() and each
-    branch's in the columns. node_s_load holds
+    nodes() (ascending ids) and branches in the columns, and the private
+    dicts _index and _position map node and branch ids to them. The id-keyed
+    facts are _IdViews that read those lists when an entry is read, each
+    equal to, iterated in the order of and shown as the dict it stands for:
+    children maps each node to the ids of the branches it feeds, in branch
+    order; parent_branch maps each receiving node, in branch order, to the
+    branch feeding it; node_index and branch_position give each node's
+    position in nodes() and each branch's in the columns. node_s_load holds
     each node's load in nodes() order (0j where no load is fed), and
     node_load is a read-only PhasorMap view of it. unordered_branch is the
     first branch whose sending node is fed by a branch that does not come
@@ -583,7 +579,7 @@ class NetworkModel(_Frozen):
     __slots__ = ("branches", "root", "tie_lines", "base", "branch_ids", "sending", "receiving",
                  "z", "s_load", "capacity", "children", "parent_branch", "node_s_load",
                  "node_load", "_nodes", "node_index", "branch_position", "unordered_branch",
-                 "_index", "_send", "_recv", "_feeding", "_offsets")
+                 "_index", "_position", "_send", "_recv", "_feeding", "_offsets")
     __match_args__ = ("branches", "root", "tie_lines", "base")
 
     def __init__(self, branches: Sequence[PerUnitBranch], root: int,
@@ -595,17 +591,10 @@ class NetworkModel(_Frozen):
             if tie:
                 raise DataError(
                     f"branch {branch_id} is a tie line; a network holds closed branches only")
+        _check_unique(ids)
         # a Phasor is the (re, im) pair complex() takes
         self._fill((ids, sending, receiving, tuple(starmap(complex, z)),
                     tuple(starmap(complex, s_load)), capacity), root, tie_lines, base)
-
-    @classmethod
-    def _from_columns(cls, columns: tuple[tuple, ...], root: int,
-                      tie_lines: tuple[BranchRecord, ...], base: PerUnitBase) -> "NetworkModel":
-        """The network of the six BranchView columns, given as tuples."""
-        net = object.__new__(cls)
-        net._fill(columns, root, tie_lines, base)
-        return net
 
     def _fill(self, columns, root, tie_lines, base) -> None:
         """Check the tree, derive the topology and set the fields."""
@@ -617,19 +606,32 @@ class NetworkModel(_Frozen):
         # each node's load is that of the branch feeding it; the root's, at
         # feeding -1, is the 0j put after the column
         node_s_load = tuple(map((*s_load, 0j).__getitem__, feeding))
-        # the last position of an id listed twice, as dict() keeps it
         position = dict(zip(ids, range(len(ids))))
         # the root's feeding branch is -1, so a branch it feeds never counts
         unordered = next((ids[k] for k, s in enumerate(send) if feeding[s] >= k), None)
+
+        # the views' read functions take the lists as defaults, not closure
+        # cells, which would add seven objects for the cyclic collector to track
+        def children(i, ids=ids, feeding=feeding, offsets=offsets, targets=targets):
+            # the ids of the branches node i feeds, in column order
+            return tuple([ids[feeding[j]] for j in targets[offsets[i]:offsets[i + 1]]])
+
+        def parent_branch(i, ids=ids, feeding=feeding, root=root):
+            # the id of the branch feeding node i
+            if feeding[i] < 0:  # the root
+                raise KeyError(root)
+            return ids[feeding[i]]
+
         fields = dict(
             branches=BranchView(columns), root=root, tie_lines=tie_lines, base=base,
             branch_ids=ids, sending=sending, receiving=receiving, z=z, s_load=s_load,
-            capacity=capacity, children=_Children(nodes, index, ids, feeding, offsets, targets),
-            parent_branch=_ParentBranch(receiving, index, ids, feeding),
+            capacity=capacity, children=_IdView(nodes, index, children),
+            parent_branch=_IdView(receiving, index, parent_branch),
             node_s_load=node_s_load, node_load=PhasorMap(index, node_s_load), _nodes=nodes,
-            node_index=_Topology(index, index), branch_position=_Topology(position, position),
-            unordered_branch=unordered, _index=index, _send=send, _recv=recv,
-            _feeding=feeding, _offsets=offsets,
+            # a position reads as itself
+            node_index=_IdView(index, index, int), branch_position=_IdView(position, position, int),
+            unordered_branch=unordered, _index=index, _position=position, _send=send,
+            _recv=recv, _feeding=feeding, _offsets=offsets,
         )
         for name, value in fields.items():
             object.__setattr__(self, name, value)

@@ -7,7 +7,9 @@ per-iteration rescanning baseline comes from. find_leaf_nodes returns the
 leaves as an ascending tuple, which is_leaf binary-searches; a StepCounter
 keeps one running total of the steps taken, and a caller that wants the steps
 of one stretch (before the loop, or one pass) reads the total before and after
-it.
+it. solve calls neither: the compiled topology's childless nodes are the
+leaves, and it counts find_leaf_nodes' two scans, 2m steps, without running
+them.
 
 solve reads the network's per-unit columns (z and node_s_load) and its
 position lists (sending and receiving node positions, each node's feeding
@@ -17,19 +19,20 @@ receiving node, parent branch, leaf flag) and complex columns (impedance,
 conjugate load). It then sweeps those columns, zipped, until the voltage
 profile settles; the forward sweep and the convergence check share one loop,
 and no per-branch loop reads an option. Step counts depend only on the
-topology, so they are known without running the baseline: pre_loop + r x
+topology, so they are known without running the baseline: 2m + r x
 per_iteration for the stack sweep, and r x its own per-iteration count for the
 per-iteration rescanning baseline, which does nothing before the loop. The
 compile pass counts is_leaf's binary search for each branch from a table of
 its per-outcome counts, indexed by each node's rank among the leaves; the
 rest of each per-iteration count is a closed form in the node, branch and
 root-child counts and the node depths, and literal_scan's table scans are
-added once per solve. debug_polar checks each
-pass in polar form after its forward loop.
+added once per solve. debug_polar checks each pass in polar form after its
+forward loop.
 
 build_report turns the final voltages and currents, as complex lists, into a
 SolveReport that keeps those lists and shows them as read-only Phasor views
-(final_*), reading the branch ids and impedances from the network's columns;
+(final_*) keyed through the network's node and branch id-to-position dicts,
+reading the branch ids and impedances from the network's columns;
 solve hands over the sweep's own lists and oracle.baseline_solve its dicts'
 values, so both return the same layout.
 
@@ -161,17 +164,18 @@ def is_leaf(leaves: tuple[int, ...], node: int, counter: StepCounter | None = No
     return found
 
 
-def _leaf_search_steps(leaves: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """The comparisons is_leaf counts for each outcome of its search of leaves.
+def _leaf_search_steps(count: int) -> tuple[list[int], list[int]]:
+    """The comparisons is_leaf counts for each outcome of its search of an
+    ascending tuple of count leaves.
 
     A binary search's count depends only on where it ends: found[i] when the
     node is leaves[i], missed[i] when it lies between leaves[i - 1] and
     leaves[i] (either way i = bisect_left(leaves, node)). One walk of the
     search's implicit tree visits each of the 2L + 1 outcomes once.
     """
-    found = [0] * len(leaves)
-    missed = [0] * (len(leaves) + 1)
-    stack = [(0, len(leaves) - 1, 0)]
+    found = [0] * count
+    missed = [0] * (count + 1)
+    stack = [(0, count - 1, 0)]
     while stack:
         low, high, steps = stack.pop()
         if low > high:
@@ -334,15 +338,17 @@ def check_convergence(
     return within == len(nodes), max_delta
 
 
-def _compile(net: NetworkModel, leaves: tuple[int, ...]):
+def _compile(net: NetworkModel):
     """Flatten the topology into the columns the sweep iterates on.
 
-    Reads the network's columns (z, node_s_load) and its position lists (the
-    sending and receiving columns as node positions, each node's feeding
-    branch and the children offsets), not its PerUnitBranch view or its
-    id-keyed views. Node indices are positions in net.nodes(), branch
-    positions are positions in the columns. Returns (loads, backward,
-    forward, per_iteration), the first three as tuples of parallel columns:
+    Reads only the network: its columns (z, node_s_load) and its position
+    lists (the sending and receiving columns as node positions, each node's
+    feeding branch and the children offsets), not its PerUnitBranch view or
+    its id-keyed views. The leaves are the nodes the offsets give no
+    children (the root feeds some branch). Node indices are positions in
+    net.nodes(), branch positions are positions in the columns. Returns
+    (loads, backward, forward, counts), the first three as tuples of
+    parallel columns:
 
     - loads: (node index, conj(S)) for each node with a nonzero load, in node
       order;
@@ -351,15 +357,16 @@ def _compile(net: NetworkModel, leaves: tuple[int, ...]):
       -1, the last entry of the sweep's accumulators, a spare nobody reads;
     - forward: (position, sending index, receiving index, z) in ascending
       branch order, z being the column's complex value;
-    - per_iteration: the steps one pass takes, as (stack sweep, baseline),
-      with the stack sweep's children listed from the adjacency (solve adds
-      literal_scan's table scans). They depend on the topology only: each
-      branch's is_leaf search is counted here, from the per-outcome counts of
-      _leaf_search_steps, instead of inside the loop: a node's search ends at
-      its rank among the leaves, read off a running count of the childless
-      nodes in node order. The rest is a closed form in n nodes,
-      m branches, the root's c children and D, the sum of node depths
-      (depth[receiving] = depth[sending] + 1).
+    - counts: (the number of leaves, then the steps one pass takes for the
+      stack sweep and for the baseline), with the stack sweep's children
+      listed from the adjacency (solve adds literal_scan's table scans).
+      The steps depend on the topology only: each branch's is_leaf search is
+      counted here, from the per-outcome counts of _leaf_search_steps,
+      instead of inside the loop: a node's search ends at its rank among the
+      leaves, read off a running count of the childless nodes in node order.
+      The rest is a closed form in n nodes, m branches, the root's c
+      children and D, the sum of node depths (depth[receiving] =
+      depth[sending] + 1).
 
     solve compiles only a sequentially ordered network, so every branch's
     parent precedes it and the backward sweep never reads an accumulator
@@ -369,12 +376,13 @@ def _compile(net: NetworkModel, leaves: tuple[int, ...]):
     n = len(feeding)
     m = len(send)
     childless = [a == b for a, b in zip(offsets, offsets[1:])]
-    found, missed = _leaf_search_steps(leaves)
+    # before[i] counts the leaves before node i, so before[-1] counts them all
+    before = list(accumulate(childless, initial=0))
+    found, missed = _leaf_search_steps(before[-1])
     # is_leaf's search for a node ends at the count of leaves before it: the
     # i-th leaf (from 0) takes found[i] comparisons and any other node with i
     # leaves before it missed[i]. Every leaf is searched for once, and every
     # other node but the root, which no branch feeds
-    before = list(accumulate(childless, initial=0))
     root = net._index[net.root]
     search_steps = (sum(found) - missed[before[root]]
                     + sum([missed[i] for i, leaf in zip(before, childless) if not leaf]))
@@ -399,17 +407,19 @@ def _compile(net: NetworkModel, leaves: tuple[int, ...]):
     # downstream sets
     common = n + m + n
     backward_steps = search_steps + 4 * m - 3 * (offsets[root + 1] - offsets[root])
-    return loads, backward, forward, (backward_steps + common, n * m + m * n + sum(depth) + common)
+    return loads, backward, forward, (
+        before[-1], backward_steps + common, n * m + m * n + sum(depth) + common)
 
 
-def _sweep(net: NetworkModel, leaves: tuple[int, ...], options: SolveOptions):
+def _sweep(net: NetworkModel, options: SolveOptions):
     """Iterate the sweep on flat lists from a flat start until it settles.
 
     Same arithmetic, in the same order, as compute_load_currents,
     backward_sweep, forward_sweep and check_convergence. Returns (iterations,
-    delta history, worst polar deviation, (stack sweep, baseline) steps per
-    iteration without literal_scan's table scans, and the final voltages,
-    load currents and branch currents as complex lists).
+    delta history, worst polar deviation, _compile's counts (leaves, then
+    stack sweep and baseline steps per iteration without literal_scan's
+    table scans), and the final voltages, load currents and branch currents
+    as complex lists).
 
     With debug_polar, each pass's branches are checked in polar form after
     its forward loop, from that pass's final voltages: each sending node's
@@ -417,7 +427,7 @@ def _sweep(net: NetworkModel, leaves: tuple[int, ...], options: SolveOptions):
     once, so the check reads the values the forward loop read. A non-finite
     voltage anywhere in the pass is therefore raised before a polar mismatch.
     """
-    loads, backward, forward, per_iteration = _compile(net, leaves)
+    loads, backward, forward, counts = _compile(net)
     nodes = net.nodes()
     n = len(nodes)
     m = len(net.branch_ids)
@@ -475,33 +485,31 @@ def _sweep(net: NetworkModel, leaves: tuple[int, ...], options: SolveOptions):
     else:
         raise NonConvergenceError(iterations, max_delta)
     del ib[m]  # the spare accumulator of the root-fed branches
-    return iterations, deltas, worst_polar, per_iteration, v, il, ib
+    return iterations, deltas, worst_polar, counts, v, il, ib
 
 
 def solve(net: NetworkModel, options: SolveOptions | None = None) -> SolveReport:
     """Run the sweep iteration from a flat start until the voltage profile settles.
 
-    Leaves are identified once before the loop and the network is compiled
-    once into flat lists. Each pass recomputes load currents, sweeps branch
-    currents backward, voltages forward, and checks the per-node magnitude
-    deltas against the tolerance. Both step counts come from the topology, not
-    from the loop: pre_loop_steps + iterations x per-iteration steps for the
-    stack sweep, iterations x per-iteration steps for the baseline. A network
+    The network is compiled once into flat lists, its childless nodes being
+    the leaves. Each pass recomputes load currents, sweeps branch currents
+    backward, voltages forward, and checks the per-node magnitude deltas
+    against the tolerance. Both step counts come from the topology, not from
+    the loop: pre_loop_steps (2m, find_leaf_nodes' two scans, counted without
+    running them) + iterations x per-iteration steps for the stack sweep,
+    iterations x per-iteration steps for the baseline. A network
     that is not sequentially ordered is refused by NetworkModel.check_ordering.
     """
     if options is None:
         options = SolveOptions()
     net.check_ordering()
 
-    counter = StepCounter()
-    leaves = find_leaf_nodes(net, counter)
-    pre_loop_steps = counter.total
-    iterations, deltas, worst_polar, steps, v, il, ib = _sweep(net, leaves, options)
-    per_iteration, per_iteration_baseline = steps
+    iterations, deltas, worst_polar, counts, v, il, ib = _sweep(net, options)
+    leaf_count, per_iteration, per_iteration_baseline = counts
+    m = len(net.branch_ids)
     if options.literal_scan:
         # each non-leaf branch scans the whole table for its children
-        m = len(net.branch_ids)
-        per_iteration += m * (m - len(leaves))
+        per_iteration += m * (m - leaf_count)
 
     return build_report(
         net,
@@ -509,10 +517,10 @@ def solve(net: NetworkModel, options: SolveOptions | None = None) -> SolveReport
         il,
         ib,
         iterations=iterations,
-        step_count_proposed=pre_loop_steps + iterations * per_iteration,
+        step_count_proposed=2 * m + iterations * per_iteration,
         step_count_baseline=iterations * per_iteration_baseline,
-        leaf_count=len(leaves),
-        pre_loop_steps=pre_loop_steps,
+        leaf_count=leaf_count,
+        pre_loop_steps=2 * m,  # find_leaf_nodes' two scans, one step per branch each
         per_iteration_steps=(per_iteration,) * iterations,
         delta_history=tuple(deltas),
         max_polar_deviation=worst_polar if options.debug_polar else None,
@@ -530,12 +538,14 @@ def build_report(
 
     volts and loads hold one value per node in net.nodes() order, branches one
     per branch in column order; the report keeps the lists and shows them
-    through PhasorMap views. Branch ids and impedances are read from the
-    network's branch_ids and z columns, so no PerUnitBranch is built. fields
-    are the remaining SolveReport fields (iterations, step counts, delta
-    history and so on). Magnitudes, angles and losses come from the complex
-    parts with the arithmetic of Phasor.magnitude, Phasor.angle_degrees and
-    oracle.compute_losses, so every value equals theirs exactly.
+    through PhasorMap views whose index is the network's plain id-to-position
+    dict, net._index or net._position. Branch ids and impedances are read
+    from the network's branch_ids and z columns, so no PerUnitBranch is
+    built. fields are the remaining SolveReport fields (iterations, step
+    counts, delta history and so on). Magnitudes, angles and losses come from
+    the complex parts with the arithmetic of Phasor.magnitude,
+    Phasor.angle_degrees and oracle.compute_losses, so every value equals
+    theirs exactly.
     """
     hypot = math.hypot
     atan2 = math.atan2
@@ -572,7 +582,7 @@ def build_report(
         total_loss_q=total_q,
         final_voltage=PhasorMap(net._index, volts),
         final_load_current=PhasorMap(net._index, loads),
-        final_branch_current=PhasorMap(net.branch_position, branches),
+        final_branch_current=PhasorMap(net._position, branches),
         **fields,
     )
 

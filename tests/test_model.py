@@ -291,6 +291,19 @@ class TestNetworkModel:
         with pytest.raises(rf.OrderingError, match="^branch 2 precedes the branch feeding"):
             rf.solve(net)
 
+    @pytest.mark.parametrize("edges,repeated", [
+        ([(1, 1, 2), (1, 2, 3)], 1),
+        ([(2, 1, 2), (3, 5, 6), (3, 1, 3), (2, 6, 5)], 3),
+    ], ids=["tree", "not-a-tree"])
+    def test_repeated_branch_id_is_refused(self, edges, repeated):
+        """The first id that repeats, in branch order, is named before the tree
+        is checked, in RawTable's text without a source."""
+        branches = tuple(to_per_unit(BranchRecord(*edge, 0.1, 0.1, 10.0, 5.0), DEFAULT_BASE)
+                         for edge in edges)
+        with pytest.raises(DataError) as exc:
+            NetworkModel(branches=branches, root=1, tie_lines=(), base=DEFAULT_BASE)
+        assert str(exc.value) == f"duplicate branch id {repeated}"
+
 
 class TestBranchView:
     """NetworkModel keeps its branches as columns; branches is a read-only

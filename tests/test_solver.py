@@ -374,6 +374,19 @@ class TestReportLayout:
         assert report.voltage_magnitude(65) < 1.0  # a view makes a Phasor when read
         assert len(made) == 1
 
+    def test_solve_runs_no_leaf_search(self, bus69_net, monkeypatch):
+        """solve counts find_leaf_nodes' two scans and takes the leaves from
+        the compiled topology, without calling it."""
+        expected = solve(bus69_net)
+
+        def refuse(*args):
+            raise AssertionError("solve called find_leaf_nodes")
+
+        monkeypatch.setattr(solver, "find_leaf_nodes", refuse)
+        report = solve(bus69_net)
+        assert report == expected
+        assert (report.leaf_count, report.pre_loop_steps) == (8, 2 * 68)
+
     def test_both_solvers_return_views_equal_to_their_rows(self, bus33_net):
         reports = (solve(bus33_net), rf.baseline_solve(bus33_net))
         for name in ("final_voltage", "final_load_current", "final_branch_current"):
@@ -468,13 +481,13 @@ class TestStepCounting:
         """Each of the 2L + 1 ends of is_leaf's search, a leaf or a gap around
         one, has the count is_leaf makes for it."""
         leaves = find_leaf_nodes(bus69_net)
-        found, missed = solver._leaf_search_steps(leaves)
+        found, missed = solver._leaf_search_steps(len(leaves))
         for node in sorted({x + d for x in leaves for d in (-0.5, 0, 0.5)}):
             counter = StepCounter()
             hit = is_leaf(leaves, node, counter)
             i = bisect_left(leaves, node)
             assert counter.total == (found[i] if hit else missed[i])
-        assert solver._leaf_search_steps(()) == ([], [0])
+        assert solver._leaf_search_steps(0) == ([], [0])
 
     @pytest.mark.parametrize("literal", [False, True])
     def test_leaf_search_totals_equal_counted_is_leaf(self, bus69_net, bus33_net, literal):
@@ -538,6 +551,7 @@ def assert_solve_matches_phase_functions(net, options):
     assert report.delta_history == tuple(deltas)
     assert report.iterations == iterations
     assert report.pre_loop_steps == pre_loop
+    assert report.leaf_count == len(find_leaf_nodes(net))
     assert report.per_iteration_steps == tuple(per_iteration)
     assert report.step_count_proposed == total
     assert report.max_polar_deviation == (worst_polar if options.debug_polar else None)
@@ -551,7 +565,8 @@ class TestFlatSolveMatchesPhaseFunctions:
         SolveOptions(),
         SolveOptions(literal_scan=True),
         SolveOptions(debug_polar=True),
-    ], ids=["default", "literal_scan", "debug_polar"])
+        SolveOptions(debug_polar=True, literal_scan=True),
+    ], ids=["default", "literal_scan", "debug_polar", "both"])
     @pytest.mark.parametrize("fixture", ["bus69_net", "bus33_net"])
     def test_fixtures(self, request, fixture, options):
         assert_solve_matches_phase_functions(request.getfixturevalue(fixture), options)
