@@ -9,15 +9,17 @@ to the NetworkModel, which keeps them as they are; no PerUnitBranch or Phasor
 is built. The model's construction checks the tree (model.radial_tree) and
 derives the topology, the sequential-ordering verdict included;
 validate_radial refuses an unordered network through
-NetworkModel.check_ordering.
+NetworkModel.check_ordering. Both functions take rows out of the columns
+by position in one way only, _gather, which returns each column's entries
+at a list of row positions as a tuple.
 renumber_sequential runs the same radial_tree on the same id-sorted
 branches' columns, so both name the same first defect, whatever the order of
 the rows; a value that cannot be put in per-unit is a DataError that
 validate_radial raises before any topology check, as the parser names bad
 values before anything else. renumber_sequential puts the rows in one order,
 the closed branches as its walk from the root pops them and then the tie
-lines by id, and applies that order to every column; the new nodes and the
-whole mapping are read off the same order. The walk runs on radial_tree's
+lines by id, and gathers every column in that order; the new nodes and the
+whole mapping are read off the gathered columns. The walk runs on radial_tree's
 position lists: its frontier is a heap of node positions, which follow the
 old node ids, and each node's children are a slice of the offsets-plus-
 targets pair, so no id-keyed lookup is made until the mapping is built. The
@@ -267,6 +269,11 @@ def _by_id(table: RawTable) -> tuple[list[int], list[int]]:
     return [k for k in order if not tie[k]], [k for k in order if tie[k]]
 
 
+def _gather(columns, positions) -> list[tuple]:
+    """Each column's entries at positions, in that order, as a tuple."""
+    return [tuple([c[k] for k in positions]) for c in columns]
+
+
 def validate_radial(
     table: RawTable,
     root: int | None = None,
@@ -287,15 +294,14 @@ def validate_radial(
     if base is None:
         base = table.declared_base if table.declared_base is not None else DEFAULT_BASE
     closed, ties = _by_id(table)
-    columns = table.columns
     # the closed rows' columns in id order, but for is_tie (false on each)
-    ids, sending, receiving, r, x, p, q, cap = [tuple([c[k] for k in closed]) for c in columns[:-1]]
+    ids, sending, receiving, r, x, p, q, cap = _gather(table.columns[:-1], closed)
     z, s_load = _per_unit_columns(ids, r, x, p, q, base)
     try:
         net = NetworkModel._from_columns(
             (ids, sending, receiving, z, s_load, cap),
             root=_root(table, root),
-            tie_lines=tuple([BranchRecord(*[c[k] for c in columns]) for k in ties]),
+            tie_lines=tuple(map(BranchRecord, *_gather(table.columns, ties))),
             base=base,
         )
         if require_ordered:
@@ -330,12 +336,10 @@ def renumber_sequential(table: RawTable, root: int | None = None) -> tuple[RawTa
     """
     root = _root(table, root)
     closed, ties = _by_id(table)
-    ids, sending, receiving, r, x, p, q, cap, _ = table.columns
+    ends = table.columns[:3]  # branch id, sending and receiving node
     try:
         _, index, _, _, feeding, offsets, targets = radial_tree(
-            [ids[k] for k in closed], [sending[k] for k in closed],
-            [receiving[k] for k in closed], root,
-            [(ids[k], sending[k], receiving[k]) for k in ties])
+            *_gather(ends, closed), root, tuple(zip(*_gather(ends, ties))))
     except TopologyError as exc:
         raise type(exc)(f"{table.source_name}: {exc}") from None
 
@@ -357,29 +361,23 @@ def renumber_sequential(table: RawTable, root: int | None = None) -> tuple[RawTa
         else:
             break
         popped.append(i)
-    walk = [closed[feeding[i]] for i in popped]  # the closed rows in walk order
-    old_nodes = [root, *map(receiving.__getitem__, walk)]
-    node_new_to_old = dict(zip(range(1, len(old_nodes) + 1), old_nodes))
-    new_node = dict(zip(old_nodes, range(1, len(old_nodes) + 1)))
-    order = walk + ties
+    # the rows in the new order: the closed ones as the walk popped them,
+    # then the ties
+    walk = [closed[feeding[i]] for i in popped]
+    ids, sending, receiving, r, x, p, q, cap = _gather(table.columns[:-1], walk + ties)
+    new_ids = range(1, len(ids) + 1)
+    node_new_to_old = dict(enumerate((root, *receiving[:len(walk)]), start=1))
+    new_node = {old: new for new, old in node_new_to_old.items()}
 
     # a tie carries no load: write 0.0, also where its row reads -0.0
-    zeros = [0.0] * len(ties)
-    columns = (
-        range(1, len(order) + 1),
-        [new_node[sending[k]] for k in order],
-        [new_node[receiving[k]] for k in order],
-        [r[k] for k in order],
-        [x[k] for k in order],
-        [p[k] for k in walk] + zeros,
-        [q[k] for k in walk] + zeros,
-        [cap[k] for k in order],
-        [False] * len(walk) + [True] * len(ties),
-    )
+    zeros = (0.0,) * len(ties)
+    columns = (new_ids, [new_node[n] for n in sending], [new_node[n] for n in receiving], r, x,
+               p[:len(walk)] + zeros, q[:len(walk)] + zeros, cap,
+               [False] * len(walk) + [True] * len(ties))
     mapping = RenumberMapping(
         node_old_to_new=new_node,
         node_new_to_old=node_new_to_old,
-        branch_old_to_new={ids[k]: new for new, k in enumerate(order, start=1)},
+        branch_old_to_new=dict(zip(ids, new_ids)),
     )
     new_table = RawTable._from_columns(
         columns,

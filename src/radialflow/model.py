@@ -550,10 +550,12 @@ class NetworkModel(_Frozen):
     way construction runs radial_tree on the id, sending and receiving
     columns and the tie lines' ends, so a network that is not a tree rooted
     at root, or whose tie lines end outside it, raises TopologyError. The
-    constructor first refuses, with a DataError, a tie line among branches
-    and then a branch id that repeats (the first in branch order, in
-    RawTable's text without a source). _from_columns needs neither check:
-    RawTable refuses a repeated id, and validate_radial passes tie lines apart.
+    constructor first refuses, with a DataError, a tie line among branches,
+    then a tie_lines record whose is_tie is false, and then a branch id that
+    repeats, over the branch ids followed by the tie lines' (the first repeat
+    in that order, in RawTable's text without a source). _from_columns needs
+    none of these checks: RawTable flags the ties and refuses a repeated id,
+    and validate_radial passes tie lines apart.
 
     Every topology fact is derived from the columns and root, here and
     nowhere else, as radial_tree's position lists: nodes have positions in
@@ -591,7 +593,10 @@ class NetworkModel(_Frozen):
             if tie:
                 raise DataError(
                     f"branch {branch_id} is a tie line; a network holds closed branches only")
-        _check_unique(ids)
+        for t in tie_lines:
+            if not t.is_tie:  # a closed record would be dropped, its load with it
+                raise DataError(f"tie line {t.branch_id} is not flagged as a tie")
+        _check_unique((*ids, *[t.branch_id for t in tie_lines]))
         # a Phasor is the (re, im) pair complex() takes
         self._fill((ids, sending, receiving, tuple(starmap(complex, z)),
                     tuple(starmap(complex, s_load)), capacity), root, tie_lines, base)

@@ -37,14 +37,23 @@ def downstream_sets(net: NetworkModel) -> dict[int, tuple[int, ...]]:
     return {bid: tuple(sorted(nodes)) for bid, nodes in sets.items()}
 
 
-def downstream_sum(net: NetworkModel, load_currents: dict[int, Phasor]) -> dict[int, Phasor]:
-    """Branch currents by explicit summation over each branch's downstream set."""
+def downstream_sum(net: NetworkModel, load_currents: dict[int, Phasor],
+                   counter: StepCounter | None = None) -> dict[int, Phasor]:
+    """Branch currents by explicit summation over each branch's downstream
+    set, its member load currents added in ascending node order.
+
+    Given a counter, counts what the per-iteration rescanning baseline pays
+    per branch: a membership test per node, n, and a step per member added.
+    """
+    n = len(net.nodes())
     result = {}
     for bid, nodes in downstream_sets(net).items():
         total = Phasor.zero()
         for node in nodes:
             total = total + load_currents[node]
         result[bid] = total
+        if counter:
+            counter.total += n + len(nodes)
     return result
 
 
@@ -110,19 +119,6 @@ def _rescan_leaves(net: NetworkModel, counter: StepCounter) -> set[int]:
     return leaves
 
 
-def _rescan_branch_currents(state: SolveState, net: NetworkModel, counter: StepCounter) -> None:
-    """Recompute every downstream set from scratch and sum the member load
-    currents in ascending node order, counting one membership test per
-    (branch, node) pair and one step per member added."""
-    n = len(net.nodes())
-    for bid, members in downstream_sets(net).items():
-        total = Phasor.zero()
-        for node in members:
-            total = total + state.load_current[node]
-        state.branch_current[bid] = total
-        counter.total += n + len(members)
-
-
 def baseline_solve(net: NetworkModel, options: SolveOptions | None = None) -> SolveReport:
     """Same numerics as solver.solve, but leaf identification and downstream
     sets are recomputed inside every iteration, with steps counted accordingly.
@@ -144,7 +140,7 @@ def baseline_solve(net: NetworkModel, options: SolveOptions | None = None) -> So
         start = counter.total
         compute_load_currents(state, net, counter)
         leaf_count = len(_rescan_leaves(net, counter))
-        _rescan_branch_currents(state, net, counter)
+        state.branch_current.update(downstream_sum(net, state.load_current, counter))
         worst_polar = max(worst_polar, forward_sweep(state, net, counter, options.debug_polar))
         converged, max_delta = check_convergence(state, options.tolerance, counter)
         per_iteration.append(counter.total - start)

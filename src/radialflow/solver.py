@@ -7,27 +7,27 @@ per-iteration rescanning baseline comes from. find_leaf_nodes returns the
 leaves as an ascending tuple, which is_leaf binary-searches; a StepCounter
 keeps one running total of the steps taken, and a caller that wants the steps
 of one stretch (before the loop, or one pass) reads the total before and after
-it. solve calls neither: the compiled topology's childless nodes are the
-leaves, and it counts find_leaf_nodes' two scans, 2m steps, without running
-them.
+it. solve calls neither: its step model takes the topology's childless nodes
+as the leaves, and counts find_leaf_nodes' two scans, 2m steps, without
+running them.
 
 solve reads the network's per-unit columns (z and node_s_load) and its
 position lists (sending and receiving node positions, each node's feeding
 branch, the children offsets), never a PerUnitBranch or an id-keyed view, and
-compiles them once into parallel columns: index columns (sending and
-receiving node, parent branch, leaf flag) and complex columns (impedance,
-conjugate load). It then sweeps those columns, zipped, until the voltage
-profile settles; the forward sweep and the convergence check share one loop,
-and no per-branch loop reads an option. Step counts depend only on the
-topology, so they are known without running the baseline: 2m + r x
-per_iteration for the stack sweep, and r x its own per-iteration count for the
-per-iteration rescanning baseline, which does nothing before the loop. The
-compile pass counts is_leaf's binary search for each branch from a table of
-its per-outcome counts, indexed by each node's rank among the leaves; the
-rest of each per-iteration count is a closed form in the node, branch and
-root-child counts and the node depths, and literal_scan's table scans are
-added once per solve. debug_polar checks each pass in polar form after its
-forward loop.
+gives each job one function. _sweep gathers its own parallel columns (node
+and branch indices, impedance, conjugate load) and sweeps them, zipped,
+until the voltage profile settles; the forward sweep and the convergence
+check share one loop, the backward loop reads no leaf flag, and no
+per-branch loop reads an option. _step_counts is the step model: step counts
+depend only on the topology, so they are known without running the
+baseline: 2m + r x per_iteration for the stack sweep, and r x its own
+per-iteration count for the per-iteration rescanning baseline, which does
+nothing before the loop. It counts is_leaf's binary search for each branch
+from a table of its per-outcome counts, indexed by each node's rank among
+the leaves; the rest of each per-iteration count is a closed form in the
+node, branch and root-child counts and the node depths, plus literal_scan's
+table scans. debug_polar checks each pass in polar form after its forward
+loop.
 
 build_report turns the final voltages and currents, as complex lists, into a
 SolveReport that keeps those lists and shows them as read-only Phasor views
@@ -338,39 +338,21 @@ def check_convergence(
     return within == len(nodes), max_delta
 
 
-def _compile(net: NetworkModel):
-    """Flatten the topology into the columns the sweep iterates on.
+def _step_counts(net: NetworkModel, literal_scan: bool) -> tuple[int, int, int]:
+    """The step model: (the number of leaves, the steps one pass takes for
+    the stack sweep, the steps one pass takes for the baseline).
 
-    Reads only the network: its columns (z, node_s_load) and its position
-    lists (the sending and receiving columns as node positions, each node's
-    feeding branch and the children offsets), not its PerUnitBranch view or
-    its id-keyed views. The leaves are the nodes the offsets give no
-    children (the root feeds some branch). Node indices are positions in
-    net.nodes(), branch positions are positions in the columns. Returns
-    (loads, backward, forward, counts), the first three as tuples of
-    parallel columns:
-
-    - loads: (node index, conj(S)) for each node with a nonzero load, in node
-      order;
-    - backward: (position, receiving index, parent position, is leaf) in
-      descending branch order; branches fed by the root get parent position
-      -1, the last entry of the sweep's accumulators, a spare nobody reads;
-    - forward: (position, sending index, receiving index, z) in ascending
-      branch order, z being the column's complex value;
-    - counts: (the number of leaves, then the steps one pass takes for the
-      stack sweep and for the baseline), with the stack sweep's children
-      listed from the adjacency (solve adds literal_scan's table scans).
-      The steps depend on the topology only: each branch's is_leaf search is
-      counted here, from the per-outcome counts of _leaf_search_steps,
-      instead of inside the loop: a node's search ends at its rank among the
-      leaves, read off a running count of the childless nodes in node order.
-      The rest is a closed form in n nodes, m branches, the root's c
-      children and D, the sum of node depths (depth[receiving] =
-      depth[sending] + 1).
-
-    solve compiles only a sequentially ordered network, so every branch's
-    parent precedes it and the backward sweep never reads an accumulator
-    before it is complete.
+    The counts depend on the topology only, so they are read off the
+    network's position lists (the sending and receiving columns as node
+    positions, each node's feeding branch and the children offsets) without
+    running either sweep. The leaves are the nodes the offsets give no
+    children (the root feeds some branch). Each branch's is_leaf search is
+    counted from the per-outcome counts of _leaf_search_steps: a node's
+    search ends at its rank among the leaves, read off a running count of the
+    childless nodes in node order. The rest is a closed form in n nodes, m
+    branches, the root's c children and D, the sum of node depths
+    (depth[receiving] = depth[sending] + 1), plus, with literal_scan, the
+    m x (m - L) steps of the whole-table scans for children.
     """
     send, recv, feeding, offsets = net._send, net._recv, net._feeding, net._offsets
     n = len(feeding)
@@ -378,7 +360,8 @@ def _compile(net: NetworkModel):
     childless = [a == b for a, b in zip(offsets, offsets[1:])]
     # before[i] counts the leaves before node i, so before[-1] counts them all
     before = list(accumulate(childless, initial=0))
-    found, missed = _leaf_search_steps(before[-1])
+    leaf_count = before[-1]
+    found, missed = _leaf_search_steps(leaf_count)
     # is_leaf's search for a node ends at the count of leaves before it: the
     # i-th leaf (from 0) takes found[i] comparisons and any other node with i
     # leaves before it missed[i]. Every leaf is searched for once, and every
@@ -389,37 +372,51 @@ def _compile(net: NetworkModel):
     depth = [0] * n
     for s, r in zip(send, recv):
         depth[r] = depth[s] + 1
-    recv_desc = recv[::-1]
-    backward = (range(m - 1, -1, -1), recv_desc,
-                list(map(feeding.__getitem__, send[::-1])),
-                list(map(childless.__getitem__, recv_desc)))
-    forward = (range(m), send, recv, net.z)
-    loaded = [i for i, s in enumerate(net.node_s_load) if s]
-    loads = (loaded, [net.node_s_load[i].conjugate() for i in loaded])
     # both take one step per node for the load currents and for the
     # convergence check, and one per branch for the forward sweep. Backward, a
     # branch with c children takes 3c + 1 steps (list, pop and add each child,
     # then the node's own load current; a leaf has c = 0), and every branch
     # not fed by the root is one branch's child, so the branches take
-    # 4m - 3 x (the root's children) in all. The baseline also tests every node
-    # against every branch for leaves and every (branch, node) pair for
-    # downstream sets, adding each member, and node k is a member of depth[k]
-    # downstream sets
+    # 4m - 3 x (the root's children) in all; with literal_scan each non-leaf
+    # branch also scans the whole table for its children. The baseline tests
+    # every node against every branch for leaves and every (branch, node)
+    # pair for downstream sets, adding each member, and node k is a member of
+    # depth[k] downstream sets
     common = n + m + n
-    backward_steps = search_steps + 4 * m - 3 * (offsets[root + 1] - offsets[root])
-    return loads, backward, forward, (
-        before[-1], backward_steps + common, n * m + m * n + sum(depth) + common)
+    per_iteration = search_steps + 4 * m - 3 * (offsets[root + 1] - offsets[root]) + common
+    if literal_scan:
+        per_iteration += m * (m - leaf_count)
+    return leaf_count, per_iteration, n * m + m * n + sum(depth) + common
 
 
 def _sweep(net: NetworkModel, options: SolveOptions):
     """Iterate the sweep on flat lists from a flat start until it settles.
 
-    Same arithmetic, in the same order, as compute_load_currents,
-    backward_sweep, forward_sweep and check_convergence. Returns (iterations,
-    delta history, worst polar deviation, _compile's counts (leaves, then
-    stack sweep and baseline steps per iteration without literal_scan's
-    table scans), and the final voltages, load currents and branch currents
-    as complex lists).
+    The sweep reads only the network's columns (z, node_s_load) and position
+    lists (the sending and receiving columns as node positions and each
+    node's feeding branch), not its PerUnitBranch view or its id-keyed views,
+    and gathers them into parallel columns; node indices are positions in
+    net.nodes(), branch positions are positions in the columns:
+
+    - loads: (node index, conj(S)) for each node with a nonzero load, in node
+      order;
+    - backward: (position, receiving index, parent position) in descending
+      branch order; branches fed by the root get parent position -1, the last
+      entry of the accumulators, a spare nobody reads;
+    - forward: (position, sending index, receiving index, z) in ascending
+      branch order, z being the column's complex value.
+
+    Gives the same values, in the same order, as compute_load_currents,
+    backward_sweep, forward_sweep and check_convergence, but for the sign of
+    a zero: every branch current is its accumulator plus its receiving node's
+    load current, and a leaf's accumulator is still 0j, so a leaf whose load
+    current has a -0.0 part gets +0.0 there, where backward_sweep copies the
+    load current. The two are equal under ==. solve sweeps only a
+    sequentially ordered network, in which every child branch has a larger
+    position than its parent, so the descending loop completes a branch's
+    accumulator before reading it. Returns (iterations, delta history, worst
+    polar deviation, and the final voltages, load currents and branch
+    currents as complex lists).
 
     With debug_polar, each pass's branches are checked in polar form after
     its forward loop, from that pass's final voltages: each sending node's
@@ -427,10 +424,14 @@ def _sweep(net: NetworkModel, options: SolveOptions):
     once, so the check reads the values the forward loop read. A non-finite
     voltage anywhere in the pass is therefore raised before a polar mismatch.
     """
-    loads, backward, forward, counts = _compile(net)
+    send, recv, feeding = net._send, net._recv, net._feeding
     nodes = net.nodes()
     n = len(nodes)
-    m = len(net.branch_ids)
+    m = len(send)
+    loaded = [i for i, s in enumerate(net.node_s_load) if s]
+    loads = (loaded, [net.node_s_load[i].conjugate() for i in loaded])
+    backward = (range(m - 1, -1, -1), recv[::-1], list(map(feeding.__getitem__, send[::-1])))
+    forward = (range(m), send, recv, net.z)
     hypot = math.hypot
     isfinite = math.isfinite
     tolerance = options.tolerance
@@ -449,8 +450,8 @@ def _sweep(net: NetworkModel, options: SolveOptions):
         # each current is scattered into its parent's accumulator, so siblings
         # add highest id first, as backward_sweep's stack pops them
         ib = [0j] * (m + 1)
-        for k, r, p, leaf in zip(*backward):
-            i_br = il[r] if leaf else ib[k] + il[r]
+        for k, r, p in zip(*backward):
+            i_br = ib[k] + il[r]
             ib[k] = i_br
             ib[p] += i_br
 
@@ -485,32 +486,28 @@ def _sweep(net: NetworkModel, options: SolveOptions):
     else:
         raise NonConvergenceError(iterations, max_delta)
     del ib[m]  # the spare accumulator of the root-fed branches
-    return iterations, deltas, worst_polar, counts, v, il, ib
+    return iterations, deltas, worst_polar, v, il, ib
 
 
 def solve(net: NetworkModel, options: SolveOptions | None = None) -> SolveReport:
     """Run the sweep iteration from a flat start until the voltage profile settles.
 
-    The network is compiled once into flat lists, its childless nodes being
-    the leaves. Each pass recomputes load currents, sweeps branch currents
-    backward, voltages forward, and checks the per-node magnitude deltas
-    against the tolerance. Both step counts come from the topology, not from
-    the loop: pre_loop_steps (2m, find_leaf_nodes' two scans, counted without
-    running them) + iterations x per-iteration steps for the stack sweep,
-    iterations x per-iteration steps for the baseline. A network
-    that is not sequentially ordered is refused by NetworkModel.check_ordering.
+    _sweep runs the passes on flat lists: each recomputes load currents,
+    sweeps branch currents backward, voltages forward, and checks the
+    per-node magnitude deltas against the tolerance. Both step counts come
+    from the step model, _step_counts, not from the loop: pre_loop_steps
+    (2m, find_leaf_nodes' two scans, counted without running them) +
+    iterations x per-iteration steps for the stack sweep, iterations x
+    per-iteration steps for the baseline. A network that is not sequentially
+    ordered is refused by NetworkModel.check_ordering.
     """
     if options is None:
         options = SolveOptions()
     net.check_ordering()
 
-    iterations, deltas, worst_polar, counts, v, il, ib = _sweep(net, options)
-    leaf_count, per_iteration, per_iteration_baseline = counts
+    iterations, deltas, worst_polar, v, il, ib = _sweep(net, options)
+    leaf_count, per_iteration, per_iteration_baseline = _step_counts(net, options.literal_scan)
     m = len(net.branch_ids)
-    if options.literal_scan:
-        # each non-leaf branch scans the whole table for its children
-        per_iteration += m * (m - leaf_count)
-
     return build_report(
         net,
         v,

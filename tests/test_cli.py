@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ from radialflow.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_TOPOLOGY,
+    generate_random_table,
     main,
     read_text,
 )
@@ -563,6 +565,10 @@ class TestBench:
         row = out.splitlines()[1].split()
         proposed, baseline = int(row[4]), int(row[6])
         assert proposed < baseline
+
+    def test_generator_needs_two_nodes(self):
+        with pytest.raises(ValueError, match="^need at least 2 nodes$"):
+            generate_random_table(1, 0.5, random.Random(0))
 
     def test_deterministic_for_fixed_seed(self, capsys):
         args = ("bench", "--sizes", "8", "16", "--leaf-fractions", "0.2", "0.5", "--seed", "11")

@@ -291,18 +291,31 @@ class TestNetworkModel:
         with pytest.raises(rf.OrderingError, match="^branch 2 precedes the branch feeding"):
             rf.solve(net)
 
-    @pytest.mark.parametrize("edges,repeated", [
-        ([(1, 1, 2), (1, 2, 3)], 1),
-        ([(2, 1, 2), (3, 5, 6), (3, 1, 3), (2, 6, 5)], 3),
-    ], ids=["tree", "not-a-tree"])
-    def test_repeated_branch_id_is_refused(self, edges, repeated):
-        """The first id that repeats, in branch order, is named before the tree
-        is checked, in RawTable's text without a source."""
+    @pytest.mark.parametrize("edges,ties,repeated", [
+        ([(1, 1, 2), (1, 2, 3)], (), 1),
+        ([(2, 1, 2), (3, 5, 6), (3, 1, 3), (2, 6, 5)], (), 3),
+        ([(1, 1, 2), (2, 2, 3)], [(2, 1, 3)], 2),
+    ], ids=["tree", "not-a-tree", "tie-line"])
+    def test_repeated_branch_id_is_refused(self, edges, ties, repeated):
+        """The first id that repeats, in branch order and then tie-line order,
+        is named before the tree is checked, in RawTable's text without a
+        source."""
         branches = tuple(to_per_unit(BranchRecord(*edge, 0.1, 0.1, 10.0, 5.0), DEFAULT_BASE)
                          for edge in edges)
+        tie_lines = tuple(BranchRecord(*tie, 0.1, 0.1, 0.0, 0.0, None, True) for tie in ties)
         with pytest.raises(DataError) as exc:
-            NetworkModel(branches=branches, root=1, tie_lines=(), base=DEFAULT_BASE)
+            NetworkModel(branches=branches, root=1, tie_lines=tie_lines, base=DEFAULT_BASE)
         assert str(exc.value) == f"duplicate branch id {repeated}"
+
+    def test_closed_record_is_not_a_tie_line(self):
+        """A tie_lines record whose is_tie is false would be dropped, its load
+        with it; it is refused before the ids are checked."""
+        branches = tuple(to_per_unit(BranchRecord(k, k, k + 1, 0.1, 0.1, 10.0, 5.0), DEFAULT_BASE)
+                         for k in (1, 2))
+        closed = BranchRecord(1, 1, 3, 0.1, 0.1, 7.0, 7.0)
+        with pytest.raises(DataError) as exc:
+            NetworkModel(branches, 1, (closed,), DEFAULT_BASE)
+        assert str(exc.value) == "tie line 1 is not flagged as a tie"
 
 
 class TestBranchView:
@@ -530,6 +543,8 @@ class TestValueSemantics:
         for field in (*type(value).__match_args__, "extra"):
             with pytest.raises(AttributeError):
                 setattr(value, field, None)
+            with pytest.raises(AttributeError):
+                delattr(value, field)
 
     @pytest.mark.parametrize("name", VALUE_TYPES)
     def test_not_equal_to_the_tuple_of_its_fields(self, name):

@@ -376,7 +376,7 @@ class TestReportLayout:
 
     def test_solve_runs_no_leaf_search(self, bus69_net, monkeypatch):
         """solve counts find_leaf_nodes' two scans and takes the leaves from
-        the compiled topology, without calling it."""
+        the topology's childless nodes, without calling it."""
         expected = solve(bus69_net)
 
         def refuse(*args):
@@ -533,6 +533,17 @@ def phase_function_solve(net, options):
     raise NonConvergenceError(iterations, max_delta)
 
 
+@pytest.fixture(scope="module")
+def negative_zero_leaf_net():
+    """A leaf whose load current has a -0.0 part: solve adds it to a 0j
+    accumulator and gets +0.0 there, which equals the phase functions'
+    copied -0.0 under ==."""
+    return validate_radial(make_table([
+        (1, 1, 2, 0.1, 0.1, 0.0, 0.0),
+        (2, 2, 3, 0.1, 0.1, -0.0, -1e-6),
+    ]))
+
+
 def assert_solve_matches_phase_functions(net, options):
     report = solve(net, options)
     state, pre_loop, per_iteration, total, iterations, deltas, worst_polar = (
@@ -558,7 +569,7 @@ def assert_solve_matches_phase_functions(net, options):
 
 
 class TestFlatSolveMatchesPhaseFunctions:
-    """solve runs on compiled flat lists; the dict phase functions are the
+    """solve runs on flat lists; the dict phase functions are the
     reference it must reproduce exactly, step counts included."""
 
     @pytest.mark.parametrize("options", [
@@ -567,7 +578,7 @@ class TestFlatSolveMatchesPhaseFunctions:
         SolveOptions(debug_polar=True),
         SolveOptions(debug_polar=True, literal_scan=True),
     ], ids=["default", "literal_scan", "debug_polar", "both"])
-    @pytest.mark.parametrize("fixture", ["bus69_net", "bus33_net"])
+    @pytest.mark.parametrize("fixture", ["bus69_net", "bus33_net", "negative_zero_leaf_net"])
     def test_fixtures(self, request, fixture, options):
         assert_solve_matches_phase_functions(request.getfixturevalue(fixture), options)
 
