@@ -111,13 +111,15 @@ class RawTable(_Frozen):
         return tuple(r for r in self.rows if r.is_tie)
 
 
-def _parse_token(token: str, kind: type, lineno: int, source: str):
-    """A delimited field as kind (int or float), or a ParseError naming the line."""
+def _parse_token(token: str, kind: type, lineno: int, source: str, written: str = ""):
+    """A delimited field as kind (int or float), or a ParseError naming the
+    line and quoting the field as the line has it: written, when token was
+    cut from it (a branch number without its tie marker), or else token."""
     try:
         return kind(token)
     except ValueError:
         what = "integer" if kind is int else "numeric"
-        raise ParseError(f"{source}:{lineno}: bad {what} field {token!r}") from None
+        raise ParseError(f"{source}:{lineno}: bad {what} field {written or token!r}") from None
 
 
 def _parse_delimited(text: str, source: str) -> tuple[tuple, ...]:
@@ -128,9 +130,7 @@ def _parse_delimited(text: str, source: str) -> tuple[tuple, ...]:
             continue
         head = tokens[0]
         is_tie = head.endswith("*")
-        if is_tie:
-            head = head[:-1]
-        branch_id = _parse_token(head, int, lineno, source)
+        branch_id = _parse_token(head[:-1] if is_tie else head, int, lineno, source, head)
         if len(tokens) < 5:
             raise ParseError(f"{source}:{lineno}: expected at least 5 columns, got {len(tokens)}")
         sending, receiving = [_parse_token(t, int, lineno, source) for t in tokens[1:3]]

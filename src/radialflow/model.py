@@ -6,9 +6,9 @@ PerUnitBranch and SolveReport are collections.namedtuple subclasses on
 _Record: a record is the tuple of its fields in field order, equals only a
 record of its own type with equal fields, hashes as that tuple, and _make and
 _replace build through the constructor, so they run its checks. NetworkModel
-and SolveState take == and repr from _Fields, over the fields their
-__match_args__ name; NetworkModel is a _Frozen __slots__ class, whose fields
-cannot be set after construction.
+is a _Frozen __slots__ class: it takes == and repr from _Frozen, over the
+fields its __match_args__ names, and its fields cannot be set after
+construction. SolveState is a plain mutable class.
 
 radial_tree is the one check that closed branches form a tree rooted at the
 root, and the one place their adjacency is built; it reads the branches as id,
@@ -29,14 +29,17 @@ the closed branches' columns there, and to_per_unit a single row.
 NetworkModel keeps the closed branches as per-unit columns (ids, sending and
 receiving nodes, z and s_load as complex, capacity) and radial_tree's
 position lists, and the solver reads those; branches is a read-only
-BranchView that builds a PerUnitBranch only when an entry is read. Every
-id-keyed lookup is one kind of read-only Mapping, _IdView: the keys in order,
-an id-to-position dict and a function that reads the value at a position.
-children, parent_branch, node_index and branch_position are _IdViews over the
-position lists and the node and branch id-to-position dicts; PhasorMap, the
-view of node_load and of a report's final values, is the _IdView that reads a
-Phasor out of a list of complex values. So no per-branch record, Phasor or
-per-node container is built between parse and sweep.
+BranchView that builds a PerUnitBranch only when an entry is read. Each
+network fact has one published form: the columns for what each branch
+carries, and children and parent_branch for the tree. The reference phase
+functions and the oracle read the columns; of the package, only
+backward_sweep's default mode reads children. Every id-keyed lookup is one
+kind of read-only Mapping, _IdView: the keys in order, an id-to-position dict
+and a function that reads the value at a position. children and
+parent_branch are _IdViews over the position lists and the node
+id-to-position dict; PhasorMap, the view of a report's final values, is the
+_IdView that reads a Phasor out of a list of complex values. So no per-branch
+record, Phasor or per-node container is built between parse and sweep.
 PerUnitBase.kw_base is the one kW scale, and NetworkModel.check_ordering the
 one place that raises the OrderingError that validate_radial and solve refuse
 an unordered network with.
@@ -94,9 +97,10 @@ class _Record(tuple):
         return cls(*iterable)
 
 
-class _Fields:
-    """== and repr over the fields that __match_args__ names: equal only to
-    an instance of the same type with equal fields, shown as
+class _Frozen:
+    """== and repr over the fields that __match_args__ names, which cannot be
+    set or deleted once __init__ has set them with object.__setattr__: equal
+    only to an instance of the same type with equal fields, shown as
     Type(field=value, ...)."""
 
     __slots__ = ()
@@ -112,13 +116,6 @@ class _Fields:
     def __repr__(self) -> str:
         fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
         return f"{type(self).__qualname__}({fields})"
-
-
-class _Frozen(_Fields):
-    """A _Fields class whose attributes cannot be set or deleted once its
-    __init__ has set them with object.__setattr__."""
-
-    __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -188,9 +185,6 @@ class Phasor(_Record, namedtuple("Phasor", "re im")):
     def conjugate(self) -> "Phasor":
         return Phasor(self.re, -self.im)
 
-    def is_zero(self) -> bool:
-        return self.re == 0.0 and self.im == 0.0
-
     def __add__(self, other: "Phasor") -> "Phasor":
         return Phasor(self.re + other.re, self.im + other.im)
 
@@ -234,7 +228,8 @@ class _IdView(Mapping):
 
 
 class PhasorMap(_IdView):
-    """Read-only view of a list of complex values as Phasors, keyed by id.
+    """Read-only view of a list of complex values as Phasors, keyed by id: a
+    SolveReport's final_voltage, final_load_current and final_branch_current.
 
     index maps a node or branch id to its position in values, and iteration
     follows it; a Phasor is made only when an entry is read. It reads values
@@ -565,10 +560,8 @@ class NetworkModel(_Frozen):
     equal to, iterated in the order of and shown as the dict it stands for:
     children maps each node to the ids of the branches it feeds, in branch
     order; parent_branch maps each receiving node, in branch order, to the
-    branch feeding it; node_index and branch_position give each node's
-    position in nodes() and each branch's in the columns. node_s_load holds
-    each node's load in nodes() order (0j where no load is fed), and
-    node_load is a read-only PhasorMap view of it. unordered_branch is the
+    branch feeding it. node_s_load holds each node's load in nodes() order
+    (0j where no load is fed), for the sweep. unordered_branch is the
     first branch whose sending node is fed by a branch that does not come
     before it; with branches sorted by id, the first branch in id order fed
     through a branch with an id that is not smaller. It is None when the
@@ -580,8 +573,8 @@ class NetworkModel(_Frozen):
 
     __slots__ = ("branches", "root", "tie_lines", "base", "branch_ids", "sending", "receiving",
                  "z", "s_load", "capacity", "children", "parent_branch", "node_s_load",
-                 "node_load", "_nodes", "node_index", "branch_position", "unordered_branch",
-                 "_index", "_position", "_send", "_recv", "_feeding", "_offsets")
+                 "_nodes", "unordered_branch", "_index", "_position", "_send", "_recv",
+                 "_feeding", "_offsets")
     __match_args__ = ("branches", "root", "tie_lines", "base")
 
     def __init__(self, branches: Sequence[PerUnitBranch], root: int,
@@ -632,11 +625,8 @@ class NetworkModel(_Frozen):
             branch_ids=ids, sending=sending, receiving=receiving, z=z, s_load=s_load,
             capacity=capacity, children=_IdView(nodes, index, children),
             parent_branch=_IdView(receiving, index, parent_branch),
-            node_s_load=node_s_load, node_load=PhasorMap(index, node_s_load), _nodes=nodes,
-            # a position reads as itself
-            node_index=_IdView(index, index, int), branch_position=_IdView(position, position, int),
-            unordered_branch=unordered, _index=index, _position=position, _send=send,
-            _recv=recv, _feeding=feeding, _offsets=offsets,
+            node_s_load=node_s_load, _nodes=nodes, unordered_branch=unordered, _index=index,
+            _position=position, _send=send, _recv=recv, _feeding=feeding, _offsets=offsets,
         )
         for name, value in fields.items():
             object.__setattr__(self, name, value)
@@ -667,10 +657,8 @@ class NetworkModel(_Frozen):
         return len(self.branch_ids)
 
 
-class SolveState(_Fields):
+class SolveState:
     """Mutable per-iteration arrays for one solve."""
-
-    __match_args__ = ("node_voltage", "load_current", "branch_current", "prev_voltage_mag")
 
     def __init__(self, node_voltage: dict[int, Phasor], load_current: dict[int, Phasor],
                  branch_current: dict[int, Phasor], prev_voltage_mag: dict[int, float]):

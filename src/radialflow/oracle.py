@@ -22,18 +22,18 @@ from .solver import (
 def downstream_sets(net: NetworkModel) -> dict[int, tuple[int, ...]]:
     """For each branch, the sorted set of nodes it feeds.
 
-    Built by walking every node's ancestor chain to the root, so it assumes
-    nothing about branch ordering or the children adjacency.
+    Built by walking every fed node's ancestor chain up to the root, which no
+    branch feeds, through a map from each receiving node to its branch and
+    sending node made here from the branch columns. So it assumes nothing
+    about branch ordering and reads none of the tree the network derives.
     """
+    up = {r: (bid, s) for bid, s, r in zip(net.branch_ids, net.sending, net.receiving)}
     sets: dict[int, list[int]] = {bid: [] for bid in net.branch_ids}
-    for node in net.nodes():
-        if node == net.root:
-            continue
+    for node in up:
         k = node
-        while k != net.root:
-            bid = net.parent_branch[k]
+        while k in up:
+            bid, k = up[k]
             sets[bid].append(node)
-            k = net.sending[net.branch_position[bid]]
     return {bid: tuple(sorted(nodes)) for bid, nodes in sets.items()}
 
 
@@ -66,8 +66,9 @@ def power_balance(net: NetworkModel, report: SolveReport) -> dict[str, float]:
     """
     root_v = report.final_voltage[net.root]
     injected = Phasor.zero()
-    for bid in net.children[net.root]:
-        injected = injected + root_v * report.final_branch_current[bid].conjugate()
+    for bid, s in zip(net.branch_ids, net.sending):
+        if s == net.root:
+            injected = injected + root_v * report.final_branch_current[bid].conjugate()
     load = Phasor.zero()
     for node in net.nodes():
         load = load + report.final_voltage[node] * report.final_load_current[node].conjugate()

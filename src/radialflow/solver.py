@@ -44,8 +44,11 @@ included; StepCounter is a plain mutable class.
 The dict-based phase functions below (compute_load_currents, backward_sweep,
 forward_sweep, check_convergence) count their steps and remain the reference
 implementation: the tests require solve to reproduce them exactly, and
-oracle.baseline_solve is built from them. The reference for build_report's
-losses, compute_losses, lives in oracle.
+oracle.baseline_solve is built from them. They read the branch columns, not
+the node loads or position lists the sweep reads, so a fault in deriving
+those shows as a disagreement; only backward_sweep's default mode reads the
+children view. The reference for build_report's losses, compute_losses,
+lives in oracle.
 """
 from __future__ import annotations
 
@@ -60,7 +63,6 @@ from .model import (
     PhasorMap,
     SolveReport,
     SolveState,
-    _Fields,
     _Record,
     wrap_angle,
 )
@@ -94,15 +96,13 @@ class PolarMismatchError(LoadFlowError):
 POLAR_AGREEMENT_TOL = 1e-10
 
 
-class StepCounter(_Fields):
+class StepCounter:
     """Running total of elementary operations over a solve.
 
     total only grows: find_leaf_nodes, is_leaf, the phase functions and the
     oracle add to it. Each call that returns adds exactly the steps it took;
     what a call that raises has added is unspecified.
     """
-
-    __match_args__ = ("total",)
 
     def __init__(self, total: int = 0):
         self.total = total
@@ -191,20 +191,23 @@ def _leaf_search_steps(count: int) -> tuple[list[int], list[int]]:
 def compute_load_currents(state: SolveState, net: NetworkModel, counter: StepCounter | None = None) -> None:
     """LI_i = (PL_i - j QL_i) / conj(V_i); exactly zero at zero-load nodes.
 
+    A node's load is that of the branch feeding it, found by pairing the
+    receiving and s_load columns; the root, which no branch feeds, has none.
     One step per node.
     """
     nodes = net.nodes()
     if counter:
         counter.total += len(nodes)
+    node_load = dict(zip(net.receiving, net.s_load))
     for node in nodes:
-        s = net.node_load[node]
-        if s.is_zero():
+        s = node_load.get(node, 0j)
+        if not s:
             state.load_current[node] = Phasor.zero()
             continue
         v = state.node_voltage[node]
         if v.magnitude == 0.0:
             raise VoltageCollapseError(f"zero voltage at loaded node {node}")
-        state.load_current[node] = s.conjugate() / v.conjugate()
+        state.load_current[node] = Phasor(s.real, -s.imag) / v.conjugate()
 
 
 def backward_sweep(

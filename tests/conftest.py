@@ -60,15 +60,13 @@ def format_branch_table(table):
 
 def topology_dicts(table, root):
     """The topology a network validated from table keeps, rebuilt from the
-    table's closed rows in id order as the dicts it must equal: children,
-    parent_branch, node_index and branch_position, by name."""
+    table's closed rows in id order as the dicts it must equal: children and
+    parent_branch, by name."""
     closed = sorted(table.closed_rows(), key=lambda r: r.branch_id)
     nodes = sorted({root, *(r.receiving_node for r in closed)})
     return {
         "children": {n: tuple(r.branch_id for r in closed if r.sending_node == n) for n in nodes},
         "parent_branch": {r.receiving_node: r.branch_id for r in closed},
-        "node_index": {n: i for i, n in enumerate(nodes)},
-        "branch_position": {r.branch_id: k for k, r in enumerate(closed)},
     }
 
 
@@ -88,6 +86,21 @@ def criterion_2_tables():
     for _ in range(200):
         n = rng.randint(2, 30)
         yield generate_random_table(n, rng.uniform(0.05, 0.95), rng)
+
+
+def relabelled_tables(count=50, seed=7):
+    """Seeded random ordered trees whose non-root nodes are relabelled by a
+    seeded permutation. The branch ids and row order stay, so each tree is
+    still sequentially ordered, but a node's id is no longer the id of its
+    feeding branch + 1, as it is in generate_random_table's trees."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        table = generate_random_table(rng.randint(5, 30), rng.uniform(0.05, 0.95), rng)
+        fed = [r.receiving_node for r in table.rows]
+        label = {1: 1, **dict(zip(fed, rng.sample(fed, len(fed))))}
+        yield RawTable(rows=tuple(r._replace(sending_node=label[r.sending_node],
+                                             receiving_node=label[r.receiving_node])
+                                  for r in table.rows), source_name="relabelled")
 
 
 @pytest.fixture(scope="session")

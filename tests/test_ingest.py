@@ -61,9 +61,14 @@ class TestParseDelimited:
         ("1 1 2 0.1 0.05 10 5 nan\n", "f:1: branch 1: non-finite capacity (nan)"),
         ("1 1 2 0.1 0.05 10 5 -inf\n", "f:1: branch 1: non-finite capacity (-inf)"),
         ("1 1 2 0.1 0.05 10 5 -1\n", "f:1: branch 1: capacity must be positive when present"),
+        ("1 1 2 0.1 -0.05 10 5\n", "f:1: branch 1: negative impedance component"),
+        ("1* 1 2 0.1 0.1 0 5\n", "f:1: branch 1: tie-line must carry zero load"),
+        ("* 1 2 0.1 0.1\n", "f:1: bad integer field '*'"),
+        ("1** 1 2 0.1 0.1\n", "f:1: bad integer field '1**'"),
     ], ids=["bad-numeric", "bad-integer-suffix", "bad-integer-fraction", "four-columns",
             "six-columns", "record-error", "nan-capacity", "minus-inf-capacity",
-            "negative-capacity"])
+            "negative-capacity", "negative-reactance", "tie-with-reactive-load",
+            "tie-marker-alone", "tie-marker-twice"])
     def test_malformed_numeric_names_line(self, text, message):
         with pytest.raises(ParseError) as exc:
             parse_branch_table(text, source_name="f")
@@ -128,9 +133,13 @@ class TestParseJson:
           "branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
          "net.json: bad \"base\" {'kv': 'nan', 'mva': 10}: "
          "kv_base must be positive and finite, got nan"),
+        ({"base": {"kv": "inf", "mva": 10},
+          "branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
+         "net.json: bad \"base\" {'kv': 'inf', 'mva': 10}: "
+         "kv_base must be positive and finite, got inf"),
     ], ids=["top-level-list", "missing-id", "non-numeric-r", "bad-cap", "entry-not-object",
             "branches-not-list", "bad-root", "base-without-mva", "id-zero", "fractional-to",
-            "fractional-id", "bool-root", "bool-r", "open-as-text", "nan-base"])
+            "fractional-id", "bool-root", "bool-r", "open-as-text", "nan-base", "inf-base"])
     def test_malformed_document_names_the_entry_and_key(self, doc, message):
         with pytest.raises(ParseError) as exc:
             parse_branch_table(json.dumps(doc), "json", source_name="net.json")

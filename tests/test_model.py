@@ -372,12 +372,16 @@ class TestBranchView:
         for rebuilt in (pickle.loads(pickle.dumps(view)), copy.copy(view), copy.deepcopy(view)):
             assert type(rebuilt) is type(view) and rebuilt == view
 
-    def test_node_load_equals_the_dict_of_phasors(self):
-        net, branches = self.net(), self.branches()
-        expected = {1: Phasor(0.0, 0.0), 2: branches[0].s_load, 3: branches[1].s_load,
-                    4: branches[2].s_load}
-        assert net.node_load == expected and expected == net.node_load
-        assert list(net.node_load.items()) == list(expected.items())
+    def test_node_s_load_is_the_load_of_each_nodes_feeding_branch(self):
+        """In nodes() order, with 0j at the root; the nodes are numbered so
+        that their order is not the order of the branches feeding them."""
+        records = (BranchRecord(1, 1, 3, 0.1, 0.2, 10.0, 5.0),
+                   BranchRecord(2, 3, 4, 0.3, 0.1, 4.0, -1.0),
+                   BranchRecord(3, 3, 2, 0.2, 0.2, 7.0, 2.0))
+        branches = tuple(to_per_unit(rec, DEFAULT_BASE) for rec in records)
+        net = NetworkModel(branches=branches, root=1, tie_lines=(), base=DEFAULT_BASE)
+        assert net.nodes() == (1, 2, 3, 4)
+        assert net.node_s_load == (0j, *[branches[k].s_load.as_complex() for k in (2, 0, 1)])
 
     def test_view_and_model_cannot_be_assigned(self):
         net = self.net()
@@ -415,13 +419,13 @@ def sparse_shuffled(table, seed=11):
     return rf.RawTable(rows=tuple(rows), source_name="sparse"), label[1]
 
 
-TOPOLOGY = ("children", "parent_branch", "node_index", "branch_position")
+TOPOLOGY = ("children", "parent_branch")
 
 
 class TestTopologyViews:
-    """children, parent_branch, node_index and branch_position are read-only
-    views over the network's position lists, equal to the dicts they stand
-    for: on the bundled feeders and on a relabelled, unordered network."""
+    """children and parent_branch are read-only views over the network's
+    position lists, equal to the dicts they stand for: on the bundled feeders
+    and on a relabelled, unordered network."""
 
     @pytest.fixture(scope="class", params=["bus69", "bus33", "sparse"])
     def case(self, request, bus69_table, bus33_table):
@@ -491,13 +495,15 @@ class TestTopologyViews:
             table, mapping = rf.renumber_sequential(table, root=root)
             net = rf.validate_radial(table)
         report = rf.solve(net)
-        expected = topology_dicts(table, net.root)
-        for view, index in ((report.final_voltage, "node_index"),
-                            (report.final_load_current, "node_index"),
-                            (report.final_branch_current, "branch_position")):
+        # nodes in ascending id order, branches in id order
+        node_ids = sorted({net.root, *(r.receiving_node for r in table.closed_rows())})
+        branch_ids = sorted(r.branch_id for r in table.closed_rows())
+        for view, ids in ((report.final_voltage, node_ids),
+                          (report.final_load_current, node_ids),
+                          (report.final_branch_current, branch_ids)):
             values = view._values
-            assert list(view) == list(expected[index])
-            for key, k in expected[index].items():
+            assert list(view) == ids
+            for k, key in enumerate(ids):
                 assert view[key] == Phasor(values[k].real, values[k].imag)
         for node, magnitude, _ in report.node_voltages:
             assert report.final_voltage[node].magnitude == magnitude

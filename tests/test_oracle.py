@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import chain_table, criterion_2_tables, make_table
+from conftest import chain_table, criterion_2_tables, make_table, relabelled_tables
 from radialflow import oracle
 from radialflow.cli import generate_random_table
 from radialflow.ingest import validate_radial
@@ -35,6 +35,7 @@ class TestDownstreamSets:
 
     def test_set_is_subtree_vertex_set(self, bus69_net):
         sets = downstream_sets(bus69_net)
+        receiving = dict(zip(bus69_net.branch_ids, bus69_net.receiving))
         for b in bus69_net.branches:
             subtree = set()
             frontier = [b.receiving_node]
@@ -42,8 +43,7 @@ class TestDownstreamSets:
                 node = frontier.pop()
                 subtree.add(node)
                 for child in bus69_net.children[node]:
-                    position = bus69_net.branch_position[child]
-                    frontier.append(bus69_net.branches[position].receiving_node)
+                    frontier.append(receiving[child])
             assert set(sets[b.branch_id]) == subtree
 
     def test_recursive_union_invariant(self, bus33_net):
@@ -94,6 +94,18 @@ class TestBaselineSolve:
             diff = base.final_voltage[node] - bus69_report.final_voltage[node]
             assert abs(diff.as_complex()) < 1e-12
         assert base.step_count_baseline > bus69_report.step_count_proposed
+
+    def test_relabelled_trees_match_solver(self):
+        """Ordered trees whose node ids are not their branch ids + 1: a load
+        placed at the wrong node would part the two solvers."""
+        for table in relabelled_tables():
+            net = validate_radial(table)
+            ours, base = solve(net), baseline_solve(net)
+            assert base.iterations == ours.iterations
+            for name in ("final_voltage", "final_load_current", "final_branch_current"):
+                theirs = getattr(base, name)
+                for key, value in getattr(ours, name).items():
+                    assert abs((value - theirs[key]).as_complex()) < 1e-12
 
     def test_branch_currents_are_the_downstream_sums_exactly(self, bus69_net, bus33_net):
         """The baseline's branch currents are its final load currents summed over

@@ -7,7 +7,7 @@ from bisect import bisect_left
 import pytest
 
 import radialflow as rf
-from conftest import chain_table, criterion_2_tables, make_table
+from conftest import chain_table, criterion_2_tables, make_table, relabelled_tables
 from radialflow import solver
 from radialflow.cli import generate_random_table
 from radialflow.ingest import OrderingError, validate_radial
@@ -544,6 +544,13 @@ def negative_zero_leaf_net():
     ]))
 
 
+@pytest.fixture(scope="module")
+def relabelled_net():
+    """An ordered tree whose node ids are not its branch ids + 1, so a node's
+    load is found only through the branch that feeds it."""
+    return validate_radial(max(relabelled_tables(), key=lambda t: len(t.rows)))
+
+
 def assert_solve_matches_phase_functions(net, options):
     report = solve(net, options)
     state, pre_loop, per_iteration, total, iterations, deltas, worst_polar = (
@@ -578,7 +585,8 @@ class TestFlatSolveMatchesPhaseFunctions:
         SolveOptions(debug_polar=True),
         SolveOptions(debug_polar=True, literal_scan=True),
     ], ids=["default", "literal_scan", "debug_polar", "both"])
-    @pytest.mark.parametrize("fixture", ["bus69_net", "bus33_net", "negative_zero_leaf_net"])
+    @pytest.mark.parametrize("fixture", ["bus69_net", "bus33_net", "negative_zero_leaf_net",
+                                         "relabelled_net"])
     def test_fixtures(self, request, fixture, options):
         assert_solve_matches_phase_functions(request.getfixturevalue(fixture), options)
 
@@ -616,6 +624,16 @@ class TestFlatSolveMatchesPhaseFunctions:
             rf.baseline_solve(bus69_net, options)
         assert flat.value.iterations == reference.value.iterations == baseline.value.iterations == 2
         assert flat.value.max_delta == reference.value.max_delta == baseline.value.max_delta
+
+    def test_polar_deviation_beyond_the_tolerance_is_refused(self):
+        """A receiving voltage moved 1e-12 off the rectangular result passes;
+        moved 1e-8, between POLAR_AGREEMENT_TOL and 1e-6, it is refused."""
+        vs, i_br, z = Phasor(1.0, 0.0), Phasor(0.5, -0.2), Phasor(0.1, 0.05)
+        vr = vs - i_br * z
+        assert solver._polar_deviation(vs, i_br, z, Phasor(vr.re + 1e-12, vr.im), 7) < 1e-10
+        with pytest.raises(PolarMismatchError) as exc:
+            solver._polar_deviation(vs, i_br, z, Phasor(vr.re + 1e-8, vr.im), 7)
+        assert str(exc.value) == "branch 7: polar form deviates by 1.000e-08"
 
     def test_polar_mismatch_names_the_first_branch(self, bus33_net, monkeypatch):
         """A tolerance below 0 fails every branch, so both sweeps name branch 1."""
