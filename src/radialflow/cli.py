@@ -16,6 +16,7 @@ from . import solver
 from .ingest import (
     ParseError,
     RawTable,
+    _to_number,
     parse_branch_table,
     renumber_sequential,
     validate_radial,
@@ -54,7 +55,7 @@ def read_golden(path: str | Path) -> dict[int, float]:
             continue
         try:
             node, vmag = line.split(",")
-            node, vmag = int(node), float(vmag)
+            node, vmag = _to_number(node, int), _to_number(vmag, float)
         except ValueError:
             raise ParseError(f"{path}:{lineno}: bad golden row {line!r}") from None
         if not math.isfinite(vmag):

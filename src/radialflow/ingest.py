@@ -25,6 +25,7 @@ old node ids, and each node's children are a slice of the offsets-plus-
 targets pair, so no id-keyed lookup is made until the mapping is built. The
 JSON reader converts each value with _number, which names the key of a value
 that is not the number it must be (a bool, a fraction for an id or node).
+Number text, a table's or a golden CSV's, is read by _to_number alone.
 Every defect found raises a typed error: ParseError or DataError for bad input
 text and values, TopologyError (prefixed with the table's source) for anything
 that is not a tree rooted at the requested root. TopologyError and OrderingError live in
@@ -111,12 +112,21 @@ class RawTable(_Frozen):
         return tuple(r for r in self.rows if r.is_tie)
 
 
+def _to_number(value, kind: type):
+    """kind(value), kind int or float, but a ValueError for text that only
+    Python's own literals allow: a `_` digit separator or a non-ASCII
+    character (a digit of another script, say)."""
+    if type(value) is str and not (value.isascii() and "_" not in value):
+        raise ValueError(f"not a plain number: {value!r}")
+    return kind(value)
+
+
 def _parse_token(token: str, kind: type, lineno: int, source: str, written: str = ""):
     """A delimited field as kind (int or float), or a ParseError naming the
     line and quoting the field as the line has it: written, when token was
     cut from it (a branch number without its tie marker), or else token."""
     try:
-        return kind(token)
+        return _to_number(token, kind)
     except ValueError:
         what = "integer" if kind is int else "numeric"
         raise ParseError(f"{source}:{lineno}: bad {what} field {written or token!r}") from None
@@ -168,14 +178,14 @@ def _number(value, key: str, kind: type):
     """A JSON value as kind (int or float), or a ParseError naming its key.
 
     A bool is rejected, and so is a number with a fraction where an int is
-    wanted; text is read by kind() as the delimited format reads it.
+    wanted; text is read by _to_number, as the delimited format reads it.
     """
     if type(value) is kind:
         return value
     # a float gets here only when kind is int
     if type(value) is not bool and (type(value) is not float or value.is_integer()):
         try:
-            return kind(value)
+            return _to_number(value, kind)
         except _BAD_VALUE:
             pass
     raise ParseError(f"bad value {value!r} for key {key!r}")

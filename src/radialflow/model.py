@@ -20,6 +20,11 @@ by position: the sending and receiving columns as node positions, each node's
 feeding branch, and the children as one offsets-plus-targets pair. Ids stay
 at the edges: the parsers, error texts, BranchView, the id-keyed views and
 the report.
+
+Networks of one topology share one derivation: NetworkModel gets its tree
+from _shared_tree, which holds at most one _Tree, only after two equal
+topologies in a row.
+
 BranchRecord and both parsers check a row in one function, _check_row. It
 takes a row as the BranchRecord fields in field order, which is what a
 BranchRecord is; to_per_unit and RawTable(rows=...) read a record the same way.
@@ -27,10 +32,10 @@ _per_unit_columns is the one per-unit conversion: validate_radial converts
 the closed branches' columns there, and to_per_unit a single row.
 
 NetworkModel keeps the closed branches as per-unit columns (ids, sending and
-receiving nodes, z and s_load as complex, capacity) and radial_tree's
-position lists, and the solver reads those; branches is a read-only
-BranchView that builds a PerUnitBranch only when an entry is read. Each
-network fact has one published form: the columns for what each branch
+receiving nodes, z and s_load as complex, capacity) and its _Tree, and the
+solver reads those; branches is a read-only BranchView that builds a
+PerUnitBranch only when an entry is read. Each network fact has one
+published form: the columns for what each branch
 carries, and children and parent_branch for the tree. The reference phase
 functions and the oracle read the columns; of the package, only
 backward_sweep's default mode reads children. Every id-keyed lookup is one
@@ -488,6 +493,52 @@ def _cycle(ids, sending, receiving, send, feeding, reached) -> TopologyError:
     return TopologyError(f"cycle through branch {ids[k]} ({sending[k]}->{receiving[k]})")
 
 
+class _Tree:
+    """One topology's derivation, shared by its networks: radial_tree's send,
+    recv, feeding, offsets and targets, root the root's position, unordered
+    the first unordered branch's position (or None), and counts, which
+    solver._step_counts fills. Ids are not kept: each network has its own.
+    """
+
+    __slots__ = ("send", "recv", "feeding", "offsets", "targets", "root", "unordered", "counts")
+
+    def __init__(self, send, recv, feeding, offsets, targets, root):
+        self.send, self.recv, self.feeding = send, recv, feeding
+        self.offsets, self.targets, self.root = offsets, targets, root
+        # the root's feeding branch is -1, so a branch it feeds never counts
+        self.unordered = next((k for k, s in enumerate(send) if feeding[s] >= k), None)
+        self.counts = None
+
+
+# (hash of the last key derived without error, the held key, its _Tree)
+_last = (None, None, None)
+
+
+def _shared_tree(ids, sending, receiving, root, tie_ends):
+    """(nodes, index, tree) for closed branches as radial_tree takes them.
+
+    A key (ids, sending, receiving, root, tie_ends) equal to the held one's
+    under == shares the held _Tree, with nodes and index read off this
+    network's own receiving column and root. Any other key drops the held
+    tree and runs radial_tree, which raises for a defect; its tree is held
+    only when its key hashes equal to the previous tree's. Threads may call
+    this: _last is read and replaced whole, so a race costs a derivation.
+    """
+    global _last
+    key = (ids, sending, receiving, root, tie_ends)
+    last, held_key, tree = _last
+    if tree is not None and key == held_key:
+        # the root, at feeding -1, is put after the column
+        nodes = tuple(map((*receiving, root).__getitem__, tree.feeding))
+        return nodes, dict(zip(nodes, range(len(nodes)))), tree
+    _last = last, None, None  # a miss drops the held tree
+    nodes, index, *lists = radial_tree(ids, sending, receiving, root, tie_ends)
+    tree = _Tree(*lists, index[root])
+    h = hash(key)
+    _last = (h, key, tree) if h == last else (h, None, None)
+    return nodes, index, tree
+
+
 class BranchView(_Frozen, Sequence):
     """Read-only view of a NetworkModel's branch columns as PerUnitBranches.
 
@@ -553,9 +604,10 @@ class NetworkModel(_Frozen):
     and validate_radial passes tie lines apart.
 
     Every topology fact is derived from the columns and root, here and
-    nowhere else, as radial_tree's position lists: nodes have positions in
-    nodes() (ascending ids) and branches in the columns, and the private
-    dicts _index and _position map node and branch ids to them. The id-keyed
+    nowhere else, as radial_tree's position lists (the private _tree, which
+    networks of one topology may share): nodes have positions in nodes()
+    (ascending ids) and branches in the columns, and the private dicts _index
+    and _position map node and branch ids to them. The id-keyed
     facts are _IdViews that read those lists when an entry is read, each
     equal to, iterated in the order of and shown as the dict it stands for:
     children maps each node to the ids of the branches it feeds, in branch
@@ -573,8 +625,7 @@ class NetworkModel(_Frozen):
 
     __slots__ = ("branches", "root", "tie_lines", "base", "branch_ids", "sending", "receiving",
                  "z", "s_load", "capacity", "children", "parent_branch", "node_s_load",
-                 "_nodes", "unordered_branch", "_index", "_position", "_send", "_recv",
-                 "_feeding", "_offsets")
+                 "_nodes", "unordered_branch", "_index", "_position", "_tree")
     __match_args__ = ("branches", "root", "tie_lines", "base")
 
     def __init__(self, branches: Sequence[PerUnitBranch], root: int,
@@ -597,16 +648,16 @@ class NetworkModel(_Frozen):
     def _fill(self, columns, root, tie_lines, base) -> None:
         """Check the tree, derive the topology and set the fields."""
         ids, sending, receiving, z, s_load, capacity = columns
-        nodes, index, send, recv, feeding, offsets, targets = radial_tree(
+        nodes, index, tree = _shared_tree(
             ids, sending, receiving, root,
-            [(t.branch_id, t.sending_node, t.receiving_node) for t in tie_lines],
+            tuple([(t.branch_id, t.sending_node, t.receiving_node) for t in tie_lines]),
         )
+        feeding, offsets, targets = tree.feeding, tree.offsets, tree.targets
         # each node's load is that of the branch feeding it; the root's, at
         # feeding -1, is the 0j put after the column
         node_s_load = tuple(map((*s_load, 0j).__getitem__, feeding))
         position = dict(zip(ids, range(len(ids))))
-        # the root's feeding branch is -1, so a branch it feeds never counts
-        unordered = next((ids[k] for k, s in enumerate(send) if feeding[s] >= k), None)
+        unordered = None if tree.unordered is None else ids[tree.unordered]
 
         # the views' read functions take the lists as defaults, not closure
         # cells, which would add seven objects for the cyclic collector to track
@@ -626,7 +677,7 @@ class NetworkModel(_Frozen):
             capacity=capacity, children=_IdView(nodes, index, children),
             parent_branch=_IdView(receiving, index, parent_branch),
             node_s_load=node_s_load, _nodes=nodes, unordered_branch=unordered, _index=index,
-            _position=position, _send=send, _recv=recv, _feeding=feeding, _offsets=offsets,
+            _position=position, _tree=tree,
         )
         for name, value in fields.items():
             object.__setattr__(self, name, value)

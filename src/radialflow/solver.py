@@ -12,8 +12,7 @@ as the leaves, and counts find_leaf_nodes' two scans, 2m steps, without
 running them.
 
 solve reads the network's per-unit columns (z and node_s_load) and its
-position lists (sending and receiving node positions, each node's feeding
-branch, the children offsets), never a PerUnitBranch or an id-keyed view, and
+position lists (net._tree), never a PerUnitBranch or an id-keyed view, and
 gives each job one function. _sweep gathers its own parallel columns (node
 and branch indices, impedance, conjugate load) and sweeps them, zipped,
 until the voltage profile settles; the forward sweep and the convergence
@@ -26,8 +25,9 @@ nothing before the loop. It counts is_leaf's binary search for each branch
 from a table of its per-outcome counts, indexed by each node's rank among
 the leaves; the rest of each per-iteration count is a closed form in the
 node, branch and root-child counts and the node depths, plus literal_scan's
-table scans. debug_polar checks each pass in polar form after its forward
-loop.
+table scans. Having no load in them, the counts are kept on the tree, which
+networks of one topology share. debug_polar checks each pass in polar form
+after its forward loop.
 
 build_report turns the final voltages and currents, as complex lists, into a
 SolveReport that keeps those lists and shows them as read-only Phasor views
@@ -348,7 +348,8 @@ def _step_counts(net: NetworkModel, literal_scan: bool) -> tuple[int, int, int]:
     The counts depend on the topology only, so they are read off the
     network's position lists (the sending and receiving columns as node
     positions, each node's feeding branch and the children offsets) without
-    running either sweep. The leaves are the nodes the offsets give no
+    running either sweep, once per tree: its counts slot keeps all but the
+    literal_scan term. The leaves are the nodes the offsets give no
     children (the root feeds some branch). Each branch's is_leaf search is
     counted from the per-outcome counts of _leaf_search_steps: a node's
     search ends at its rank among the leaves, read off a running count of the
@@ -357,39 +358,44 @@ def _step_counts(net: NetworkModel, literal_scan: bool) -> tuple[int, int, int]:
     (depth[receiving] = depth[sending] + 1), plus, with literal_scan, the
     m x (m - L) steps of the whole-table scans for children.
     """
-    send, recv, feeding, offsets = net._send, net._recv, net._feeding, net._offsets
+    tree = net._tree
+    send, recv, feeding, offsets, root = tree.send, tree.recv, tree.feeding, tree.offsets, tree.root
     n = len(feeding)
     m = len(send)
-    childless = [a == b for a, b in zip(offsets, offsets[1:])]
-    # before[i] counts the leaves before node i, so before[-1] counts them all
-    before = list(accumulate(childless, initial=0))
-    leaf_count = before[-1]
-    found, missed = _leaf_search_steps(leaf_count)
-    # is_leaf's search for a node ends at the count of leaves before it: the
-    # i-th leaf (from 0) takes found[i] comparisons and any other node with i
-    # leaves before it missed[i]. Every leaf is searched for once, and every
-    # other node but the root, which no branch feeds
-    root = net._index[net.root]
-    search_steps = (sum(found) - missed[before[root]]
-                    + sum([missed[i] for i, leaf in zip(before, childless) if not leaf]))
-    depth = [0] * n
-    for s, r in zip(send, recv):
-        depth[r] = depth[s] + 1
-    # both take one step per node for the load currents and for the
-    # convergence check, and one per branch for the forward sweep. Backward, a
-    # branch with c children takes 3c + 1 steps (list, pop and add each child,
-    # then the node's own load current; a leaf has c = 0), and every branch
-    # not fed by the root is one branch's child, so the branches take
-    # 4m - 3 x (the root's children) in all; with literal_scan each non-leaf
-    # branch also scans the whole table for its children. The baseline tests
-    # every node against every branch for leaves and every (branch, node)
-    # pair for downstream sets, adding each member, and node k is a member of
-    # depth[k] downstream sets
-    common = n + m + n
-    per_iteration = search_steps + 4 * m - 3 * (offsets[root + 1] - offsets[root]) + common
-    if literal_scan:
+    if tree.counts is None:
+        childless = [a == b for a, b in zip(offsets, offsets[1:])]
+        # before[i] counts the leaves before node i, so before[-1] counts them all
+        before = list(accumulate(childless, initial=0))
+        leaf_count = before[-1]
+        found, missed = _leaf_search_steps(leaf_count)
+        # is_leaf's search for a node ends at the count of leaves before it:
+        # the i-th leaf (from 0) takes found[i] comparisons and any other node
+        # with i leaves before it missed[i]. Every leaf is searched for once,
+        # and every other node but the root, which no branch feeds
+        search_steps = (sum(found) - missed[before[root]]
+                        + sum([missed[i] for i, leaf in zip(before, childless) if not leaf]))
+        depth = [0] * n
+        for s, r in zip(send, recv):
+            depth[r] = depth[s] + 1
+        # both take one step per node for the load currents and for the
+        # convergence check, and one per branch for the forward sweep.
+        # Backward, a branch with c children takes 3c + 1 steps (list, pop and
+        # add each child, then the node's own load current; a leaf has c = 0),
+        # and every branch not fed by the root is one branch's child, so the
+        # branches take 4m - 3 x (the root's children) in all. The baseline
+        # tests every node against every branch for leaves and every (branch,
+        # node) pair for downstream sets, adding each member, and node k is a
+        # member of depth[k] downstream sets
+        common = n + m + n
+        tree.counts = (
+            leaf_count,
+            search_steps + 4 * m - 3 * (offsets[root + 1] - offsets[root]) + common,
+            n * m + m * n + sum(depth) + common,
+        )
+    leaf_count, per_iteration, per_iteration_baseline = tree.counts
+    if literal_scan:  # each non-leaf branch also scans the whole table for its children
         per_iteration += m * (m - leaf_count)
-    return leaf_count, per_iteration, n * m + m * n + sum(depth) + common
+    return leaf_count, per_iteration, per_iteration_baseline
 
 
 def _sweep(net: NetworkModel, options: SolveOptions):
@@ -427,7 +433,8 @@ def _sweep(net: NetworkModel, options: SolveOptions):
     once, so the check reads the values the forward loop read. A non-finite
     voltage anywhere in the pass is therefore raised before a polar mismatch.
     """
-    send, recv, feeding = net._send, net._recv, net._feeding
+    tree = net._tree
+    send, recv, feeding = tree.send, tree.recv, tree.feeding
     nodes = net.nodes()
     n = len(nodes)
     m = len(send)

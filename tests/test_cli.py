@@ -419,6 +419,20 @@ class TestSolve:
         assert err.startswith(f"parse error: {path}: ")
 
 
+    @pytest.mark.parametrize("text,message", [
+        ("1_0 1 2 0.1 0.1 1_0 5\n", "parse error: {path}:1: bad integer field '1_0'\n"),
+        ("1 1 2 0.1 0.1 \u0661\u0660 5\n",
+         "parse error: {path}:1: bad numeric field '\u0661\u0660'\n"),
+        ('{"branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.1, "p": "1_0"}]}',
+         "parse error: {path}: branches[0]: bad value '1_0' for key 'p'\n"),
+    ], ids=["underscore", "arabic-indic", "json-underscore-text"])
+    def test_python_literal_digits_exit_parse(self, capsys, tmp_path, text, message):
+        path = tmp_path / ("t.json" if text.startswith("{") else "t.branch")
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "solve", str(path))
+        assert (code, out, err) == (EXIT_PARSE, "", message.format(path=path))
+
+
 class TestCompare:
     def test_bus69_against_golden(self, capsys):
         code, out, _ = run(capsys, "compare", BUS69, "--golden", GOLDEN)
@@ -481,7 +495,10 @@ class TestCompare:
          "parse error: {path}:63: node 61 is listed twice\n"),
         ("node,vmag_pu\n1,1.0\n2,inf\n",
          "parse error: {path}:3: golden magnitude of node 2 is not finite\n"),
-    ], ids=["missing-file", "bad-row", "all-nan", "one-nan", "repeated-node", "inf"])
+        ("node,vmag_pu\n1_0,1.0\n", "parse error: {path}:2: bad golden row '1_0,1.0'\n"),
+        ("node,vmag_pu\n1,\u0661.0\n", "parse error: {path}:2: bad golden row '1,\u0661.0'\n"),
+    ], ids=["missing-file", "bad-row", "all-nan", "one-nan", "repeated-node", "inf",
+            "underscore-node", "arabic-indic-magnitude"])
     def test_unreadable_golden_exits_parse(self, capsys, tmp_path, text, message):
         path = tmp_path / "golden.csv"
         if text is not None:

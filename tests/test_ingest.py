@@ -65,10 +65,16 @@ class TestParseDelimited:
         ("1* 1 2 0.1 0.1 0 5\n", "f:1: branch 1: tie-line must carry zero load"),
         ("* 1 2 0.1 0.1\n", "f:1: bad integer field '*'"),
         ("1** 1 2 0.1 0.1\n", "f:1: bad integer field '1**'"),
+        ("1_0 1 2 0.1 0.1 10 5\n", "f:1: bad integer field '1_0'"),
+        ("1 1 2 0.1 0.1 1_0 5\n", "f:1: bad numeric field '1_0'"),
+        ("1_0* 1 2 0.1 0.1\n", "f:1: bad integer field '1_0*'"),
+        ("\u0661\u0660 1 2 0.1 0.1 10 5\n", "f:1: bad integer field '\u0661\u0660'"),
+        ("1 1 2 0.1 0.1 \uff11\uff10 5\n", "f:1: bad numeric field '\uff11\uff10'"),
     ], ids=["bad-numeric", "bad-integer-suffix", "bad-integer-fraction", "four-columns",
             "six-columns", "record-error", "nan-capacity", "minus-inf-capacity",
             "negative-capacity", "negative-reactance", "tie-with-reactive-load",
-            "tie-marker-alone", "tie-marker-twice"])
+            "tie-marker-alone", "tie-marker-twice", "underscore-id", "underscore-load",
+            "underscore-tie-id", "arabic-indic-id", "fullwidth-load"])
     def test_malformed_numeric_names_line(self, text, message):
         with pytest.raises(ParseError) as exc:
             parse_branch_table(text, source_name="f")
@@ -137,9 +143,20 @@ class TestParseJson:
           "branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
          "net.json: bad \"base\" {'kv': 'inf', 'mva': 10}: "
          "kv_base must be positive and finite, got inf"),
+        ({"branches": [{"id": "1_0", "from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
+         "net.json: branches[0]: bad value '1_0' for key 'id'"),
+        ({"branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05, "p": "1_0"}]},
+         "net.json: branches[0]: bad value '1_0' for key 'p'"),
+        ({"branches": [{"id": 1, "from": "\u0661", "to": 2, "r": 0.1, "x": 0.05}]},
+         "net.json: branches[0]: bad value '\u0661' for key 'from'"),
+        ({"root": "1_0", "branches": []}, "net.json: bad \"root\" '1_0'"),
+        ({"base": {"kv": "1_2.66", "mva": 10}, "branches": []},
+         "net.json: bad \"base\" {'kv': '1_2.66', 'mva': 10} (needs numbers \"kv\" and \"mva\")"),
     ], ids=["top-level-list", "missing-id", "non-numeric-r", "bad-cap", "entry-not-object",
             "branches-not-list", "bad-root", "base-without-mva", "id-zero", "fractional-to",
-            "fractional-id", "bool-root", "bool-r", "open-as-text", "nan-base", "inf-base"])
+            "fractional-id", "bool-root", "bool-r", "open-as-text", "nan-base", "inf-base",
+            "underscore-id", "underscore-load", "arabic-indic-from", "underscore-root",
+            "underscore-base"])
     def test_malformed_document_names_the_entry_and_key(self, doc, message):
         with pytest.raises(ParseError) as exc:
             parse_branch_table(json.dumps(doc), "json", source_name="net.json")

@@ -3,11 +3,14 @@ import copy
 import math
 import pickle
 import random
+import sys
+import threading
 
 import pytest
 
 import radialflow as rf
 from conftest import topology_dicts
+from radialflow import model
 from radialflow.model import (
     DEFAULT_BASE,
     BranchRecord,
@@ -18,6 +21,7 @@ from radialflow.model import (
     PhasorMap,
     SingularityError,
     TopologyError,
+    radial_tree,
     to_per_unit,
     wrap_angle,
 )
@@ -510,6 +514,188 @@ class TestTopologyViews:
         for branch_id, magnitude in report.branch_currents:
             assert report.final_branch_current[branch_id].magnitude == magnitude
         assert pickle.loads(pickle.dumps(report)) == report
+
+
+def scenario(table, factor):
+    """table with every load scaled by factor: a load scenario of its topology."""
+    rows = tuple(r._replace(load_p=r.load_p * factor, load_q=r.load_q * factor)
+                 for r in table.rows)
+    return rf.RawTable(rows=rows, source_name=f"{table.source_name}x{factor:.3f}")
+
+
+EMPTY = (None, None, None)
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """No topology held, and whatever a test leaves held dropped after it."""
+    monkeypatch.setattr(model, "_last", EMPTY)
+
+
+@pytest.fixture
+def tree_calls(monkeypatch, empty_memo):
+    """The argument tuples of every radial_tree call a network's construction makes."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return radial_tree(*args)
+
+    monkeypatch.setattr(model, "radial_tree", counted)
+    return calls
+
+
+def fresh(build):
+    """build() run with no topology held, leaving what is held as it was."""
+    held = model._last
+    model._last = EMPTY
+    try:
+        return build()
+    finally:
+        model._last = held
+
+
+def outcome(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except rf.LoadFlowError as exc:
+        return type(exc), str(exc)
+
+
+def topology(net):
+    """What a network derives from its topology, ids as it shows them."""
+    return (repr(net.nodes()), repr(dict(net.children)), repr(dict(net.parent_branch)),
+            repr(net.unordered_branch), net.node_s_load, repr(net))
+
+
+class TestSharedTopology:
+    """Networks of one topology in a row share one derivation of the tree;
+    their ids, loads, views and reports stay their own."""
+
+    def test_a_topology_is_held_after_two_equal_ones_in_a_row(self, tree_calls, bus69_table):
+        nets = [rf.validate_radial(scenario(bus69_table, f)) for f in (0.5, 0.8, 1.1)]
+        assert len(tree_calls) == 2
+        assert nets[2]._tree is nets[1]._tree is model._last[2]
+        assert nets[0]._tree is not nets[1]._tree
+
+    def test_alternating_topologies_hold_nothing(self, tree_calls, bus69_table, bus33_table):
+        for table in (bus69_table, bus33_table) * 2:
+            rf.validate_radial(table)
+        assert len(tree_calls) == 4
+        assert model._last[1:] == (None, None)
+
+    @pytest.mark.parametrize("defect", ["doubly-fed", "root-fed", "tie-outside", "unordered"])
+    def test_a_defect_between_good_tables_raises_its_own_error(self, empty_memo, bus69_table,
+                                                               defect):
+        """A table that differs from the held one in its rows, its root or a
+        tie line's end is derived, and named, as with nothing held."""
+        rows = list(bus69_table.rows)
+        root = 1
+        if defect == "doubly-fed":
+            rows[30] = rows[30]._replace(receiving_node=rows[10].receiving_node)
+        elif defect == "root-fed":  # the same rows, with node 2 as the root
+            root = 2
+        elif defect == "tie-outside":
+            k = next(k for k, r in enumerate(rows) if r.is_tie)
+            rows[k] = rows[k]._replace(receiving_node=999)
+        else:  # branches 3 and 40 trade ids
+            rows[2], rows[39] = rows[2]._replace(branch_id=40), rows[39]._replace(branch_id=3)
+        table = rf.RawTable(rows=tuple(rows), source_name="defective")
+        expected = fresh(lambda: outcome(rf.validate_radial, table, root))
+        assert expected[0] in (TopologyError, rf.OrderingError)
+        for factor in (0.5, 0.8):
+            rf.validate_radial(scenario(bus69_table, factor))
+        assert model._last[2] is not None  # bus69 is held
+        assert outcome(rf.validate_radial, table, root) == expected
+        after = rf.validate_radial(scenario(bus69_table, 1.1))
+        alone = fresh(lambda: rf.validate_radial(scenario(bus69_table, 1.1)))
+        assert topology(after) == topology(alone)
+        assert rf.solve(after) == rf.solve(alone)
+
+    @pytest.mark.parametrize("relabel", [float, lambda v: True if v == 1 else v],
+                             ids=["float", "true-for-one"])
+    @pytest.mark.parametrize("feeder", ["bus33", "unordered"])
+    def test_ids_equal_under_eq_stay_each_networks_own(self, empty_memo, bus33_net, relabel,
+                                                       feeder):
+        """A network whose ids equal the held one's under == (1.0, or True for
+        1) shares its tree, and shows its own ids in nodes(), the views, the
+        ordering verdict and the report."""
+        if feeder == "bus33":
+            branches = bus33_net.branches
+        else:  # branch 2 listed before branch 1, which feeds it
+            branches = tuple(to_per_unit(BranchRecord(*edge, 0.1, 0.1, 10.0, 5.0), DEFAULT_BASE)
+                             for edge in ((2, 2, 3), (1, 1, 2), (3, 1, 4)))
+        relabelled = tuple(b._replace(branch_id=relabel(b.branch_id),
+                                      sending_node=relabel(b.sending_node),
+                                      receiving_node=relabel(b.receiving_node))
+                           for b in branches)
+
+        def build(branches, root):
+            net = NetworkModel(branches, root, (), DEFAULT_BASE)
+            report = outcome(rf.solve, net)
+            return net, topology(net), repr(report)
+
+        expected = fresh(lambda: build(relabelled, relabel(1))[1:])
+        held = [build(branches, 1)[0] for _ in range(2)]
+        net, *shown = build(relabelled, relabel(1))
+        assert net._tree is held[1]._tree
+        assert shown == list(expected)
+        assert any(type(n) is not int for n in net.nodes())
+        assert list(map(type, net.nodes())) == list(map(type, fresh(
+            lambda: NetworkModel(relabelled, relabel(1), (), DEFAULT_BASE)).nodes()))
+
+    def test_scenarios_back_to_back_equal_the_baseline_and_fresh_solves(
+            self, empty_memo, bus69_table, bus33_table):
+        rng = random.Random(22)
+        for name in "AAABBBABAAABBA":
+            table = scenario(bus69_table if name == "A" else bus33_table, rng.uniform(0.3, 1.3))
+            net = rf.validate_radial(table)
+            alone = fresh(lambda: rf.validate_radial(table))
+            assert topology(net) == topology(alone)
+            for literal_scan in (False, True):
+                options = rf.SolveOptions(literal_scan=literal_scan)
+                report = rf.solve(net, options)
+                assert report == fresh(lambda: rf.solve(rf.validate_radial(table), options))
+                base = rf.baseline_solve(net, options)
+                assert (report.iterations, report.step_count_baseline) == (
+                    base.iterations, base.step_count_baseline)
+                assert all(abs((p - base.final_voltage[k]).as_complex()) < 1e-12
+                           for k, p in report.final_voltage.items())
+
+    def test_threads_sharing_two_topologies_get_single_threaded_reports(
+            self, tree_calls, bus69_table, bus33_table):
+        """Four threads, more than two cores, each validate and solve runs of
+        two topologies with the interpreter switching threads as often as it
+        can; every report equals the one solved alone, and some networks
+        shared a tree (about a third did in trial runs)."""
+        rng = random.Random(5)
+        tables = [scenario(bus69_table if (k // 3) % 2 else bus33_table, rng.uniform(0.3, 1.3))
+                  for k in range(24)]
+        expected = [fresh(lambda: rf.solve(rf.validate_radial(t))) for t in tables]
+        del tree_calls[:]
+        got = [[] for _ in range(4)]
+
+        def work(w):
+            for k in range(len(tables)):
+                j = (k + 3 * w) % len(tables)
+                got[w].append((j, rf.solve(rf.validate_radial(tables[j]))))
+
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [len(g) for g in got] == [len(tables)] * 4
+        assert len(tree_calls) < 4 * len(tables)
+        for g in got:
+            for j, report in g:
+                assert report == expected[j]
 
 
 def value_types():

@@ -5,7 +5,7 @@ package can be shown to give the same values, errors and exit codes.
 
 Imports radialflow from SRC and the benchmark's feeder generator,
 perfbench/feeders.py, from this checkout (without writing bytecode next to
-either), runs four seeded groups of cases and prints one line per group:
+either), runs five seeded groups of cases and prints one line per group:
 its name, the number of values hashed and the sha256 of their reprs, one
 value per line. Two versions compute the same when every line is equal.
 
@@ -16,6 +16,11 @@ value per line. Two versions compute the same when every line is equal.
 - feeder-10k: the four seed-1 inputs of the benchmark's feeder-10k workload,
   parsed from JSON, renumbered, validated and solved: the renumbered
   table's columns, the mapping and the report;
+- scenarios: seeded load scenarios of bus69 and bus33, validated and solved
+  (with literal_scan false and true) back to back: runs of one feeder, so
+  that later networks share the tree of an earlier one, then the two
+  interleaved; among them a bus69 network with float ids, bus69 validated
+  at root 2, which is not a tree, and a tie line moved outside the tree;
 - defects: 300 seeded defective tables mutated from bus69's rows: the
   result, or the error type and text, of renumber_sequential and of
   validate_radial (with require_ordered true and false), for root 1 and
@@ -47,7 +52,7 @@ os.environ["COLUMNS"] = "80"  # argparse wraps its usage text to the terminal's 
 import feeders  # noqa: E402
 import radialflow as rf  # noqa: E402
 from radialflow import cli  # noqa: E402
-from radialflow.model import BranchRecord, PerUnitBase, PhasorMap  # noqa: E402
+from radialflow.model import BranchRecord, NetworkModel, PerUnitBase, PhasorMap  # noqa: E402
 
 DATA = Path(rf.__file__).parent / "data"
 # the bases of perfbench/reference.py, which feeder-10k's documents declare
@@ -132,6 +137,43 @@ def feeder_10k():
         renumbered = rf.renumber_sequential(rf.parse_branch_table(text, "json"))
         add_renumbered(group, renumbered)
         add_report(group, rf.solve(rf.validate_radial(renumbered[0])))
+    return group
+
+
+def scaled(table, factor):
+    """table with every load scaled by factor."""
+    return rf.RawTable(rows=tuple(r._replace(load_p=r.load_p * factor, load_q=r.load_q * factor)
+                                  for r in table.rows), source_name=f"x{factor!r}")
+
+
+def as_floats(net):
+    """net with every branch id and node id as a float, equal under ==."""
+    branches = tuple(b._replace(branch_id=float(b.branch_id), sending_node=float(b.sending_node),
+                                receiving_node=float(b.receiving_node)) for b in net.branches)
+    return NetworkModel(branches, float(net.root), net.tie_lines, net.base)
+
+
+def scenarios():
+    group = Group("scenarios")
+    rng = random.Random("scenarios")
+    bus69, bus33 = read("bus69.branch"), read("bus33.branch")
+    tie = next(k for k, r in enumerate(bus69.rows) if r.is_tie)
+    outside = rf.RawTable(rows=tuple(r._replace(receiving_node=999) if k == tie else r
+                                     for k, r in enumerate(bus69.rows)), source_name="outside")
+    # A and B are load scenarios of bus69 and bus33; f a float-id copy of
+    # the previous network, r bus69 at root 2 and t the tie moved outside
+    for step in "AAAfAArAAtAABBBBBABABABBAAfA":
+        if step in "AB":
+            net = rf.validate_radial(scaled(bus69 if step == "A" else bus33, rng.uniform(0.3, 1.3)))
+        elif step == "f":
+            net = as_floats(net)
+        else:
+            table, root = (bus69, 2) if step == "r" else (outside, 1)
+            group.outcome(None, rf.validate_radial, table, root)
+            continue
+        add_network(group, net)
+        for literal_scan in (False, True):
+            group.outcome(add_report, rf.solve, net, rf.SolveOptions(literal_scan=literal_scan))
     return group
 
 
@@ -272,7 +314,7 @@ def cli_runs():
 
 
 def main():
-    for make in (reports, feeder_10k, defects, cli_runs):
+    for make in (reports, feeder_10k, scenarios, defects, cli_runs):
         print(make().line(), flush=True)
 
 
