@@ -9,9 +9,12 @@ to the NetworkModel, which keeps them as they are; no PerUnitBranch or Phasor
 is built. The model's construction checks the tree (model.radial_tree) and
 derives the topology, the sequential-ordering verdict included;
 validate_radial refuses an unordered network through
-NetworkModel.check_ordering. Both functions take rows out of the columns
-by position in one way only, _gather, which returns each column's entries
-at a list of row positions as a tuple.
+NetworkModel.check_ordering. Both functions find the closed and tie rows in
+id order with _by_id and take them out of the columns in one way only,
+_gather, which returns each column's entries at those row positions as a
+tuple. A table whose ids ascend and whose tie rows come last, as the bundled
+feeders and every renumbered table do, is already in that order: _by_id
+gives two ranges and _gather slices, with no sort and no per-row gather.
 renumber_sequential runs the same radial_tree on the same id-sorted
 branches' columns, so both name the same first defect, whatever the order of
 the rows; a value that cannot be put in per-unit is a DataError that
@@ -39,6 +42,8 @@ from __future__ import annotations
 
 import heapq
 from collections import namedtuple
+from collections.abc import Sequence
+from operator import lt
 
 from .model import (  # TopologyError and OrderingError are also ingest's names
     DEFAULT_BASE,
@@ -272,15 +277,27 @@ def _root(table: RawTable, root: int | None) -> int:
     return table.declared_root if table.declared_root is not None else 1
 
 
-def _by_id(table: RawTable) -> tuple[list[int], list[int]]:
-    """Positions of the closed rows and of the tie rows, each in id order."""
+def _by_id(table: RawTable) -> tuple[Sequence[int], Sequence[int]]:
+    """Positions of the closed rows and of the tie rows, each in id order.
+
+    A table whose ids ascend and whose tie rows come last, as every bundled
+    feeder and every renumbered table does, is in that order already: the
+    positions are two ranges, which _gather takes by slicing. Any other table
+    is sorted by id.
+    """
     ids, *_, tie = table.columns
+    closed = tie.count(False)  # a falsy is_tie that is not == False fails all() below
+    if all(tie[closed:]) and all(map(lt, ids, ids[1:])):
+        return range(closed), range(closed, len(ids))
     order = sorted(range(len(ids)), key=ids.__getitem__)
     return [k for k in order if not tie[k]], [k for k in order if tie[k]]
 
 
 def _gather(columns, positions) -> list[tuple]:
-    """Each column's entries at positions, in that order, as a tuple."""
+    """Each column's entries at positions, in that order, as a tuple; a range
+    of positions, which _by_id gives, is taken as a slice."""
+    if type(positions) is range:
+        return [c[positions.start:positions.stop] for c in columns]
     return [tuple([c[k] for k in positions]) for c in columns]
 
 
@@ -374,7 +391,7 @@ def renumber_sequential(table: RawTable, root: int | None = None) -> tuple[RawTa
     # the rows in the new order: the closed ones as the walk popped them,
     # then the ties
     walk = [closed[feeding[i]] for i in popped]
-    ids, sending, receiving, r, x, p, q, cap = _gather(table.columns[:-1], walk + ties)
+    ids, sending, receiving, r, x, p, q, cap = _gather(table.columns[:-1], [*walk, *ties])
     new_ids = range(1, len(ids) + 1)
     node_new_to_old = dict(enumerate((root, *receiving[:len(walk)]), start=1))
     new_node = {old: new for new, old in node_new_to_old.items()}

@@ -34,7 +34,12 @@ the closed branches' columns there, and to_per_unit a single row.
 NetworkModel keeps the closed branches as per-unit columns (ids, sending and
 receiving nodes, z and s_load as complex, capacity) and its _Tree, and the
 solver reads those; branches is a read-only BranchView that builds a
-PerUnitBranch only when an entry is read. Each network fact has one
+PerUnitBranch only when an entry is read. Every positional view is one kind
+of read-only Sequence, RowView: a row function and the sources it reads,
+standing for the tuple of its rows. BranchView is the RowView of the
+branches, shown and pickled as a BranchView; a SolveReport's node_voltages,
+branch_currents and branch_losses are RowViews over the solve's lists,
+shown, pickled and copied as plain tuples. Each network fact has one
 published form: the columns for what each branch
 carries, and children and parent_branch for the tree. The reference phase
 functions and the oracle read the columns; of the package, only
@@ -54,7 +59,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
-from itertools import accumulate, starmap
+from itertools import accumulate, repeat, starmap
 
 
 class LoadFlowError(Exception):
@@ -539,44 +544,77 @@ def _shared_tree(ids, sending, receiving, root, tie_ends):
     return nodes, index, tree
 
 
-class BranchView(_Frozen, Sequence):
+class RowView(_Frozen, Sequence):
+    """Read-only sequence of rows, each built only when it is read.
+
+    Entry k is row(sources, k): row is a module-level function and sources
+    the tuple of what it reads, columns indexed by position and any scalars;
+    the first source is a column with one entry per row. The view stands for
+    the tuple of its rows: it iterates, indexes and slices as that tuple (a
+    slice is a tuple), equals it and any view with equal rows, in either
+    order of ==, hashes as it, prints as its repr and pickles and copies as
+    it. A SolveReport's node_voltages, branch_currents and branch_losses are
+    RowViews over the solve's complex lists.
+    """
+
+    __slots__ = ("_row", "_sources")
+
+    def __init__(self, row, sources: tuple):
+        object.__setattr__(self, "_row", row)
+        object.__setattr__(self, "_sources", sources)
+
+    def __len__(self) -> int:
+        return len(self._sources[0])
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self.__getitem__, range(len(self))[k]))
+        return self._row(self._sources, k)
+
+    def __iter__(self):
+        return map(self._row, repeat(self._sources), range(len(self)))
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, RowView)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
+
+
+class BranchView(RowView):
     """Read-only view of a NetworkModel's branch columns as PerUnitBranches.
 
     columns holds the six per-branch columns (branch id, sending node,
     receiving node, z and s_load as complex, capacity); entry k of each is
     branch k. A PerUnitBranch, with its two Phasors, is made only when an
-    entry is read, and every branch is closed (is_tie False). A view equals
-    another with equal columns and a tuple of equal PerUnitBranches, in
-    either order of ==.
+    entry is read, and every branch is closed (is_tie False). It is the
+    RowView of those rows, but shown as BranchView((...)) and pickled as a
+    BranchView of its columns.
     """
 
-    __slots__ = __match_args__ = ("_columns",)
+    __slots__ = ()
 
     def __init__(self, columns: tuple[tuple, ...]):
-        object.__setattr__(self, "_columns", columns)
-
-    def __len__(self) -> int:
-        return len(self._columns[0])
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(map(self.__getitem__, range(len(self))[k]))
-        return _closed_branch(*[column[k] for column in self._columns])
-
-    def __iter__(self):
-        return map(_closed_branch, *self._columns)
-
-    def __eq__(self, other):
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return _Frozen.__eq__(self, other)
+        RowView.__init__(self, _closed_branch, columns)
 
     def __repr__(self) -> str:
         return f"BranchView({tuple(self)!r})"
 
+    def __reduce__(self):
+        return BranchView, (self._sources,)
 
-def _closed_branch(branch_id, sending_node, receiving_node, z, s_load, capacity) -> PerUnitBranch:
-    """The PerUnitBranch of one entry of a BranchView's columns."""
+
+def _closed_branch(columns, k) -> PerUnitBranch:
+    """The PerUnitBranch at position k of a BranchView's columns."""
+    branch_id, sending_node, receiving_node, z, s_load, capacity = [c[k] for c in columns]
     return PerUnitBranch(branch_id, sending_node, receiving_node, Phasor(z.real, z.imag),
                          Phasor(s_load.real, s_load.imag), capacity, False)
 
@@ -740,13 +778,17 @@ class SolveReport(_Record, namedtuple("SolveReport", (
     """Converged results plus instrumentation for one solve.
 
     node_voltages rows are (node, magnitude p.u., angle degrees) sorted by
-    node; branch_losses rows are (branch_id, kW, kVAr). The converged state is
-    kept once, as the solver's complex lists: final_voltage and
-    final_load_current (by node) and final_branch_current (by branch id) are
-    read-only PhasorMap views over them. step_count_proposed and
-    step_count_baseline are the steps the stack sweep and the per-iteration
-    rescanning baseline take to reach this solution: solver.solve fills both,
-    oracle.baseline_solve, which runs the baseline, only step_count_baseline.
+    node; branch_currents rows are (branch_id, magnitude p.u.) and
+    branch_losses rows (branch_id, kW, kVAr), in branch order. The converged
+    state is kept once, as the solver's complex lists: the three row tables
+    are RowViews over them, which build a row only when it is read, and
+    final_voltage and final_load_current (by node) and final_branch_current
+    (by branch id) are read-only PhasorMap views. A pickled or copied report
+    holds the row tables as tuples; _replace may put tuples there too.
+    step_count_proposed and step_count_baseline are the steps the stack sweep
+    and the per-iteration rescanning baseline take to reach this solution:
+    solver.solve fills both, oracle.baseline_solve, which runs the baseline,
+    only step_count_baseline.
     """
 
     __slots__ = ()

@@ -30,11 +30,19 @@ networks of one topology share. debug_polar checks each pass in polar form
 after its forward loop.
 
 build_report turns the final voltages and currents, as complex lists, into a
-SolveReport that keeps those lists and shows them as read-only Phasor views
-(final_*) keyed through the network's node and branch id-to-position dicts,
-reading the branch ids and impedances from the network's columns;
-solve hands over the sweep's own lists and oracle.baseline_solve its dicts'
-values, so both return the same layout.
+SolveReport that keeps those lists and shows them two ways, both read-only
+and both computed on read: as Phasor views (final_*) keyed through the
+network's node and branch id-to-position dicts, and as the node and branch
+rows, model.RowViews whose row functions (_voltage_row, _current_row,
+_loss_row) read the lists and the network's id and z columns. Only the two
+loss totals are computed when the report is built; a study that reads one
+node's voltage builds no row. solve hands over the sweep's own lists and
+oracle.baseline_solve its dicts' values, so both return the same layout.
+
+In the sweep's forward loop a voltage's finiteness is tested only when its
+magnitude change is not within the tolerance: a non-finite part makes the
+change inf or NaN, so every non-finite voltage still raises NumericError, at
+the branch where it is met.
 
 SolveOptions is a model._Record namedtuple, so options that would end a solve
 in a TypeError or a first-pass "convergence" (a max_iterations that is not an
@@ -61,6 +69,7 @@ from .model import (
     NetworkModel,
     Phasor,
     PhasorMap,
+    RowView,
     SolveReport,
     SolveState,
     _Record,
@@ -474,12 +483,14 @@ def _sweep(net: NetworkModel, options: SolveOptions):
             vr = v[s] - ib[k] * z
             re = vr.real
             im = vr.imag
-            if not (isfinite(re) and isfinite(im)):
-                raise NumericError(f"non-finite voltage on branch {net.branch_ids[k]}")
             v[r] = vr
             mag = hypot(re, im)
             delta = abs(mag - mags[r])
             if not delta <= tolerance:  # as check_convergence: NaN is not within
+                # a non-finite part makes mag, and so delta, inf or NaN
+                # whatever the stored magnitude, so it is caught here
+                if not (isfinite(re) and isfinite(im)):
+                    raise NumericError(f"non-finite voltage on branch {net.branch_ids[k]}")
                 converged = False
             if delta > max_delta:
                 max_delta = delta
@@ -544,47 +555,34 @@ def build_report(
     """The SolveReport of a converged solve; solve and baseline_solve both use it.
 
     volts and loads hold one value per node in net.nodes() order, branches one
-    per branch in column order; the report keeps the lists and shows them
+    per branch in column order; the report keeps the lists. It shows them
     through PhasorMap views whose index is the network's plain id-to-position
-    dict, net._index or net._position. Branch ids and impedances are read
+    dict, net._index or net._position, and its node and branch rows through
+    RowViews over the same lists, whose rows (_voltage_row, _current_row and
+    _loss_row) are built only when read. Branch ids and impedances are read
     from the network's branch_ids and z columns, so no PerUnitBranch is
-    built. fields are the remaining SolveReport fields (iterations, step
-    counts, delta history and so on). Magnitudes, angles and losses come from
-    the complex parts with the arithmetic of Phasor.magnitude,
+    built. Only the loss totals are computed here, summed in branch order.
+    fields are the remaining SolveReport fields (iterations, step counts,
+    delta history and so on). Magnitudes, angles and losses come from the
+    complex parts with the arithmetic of Phasor.magnitude,
     Phasor.angle_degrees and oracle.compute_losses, so every value equals
     theirs exactly.
     """
     hypot = math.hypot
-    atan2 = math.atan2
-    degrees = math.degrees
-    pi = math.pi
-    node_voltages = []
-    for n, z in zip(net.nodes(), volts):
-        re = z.real
-        im = z.imag
-        angle = atan2(im, re)
-        if angle == -pi:
-            angle = pi
-        node_voltages.append((n, hypot(re, im), degrees(angle)))
     to_kw = net.base.kw_base
-    branch_currents = []
-    loss_rows = []
     total_p = 0.0
     total_q = 0.0
-    for branch_id, z, c in zip(net.branch_ids, net.z, branches):
-        i_mag = hypot(c.real, c.imag)
-        branch_currents.append((branch_id, i_mag))
-        i_sq = i_mag ** 2
-        lp = i_sq * z.real * to_kw
-        lq = i_sq * z.imag * to_kw
-        loss_rows.append((branch_id, lp, lq))
-        total_p += lp
-        total_q += lq
+    for z, c in zip(net.z, branches):
+        # as _loss_row: ** 2 raises OverflowError where x * x would give inf
+        i_sq = hypot(c.real, c.imag) ** 2
+        total_p += i_sq * z.real * to_kw
+        total_q += i_sq * z.imag * to_kw
+    branch_sources = (net.branch_ids, branches, net.z, to_kw)
     return SolveReport(
         converged=True,
-        node_voltages=tuple(node_voltages),
-        branch_currents=tuple(branch_currents),
-        branch_losses=tuple(loss_rows),
+        node_voltages=RowView(_voltage_row, (net.nodes(), volts)),
+        branch_currents=RowView(_current_row, branch_sources),
+        branch_losses=RowView(_loss_row, branch_sources),
         total_loss_p=total_p,
         total_loss_q=total_q,
         final_voltage=PhasorMap(net._index, volts),
@@ -592,6 +590,37 @@ def build_report(
         final_branch_current=PhasorMap(net._position, branches),
         **fields,
     )
+
+
+def _voltage_row(sources, k: int) -> tuple[int, float, float]:
+    """(node, magnitude p.u., angle degrees) of node position k, from
+    sources (node ids, voltages)."""
+    nodes, volts = sources
+    v = volts[k]
+    re = v.real
+    im = v.imag
+    angle = math.atan2(im, re)
+    if angle == -math.pi:
+        angle = math.pi
+    return nodes[k], math.hypot(re, im), math.degrees(angle)
+
+
+def _current_row(sources, k: int) -> tuple[int, float]:
+    """(branch id, current magnitude p.u.) of branch position k, from
+    sources (branch ids, currents, z, kW base)."""
+    ids, currents, _, _ = sources
+    c = currents[k]
+    return ids[k], math.hypot(c.real, c.imag)
+
+
+def _loss_row(sources, k: int) -> tuple[int, float, float]:
+    """(branch id, kW, kVAr) lost in branch position k, from sources (branch
+    ids, currents, z, kW base)."""
+    ids, currents, z, to_kw = sources
+    c = currents[k]
+    zk = z[k]
+    i_sq = math.hypot(c.real, c.imag) ** 2
+    return ids[k], i_sq * zk.real * to_kw, i_sq * zk.imag * to_kw
 
 
 def step_model(n: int, m: int, r: int) -> tuple[int, int]:

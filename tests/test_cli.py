@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import conftest
-from radialflow import oracle
+from radialflow import cli, oracle
 from radialflow.cli import (
     EXIT_COMPARE,
     EXIT_ERROR,
@@ -19,6 +19,7 @@ from radialflow.cli import (
     main,
     read_text,
 )
+from radialflow.ingest import parse_branch_table, renumber_sequential, validate_radial
 from radialflow.solver import SolveOptions, solve
 
 BUS69 = str(conftest.fixture_path(conftest.BUS69))
@@ -353,6 +354,24 @@ class TestSolve:
         node_rows = [line for line in out.splitlines() if line.count(" ") == 2]
         assert node_rows == [line for line in plain.splitlines() if line.count(" ") == 2]
         assert len(node_rows) == 5  # the header and four nodes
+
+    def test_input_ids_replace_the_row_views_with_sorted_tuples(self):
+        """_in_input_ids maps the report's row views to the input's ids as
+        tuples sorted by them, through _replace; the other fields are kept."""
+        table, mapping = renumber_sequential(parse_branch_table(self.ORDERED))
+        report = solve(validate_radial(table))
+        mapped = cli._in_input_ids(report, mapping)
+        node, branch = self.NODE_TO_INPUT, self.BRANCH_TO_INPUT
+        expected = {
+            "node_voltages": sorted((node[n], v, a) for n, v, a in report.node_voltages),
+            "branch_currents": sorted((branch[b], i) for b, i in report.branch_currents),
+            "branch_losses": sorted((branch[b], p, q) for b, p, q in report.branch_losses),
+        }
+        for name, rows in expected.items():
+            assert type(getattr(mapped, name)) is tuple and getattr(mapped, name) == tuple(rows)
+            assert type(getattr(report, name)) is not tuple
+        assert [row[0] for row in mapped.node_voltages] == [1, 2, 3, 4]
+        assert mapped._replace(**{name: getattr(report, name) for name in expected}) == report
 
     def test_renumber_identity_output_unchanged(self, capsys):
         _, plain, _ = run(capsys, "solve", BUS69)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import criterion_2_tables, format_branch_table, make_table
+from radialflow import ingest
 from radialflow.cli import generate_random_table
 from radialflow.ingest import (
     OrderingError,
@@ -531,6 +532,31 @@ def test_validate_and_solve_retain_a_bounded_number_of_tracked_objects(n):
     assert retained_tracked_objects(lambda: validate_radial(table)) <= RETAINED_PER_TABLE
     net = validate_radial(table)
     assert retained_tracked_objects(lambda: solve(net)) <= RETAINED_PER_TABLE
+
+
+def test_an_id_ordered_table_is_taken_by_slicing(bus69_table, monkeypatch):
+    """A table whose ids ascend and whose tie rows come last (bus69 and every
+    renumbered table) gives its positions as ranges and is gathered by
+    slicing; any other is sorted. Both give the same network."""
+    renumbered, _ = renumber_sequential(bus69_table)
+    for table in (bus69_table, renumbered):
+        assert ingest._by_id(table) == (range(68), range(68, 73))
+    rows = bus69_table.rows
+    # ids out of order, a tie row before a closed one, and a falsy is_tie
+    # that is not False: each is sorted
+    others = (rows[1:2] + rows[:1] + rows[2:], rows[:67] + rows[68:69] + rows[67:68] + rows[69:],
+              rows[:-1] + (rows[-1]._replace(is_tie=None),))
+    for other in others:
+        closed, ties = ingest._by_id(RawTable(rows=other))
+        assert type(closed) is list and type(ties) is list
+    expected = validate_radial(bus69_table)
+    assert validate_radial(RawTable(rows=others[0])) == expected
+    gathered = []
+    gather = ingest._gather
+    monkeypatch.setattr(ingest, "_gather", lambda columns, positions:
+                        gathered.append(type(positions)) or gather(columns, positions))
+    assert validate_radial(bus69_table) == expected
+    assert gathered == [range, range]
 
 
 def test_validate_radial_constructs_no_per_unit_branch_or_phasor(bus69_table, monkeypatch):

@@ -19,6 +19,7 @@ from radialflow.model import (
     PerUnitBase,
     Phasor,
     PhasorMap,
+    RowView,
     SingularityError,
     TopologyError,
     radial_tree,
@@ -407,6 +408,95 @@ class TestBranchView:
             NetworkModel(branches=(self.branches()[0], tie), root=1, tie_lines=(),
                          base=DEFAULT_BASE)
         assert str(exc.value) == "branch 2 is a tie line; a network holds closed branches only"
+
+    def test_branch_view_is_a_row_view_shown_and_pickled_as_itself(self):
+        view = self.net().branches
+        assert isinstance(view, RowView) and not isinstance(view, tuple)
+        assert repr(view) == f"BranchView({self.branches()!r})"
+        assert hash(view) == hash(self.branches())
+
+
+def scaled_row(sources, k):
+    """A RowView row: (id, value x scale) at position k of sources (ids,
+    values, scale)."""
+    ids, values, scale = sources
+    return ids[k], values[k] * scale
+
+
+class TestRowView:
+    """A RowView stands for the tuple of its rows and builds each row when
+    it is read."""
+
+    IDS = (3, 1, 7)
+    VALUES = [0.5, -1.25, 2.0]
+    ROWS = ((3, 1.0), (1, -2.5), (7, 4.0))
+
+    def view(self, values=None):
+        return RowView(scaled_row, (self.IDS, list(values or self.VALUES), 2.0))
+
+    def test_equals_the_tuple_of_its_rows_either_way(self):
+        view = self.view()
+        assert view == self.ROWS and self.ROWS == view
+        assert not (view != self.ROWS) and not (self.ROWS != view)
+        other = self.view([0.5, -1.25, 2.5])
+        assert view != other and other != view and other != self.ROWS
+        assert view != self.ROWS[:2] and self.ROWS[:2] != view
+        assert view != list(self.ROWS) and list(self.ROWS) != view
+        assert view != () and () != view
+
+    def test_equals_a_view_with_equal_rows(self):
+        view = self.view()
+        # other sources that give the same rows
+        same = RowView(scaled_row, (list(self.IDS), [1.0, -2.5, 4.0], 1.0))
+        assert view == same and same == view and not (view != same)
+        assert view != self.view([0.5, -1.25, 2.5])
+
+    def test_iterates_indexes_and_slices_as_the_tuple(self):
+        view = self.view()
+        assert len(view) == 3 and tuple(view) == self.ROWS and list(view) == list(self.ROWS)
+        for k in range(-3, 3):
+            assert view[k] == self.ROWS[k]
+        for part in (slice(1, None), slice(None, None, -1), slice(-2, None),
+                     slice(5, 1), slice(0, 3, 2)):
+            assert view[part] == self.ROWS[part] and type(view[part]) is tuple
+        for k in (3, -4):
+            with pytest.raises(IndexError):
+                view[k]
+        assert tuple(reversed(view)) == self.ROWS[::-1]
+        assert (1, -2.5) in view and view.index((7, 4.0)) == 2 and view.count((3, 1.0)) == 1
+
+    def test_shown_and_hashed_as_the_tuple(self):
+        view = self.view()
+        assert repr(view) == repr(self.ROWS) and str(view) == str(self.ROWS)
+        assert hash(view) == hash(self.ROWS)
+        assert {self.ROWS: "rows"}[view] == "rows"
+
+    def test_pickle_and_copy_give_the_tuple(self):
+        view = self.view()
+        for rebuilt in (pickle.loads(pickle.dumps(view)), copy.copy(view), copy.deepcopy(view)):
+            assert type(rebuilt) is tuple and rebuilt == self.ROWS
+
+    def test_cannot_be_assigned(self):
+        view = self.view()
+        with pytest.raises(TypeError):
+            view[0] = (3, 0.0)
+        for name in ("_row", "_sources", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(view, name, None)
+
+    def test_builds_a_row_only_when_read(self):
+        built = []
+
+        def counting_row(sources, k):
+            built.append(k)
+            return scaled_row(sources, k)
+
+        view = RowView(counting_row, (self.IDS, self.VALUES, 2.0))
+        assert built == [] and len(view) == 3 and built == []
+        view[-1]
+        assert built == [-1]
+        assert view == self.ROWS
+        assert built == [-1, 0, 1, 2]
 
 
 def sparse_shuffled(table, seed=11):

@@ -8,6 +8,7 @@ examples. (Hypothesis still caches the constants it reads from the source in
 import contextlib
 import io
 import json
+import random
 from operator import attrgetter
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import format_branch_table, topology_dicts
-from radialflow.cli import main
+from radialflow.cli import generate_random_table, main
 from radialflow.ingest import (
     RawTable,
     parse_branch_table,
@@ -202,6 +203,47 @@ def test_validation_and_renumbering_agree_on_sparse_ids(drawn):
         view = getattr(net, name)
         assert view == expected and expected == view
         assert list(view.items()) == list(expected.items())
+
+
+@st.composite
+def placed_random_tables(draw):
+    """The rows of a generate_random_table tree on 2-15 nodes and up to three
+    tie lines (one may end at node n + 1, outside the tree), under the
+    generator's branch ids or drawn ones, unique and in any order; with the
+    rows kept in order and the ties last, the ties placed anywhere among
+    them, or every row shuffled."""
+    n = draw(st.integers(2, 15))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows = list(generate_random_table(n, draw(st.floats(0.05, 0.95)), rng).rows)
+    pair = st.lists(st.integers(1, n + 1), min_size=2, max_size=2, unique=True)
+    ties = [BranchRecord(n + k, s, r, 0.1, 0.1, 0.0, 0.0, None, True)
+            for k, (s, r) in enumerate(draw(st.lists(pair, max_size=3)))]
+    if draw(st.booleans()):
+        ids = iter(draw(st.lists(st.integers(1, 10**6), min_size=len(rows) + len(ties),
+                                 max_size=len(rows) + len(ties), unique=True)))
+        rows, ties = ([r._replace(branch_id=next(ids)) for r in part] for part in (rows, ties))
+    placement = draw(st.sampled_from(["ties last", "ties anywhere", "shuffled"]))
+    if placement == "ties last":
+        return rows + ties
+    if placement == "ties anywhere":
+        for tie in ties:
+            rows.insert(draw(st.integers(0, len(rows))), tie)
+        return rows
+    return draw(st.permutations(rows + ties))
+
+
+@REPEATABLE
+@given(placed_random_tables(), st.booleans())
+def test_validation_equals_validation_of_the_rows_sorted_by_id(rows, require_ordered):
+    """validate_radial takes an id-ordered table with its tie rows last by
+    slicing and any other by sorting it; both give what the rows sorted by id
+    give, a network or an error."""
+
+    def validate(table):
+        return validate_radial(table, require_ordered=require_ordered)
+
+    by_id = sorted(rows, key=attrgetter("branch_id"))
+    assert outcome(validate, rows) == outcome(validate, by_id)
 
 
 TOKENS = ["", "1", "2", "3", "0", "-1", "2*", "1.5", "0.1", "-0.2", "1e300", "1e-300",

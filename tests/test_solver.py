@@ -1,6 +1,8 @@
+import copy
 import functools
 import math
 import operator
+import pickle
 import random
 from bisect import bisect_left
 
@@ -387,6 +389,35 @@ class TestReportLayout:
         assert report == expected
         assert (report.leaf_count, report.pre_loop_steps) == (8, 2 * 68)
 
+    def test_solve_builds_no_row_and_a_read_builds_each_once(self, bus69_net, monkeypatch):
+        """The node and branch rows are views: solve builds none, and reading
+        a view builds each row it reads once."""
+        built = {"_voltage_row": [], "_current_row": [], "_loss_row": []}
+        for name, calls in built.items():
+            def counting(sources, k, row=getattr(solver, name), calls=calls):
+                calls.append(k)
+                return row(sources, k)
+            monkeypatch.setattr(solver, name, counting)
+        report = solve(bus69_net)
+        assert built == {"_voltage_row": [], "_current_row": [], "_loss_row": []}
+        assert not isinstance(report.node_voltages, tuple)
+        rows = [tuple(report.node_voltages), list(report.branch_currents),
+                report.branch_losses[:]]
+        assert built == {"_voltage_row": list(range(69)), "_current_row": list(range(68)),
+                         "_loss_row": list(range(68))}
+        assert report.node_voltages[-1] == rows[0][-1] and built["_voltage_row"][-1] == -1
+        assert rows == [tuple(report.node_voltages), list(report.branch_currents),
+                        tuple(report.branch_losses)]
+
+    def test_pickled_report_holds_tuples(self, bus33_net):
+        report = solve(bus33_net)
+        for again in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+            assert again == report and report == again
+            for name in ("node_voltages", "branch_currents", "branch_losses"):
+                assert type(getattr(again, name)) is tuple
+                assert getattr(again, name) == getattr(report, name)
+            assert repr(again) == repr(report)
+
     def test_both_solvers_return_views_equal_to_their_rows(self, bus33_net):
         reports = (solve(bus33_net), rf.baseline_solve(bus33_net))
         for name in ("final_voltage", "final_load_current", "final_branch_current"):
@@ -575,6 +606,25 @@ def assert_solve_matches_phase_functions(net, options):
     assert report.max_polar_deviation == (worst_polar if options.debug_polar else None)
 
 
+def assert_non_finite_voltage_named(net, kind):
+    """The first pass gives branch 1's receiving node a finite magnitude and
+    branch 2's one for which kind (math.isinf or math.isnan) holds; solve
+    names branch 2, as the reference phase functions do."""
+    state = SolveState.flat_start(net)
+    compute_load_currents(state, net)
+    backward_sweep(state, net, find_leaf_nodes(net))
+    first, second = [
+        (state.node_voltage[b.sending_node] - state.branch_current[b.branch_id] * b.z).magnitude
+        for b in net.branches[:2]
+    ]
+    assert math.isfinite(first) and kind(second)
+    with pytest.raises(NumericError) as flat:
+        solve(net)
+    with pytest.raises(NumericError) as reference:
+        phase_function_solve(net, SolveOptions())
+    assert str(flat.value) == str(reference.value) == "non-finite voltage on branch 2"
+
+
 class TestFlatSolveMatchesPhaseFunctions:
     """solve runs on flat lists; the dict phase functions are the
     reference it must reproduce exactly, step counts included."""
@@ -657,15 +707,25 @@ class TestFlatSolveMatchesPhaseFunctions:
             solve(net, SolveOptions(debug_polar=True))
 
     def test_non_finite_voltage_names_the_same_branch(self):
+        # 1e11 p.u. through 6e298 p.u. of resistance: -inf + 0j at node 3
         net = validate_radial(make_table([
             (1, 1, 2, 0.1, 0.1, 0.0, 0.0),
             (2, 2, 3, 1e300, 0.0, 1e15, 0.0),
         ]))
-        with pytest.raises(NumericError) as flat:
-            solve(net)
-        with pytest.raises(NumericError) as reference:
-            phase_function_solve(net, SolveOptions())
-        assert str(flat.value) == str(reference.value) == "non-finite voltage on branch 2"
+        assert_non_finite_voltage_named(net, math.isinf)
+
+    def test_nan_voltage_names_the_same_branch(self):
+        """A NaN magnitude, which no delta is within, is raised as an
+        infinite one is. Two 1e308 p.u. loads below node 3 sum to an
+        infinite current in branch 2, whose zero impedance turns it into
+        NaN + NaNj; branch 1, which the root also feeds, stays finite."""
+        net = validate_radial(make_table([
+            (1, 1, 2, 0.1, 0.1, 10.0, 5.0),
+            (2, 1, 3, 0.0, 0.0, 0.0, 0.0),
+            (3, 3, 4, 0.1, 0.1, 1e308, 0.0),
+            (4, 3, 5, 0.1, 0.1, 1e308, 0.0),
+        ]), base=rf.PerUnitBase(12.66, 0.001))
+        assert_non_finite_voltage_named(net, math.isnan)
 
     def test_collapse_names_the_node(self):
         # 1 p.u. load through 1 p.u. resistance: the first sweep drives V2 to 0

@@ -10,9 +10,11 @@ its name, the number of values hashed and the sha256 of their reprs, one
 value per line. Two versions compute the same when every line is equal.
 
 - reports: every SolveReport field, the final_* views as their complex
-  lists, of bus69, bus33 and the 200 criterion-2 random trees, solved at
-  tolerances 1e-4 and 1e-8 with each pair of debug_polar and literal_scan,
-  and of baseline_solve at each tolerance;
+  lists, and each row table read back to front by negative index, its last
+  row and its length, of bus69, bus33 and the 200 criterion-2 random trees,
+  solved at tolerances 1e-4 and 1e-8 with each pair of debug_polar and
+  literal_scan, and of baseline_solve at each tolerance (every other group
+  hashes its reports the same way);
 - feeder-10k: the four seed-1 inputs of the benchmark's feeder-10k workload,
   parsed from JSON, renumbered, validated and solved: the renumbered
   table's columns, the mapping and the report;
@@ -89,11 +91,16 @@ class Group:
 
 
 def add_report(group, report):
-    """The report's fields, then the final_* views' lists."""
+    """The report's fields, then the final_* views' lists, then each row
+    table (node_voltages, branch_currents, branch_losses) read back to front,
+    its last row and its length: so a row table that iterates right but
+    indexes or counts wrong changes the hash too."""
     fields = report._asdict()
     views = [fields.pop(name)._values for name, value in list(fields.items())
              if isinstance(value, PhasorMap)]
     group.add(tuple(fields.values()), *views)
+    for rows in (report.node_voltages, report.branch_currents, report.branch_losses):
+        group.add(tuple([rows[k] for k in range(-1, -len(rows) - 1, -1)]), rows[-1], len(rows))
 
 
 def add_network(group, net):
