@@ -2,37 +2,48 @@
 
 A RawTable keeps its rows as nine parallel columns, one per BranchRecord
 field. Both parsers check each row with model._check_row, BranchRecord's own
-checks, and store it in the columns; no record is built on this path.
+checks (a list of plain JSON branches passes the same tests in bulk), and
+store it in the columns; no record is built on this path.
 validate_radial takes the closed branches' columns in id order, converts
 them to per-unit in one pass (model._per_unit_columns) and hands the columns
 to the NetworkModel, which keeps them as they are; no PerUnitBranch or Phasor
 is built. The model's construction checks the tree (model.radial_tree) and
 derives the topology, the sequential-ordering verdict included;
 validate_radial refuses an unordered network through
-NetworkModel.check_ordering. Both functions find the closed and tie rows in
-id order with _by_id and take them out of the columns in one way only,
-_gather, which returns each column's entries at those row positions as a
-tuple. A table whose ids ascend and whose tie rows come last, as the bundled
-feeders and every renumbered table do, is already in that order: _by_id
-gives two ranges and _gather slices, with no sort and no per-row gather.
-renumber_sequential runs the same radial_tree on the same id-sorted
-branches' columns, so both name the same first defect, whatever the order of
-the rows; a value that cannot be put in per-unit is a DataError that
-validate_radial raises before any topology check, as the parser names bad
-values before anything else. renumber_sequential puts the rows in one order,
+NetworkModel.check_ordering. validate_radial finds the closed and tie rows
+in id order with _by_id; renumber_sequential finds the closed rows in table
+order and the tie rows in id order with _table_order, so only the ties are
+sorted. Both take rows out of the columns in one way only, _gather, which
+returns each column's entries at those row positions as a tuple. A table
+whose ids ascend and whose tie rows come last, as the bundled feeders and
+every renumbered table do, is already in id order: _by_id gives two ranges
+and _gather slices, with no sort and no per-row gather. renumber_sequential
+runs radial_tree on the closed rows in table order; its walk does not
+depend on that order, but the defect named first does, so on a
+TopologyError it runs radial_tree again on the id-sorted columns, and both
+functions name the same first defect, whatever the order of the rows. A
+value that cannot be put in per-unit is a DataError that validate_radial
+raises before any topology check, as the parser names bad values before
+anything else. renumber_sequential puts the rows in one order,
 the closed branches as its walk from the root pops them and then the tie
 lines by id, and gathers every column in that order; the new nodes and the
 whole mapping are read off the gathered columns. The walk runs on radial_tree's
 position lists: its frontier is a heap of node positions, which follow the
 old node ids, and each node's children are a slice of the offsets-plus-
 targets pair, so no id-keyed lookup is made until the mapping is built. The
-JSON reader converts each value with _number, which names the key of a value
-that is not the number it must be (a bool, a fraction for an id or node).
+JSON reader takes a list of plain branches (_plain_columns) a column at a
+time, checked in bulk; any other list it reads entry by entry, converting
+each value with _number, which names the key of a value that is not the
+number it must be (a bool, a fraction for an id or node).
 Number text, a table's or a golden CSV's, is read by _to_number alone.
 Every defect found raises a typed error: ParseError or DataError for bad input
 text and values, TopologyError (prefixed with the table's source) for anything
 that is not a tree rooted at the requested root. TopologyError and OrderingError live in
 model and are importable from here too.
+
+A table's rows are checked once, when it is built: its rows and
+validate_radial's tie lines are BranchRecords made by _records, without
+_check_row.
 
 RawTable is an immutable __slots__ class and RenumberMapping a namedtuple
 record, both on model's bases (model._Frozen, model._Record); json is imported
@@ -41,9 +52,11 @@ by the JSON reader only, so reading a delimited table does not load it.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import namedtuple
 from collections.abc import Sequence
-from operator import lt
+from itertools import compress, repeat
+from operator import eq, itemgetter, lt, not_
 
 from .model import (  # TopologyError and OrderingError are also ingest's names
     DEFAULT_BASE,
@@ -73,7 +86,8 @@ class RawTable(_Frozen):
     order (branch_id, sending_node, receiving_node, resistance, reactance,
     load_p, load_q, capacity, is_tie); entry k of each is row k. The parsers
     and renumber_sequential fill the columns directly, and RawTable(rows=...)
-    transposes BranchRecords, which are tuples of those fields. rows,
+    transposes BranchRecords, which are tuples of those fields (a row given
+    as a plain tuple of them is checked with _check_row first). rows,
     closed_rows() and tie_rows() build equal BranchRecords on demand, so the
     objects a table keeps for the cyclic collector to track are a fixed few
     whatever its size. A table is immutable; it equals, and hashes as, the
@@ -84,6 +98,10 @@ class RawTable(_Frozen):
 
     def __init__(self, rows, source_name: str = "<memory>",
                  declared_base: PerUnitBase | None = None, declared_root: int | None = None):
+        rows = tuple(rows)
+        for row in rows:
+            if type(row) is not BranchRecord:  # a record was checked when it was built
+                _check_row(*row)
         self._fill(_columns(rows), source_name, declared_base, declared_root)
 
     def _fill(self, columns, source_name, declared_base=None, declared_root=None) -> None:
@@ -108,7 +126,7 @@ class RawTable(_Frozen):
 
     @property
     def rows(self) -> tuple[BranchRecord, ...]:
-        return tuple(map(BranchRecord, *self.columns))
+        return _records(self.columns)
 
     def closed_rows(self) -> tuple[BranchRecord, ...]:
         return tuple(r for r in self.rows if not r.is_tie)
@@ -196,7 +214,47 @@ def _number(value, key: str, kind: type):
     raise ParseError(f"bad value {value!r} for key {key!r}")
 
 
+# readers of the keys of a plain JSON branch, in BranchRecord field order
+_PLAIN_KEYS = tuple(map(itemgetter, ("id", "from", "to", "r", "x", "p", "q")))
+
+
+def _plain_columns(branches: list) -> tuple[tuple, ...] | None:
+    """The nine columns of branches read a column at a time, or None when any
+    entry is not plain.
+
+    Plain means every entry is an object with exactly the keys id, from, to,
+    r, x, p and q, the id and both nodes exactly int and r, x, p and q
+    exactly float, and the columns pass _check_row's tests in bulk: ids
+    positive, the float columns' sum finite, no negative r or x and no
+    branch from a node to itself. Such a document gives the rows the row
+    loop gives it, with no error; every other is left to the row loop, which
+    reads ties, cap, integral floats, number text and missing loads, and
+    names the first bad entry.
+    """
+    try:
+        if set(map(len, branches)) != {7}:
+            return None
+        ids, sending, receiving, r, x, p, q = [tuple(map(key, branches)) for key in _PLAIN_KEYS]
+    except (TypeError, KeyError):  # an entry that is not an object, or has other keys
+        return None
+    if not ({*map(type, ids), *map(type, sending), *map(type, receiving)} == {int}
+            and {*map(type, r), *map(type, x), *map(type, p), *map(type, q)} == {float}
+            and min(ids) > 0
+            and math.isfinite(sum(r) + sum(x) + sum(p) + sum(q))
+            and min(r) >= 0.0 and min(x) >= 0.0
+            and not any(map(eq, sending, receiving))):
+        return None
+    n = len(ids)
+    return ids, sending, receiving, r, x, p, q, (None,) * n, (False,) * n
+
+
 def _parse_json(text: str, source: str) -> tuple[tuple[tuple, ...], PerUnitBase | None, int | None]:
+    """The columns, declared base and declared root of a JSON network document.
+
+    Plain branches are read a column at a time (_plain_columns); any other
+    list goes through the row loop, which converts each value with _number
+    and checks each row with _check_row, naming the entry and key at fault.
+    """
     import json  # here, so that reading a delimited table does not load it
 
     try:
@@ -226,6 +284,9 @@ def _parse_json(text: str, source: str) -> tuple[tuple[tuple, ...], PerUnitBase 
     branches = doc.get("branches", [])
     if not isinstance(branches, list):
         raise ParseError(f"{source}: \"branches\" must be a list, got {type(branches).__name__}")
+    columns = _plain_columns(branches)
+    if columns is not None:
+        return columns, base, root
     rows = []
     for index, entry in enumerate(branches):
         try:
@@ -293,12 +354,35 @@ def _by_id(table: RawTable) -> tuple[Sequence[int], Sequence[int]]:
     return [k for k in order if not tie[k]], [k for k in order if tie[k]]
 
 
+def _table_order(table: RawTable) -> tuple[Sequence[int], Sequence[int]]:
+    """Positions of the closed rows in table order and of the tie rows in id
+    order: a range and an empty range for a table with no tie rows, so that
+    _gather slices; only the tie rows are sorted."""
+    ids, *_, tie = table.columns
+    if not any(tie):
+        return range(len(ids)), range(0)
+    positions = range(len(ids))
+    return (list(compress(positions, map(not_, tie))),
+            sorted(compress(positions, tie), key=ids.__getitem__))
+
+
 def _gather(columns, positions) -> list[tuple]:
-    """Each column's entries at positions, in that order, as a tuple; a range
-    of positions, which _by_id gives, is taken as a slice."""
+    """Each column's entries at positions, in that order, as a tuple: a range
+    of positions, which _by_id and _table_order give, as a slice, and a list
+    of two or more with one itemgetter."""
     if type(positions) is range:
         return [c[positions.start:positions.stop] for c in columns]
-    return [tuple([c[k] for k in positions]) for c in columns]
+    if len(positions) < 2:  # itemgetter of one position gives no tuple
+        return [tuple([c[k] for k in positions]) for c in columns]
+    take = itemgetter(*positions)
+    return [take(c) for c in columns]
+
+
+def _records(columns) -> tuple[BranchRecord, ...]:
+    """The BranchRecords of a RawTable's columns, or of columns gathered from
+    them, built without running _check_row again: a table's rows were checked
+    when it was built."""
+    return tuple(map(tuple.__new__, repeat(BranchRecord), zip(*columns)))
 
 
 def validate_radial(
@@ -328,7 +412,7 @@ def validate_radial(
         net = NetworkModel._from_columns(
             (ids, sending, receiving, z, s_load, cap),
             root=_root(table, root),
-            tie_lines=tuple(map(BranchRecord, *_gather(table.columns, ties))),
+            tie_lines=_records(_gather(table.columns, ties)),
             base=base,
         )
         if require_ordered:
@@ -336,6 +420,13 @@ def validate_radial(
     except TopologyError as exc:  # OrderingError included
         raise type(exc)(f"{table.source_name}: {exc}") from None
     return net
+
+
+def _tree(table: RawTable, closed, ties, root: int):
+    """radial_tree of the table's closed rows at the positions closed and its
+    tie rows at the positions ties, in those orders."""
+    ends = table.columns[:3]  # branch id, sending and receiving node
+    return radial_tree(*_gather(ends, closed), root, tuple(zip(*_gather(ends, ties))))
 
 
 class RenumberMapping(_Record, namedtuple(
@@ -360,13 +451,22 @@ def renumber_sequential(table: RawTable, root: int | None = None) -> tuple[RawTa
     row k new node k+1. Tables that already satisfy the convention of the
     bundled feeder data (receiving node of branch j is j+1, laterals listed
     after their trunk) map to themselves.
+
+    The tree is derived from the closed rows in table order and the tie rows
+    in id order (_table_order), so only the tie rows are sorted: the walk
+    does not depend on the order of the rows, as its heap holds node
+    positions. Which defect radial_tree names first does, so a table that is
+    not a tree is derived again in id order (_by_id), and the error names
+    the defect validate_radial names.
     """
     root = _root(table, root)
-    closed, ties = _by_id(table)
-    ends = table.columns[:3]  # branch id, sending and receiving node
+    closed, ties = _table_order(table)
     try:
-        _, index, _, _, feeding, offsets, targets = radial_tree(
-            *_gather(ends, closed), root, tuple(zip(*_gather(ends, ties))))
+        try:
+            _, index, _, _, feeding, offsets, targets = _tree(table, closed, ties, root)
+        except TopologyError:
+            closed, ties = _by_id(table)
+            _, index, _, _, feeding, offsets, targets = _tree(table, closed, ties, root)
     except TopologyError as exc:
         raise type(exc)(f"{table.source_name}: {exc}") from None
 

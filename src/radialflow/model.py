@@ -321,7 +321,11 @@ class BranchRecord(_Record, namedtuple(
 
 def _check_unique(ids, prefix: str = "") -> None:
     """Raise DataError, its text after prefix, naming the first branch id in
-    ids that repeats an earlier one; RawTable and NetworkModel check here."""
+    ids that repeats an earlier one; RawTable and NetworkModel check here.
+    One set of the whole column finds whether any repeats; only then are the
+    ids searched for the first."""
+    if len(set(ids)) == len(ids):
+        return
     seen = set()
     for b in ids:
         if b in seen:

@@ -14,6 +14,13 @@ BUS33 = "bus33.branch"
 GOLDEN69 = "golden69_vmag.csv"
 
 
+def pytest_report_header(config):
+    """Name the radialflow under test. pyproject.toml's pythonpath puts this
+    checkout's src ahead of PYTHONPATH, so a run meant for another tree's
+    src shows here that it tested this one."""
+    return f"radialflow under test: {rf.__file__}"
+
+
 def fixture_path(name: str) -> Path:
     """The path of a data file bundled with the package."""
     return Path(str(resources.files("radialflow.data").joinpath(name)))

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import criterion_2_tables, format_branch_table, make_table
-from radialflow import ingest
+from radialflow import ingest, model
 from radialflow.cli import generate_random_table
 from radialflow.ingest import (
     OrderingError,
@@ -90,6 +90,98 @@ class TestParseDelimited:
             parse_branch_table("1 1 2 0.1 0.05 10 5\n1 2 3 0.1 0.05 10 5\n")
 
 
+# (document, ParseError text) of malformed JSON documents
+MALFORMED_DOCUMENTS = [
+    ([], "net.json: expected a JSON object at the top level, got list"),
+    ({"branches": [{"from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
+     "net.json: branches[0]: missing key 'id'"),
+    ({"branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05},
+                   {"id": 2, "from": 2, "to": 3, "r": "x", "x": 0.05}]},
+     "net.json: branches[1]: bad value 'x' for key 'r'"),
+    ({"branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05, "cap": [1]}]},
+     "net.json: branches[0]: bad value [1] for key 'cap'"),
+    ({"branches": [7]}, "net.json: branches[0]: expected an object, got int"),
+    ({"branches": {"id": 1}}, 'net.json: "branches" must be a list, got dict'),
+    ({"root": "one", "branches": []}, "net.json: bad \"root\" 'one'"),
+    ({"base": {"kv": 12.66}, "branches": []},
+     "net.json: bad \"base\" {'kv': 12.66} (needs numbers \"kv\" and \"mva\")"),
+    ({"branches": [{"id": 0, "from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
+     "net.json: branches[0]: branch id must be positive, got 0"),
+    ({"branches": [{"id": 1, "from": 1, "to": 2.9, "r": 0.1, "x": 0.05}]},
+     "net.json: branches[0]: bad value 2.9 for key 'to'"),
+    ({"branches": [{"id": 1.7, "from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
+     "net.json: branches[0]: bad value 1.7 for key 'id'"),
+    ({"root": True, "branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
+     "net.json: bad \"root\" True"),
+    ({"branches": [{"id": 1, "from": 1, "to": 2, "r": True, "x": 0.05}]},
+     "net.json: branches[0]: bad value True for key 'r'"),
+    ({"branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05, "open": "false"}]},
+     "net.json: branches[0]: bad value 'false' for key 'open'"),
+    ({"base": {"kv": "nan", "mva": 10},
+      "branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
+     "net.json: bad \"base\" {'kv': 'nan', 'mva': 10}: "
+     "kv_base must be positive and finite, got nan"),
+    ({"base": {"kv": "inf", "mva": 10},
+      "branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
+     "net.json: bad \"base\" {'kv': 'inf', 'mva': 10}: "
+     "kv_base must be positive and finite, got inf"),
+    ({"branches": [{"id": "1_0", "from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
+     "net.json: branches[0]: bad value '1_0' for key 'id'"),
+    ({"branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05, "p": "1_0"}]},
+     "net.json: branches[0]: bad value '1_0' for key 'p'"),
+    ({"branches": [{"id": 1, "from": "\u0661", "to": 2, "r": 0.1, "x": 0.05}]},
+     "net.json: branches[0]: bad value '\u0661' for key 'from'"),
+    ({"root": "1_0", "branches": []}, "net.json: bad \"root\" '1_0'"),
+    ({"base": {"kv": "1_2.66", "mva": 10}, "branches": []},
+     "net.json: bad \"base\" {'kv': '1_2.66', 'mva': 10} (needs numbers \"kv\" and \"mva\")"),
+]
+MALFORMED_IDS = ["top-level-list", "missing-id", "non-numeric-r", "bad-cap", "entry-not-object",
+                 "branches-not-list", "bad-root", "base-without-mva", "id-zero", "fractional-to",
+                 "fractional-id", "bool-root", "bool-r", "open-as-text", "nan-base", "inf-base",
+                 "underscore-id", "underscore-load", "arabic-indic-from", "underscore-root",
+                 "underscore-base"]
+
+
+def with_loads(doc):
+    """doc with "p" and "q" added to each branch entry that lacks them, so
+    that an entry of the five other keys has the seven keys of a plain entry
+    and reaches the column reader."""
+    return {**doc, "branches": [{"p": 0.0, "q": 0.0, **entry} for entry in doc["branches"]]}
+
+
+# the rows of MALFORMED_DOCUMENTS whose defect is in a branch entry, each entry
+# widened by with_loads: the column reader must leave each to the row loop
+WIDENED_DOCUMENTS = [
+    pytest.param(with_loads(doc), message, id=name)
+    for (doc, message), name in zip(MALFORMED_DOCUMENTS, MALFORMED_IDS)
+    if "branches[" in message and all(isinstance(e, dict) for e in doc["branches"])
+]
+
+
+def plain_entry(**values):
+    """A plain JSON branch entry, the seven keys with int ids and nodes and
+    float values, changed by values; a value of None drops its key."""
+    entry = {"id": 2, "from": 2, "to": 3, "r": 0.1, "x": 0.05, "p": 1.0, "q": 0.5, **values}
+    return {key: value for key, value in entry.items() if value is not None}
+
+
+# seven-key documents the column reader leaves to the row loop, with the text
+# the row loop raises, naming their second entry
+SEVEN_KEY_DEFECTS = [
+    pytest.param(plain_entry(id=True), "bad value True for key 'id'", id="bool-id"),
+    pytest.param(plain_entry(r=float("nan")), "branch 2: non-finite resistance (nan)",
+                 id="nan-r"),
+    pytest.param(plain_entry(q=float("-inf")), "branch 2: non-finite load_q (-inf)",
+                 id="minus-infinity-q"),
+    pytest.param(plain_entry(x=-0.05), "branch 2: negative impedance component",
+                 id="negative-x"),
+    pytest.param(plain_entry(to=2), "branch 2: sending and receiving node are both 2",
+                 id="from-is-to"),
+    pytest.param({"cap": 9.0, **plain_entry(id=None)}, "missing key 'id'",
+                 id="cap-in-place-of-id"),
+]
+
+
 class TestParseJson:
     def test_schema(self):
         doc = {
@@ -110,58 +202,44 @@ class TestParseJson:
         with pytest.raises(ParseError):
             parse_branch_table("{not json", "json")
 
-    @pytest.mark.parametrize("doc,message", [
-        ([], "net.json: expected a JSON object at the top level, got list"),
-        ({"branches": [{"from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
-         "net.json: branches[0]: missing key 'id'"),
-        ({"branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05},
-                       {"id": 2, "from": 2, "to": 3, "r": "x", "x": 0.05}]},
-         "net.json: branches[1]: bad value 'x' for key 'r'"),
-        ({"branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05, "cap": [1]}]},
-         "net.json: branches[0]: bad value [1] for key 'cap'"),
-        ({"branches": [7]}, "net.json: branches[0]: expected an object, got int"),
-        ({"branches": {"id": 1}}, 'net.json: "branches" must be a list, got dict'),
-        ({"root": "one", "branches": []}, "net.json: bad \"root\" 'one'"),
-        ({"base": {"kv": 12.66}, "branches": []},
-         "net.json: bad \"base\" {'kv': 12.66} (needs numbers \"kv\" and \"mva\")"),
-        ({"branches": [{"id": 0, "from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
-         "net.json: branches[0]: branch id must be positive, got 0"),
-        ({"branches": [{"id": 1, "from": 1, "to": 2.9, "r": 0.1, "x": 0.05}]},
-         "net.json: branches[0]: bad value 2.9 for key 'to'"),
-        ({"branches": [{"id": 1.7, "from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
-         "net.json: branches[0]: bad value 1.7 for key 'id'"),
-        ({"root": True, "branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
-         "net.json: bad \"root\" True"),
-        ({"branches": [{"id": 1, "from": 1, "to": 2, "r": True, "x": 0.05}]},
-         "net.json: branches[0]: bad value True for key 'r'"),
-        ({"branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05, "open": "false"}]},
-         "net.json: branches[0]: bad value 'false' for key 'open'"),
-        ({"base": {"kv": "nan", "mva": 10},
-          "branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
-         "net.json: bad \"base\" {'kv': 'nan', 'mva': 10}: "
-         "kv_base must be positive and finite, got nan"),
-        ({"base": {"kv": "inf", "mva": 10},
-          "branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
-         "net.json: bad \"base\" {'kv': 'inf', 'mva': 10}: "
-         "kv_base must be positive and finite, got inf"),
-        ({"branches": [{"id": "1_0", "from": 1, "to": 2, "r": 0.1, "x": 0.05}]},
-         "net.json: branches[0]: bad value '1_0' for key 'id'"),
-        ({"branches": [{"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05, "p": "1_0"}]},
-         "net.json: branches[0]: bad value '1_0' for key 'p'"),
-        ({"branches": [{"id": 1, "from": "\u0661", "to": 2, "r": 0.1, "x": 0.05}]},
-         "net.json: branches[0]: bad value '\u0661' for key 'from'"),
-        ({"root": "1_0", "branches": []}, "net.json: bad \"root\" '1_0'"),
-        ({"base": {"kv": "1_2.66", "mva": 10}, "branches": []},
-         "net.json: bad \"base\" {'kv': '1_2.66', 'mva': 10} (needs numbers \"kv\" and \"mva\")"),
-    ], ids=["top-level-list", "missing-id", "non-numeric-r", "bad-cap", "entry-not-object",
-            "branches-not-list", "bad-root", "base-without-mva", "id-zero", "fractional-to",
-            "fractional-id", "bool-root", "bool-r", "open-as-text", "nan-base", "inf-base",
-            "underscore-id", "underscore-load", "arabic-indic-from", "underscore-root",
-            "underscore-base"])
+    @pytest.mark.parametrize("doc,message", MALFORMED_DOCUMENTS, ids=MALFORMED_IDS)
     def test_malformed_document_names_the_entry_and_key(self, doc, message):
         with pytest.raises(ParseError) as exc:
             parse_branch_table(json.dumps(doc), "json", source_name="net.json")
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("doc,message", WIDENED_DOCUMENTS)
+    def test_a_widened_malformed_entry_keeps_its_message(self, doc, message):
+        with pytest.raises(ParseError) as exc:
+            parse_branch_table(json.dumps(doc), "json", source_name="net.json")
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("entry,message", SEVEN_KEY_DEFECTS)
+    def test_a_seven_key_entry_the_column_reader_refuses_is_named(self, entry, message):
+        doc = {"branches": [plain_entry(id=1, **{"from": 1, "to": 2}), entry]}
+        with pytest.raises(ParseError) as exc:
+            parse_branch_table(json.dumps(doc), "json", source_name="net.json")
+        assert str(exc.value) == f"net.json: branches[1]: {message}"
+
+    @pytest.mark.parametrize("values,record", [
+        ({"id": 3.0}, BranchRecord(3, 2, 3, 0.1, 0.05, 1.0, 0.5)),
+        ({"r": 1}, BranchRecord(2, 2, 3, 1.0, 0.05, 1.0, 0.5)),
+    ], ids=["integral-float-id", "int-r"])
+    def test_a_seven_key_entry_the_row_loop_converts_is_read(self, values, record):
+        doc = {"branches": [plain_entry(id=1, **{"from": 1, "to": 2}), plain_entry(**values)]}
+        table = parse_branch_table(json.dumps(doc), "json")
+        assert table.rows[1] == record
+        assert [type(v) for v in table.rows[1]] == [type(v) for v in record]
+
+    def test_plain_branches_are_read_a_column_at_a_time(self):
+        branches = [plain_entry(id=1, **{"from": 1, "to": 2}), plain_entry()]
+        columns = ingest._plain_columns(branches)
+        assert columns == ((1, 2), (1, 2), (2, 3), (0.1, 0.1), (0.05, 0.05), (1.0, 1.0),
+                           (0.5, 0.5), (None, None), (False, False))
+        doc = {"branches": branches}
+        assert parse_branch_table(json.dumps(doc), "json").columns == columns
+        # one entry that is not plain, and the row loop reads the list
+        assert ingest._plain_columns([*branches, {**plain_entry(id=3), "open": False}]) is None
 
     def test_capacity_beyond_float_range_rejected(self):
         # json reads 1e400 as inf
@@ -557,6 +635,80 @@ def test_an_id_ordered_table_is_taken_by_slicing(bus69_table, monkeypatch):
                         gathered.append(type(positions)) or gather(columns, positions))
     assert validate_radial(bus69_table) == expected
     assert gathered == [range, range]
+
+
+def test_a_tree_is_renumbered_in_table_order(bus69_table, monkeypatch):
+    """renumber_sequential derives a tree from the closed rows in table order,
+    slicing when there are no tie rows and sorting only the tie rows, and
+    never sorts all rows by id; the walk does not depend on the order, so the
+    result is that of the rows sorted by id."""
+    rng = random.Random(11)
+    shuffled = scramble(generate_random_table(300, 0.3, rng), rng)
+    rows = list(bus69_table.rows)
+    rng.shuffle(rows)
+    by_id = []
+    monkeypatch.setattr(ingest, "_by_id", lambda table: by_id.append(table))
+    for table in (shuffled, RawTable(rows=tuple(rows), source_name=bus69_table.source_name)):
+        expected = renumber_sequential(RawTable(
+            rows=tuple(sorted(table.rows)), source_name=table.source_name))
+        assert renumber_sequential(table) == expected
+    assert by_id == []
+    gathered = []
+    gather = ingest._gather
+    monkeypatch.setattr(ingest, "_gather", lambda columns, positions:
+                        gathered.append(type(positions)) or gather(columns, positions))
+    renumber_sequential(shuffled)
+    assert gathered[:2] == [range, range]  # the closed rows and no tie rows
+    assert ingest._table_order(RawTable(rows=tuple(rows))) == (
+        [k for k, r in enumerate(rows) if not r.is_tie],
+        sorted([k for k, r in enumerate(rows) if r.is_tie], key=lambda k: rows[k].branch_id))
+
+
+def test_renumber_names_the_defect_in_id_order_on_a_shuffled_table():
+    """On a table that is not a tree renumber_sequential derives again in id
+    order, and names the defect validate_radial names where table order
+    names another: here the two branches into one node."""
+    rng = random.Random(3)
+    rows = list(generate_random_table(1000, 0.3, rng).rows)
+    rng.shuffle(rows)
+    fed = rows[0]  # a second feed of its receiving node, with a larger id, first
+    rows.insert(0, fed._replace(branch_id=5000, sending_node=1 if fed.sending_node != 1 else 2))
+    table = RawTable(rows=tuple(rows), source_name="fed-twice")
+    expected = (f"fed-twice: node {fed.receiving_node} is fed by branches "
+                f"{fed.branch_id} and 5000")
+    with pytest.raises(TopologyError) as exc:
+        model.radial_tree(*table.columns[:3], 1, ())
+    assert str(exc.value) == (f"node {fed.receiving_node} is fed by branches 5000 and "
+                              f"{fed.branch_id}")
+    for call in (validate_radial, renumber_sequential):
+        with pytest.raises(TopologyError) as exc:
+            call(table)
+        assert str(exc.value) == expected
+
+
+def test_validate_radial_checks_no_row_again(bus69_table, monkeypatch):
+    """A table's rows were checked when it was built, so validate_radial
+    builds its tie lines' records without _check_row."""
+    checked = []
+    monkeypatch.setattr(model, "_check_row", lambda *row: checked.append(row))
+    net = validate_radial(bus69_table)
+    assert checked == []
+    assert net.tie_lines == tuple(sorted(bus69_table.tie_rows()))
+    assert {type(t) for t in net.tie_lines} == {BranchRecord}
+
+
+@pytest.mark.parametrize("row,message", [
+    ((1, 1, 2, -0.1, 0.1, 5.0, 1.0, None, False), "branch 1: negative impedance component"),
+    ((1, 1, 2, 0.1, 0.1, 5.0, 1.0, None, True), "branch 1: tie-line must carry zero load"),
+], ids=["negative-r", "loaded-tie"])
+def test_a_table_of_plain_tuples_checks_each_row(row, message):
+    """RawTable(rows=...) checks a row given as a plain tuple, as BranchRecord
+    does, so every table's rows are checked when it is built."""
+    with pytest.raises(DataError) as exc:
+        RawTable(rows=[row])
+    assert str(exc.value) == message
+    assert RawTable(rows=[row[:3] + (0.1, 0.1, 0.0, 0.0, None, row[-1])]).rows == (
+        BranchRecord(*row[:3], 0.1, 0.1, 0.0, 0.0, None, row[-1]),)
 
 
 def test_validate_radial_constructs_no_per_unit_branch_or_phasor(bus69_table, monkeypatch):

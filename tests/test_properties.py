@@ -270,3 +270,64 @@ def test_every_input_maps_to_a_documented_exit_code(branch_path, text, renumber)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(["validate", str(branch_path)]) in (0, 2, 3)
         assert main(solve) in (0, 1, 2, 3, 4)
+
+
+PLAIN_KEYS = ("id", "from", "to", "r", "x", "p", "q")
+# values a plain entry may not hold at some key: bools, numbers of the other
+# kind, number text, non-finite and negative values, and the nodes of a
+# branch that starts where it ends are drawn apart
+ODD_VALUES = st.sampled_from([True, False, None, 0, -3, 3.0, 2.5, 1, "4", "0.5", [1],
+                              float("nan"), float("inf"), float("-inf"), -0.5, -0.0, 1e308])
+
+
+@st.composite
+def seven_key_documents(draw):
+    """A JSON document of plain branch entries (the seven keys, int ids and
+    nodes, float values), one of them perturbed in about half the draws: a
+    value replaced, a key dropped or traded for "open" or "cap", its
+    receiving node set to its sending node, or the entry made a list; or
+    every entry's p set to 1e308."""
+    ids = draw(st.lists(st.integers(1, 10**9), min_size=1, max_size=8, unique=True))
+    nodes = st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=2, unique=True)
+    impedance = st.floats(0.0, 1e3)
+    load = st.floats(-1e3, 1e3)
+    branches = [dict(zip(PLAIN_KEYS, (i, *draw(nodes), draw(impedance), draw(impedance),
+                                      draw(load), draw(load)))) for i in ids]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(branches) - 1))
+        entry = branches[k]
+        key = draw(st.sampled_from(PLAIN_KEYS))
+        how = draw(st.sampled_from(["value", "drop", "open", "cap", "loop", "list", "overflow"]))
+        if how == "overflow":  # finite values whose column sum is not
+            for e in branches:
+                e["p"] = 1e308
+        elif how == "value":
+            entry[key] = draw(ODD_VALUES | finite | st.integers(-10, 10))
+        elif how == "loop":
+            entry["to"] = entry["from"]
+        elif how == "list":
+            branches[k] = list(entry.values())
+        else:
+            del entry[key]
+            if how != "drop":
+                entry[how] = draw(st.booleans()) if how == "open" else draw(ODD_VALUES | finite)
+    return {"branches": branches}
+
+
+def parsed(doc):
+    """The repr of the table doc parses to, or the type and text of the error."""
+    try:
+        return repr(parse_branch_table(json.dumps(doc), "json", source_name="t"))
+    except LoadFlowError as exc:
+        return type(exc), str(exc)
+
+
+@settings(REPEATABLE, max_examples=300)
+@given(seven_key_documents())
+def test_column_reader_reads_as_the_row_loop(doc):
+    """A seven-key document parses as the same document with "open": false
+    added to every entry that has no "open", which only the row loop reads:
+    to the same table, or to the same error."""
+    rows_only = {"branches": [{"open": False, **e} if isinstance(e, dict) else e
+                              for e in doc["branches"]]}
+    assert parsed(doc) == parsed(rows_only)
