@@ -254,12 +254,15 @@ def _parse_json(text: str, source: str) -> tuple[tuple[tuple, ...], PerUnitBase 
     Plain branches are read a column at a time (_plain_columns); any other
     list goes through the row loop, which converts each value with _number
     and checks each row with _check_row, naming the entry and key at fault.
+    Text that json cannot decode is a ParseError.
     """
     import json  # here, so that reading a delimited table does not load it
 
+    # a JSONDecodeError is a ValueError, as is an integer of more digits than
+    # int() converts; arrays or objects nested too deep raise RecursionError
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{source}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{source}: expected a JSON object at the top level, got {type(doc).__name__}")

@@ -18,8 +18,7 @@ order, so every caller names the same first defect. It maps node ids to dense
 positions 0..n-1 once, with one sort, and returns the tree as tuples indexed
 by position: the sending and receiving columns as node positions, each node's
 feeding branch, and the children as one offsets-plus-targets pair. Ids stay
-at the edges: the parsers, error texts, BranchView, the id-keyed views and
-the report.
+at the edges: the parsers, error texts, the views and the report.
 
 Networks of one topology share one derivation: NetworkModel gets its tree
 from _shared_tree, which holds at most one _Tree, only after two equal
@@ -33,23 +32,21 @@ the closed branches' columns there, and to_per_unit a single row.
 
 NetworkModel keeps the closed branches as per-unit columns (ids, sending and
 receiving nodes, z and s_load as complex, capacity) and its _Tree, and the
-solver reads those; branches is a read-only BranchView that builds a
-PerUnitBranch only when an entry is read. Every positional view is one kind
-of read-only Sequence, RowView: a row function and the sources it reads,
-standing for the tuple of its rows. BranchView is the RowView of the
-branches, shown and pickled as a BranchView; a SolveReport's node_voltages,
-branch_currents and branch_losses are RowViews over the solve's lists,
-shown, pickled and copied as plain tuples. Each network fact has one
-published form: the columns for what each branch
+solver reads those. Every view is built on read the same way: a module-level
+row function reads the entry at a position out of the view's sources. A
+positional view is a read-only Sequence, RowView(row, sources), standing for
+the tuple of its rows: branches, whose row (_closed_branch) builds a
+PerUnitBranch, and a SolveReport's node_voltages, branch_currents and
+branch_losses, over the solve's lists. An id-keyed view is a read-only
+Mapping, _IdView(keys, index, row, sources), standing for the dict it reads:
+the keys in order and an id-to-position dict. children and parent_branch
+read the position lists (_children_row, _parent_branch_row), and a report's
+final_* views a Phasor out of a list of complex values. So no per-branch
+record, Phasor or per-node container is built between parse and sweep. Each
+network fact has one published form: the columns for what each branch
 carries, and children and parent_branch for the tree. The reference phase
 functions and the oracle read the columns; of the package, only
-backward_sweep's default mode reads children. Every id-keyed lookup is one
-kind of read-only Mapping, _IdView: the keys in order, an id-to-position dict
-and a function that reads the value at a position. children and
-parent_branch are _IdViews over the position lists and the node
-id-to-position dict; PhasorMap, the view of a report's final values, is the
-_IdView that reads a Phasor out of a list of complex values. So no per-branch
-record, Phasor or per-node container is built between parse and sweep.
+backward_sweep's default mode reads children.
 PerUnitBase.kw_base is the one kW scale, and NetworkModel.check_ordering the
 one place that raises the OrderingError that validate_radial and solve refuse
 an unordered network with.
@@ -214,18 +211,22 @@ class Phasor(_Record, namedtuple("Phasor", "re im")):
 
 
 class _IdView(Mapping):
-    """A read-only Mapping keyed by the ids in keys, in that order: index maps
-    each key to a position, and read(position) is the key's value, found only
-    when the entry is read. Equality is that of a Mapping, so a view equals
-    the dict it stands for, and it is shown as that dict."""
+    """A read-only Mapping keyed by the ids in keys, in that order.
 
-    __slots__ = ("_keys", "_index", "_read")
+    Entry key is row(sources, index[key]): index maps each key to a
+    position, row is a module-level function and sources what it reads, so a
+    value is found only when its entry is read. Equality is that of a
+    Mapping, so a view equals the dict it stands for, and it is shown as that
+    dict; it pickles and copies as its four parts.
+    """
 
-    def __init__(self, keys, index: dict[int, int], read):
-        self._keys, self._index, self._read = keys, index, read
+    __slots__ = ("_keys", "_index", "_row", "_sources")
+
+    def __init__(self, keys, index: dict[int, int], row, sources):
+        self._keys, self._index, self._row, self._sources = keys, index, row, sources
 
     def __getitem__(self, key: int):
-        return self._read(self._index[key])
+        return self._row(self._sources, self._index[key])
 
     def __iter__(self):
         return iter(self._keys)
@@ -236,29 +237,8 @@ class _IdView(Mapping):
     def __repr__(self) -> str:
         return repr(dict(self))
 
-
-class PhasorMap(_IdView):
-    """Read-only view of a list of complex values as Phasors, keyed by id: a
-    SolveReport's final_voltage, final_load_current and final_branch_current.
-
-    index maps a node or branch id to its position in values, and iteration
-    follows it; a Phasor is made only when an entry is read. It reads values
-    itself rather than through a stored function, so it pickles as its index
-    and values.
-    """
-
-    __slots__ = ("_values",)
-
-    def __init__(self, index: dict[int, int], values: list[complex]):
-        self._keys = self._index = index
-        self._values = values
-
-    def __getitem__(self, key: int) -> Phasor:
-        z = self._values[self._index[key]]
-        return Phasor(z.real, z.imag)
-
-    def __repr__(self) -> str:
-        return f"PhasorMap({dict(self)!r})"
+    def __reduce__(self):
+        return _IdView, (self._keys, self._index, self._row, self._sources)
 
 
 class PerUnitBase(_Record, namedtuple("PerUnitBase", "kv_base mva_base")):
@@ -557,8 +537,8 @@ class RowView(_Frozen, Sequence):
     the tuple of its rows: it iterates, indexes and slices as that tuple (a
     slice is a tuple), equals it and any view with equal rows, in either
     order of ==, hashes as it, prints as its repr and pickles and copies as
-    it. A SolveReport's node_voltages, branch_currents and branch_losses are
-    RowViews over the solve's complex lists.
+    it. A NetworkModel's branches and a SolveReport's node_voltages,
+    branch_currents and branch_losses are RowViews.
     """
 
     __slots__ = ("_row", "_sources")
@@ -593,34 +573,29 @@ class RowView(_Frozen, Sequence):
         return tuple, (tuple(self),)
 
 
-class BranchView(RowView):
-    """Read-only view of a NetworkModel's branch columns as PerUnitBranches.
-
-    columns holds the six per-branch columns (branch id, sending node,
-    receiving node, z and s_load as complex, capacity); entry k of each is
-    branch k. A PerUnitBranch, with its two Phasors, is made only when an
-    entry is read, and every branch is closed (is_tie False). It is the
-    RowView of those rows, but shown as BranchView((...)) and pickled as a
-    BranchView of its columns.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, columns: tuple[tuple, ...]):
-        RowView.__init__(self, _closed_branch, columns)
-
-    def __repr__(self) -> str:
-        return f"BranchView({tuple(self)!r})"
-
-    def __reduce__(self):
-        return BranchView, (self._sources,)
-
-
 def _closed_branch(columns, k) -> PerUnitBranch:
-    """The PerUnitBranch at position k of a BranchView's columns."""
+    """The PerUnitBranch at position k of a network's six branch columns
+    (branch id, sending node, receiving node, z and s_load as complex,
+    capacity); every branch is closed."""
     branch_id, sending_node, receiving_node, z, s_load, capacity = [c[k] for c in columns]
     return PerUnitBranch(branch_id, sending_node, receiving_node, Phasor(z.real, z.imag),
                          Phasor(s_load.real, s_load.imag), capacity, False)
+
+
+def _children_row(sources, i) -> tuple:
+    """The ids of the branches node position i feeds, in column order, from
+    sources (ids, feeding, offsets, targets)."""
+    ids, feeding, offsets, targets = sources
+    return tuple([ids[feeding[j]] for j in targets[offsets[i]:offsets[i + 1]]])
+
+
+def _parent_branch_row(sources, i):
+    """The id of the branch feeding node position i, from sources (ids,
+    feeding, root); the root has none."""
+    ids, feeding, root = sources
+    if feeding[i] < 0:
+        raise KeyError(root)
+    return ids[feeding[i]]
 
 
 class NetworkModel(_Frozen):
@@ -629,9 +604,9 @@ class NetworkModel(_Frozen):
     The closed branches are kept as columns, one entry per branch in the
     order given: branch_ids, sending, receiving, z and s_load (per-unit
     impedance and receiving-end load, as complex) and capacity. branches is a
-    read-only BranchView of those columns, which builds each PerUnitBranch
-    when it is read. Tie lines are parsed but never energized; tie_lines
-    keeps them as BranchRecords. validate_radial passes the columns of the
+    read-only RowView of those columns, which builds each PerUnitBranch when
+    it is read. Tie lines are parsed but never energized; tie_lines keeps
+    them as BranchRecords. validate_radial passes the columns of the
     closed branches and the tie lines, both sorted by id, to _from_columns;
     NetworkModel(branches, ...) transposes the PerUnitBranches it is given,
     which must all be closed (is_tie false), into the same columns. Either
@@ -649,8 +624,8 @@ class NetworkModel(_Frozen):
     nowhere else, as radial_tree's position lists (the private _tree, which
     networks of one topology may share): nodes have positions in nodes()
     (ascending ids) and branches in the columns, and the private dicts _index
-    and _position map node and branch ids to them. The id-keyed
-    facts are _IdViews that read those lists when an entry is read, each
+    and _position map node and branch ids to them. The id-keyed facts are
+    _IdViews that read those lists when an entry is read, each
     equal to, iterated in the order of and shown as the dict it stands for:
     children maps each node to the ids of the branches it feeds, in branch
     order; parent_branch maps each receiving node, in branch order, to the
@@ -701,23 +676,12 @@ class NetworkModel(_Frozen):
         position = dict(zip(ids, range(len(ids))))
         unordered = None if tree.unordered is None else ids[tree.unordered]
 
-        # the views' read functions take the lists as defaults, not closure
-        # cells, which would add seven objects for the cyclic collector to track
-        def children(i, ids=ids, feeding=feeding, offsets=offsets, targets=targets):
-            # the ids of the branches node i feeds, in column order
-            return tuple([ids[feeding[j]] for j in targets[offsets[i]:offsets[i + 1]]])
-
-        def parent_branch(i, ids=ids, feeding=feeding, root=root):
-            # the id of the branch feeding node i
-            if feeding[i] < 0:  # the root
-                raise KeyError(root)
-            return ids[feeding[i]]
-
         fields = dict(
-            branches=BranchView(columns), root=root, tie_lines=tie_lines, base=base,
+            branches=RowView(_closed_branch, columns), root=root, tie_lines=tie_lines, base=base,
             branch_ids=ids, sending=sending, receiving=receiving, z=z, s_load=s_load,
-            capacity=capacity, children=_IdView(nodes, index, children),
-            parent_branch=_IdView(receiving, index, parent_branch),
+            capacity=capacity,
+            children=_IdView(nodes, index, _children_row, (ids, feeding, offsets, targets)),
+            parent_branch=_IdView(receiving, index, _parent_branch_row, (ids, feeding, root)),
             node_s_load=node_s_load, _nodes=nodes, unordered_branch=unordered, _index=index,
             _position=position, _tree=tree,
         )
@@ -787,10 +751,11 @@ class SolveReport(_Record, namedtuple("SolveReport", (
     state is kept once, as the solver's complex lists: the three row tables
     are RowViews over them, which build a row only when it is read, and
     final_voltage and final_load_current (by node) and final_branch_current
-    (by branch id) are read-only PhasorMap views. A pickled or copied report
-    holds the row tables as tuples; _replace may put tuples there too.
-    step_count_proposed and step_count_baseline are the steps the stack sweep
-    and the per-iteration rescanning baseline take to reach this solution:
+    (by branch id) are read-only _IdViews that build a Phasor on read, each
+    shown as the dict it stands for. A pickled or copied report holds the row
+    tables as tuples; _replace may put tuples there too. step_count_proposed
+    and step_count_baseline are the steps the stack sweep and the
+    per-iteration rescanning baseline take to reach this solution:
     solver.solve fills both, oracle.baseline_solve, which runs the baseline,
     only step_count_baseline.
     """

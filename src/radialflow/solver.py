@@ -31,13 +31,14 @@ after its forward loop.
 
 build_report turns the final voltages and currents, as complex lists, into a
 SolveReport that keeps those lists and shows them two ways, both read-only
-and both computed on read: as Phasor views (final_*) keyed through the
-network's node and branch id-to-position dicts, and as the node and branch
-rows, model.RowViews whose row functions (_voltage_row, _current_row,
-_loss_row) read the lists and the network's id and z columns. Only the two
-loss totals are computed when the report is built; a study that reads one
-node's voltage builds no row. solve hands over the sweep's own lists and
-oracle.baseline_solve its dicts' values, so both return the same layout.
+and both computed on read: as the final_* Phasor views, model._IdViews whose
+row function (_phasor_row) reads a list through the network's node or branch
+id-to-position dict, and as the node and branch rows, model.RowViews whose
+row functions (_voltage_row, _current_row, _loss_row) read the lists and the
+network's id and z columns. Only the two loss totals are computed when the
+report is built; a study that reads one node's voltage builds no row. solve
+hands over the sweep's own lists and oracle.baseline_solve its dicts'
+values, so both return the same layout.
 
 In the sweep's forward loop a voltage's finiteness is tested only when its
 magnitude change is not within the tolerance: a non-finite part makes the
@@ -68,10 +69,10 @@ from .model import (
     LoadFlowError,
     NetworkModel,
     Phasor,
-    PhasorMap,
     RowView,
     SolveReport,
     SolveState,
+    _IdView,
     _Record,
     wrap_angle,
 )
@@ -556,14 +557,15 @@ def build_report(
 
     volts and loads hold one value per node in net.nodes() order, branches one
     per branch in column order; the report keeps the lists. It shows them
-    through PhasorMap views whose index is the network's plain id-to-position
-    dict, net._index or net._position, and its node and branch rows through
-    RowViews over the same lists, whose rows (_voltage_row, _current_row and
-    _loss_row) are built only when read. Branch ids and impedances are read
-    from the network's branch_ids and z columns, so no PerUnitBranch is
-    built. Only the loss totals are computed here, summed in branch order.
-    fields are the remaining SolveReport fields (iterations, step counts,
-    delta history and so on). Magnitudes, angles and losses come from the
+    through _IdViews keyed by the network's plain id-to-position dict,
+    net._index or net._position, whose _phasor_row builds a Phasor when an
+    entry is read, and its node and branch rows through RowViews over the
+    same lists, whose rows (_voltage_row, _current_row and _loss_row) are
+    built only when read. Branch ids and impedances are read from the
+    network's branch_ids and z columns, so no PerUnitBranch is built. Only
+    the loss totals are computed here, summed in branch order. fields are
+    the remaining SolveReport fields (iterations, step counts, delta history
+    and so on). Magnitudes, angles and losses come from the
     complex parts with the arithmetic of Phasor.magnitude,
     Phasor.angle_degrees and oracle.compute_losses, so every value equals
     theirs exactly.
@@ -585,11 +587,17 @@ def build_report(
         branch_losses=RowView(_loss_row, branch_sources),
         total_loss_p=total_p,
         total_loss_q=total_q,
-        final_voltage=PhasorMap(net._index, volts),
-        final_load_current=PhasorMap(net._index, loads),
-        final_branch_current=PhasorMap(net._position, branches),
+        final_voltage=_IdView(net._index, net._index, _phasor_row, volts),
+        final_load_current=_IdView(net._index, net._index, _phasor_row, loads),
+        final_branch_current=_IdView(net._position, net._position, _phasor_row, branches),
         **fields,
     )
+
+
+def _phasor_row(values, k: int) -> Phasor:
+    """The Phasor of the complex value at position k of values."""
+    z = values[k]
+    return Phasor(z.real, z.imag)
 
 
 def _voltage_row(sources, k: int) -> tuple[int, float, float]:

@@ -1,13 +1,21 @@
+import os
 import random
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-import radialflow as rf
-from radialflow.cli import generate_random_table, read_golden, read_text
-from radialflow.ingest import RawTable, parse_branch_table
-from radialflow.model import BranchRecord
+# The tree under test: the first PYTHONPATH entry that holds a radialflow
+# package, else this checkout's src, ahead of any installed copy.
+if not any(os.path.isdir(os.path.join(entry, "radialflow"))
+           for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep) if entry):
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import radialflow as rf  # noqa: E402
+from radialflow.cli import generate_random_table, read_golden, read_text  # noqa: E402
+from radialflow.ingest import RawTable, parse_branch_table  # noqa: E402
+from radialflow.model import BranchRecord  # noqa: E402
 
 BUS69 = "bus69.branch"
 BUS33 = "bus33.branch"
@@ -15,9 +23,8 @@ GOLDEN69 = "golden69_vmag.csv"
 
 
 def pytest_report_header(config):
-    """Name the radialflow under test. pyproject.toml's pythonpath puts this
-    checkout's src ahead of PYTHONPATH, so a run meant for another tree's
-    src shows here that it tested this one."""
+    """Name the radialflow under test, so that a run shows which tree it
+    tested."""
     return f"radialflow under test: {rf.__file__}"
 
 

@@ -29,8 +29,10 @@ GOLDEN_TEXT = read_text(GOLDEN)
 
 
 def subprocess_env():
+    """The environment of a CLI subprocess, which imports the radialflow the
+    suite tests."""
     env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
 
@@ -540,6 +542,22 @@ def test_non_utf8_input_exits_parse(tmp_path, command, name):
     )
     assert (proc.returncode, proc.stdout) == (EXIT_PARSE, "")
     assert proc.stderr.startswith(f"parse error: cannot read {path}: 'utf-8' codec can't decode")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"branches": ' + "[" * 100_000 + "]" * 100_000 + "}", "maximum recursion depth exceeded"),
+    ('{"branches": [{"id": ' + "7" * 5000 + ', "from": 1, "to": 2, "r": 0.1, "x": 0.05}]}',
+     "Exceeds the limit"),
+], ids=["nested-too-deep", "id-of-5000-digits"])
+def test_json_the_decoder_refuses_exits_parse(tmp_path, text, message):
+    """Not a traceback: the decoder's RecursionError or ValueError is a parse error."""
+    path = tmp_path / "net.json"
+    path.write_text(text)
+    proc = subprocess.run([sys.executable, "-m", "radialflow.cli", "validate", str(path)],
+                          capture_output=True, env=subprocess_env(), text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (EXIT_PARSE, "")
+    assert proc.stderr.startswith(f"parse error: {path}: invalid JSON ({message}")
     assert "Traceback" not in proc.stderr
 
 

@@ -142,6 +142,18 @@ MALFORMED_IDS = ["top-level-list", "missing-id", "non-numeric-r", "bad-cap", "en
                  "underscore-base"]
 
 
+# (JSON text, start of json's error text) of documents json cannot decode:
+# a syntax error, arrays nested past the recursion limit and an integer of
+# more digits than int() converts
+UNDECODABLE_DOCUMENTS = [
+    ('{"branches": [', "Expecting value: line 1 column 15 (char 14))"),
+    ('{"branches": ' + "[" * 100_000 + "]" * 100_000 + "}", "maximum recursion depth exceeded"),
+    ('{"branches": [{"id": ' + "7" * 5000 + ', "from": 1, "to": 2, "r": 0.1, "x": 0.05}]}',
+     "Exceeds the limit"),
+]
+UNDECODABLE_IDS = ["truncated", "nested-too-deep", "id-of-5000-digits"]
+
+
 def with_loads(doc):
     """doc with "p" and "q" added to each branch entry that lacks them, so
     that an entry of the five other keys has the seven keys of a plain entry
@@ -201,6 +213,12 @@ class TestParseJson:
     def test_invalid_json_rejected(self):
         with pytest.raises(ParseError):
             parse_branch_table("{not json", "json")
+
+    @pytest.mark.parametrize("text,message", UNDECODABLE_DOCUMENTS, ids=UNDECODABLE_IDS)
+    def test_text_json_cannot_decode_is_a_parse_error(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_branch_table(text, "json", source_name="net.json")
+        assert str(exc.value).startswith(f"net.json: invalid JSON ({message}")
 
     @pytest.mark.parametrize("doc,message", MALFORMED_DOCUMENTS, ids=MALFORMED_IDS)
     def test_malformed_document_names_the_entry_and_key(self, doc, message):

@@ -10,7 +10,7 @@ import pytest
 
 import radialflow as rf
 from conftest import topology_dicts
-from radialflow import model
+from radialflow import model, solver
 from radialflow.model import (
     DEFAULT_BASE,
     BranchRecord,
@@ -18,7 +18,6 @@ from radialflow.model import (
     NetworkModel,
     PerUnitBase,
     Phasor,
-    PhasorMap,
     RowView,
     SingularityError,
     TopologyError,
@@ -95,11 +94,15 @@ class TestPhasor:
 
 
 class TestPhasorMap:
+    """A report's final_* views: _IdViews that read a Phasor out of a list
+    of complex values when an entry is read."""
+
     IDS = (3, 1, 7)
     VALUES = [complex(1.0, -0.5), complex(0.25, 0.0), complex(-2.0, 3.5)]
 
     def view(self):
-        return PhasorMap({k: i for i, k in enumerate(self.IDS)}, list(self.VALUES))
+        index = {k: i for i, k in enumerate(self.IDS)}
+        return model._IdView(index, index, solver._phasor_row, list(self.VALUES))
 
     def as_dict(self):
         return {k: Phasor(z.real, z.imag) for k, z in zip(self.IDS, self.VALUES)}
@@ -140,10 +143,11 @@ class TestPhasorMap:
         assert view == self.view()
 
     def test_repr_shows_the_entries_as_phasors(self):
+        """As the dict the view stands for."""
         assert repr(self.view()) == (
-            "PhasorMap({3: Phasor(re=1.0, im=-0.5), 1: Phasor(re=0.25, im=0.0), "
-            "7: Phasor(re=-2.0, im=3.5)})"
-        )
+            "{3: Phasor(re=1.0, im=-0.5), 1: Phasor(re=0.25, im=0.0), "
+            "7: Phasor(re=-2.0, im=3.5)}"
+        ) == repr(self.as_dict())
 
     def test_dict_round_trip(self):
         copy = dict(self.view())
@@ -373,9 +377,10 @@ class TestBranchView:
             assert NetworkModel(net.branches, net.root, net.tie_lines, net.base) == net
 
     def test_pickle_and_copy_rebuild_an_equal_view(self):
+        """As the RowView it is, the tuple of its PerUnitBranches."""
         view = self.net().branches
         for rebuilt in (pickle.loads(pickle.dumps(view)), copy.copy(view), copy.deepcopy(view)):
-            assert type(rebuilt) is type(view) and rebuilt == view
+            assert type(rebuilt) is tuple and rebuilt == view == self.branches()
 
     def test_node_s_load_is_the_load_of_each_nodes_feeding_branch(self):
         """In nodes() order, with 0j at the root; the nodes are numbered so
@@ -409,11 +414,12 @@ class TestBranchView:
                          base=DEFAULT_BASE)
         assert str(exc.value) == "branch 2 is a tie line; a network holds closed branches only"
 
-    def test_branch_view_is_a_row_view_shown_and_pickled_as_itself(self):
-        view = self.net().branches
-        assert isinstance(view, RowView) and not isinstance(view, tuple)
-        assert repr(view) == f"BranchView({self.branches()!r})"
-        assert hash(view) == hash(self.branches())
+    def test_branches_are_a_row_view_shown_and_hashed_as_the_tuple(self):
+        net = self.net()
+        assert type(net.branches) is RowView
+        assert repr(net.branches) == repr(self.branches())
+        assert hash(net.branches) == hash(self.branches())
+        assert repr(net).startswith(f"NetworkModel(branches=({self.branches()[0]!r}, ")
 
 
 def scaled_row(sources, k):
@@ -595,7 +601,7 @@ class TestTopologyViews:
         for view, ids in ((report.final_voltage, node_ids),
                           (report.final_load_current, node_ids),
                           (report.final_branch_current, branch_ids)):
-            values = view._values
+            values = view._sources
             assert list(view) == ids
             for k, key in enumerate(ids):
                 assert view[key] == Phasor(values[k].real, values[k].imag)
@@ -604,6 +610,20 @@ class TestTopologyViews:
         for branch_id, magnitude in report.branch_currents:
             assert report.final_branch_current[branch_id].magnitude == magnitude
         assert pickle.loads(pickle.dumps(report)) == report
+
+
+@pytest.mark.parametrize("name", [
+    "children", "parent_branch", "branches", "final_voltage", "final_load_current",
+    "final_branch_current", "node_voltages", "branch_currents", "branch_losses"])
+def test_every_view_pickles_and_copies_equal_to_itself(name, bus33_net, bus33_report):
+    """An id-keyed view comes back as the view it was, a row view as the
+    tuple of its rows; each equals the view and the plain value it stands for."""
+    view = getattr(bus33_net if hasattr(bus33_net, name) else bus33_report, name)
+    plain = dict(view) if isinstance(view, model._IdView) else tuple(view)
+    for again in (pickle.loads(pickle.dumps(view)), copy.copy(view), copy.deepcopy(view)):
+        assert type(again) is (type(view) if type(plain) is dict else tuple)
+        assert again == view and again == plain and repr(again) == repr(view)
+        assert list(again) == list(view)
 
 
 def scenario(table, factor):

@@ -44,6 +44,7 @@ import random
 import shutil
 import sys
 import tempfile
+from collections.abc import Mapping
 from pathlib import Path
 
 sys.dont_write_bytecode = True  # leave SRC and perfbench/ as they are
@@ -54,7 +55,7 @@ os.environ["COLUMNS"] = "80"  # argparse wraps its usage text to the terminal's 
 import feeders  # noqa: E402
 import radialflow as rf  # noqa: E402
 from radialflow import cli  # noqa: E402
-from radialflow.model import BranchRecord, NetworkModel, PerUnitBase, PhasorMap  # noqa: E402
+from radialflow.model import BranchRecord, NetworkModel, PerUnitBase  # noqa: E402
 
 DATA = Path(rf.__file__).parent / "data"
 # the bases of perfbench/reference.py, which feeder-10k's documents declare
@@ -91,13 +92,14 @@ class Group:
 
 
 def add_report(group, report):
-    """The report's fields, then the final_* views' lists, then each row
-    table (node_voltages, branch_currents, branch_losses) read back to front,
-    its last row and its length: so a row table that iterates right but
-    indexes or counts wrong changes the hash too."""
+    """The report's fields, then the final_* views' values as complex lists
+    (read through the Mapping API), then each row table (node_voltages,
+    branch_currents, branch_losses) read back to front, its last row and its
+    length: so a row table that iterates right but indexes or counts wrong
+    changes the hash too."""
     fields = report._asdict()
-    views = [fields.pop(name)._values for name, value in list(fields.items())
-             if isinstance(value, PhasorMap)]
+    views = [[p.as_complex() for p in fields.pop(name).values()]
+             for name, value in list(fields.items()) if isinstance(value, Mapping)]
     group.add(tuple(fields.values()), *views)
     for rows in (report.node_voltages, report.branch_currents, report.branch_losses):
         group.add(tuple([rows[k] for k in range(-1, -len(rows) - 1, -1)]), rows[-1], len(rows))
