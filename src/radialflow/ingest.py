@@ -7,7 +7,11 @@ store it in the columns; no record is built on this path.
 validate_radial takes the closed branches' columns in id order, converts
 them to per-unit in one pass (model._per_unit_columns) and hands the columns
 to the NetworkModel, which keeps them as they are; no PerUnitBranch or Phasor
-is built. The model's construction checks the tree (model.radial_tree) and
+is built. When the topology's tree is held (model._shared_tree) with the
+per-unit impedances of equal resistance and reactance columns on an equal
+z_base (model._held_z), those are shared and only the loads are converted;
+otherwise the impedances just converted are passed on for a held tree to
+hold. The model's construction checks the tree (model.radial_tree) and
 derives the topology, the sequential-ordering verdict included;
 validate_radial refuses an unordered network through
 NetworkModel.check_ordering. validate_radial finds the closed and tie rows
@@ -69,6 +73,7 @@ from .model import (  # TopologyError and OrderingError are also ingest's names
     _check_row,
     _check_unique,
     _Frozen,
+    _held_z,
     _per_unit_columns,
     _Record,
     radial_tree,
@@ -398,8 +403,10 @@ def validate_radial(
 
     Every closed branch is converted to per-unit before the tree is checked,
     so a value that overflows on base is a DataError even in a table that is
-    not a tree. Tie branches are set aside unenergized, sorted by id. With
-    require_ordered the sequential branch-numbering property is enforced by
+    not a tree. Impedances held with a held tree (model._held_z) are shared
+    instead, when converted from equal columns on an equal z_base. Tie
+    branches are set aside unenergized, sorted by id. With require_ordered
+    the sequential branch-numbering property is enforced by
     NetworkModel.check_ordering (recoverable via renumber_sequential);
     otherwise it is only recorded on the model, as unordered_branch. Every
     TopologyError, OrderingError included, has the table's source in front of
@@ -410,13 +417,15 @@ def validate_radial(
     closed, ties = _by_id(table)
     # the closed rows' columns in id order, but for is_tie (false on each)
     ids, sending, receiving, r, x, p, q, cap = _gather(table.columns[:-1], closed)
-    z, s_load = _per_unit_columns(ids, r, x, p, q, base)
+    held = _held_z(r, x, base)
+    z, s_load = _per_unit_columns(ids, r, x, p, q, base, held)
     try:
         net = NetworkModel._from_columns(
             (ids, sending, receiving, z, s_load, cap),
             root=_root(table, root),
             tie_lines=_records(_gather(table.columns, ties)),
             base=base,
+            impedance=(r, x) if held is None else None,
         )
         if require_ordered:
             net.check_ordering()

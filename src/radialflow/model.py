@@ -22,13 +22,18 @@ at the edges: the parsers, error texts, the views and the report.
 
 Networks of one topology share one derivation: NetworkModel gets its tree
 from _shared_tree, which holds at most one _Tree, only after two equal
-topologies in a row.
+topologies in a row. The held tree also carries what the solver fills once
+per tree (the step counts and the sweep plan) and, while it is held, the
+per-unit impedances of the last network validate_radial built on it
+(_Tree.z), which _held_z gives a table of equal resistance, reactance and
+z_base, so that only its loads are converted.
 
 BranchRecord and both parsers check a row in one function, _check_row. It
 takes a row as the BranchRecord fields in field order, which is what a
 BranchRecord is; to_per_unit and RawTable(rows=...) read a record the same way.
 _per_unit_columns is the one per-unit conversion: validate_radial converts
-the closed branches' columns there, and to_per_unit a single row.
+the closed branches' columns there (only the loads when _held_z gives the
+impedances), and to_per_unit a single row.
 
 NetworkModel keeps the closed branches as per-unit columns (ids, sending and
 receiving nodes, z and s_load as complex, capacity) and its _Tree, and the
@@ -365,22 +370,28 @@ def to_per_unit(record: BranchRecord, base: PerUnitBase) -> PerUnitBranch:
                          Phasor(s.real, s.imag), capacity, is_tie)
 
 
-def _per_unit_columns(ids, resistance, reactance, load_p, load_q, base: PerUnitBase):
+def _per_unit_columns(ids, resistance, reactance, load_p, load_q, base: PerUnitBase, z=None):
     """The per-unit impedance and load columns, as tuples of complex, of
     branches given as physical columns; to_per_unit and validate_radial both
-    convert here.
+    convert here. z, when given, is the impedance column already converted
+    from resistance and reactance on base (_held_z's, which is finite), and
+    only the loads are converted.
 
-    A finite value can overflow on a tiny base. One test on the sum of both
-    columns finds that; only when it fails are the rows searched in column
-    order, and the first non-finite field (resistance, reactance, load_p,
-    load_q) raises a DataError naming the branch, the field and both bases.
+    A finite value can overflow on a tiny base. One test on the sum of the
+    columns converted finds that; only when it fails are the rows searched in
+    column order, and the first non-finite field (resistance, reactance,
+    load_p, load_q) raises a DataError naming the branch, the field and both
+    bases.
     """
-    zb = base.z_base
     kw_base = base.kw_base
-    z = [complex(r / zb, x / zb) for r, x in zip(resistance, reactance)]
-    s = [complex(p / kw_base, q / kw_base) for p, q in zip(load_p, load_q)]
+    total = 0j
+    if z is None:
+        zb = base.z_base
+        z = tuple([complex(r / zb, x / zb) for r, x in zip(resistance, reactance)])
+        total = sum(z)
+    s = tuple([complex(p / kw_base, q / kw_base) for p, q in zip(load_p, load_q)])
     # a sum of finite values may also overflow; then the search finds nothing
-    total = sum(z) + sum(s)
+    total += sum(s)
     if not (math.isfinite(total.real) and math.isfinite(total.imag)):
         for branch_id, zk, sk in zip(ids, z, s):
             for name, v in (("resistance", zk.real), ("reactance", zk.imag),
@@ -390,7 +401,21 @@ def _per_unit_columns(ids, resistance, reactance, load_p, load_q, base: PerUnitB
                         f"branch {branch_id}: {name} is not finite in per unit "
                         f"(kv_base {base.kv_base}, mva_base {base.mva_base})"
                     )
-    return tuple(z), tuple(s)
+    return z, s
+
+
+def _held_z(resistance, reactance, base: PerUnitBase):
+    """The per-unit impedance column held with the held tree (_Tree.z), when
+    the resistance and reactance columns and base.z_base it was converted from
+    equal these under ==; else None. No column held has a zero, so equal
+    columns convert to the same bits."""
+    tree = _last[2]
+    held = None if tree is None else tree.z
+    if held is not None:
+        r, x, z_base, z = held
+        if z_base == base.z_base and r == resistance and x == reactance:
+            return z
+    return None
 
 
 def radial_tree(ids, sending, receiving, root: int, tie_lines):
@@ -485,18 +510,22 @@ def _cycle(ids, sending, receiving, send, feeding, reached) -> TopologyError:
 class _Tree:
     """One topology's derivation, shared by its networks: radial_tree's send,
     recv, feeding, offsets and targets, root the root's position, unordered
-    the first unordered branch's position (or None), and counts, which
-    solver._step_counts fills. Ids are not kept: each network has its own.
+    the first unordered branch's position (or None), counts and plan, which
+    solver._step_counts and solver._sweep fill, and z, which
+    NetworkModel._fill sets while the tree is held: (resistance, reactance,
+    z_base, z) of the last network validate_radial built on it, for _held_z.
+    Ids are not kept: each network has its own.
     """
 
-    __slots__ = ("send", "recv", "feeding", "offsets", "targets", "root", "unordered", "counts")
+    __slots__ = ("send", "recv", "feeding", "offsets", "targets", "root", "unordered", "counts",
+                 "plan", "z")
 
     def __init__(self, send, recv, feeding, offsets, targets, root):
         self.send, self.recv, self.feeding = send, recv, feeding
         self.offsets, self.targets, self.root = offsets, targets, root
         # the root's feeding branch is -1, so a branch it feeds never counts
         self.unordered = next((k for k, s in enumerate(send) if feeding[s] >= k), None)
-        self.counts = None
+        self.counts = self.plan = self.z = None
 
 
 # (hash of the last key derived without error, the held key, its _Tree)
@@ -504,7 +533,8 @@ _last = (None, None, None)
 
 
 def _shared_tree(ids, sending, receiving, root, tie_ends):
-    """(nodes, index, tree) for closed branches as radial_tree takes them.
+    """(nodes, index, tree, held) for closed branches as radial_tree takes
+    them, held true when tree is the held one.
 
     A key (ids, sending, receiving, root, tie_ends) equal to the held one's
     under == shares the held _Tree, with nodes and index read off this
@@ -519,13 +549,14 @@ def _shared_tree(ids, sending, receiving, root, tie_ends):
     if tree is not None and key == held_key:
         # the root, at feeding -1, is put after the column
         nodes = tuple(map((*receiving, root).__getitem__, tree.feeding))
-        return nodes, dict(zip(nodes, range(len(nodes)))), tree
+        return nodes, dict(zip(nodes, range(len(nodes)))), tree, True
     _last = last, None, None  # a miss drops the held tree
     nodes, index, *lists = radial_tree(ids, sending, receiving, root, tie_ends)
     tree = _Tree(*lists, index[root])
     h = hash(key)
-    _last = (h, key, tree) if h == last else (h, None, None)
-    return nodes, index, tree
+    held = h == last
+    _last = (h, key, tree) if held else (h, None, None)
+    return nodes, index, tree, held
 
 
 class RowView(_Frozen, Sequence):
@@ -662,13 +693,20 @@ class NetworkModel(_Frozen):
         self._fill((ids, sending, receiving, tuple(starmap(complex, z)),
                     tuple(starmap(complex, s_load)), capacity), root, tie_lines, base)
 
-    def _fill(self, columns, root, tie_lines, base) -> None:
-        """Check the tree, derive the topology and set the fields."""
+    def _fill(self, columns, root, tie_lines, base, impedance=None) -> None:
+        """Check the tree, derive the topology and set the fields. impedance
+        is the (resistance, reactance) columns that z was just converted
+        from, which a held tree holds with z (_Tree.z)."""
         ids, sending, receiving, z, s_load, capacity = columns
-        nodes, index, tree = _shared_tree(
+        nodes, index, tree, held = _shared_tree(
             ids, sending, receiving, root,
             tuple([(t.branch_id, t.sending_node, t.receiving_node) for t in tie_lines]),
         )
+        if held and impedance is not None:
+            r, x = impedance
+            # 0.0 == -0.0, yet they differ in sign in per unit: with no zero
+            # held, columns equal under == convert to the same bits
+            tree.z = None if 0.0 in r or 0.0 in x else (r, x, base.z_base, z)
         feeding, offsets, targets = tree.feeding, tree.offsets, tree.targets
         # each node's load is that of the branch feeding it; the root's, at
         # feeding -1, is the 0j put after the column

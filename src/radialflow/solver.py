@@ -26,8 +26,10 @@ from a table of its per-outcome counts, indexed by each node's rank among
 the leaves; the rest of each per-iteration count is a closed form in the
 node, branch and root-child counts and the node depths, plus literal_scan's
 table scans. Having no load in them, the counts are kept on the tree, which
-networks of one topology share. debug_polar checks each pass in polar form
-after its forward loop.
+networks of one topology share, and so is _sweep's plan, the backward
+gathers of receiving and parent positions: a network that shares a held
+tree (model._shared_tree) pays in the sweep for its loads only. debug_polar
+checks each pass in polar form after its forward loop.
 
 build_report turns the final voltages and currents, as complex lists, into a
 SolveReport that keeps those lists and shows them two ways, both read-only
@@ -36,9 +38,10 @@ row function (_phasor_row) reads a list through the network's node or branch
 id-to-position dict, and as the node and branch rows, model.RowViews whose
 row functions (_voltage_row, _current_row, _loss_row) read the lists and the
 network's id and z columns. Only the two loss totals are computed when the
-report is built; a study that reads one node's voltage builds no row. solve
-hands over the sweep's own lists and oracle.baseline_solve its dicts'
-values, so both return the same layout.
+report is built; a study that reads one node's voltage builds no row, and a
+squared current magnitude that overflows a float is a NumericError naming
+its branch. solve hands over the sweep's own lists and oracle.baseline_solve
+its dicts' values, so both return the same layout.
 
 In the sweep's forward loop a voltage's finiteness is tested only when its
 magnitude change is not within the tolerance: a non-finite part makes the
@@ -48,7 +51,8 @@ the branch where it is met.
 SolveOptions is a model._Record namedtuple, so options that would end a solve
 in a TypeError or a first-pass "convergence" (a max_iterations that is not an
 int, an infinite tolerance) are refused however the record is built, _replace
-included; StepCounter is a plain mutable class.
+included; solve without options uses one module-level default.
+StepCounter is a plain mutable class.
 
 The dict-based phase functions below (compute_load_currents, backward_sweep,
 forward_sweep, check_convergence) count their steps and remain the reference
@@ -63,7 +67,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import accumulate
+from itertools import accumulate, compress
 
 from .model import (
     LoadFlowError,
@@ -137,6 +141,9 @@ class SolveOptions(_Record, namedtuple(
         if max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         return tuple.__new__(cls, (tolerance, max_iterations, debug_polar, literal_scan))
+
+
+_DEFAULT_OPTIONS = SolveOptions()
 
 
 def find_leaf_nodes(net: NetworkModel, counter: StepCounter | None = None) -> tuple[int, ...]:
@@ -425,6 +432,10 @@ def _sweep(net: NetworkModel, options: SolveOptions):
     - forward: (position, sending index, receiving index, z) in ascending
       branch order, z being the column's complex value.
 
+    backward's receiving and parent columns depend on the topology only, so
+    they are gathered once per tree and kept in its plan slot, as
+    _step_counts keeps its counts.
+
     Gives the same values, in the same order, as compute_load_currents,
     backward_sweep, forward_sweep and check_convergence, but for the sign of
     a zero: every branch current is its accumulator plus its receiving node's
@@ -444,13 +455,16 @@ def _sweep(net: NetworkModel, options: SolveOptions):
     voltage anywhere in the pass is therefore raised before a polar mismatch.
     """
     tree = net._tree
-    send, recv, feeding = tree.send, tree.recv, tree.feeding
+    send, recv = tree.send, tree.recv
+    if tree.plan is None:  # the backward gathers, once per tree
+        tree.plan = (recv[::-1], tuple(map(tree.feeding.__getitem__, send[::-1])))
     nodes = net.nodes()
     n = len(nodes)
     m = len(send)
-    loaded = [i for i, s in enumerate(net.node_s_load) if s]
-    loads = (loaded, [net.node_s_load[i].conjugate() for i in loaded])
-    backward = (range(m - 1, -1, -1), recv[::-1], list(map(feeding.__getitem__, send[::-1])))
+    node_s_load = net.node_s_load
+    loads = (list(compress(range(n), node_s_load)),
+             list(map(complex.conjugate, compress(node_s_load, node_s_load))))
+    backward = (range(m - 1, -1, -1), *tree.plan)
     forward = (range(m), send, recv, net.z)
     hypot = math.hypot
     isfinite = math.isfinite
@@ -524,7 +538,7 @@ def solve(net: NetworkModel, options: SolveOptions | None = None) -> SolveReport
     ordered is refused by NetworkModel.check_ordering.
     """
     if options is None:
-        options = SolveOptions()
+        options = _DEFAULT_OPTIONS
     net.check_ordering()
 
     iterations, deltas, worst_polar, v, il, ib = _sweep(net, options)
@@ -563,7 +577,9 @@ def build_report(
     same lists, whose rows (_voltage_row, _current_row and _loss_row) are
     built only when read. Branch ids and impedances are read from the
     network's branch_ids and z columns, so no PerUnitBranch is built. Only
-    the loss totals are computed here, summed in branch order. fields are
+    the loss totals are computed here, summed in branch order; a branch
+    whose squared current magnitude overflows a float raises NumericError,
+    the first such branch in column order named. fields are
     the remaining SolveReport fields (iterations, step counts, delta history
     and so on). Magnitudes, angles and losses come from the
     complex parts with the arithmetic of Phasor.magnitude,
@@ -574,11 +590,17 @@ def build_report(
     to_kw = net.base.kw_base
     total_p = 0.0
     total_q = 0.0
-    for z, c in zip(net.z, branches):
-        # as _loss_row: ** 2 raises OverflowError where x * x would give inf
-        i_sq = hypot(c.real, c.imag) ** 2
-        total_p += i_sq * z.real * to_kw
-        total_q += i_sq * z.imag * to_kw
+    try:
+        for z, c in zip(net.z, branches):
+            # as _loss_row: ** 2 raises OverflowError where x * x would give inf
+            i_sq = hypot(c.real, c.imag) ** 2
+            total_p += i_sq * z.real * to_kw
+            total_q += i_sq * z.imag * to_kw
+    except OverflowError:
+        # every earlier current squared without overflow, so c is first met here
+        raise NumericError(f"squared current overflows on branch "
+                           f"{net.branch_ids[branches.index(c)]} (|I| = {hypot(c.real, c.imag)!r} "
+                           f"p.u.)") from None
     branch_sources = (net.branch_ids, branches, net.z, to_kw)
     return SolveReport(
         converged=True,

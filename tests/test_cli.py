@@ -561,6 +561,15 @@ def test_json_the_decoder_refuses_exits_parse(tmp_path, text, message):
     assert "Traceback" not in proc.stderr
 
 
+def test_a_squared_current_that_overflows_exits_error_without_a_traceback(tmp_path):
+    path = tmp_path / "t.branch"
+    path.write_text("1 1 2 0 0 1e200 0\n")
+    proc = subprocess.run([sys.executable, "-m", "radialflow.cli", "solve", str(path)],
+                          capture_output=True, env=subprocess_env(), text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (EXIT_ERROR, "")
+    assert proc.stderr == "error: squared current overflows on branch 1 (|I| = 1e+196 p.u.)\n"
+
+
 def test_byte_order_mark_is_ignored(capsys, tmp_path):
     bom = b"\xef\xbb\xbf"
     table = tmp_path / "bus69.branch"

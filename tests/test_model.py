@@ -808,6 +808,122 @@ class TestSharedTopology:
                 assert report == expected[j]
 
 
+def converted(table, base=DEFAULT_BASE):
+    """_per_unit_columns' z and s_load of the table's closed rows in id order,
+    converted afresh."""
+    ids, _, _, r, x, p, q, *_ = zip(*sorted(table.closed_rows()))
+    return model._per_unit_columns(ids, r, x, p, q, base)
+
+
+def replaced(table, k, **fields):
+    """table with row k's fields replaced."""
+    rows = list(table.rows)
+    rows[k] = rows[k]._replace(**fields)
+    return rf.RawTable(rows=tuple(rows), source_name=table.source_name)
+
+
+class TestSharedImpedances:
+    """A held tree also holds the per-unit impedances of the last network
+    validated on it: a network whose resistance and reactance columns and
+    z_base equal those shares them and converts only its loads, and every
+    value stays what a fresh conversion gives."""
+
+    @pytest.mark.parametrize("held,then", [(0.0, -0.0), (-0.0, 0.0)], ids=["0.0,-0.0", "-0.0,0.0"])
+    def test_a_zero_impedance_keeps_its_own_sign(self, empty_memo, bus69_table, held, then):
+        """0.0 == -0.0, but their per-unit values differ in sign: a column with
+        a zero is not held, so a table equal to the held one under == but for
+        the sign of a zero shows its own."""
+        nets = [rf.validate_radial(replaced(scenario(bus69_table, f), 5, resistance=held))
+                for f in (0.5, 0.8)]
+        table = replaced(scenario(bus69_table, 1.1), 5, resistance=then)
+        net = rf.validate_radial(table)
+        assert net._tree is nets[1]._tree
+        assert repr(net.z) == repr(converted(table)[0])
+        assert repr(net.z[5]) != repr(nets[1].z[5])
+        assert math.copysign(1.0, net.z[5].real) == math.copysign(1.0, then)
+
+    @pytest.mark.parametrize("change", ["base", "resistance", "reactance"])
+    def test_a_changed_base_or_impedance_gets_a_fresh_z(self, empty_memo, bus69_table, change):
+        held = [rf.validate_radial(scenario(bus69_table, f)) for f in (0.5, 0.8)]
+        assert model._last[2].z is not None
+        table, base = scenario(bus69_table, 1.1), DEFAULT_BASE
+        if change == "base":
+            base = PerUnitBase(11.0, 1.0)
+        else:
+            table = replaced(table, 7, **{change: getattr(table.rows[7], change) * 1.5})
+        net = rf.validate_radial(table, base=base)
+        z, s_load = converted(table, base)
+        assert net._tree is held[1]._tree
+        assert repr(net.z) == repr(z) and repr(net.s_load) == repr(s_load)
+        assert net.z != held[1].z
+        # the changed columns are held now
+        assert rf.validate_radial(table, base=base).z is net.z
+
+    def test_a_base_of_equal_z_base_shares_z_and_converts_its_own_loads(self, empty_memo,
+                                                                         bus69_table):
+        other = PerUnitBase(2 * DEFAULT_BASE.kv_base, 4 * DEFAULT_BASE.mva_base)
+        assert other.z_base == DEFAULT_BASE.z_base and other.kw_base != DEFAULT_BASE.kw_base
+        held = [rf.validate_radial(scenario(bus69_table, f)) for f in (0.5, 0.8)]
+        table = scenario(bus69_table, 1.1)
+        net = rf.validate_radial(table, base=other)
+        assert net.z is held[1].z
+        z, s_load = converted(table, other)
+        assert repr(net.z) == repr(z) and repr(net.s_load) == repr(s_load)
+        assert net.s_load != rf.validate_radial(table).s_load
+
+    @pytest.mark.parametrize("defects,named", [
+        (((20, "load_q"), (30, "load_p")), "branch 21: load_q"),
+        (((30, "load_p"),), "branch 31: load_p"),
+    ], ids=["two", "one"])
+    def test_a_non_finite_load_under_a_shared_z_is_named_as_with_nothing_held(
+            self, empty_memo, bus69_table, defects, named):
+        """On a base of z_base 1 and kW base 2**-12 x 1000, 1e308 kW is finite
+        but not in per unit: the first such field in column order is named,
+        shared z or not."""
+        base = PerUnitBase(2.0 ** -6, 2.0 ** -12)
+        table = scenario(bus69_table, 1.1)
+        for k, name in defects:
+            table = replaced(table, k, **{name: 1e308})
+        expected = fresh(lambda: outcome(rf.validate_radial, table, base=base))
+        assert expected == (DataError, f"{named} is not finite in per unit (kv_base "
+                                        f"{base.kv_base}, mva_base {base.mva_base})")
+        for factor in (0.5, 0.8):
+            rf.validate_radial(scenario(bus69_table, factor), base=base)
+        _, _, _, r, x, *_ = zip(*sorted(table.closed_rows()))
+        assert model._held_z(r, x, base) is not None
+        assert outcome(rf.validate_radial, table, base=base) == expected
+
+    def test_every_network_of_the_benchmark_scenarios_has_a_fresh_z(self, empty_memo,
+                                                                     bus69_table):
+        """The load scenarios of the scenarios-bus69 workload (seed 1), as
+        perfbench/workloads.py draws them, validated back to back."""
+        rng = random.Random("scenarios-bus69:1")
+        shared = 0
+        last = None
+        for _ in range(256):
+            f = rng.uniform(0.3, 1.3)
+            table = rf.RawTable(rows=tuple(BranchRecord(*r[:5], r.load_p * f, r.load_q * f,
+                                                        *r[7:]) for r in bus69_table.rows))
+            net = rf.validate_radial(table)
+            z, s_load = converted(table)
+            assert repr(net.z) == repr(z) and repr(net.s_load) == repr(s_load)
+            shared += last is not None and net.z is last.z
+            last = net
+        # the first network holds no tree and the second converts the z it holds
+        assert shared == 254
+
+
+def test_a_held_tree_keeps_its_sweep_plan(empty_memo, bus69_table):
+    """The sweep's backward gathers are made once per tree: networks sharing
+    it solve on the same plan, with the reports of networks solved alone."""
+    nets = [rf.validate_radial(scenario(bus69_table, f)) for f in (0.5, 0.8, 1.1)]
+    reports = [rf.solve(net) for net in nets]
+    plan = nets[1]._tree.plan
+    assert plan is not None and nets[2]._tree.plan is plan
+    for factor, report in zip((0.5, 0.8, 1.1), reports):
+        assert report == fresh(lambda: rf.solve(rf.validate_radial(scenario(bus69_table, factor))))
+
+
 def value_types():
     """One instance of each public value type, keyed by the type's name."""
     table = rf.RawTable(rows=(BranchRecord(2, 2, 3, 0.1, 0.1, 10.0, 5.0),

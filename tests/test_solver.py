@@ -727,6 +727,23 @@ class TestFlatSolveMatchesPhaseFunctions:
         ]), base=rf.PerUnitBase(12.66, 0.001))
         assert_non_finite_voltage_named(net, math.isnan)
 
+    @pytest.mark.parametrize("rows,named", [
+        ([(1, 1, 2, 0.0, 0.0, 1e200, 0.0)], 1),
+        # root-fed branches 1 and 2: only branch 2's current overflows when squared
+        ([(1, 1, 2, 0.0, 0.0, 10.0, 5.0), (2, 1, 3, 0.0, 0.0, 1e200, 0.0),
+          (3, 3, 4, 0.0, 0.0, 1e200, 0.0)], 2),
+    ], ids=["one-branch", "second-branch"])
+    def test_a_squared_current_that_overflows_names_the_first_branch(self, rows, named):
+        """Through zero impedance the sweep converges at a current of 1e196
+        p.u. or more, whose square a float cannot hold: solve and
+        baseline_solve raise NumericError naming the first such branch in
+        column order, not a bare OverflowError."""
+        net = validate_radial(make_table(rows))
+        for run in (solve, rf.baseline_solve):
+            with pytest.raises(NumericError, match=f"^squared current overflows on branch "
+                                                   f"{named} \\(\\|I\\| = [0-9.e+]+ p\\.u\\.\\)$"):
+                run(net)
+
     def test_collapse_names_the_node(self):
         # 1 p.u. load through 1 p.u. resistance: the first sweep drives V2 to 0
         zb = rf.DEFAULT_BASE.z_base

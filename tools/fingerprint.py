@@ -22,7 +22,9 @@ value per line. Two versions compute the same when every line is equal.
   (with literal_scan false and true) back to back: runs of one feeder, so
   that later networks share the tree of an earlier one, then the two
   interleaved; among them a bus69 network with float ids, bus69 validated
-  at root 2, which is not a tree, and a tie line moved outside the tree;
+  at root 2, which is not a tree, a tie line moved outside the tree, bus69
+  with a zero resistance held as 0.0 and then as -0.0, and bus69 on two other
+  bases between held runs, one of them of equal z_base;
 - defects: 300 seeded defective tables mutated from bus69's rows: the
   result, or the error type and text, of renumber_sequential and of
   validate_radial (with require_ordered true and false), for root 1 and
@@ -30,7 +32,8 @@ value per line. Two versions compute the same when every line is equal.
 - cli: the exit code, standard output and standard error of cli.main, run
   in-process on command lines over copies of the bundled data and on
   malformed JSON and delimited documents, all in a temporary directory
-  named by relative paths.
+  named by relative paths; an exception that cli.main lets out is hashed as
+  its type and text in place of the exit code.
 
 Standard library only. The output depends on the package and the Python
 version, not on the host, the time or the directory it runs from.
@@ -169,11 +172,22 @@ def scenarios():
     tie = next(k for k, r in enumerate(bus69.rows) if r.is_tie)
     outside = rf.RawTable(rows=tuple(r._replace(receiving_node=999) if k == tie else r
                                      for k, r in enumerate(bus69.rows)), source_name="outside")
+    zero = {step: rf.RawTable(rows=tuple(r._replace(resistance=value) if k == 5 else r
+                                         for k, r in enumerate(bus69.rows)), source_name="zero")
+            for step, value in (("z", 0.0), ("n", -0.0))}
     # A and B are load scenarios of bus69 and bus33; f a float-id copy of
-    # the previous network, r bus69 at root 2 and t the tie moved outside
-    for step in "AAAfAArAAtAABBBBBABABABBAAfA":
+    # the previous network, r bus69 at root 2 and t the tie moved outside;
+    # z and n bus69 with branch 6's resistance 0.0 and -0.0 (equal under ==);
+    # k and K load scenarios of bus69 on another base, K's of equal z_base
+    for step in "AAAfAArAAtAABBBBBABABABBAAfAzznnzAAkAAKAA":
         if step in "AB":
             net = rf.validate_radial(scaled(bus69 if step == "A" else bus33, rng.uniform(0.3, 1.3)))
+        elif step in "zn":
+            net = rf.validate_radial(scaled(zero[step], rng.uniform(0.3, 1.3)))
+        elif step in "kK":
+            kv, mva = rf.DEFAULT_BASE
+            base = PerUnitBase(11.0, 1.0) if step == "k" else PerUnitBase(2 * kv, 4 * mva)
+            net = rf.validate_radial(scaled(bus69, rng.uniform(0.3, 1.3)), base=base)
         elif step == "f":
             net = as_floats(net)
         else:
@@ -273,6 +287,7 @@ DELIMITED = {
     "collapse.branch": "1 1 2 1e3 1e3 1e9 1e9\n",
     "nonfinite.branch": "1 1 2 0.1 0.1 0 0\n2 2 3 1e300 0 1e15 0\n",
     "cycle.branch": "1 1 2 0.1 0.1 1 1\n2 3 4 0.1 0.1 1 1\n3 4 3 0.1 0.1 1 1\n",
+    "overflow.branch": "1 1 2 0 0 1e200 0\n",
 }
 COMMANDS = [
     ["validate", "bus69.branch"], ["validate", "bus33.branch"],
@@ -300,6 +315,8 @@ def run_cli(argv):
             code = cli.main(argv)
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
+        except Exception as exc:  # noqa: BLE001 - an error main lets out is the outcome
+            code = (type(exc).__name__, str(exc))
     return code, out.getvalue(), err.getvalue()
 
 
