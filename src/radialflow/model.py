@@ -511,9 +511,11 @@ class _Tree:
     """One topology's derivation, shared by its networks: radial_tree's send,
     recv, feeding, offsets and targets, root the root's position, unordered
     the first unordered branch's position (or None), counts and plan, which
-    solver._step_counts and solver._sweep fill, and z, which
-    NetworkModel._fill sets while the tree is held: (resistance, reactance,
-    z_base, z) of the last network validate_radial built on it, for _held_z.
+    solver._step_counts and solver._sweep fill (the step model's load-free
+    counts, and recv and send reversed, the backward sweep's order), and z,
+    which NetworkModel._fill sets while the tree is held: (resistance,
+    reactance, z_base, z) of the last network validate_radial built on it,
+    for _held_z.
     Ids are not kept: each network has its own.
     """
 

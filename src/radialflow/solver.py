@@ -13,12 +13,14 @@ running them.
 
 solve reads the network's per-unit columns (z and node_s_load) and its
 position lists (net._tree), never a PerUnitBranch or an id-keyed view, and
-gives each job one function. _sweep gathers its own parallel columns (node
-and branch indices, impedance, conjugate load) and sweeps them, zipped,
-until the voltage profile settles; the forward sweep and the convergence
-check share one loop, the backward loop reads no leaf flag, and no
-per-branch loop reads an option. _step_counts is the step model: step counts
-depend only on the topology, so they are known without running the
+gives each job one function. _sweep zips its own parallel columns (node
+indices, impedance, conjugate load) and sweeps them until the voltage
+profile settles. It keeps branch currents by receiving node, as
+Shirmohammadi's backward sweep sums currents at each node: one accumulator
+per node, no branch index in either loop. The forward sweep and the
+convergence check share one loop, the backward loop reads no leaf flag, and
+no per-branch loop reads an option. _step_counts is the step model: step
+counts depend only on the topology, so they are known without running the
 baseline: 2m + r x per_iteration for the stack sweep, and r x its own
 per-iteration count for the per-iteration rescanning baseline, which does
 nothing before the loop. It counts is_leaf's binary search for each branch
@@ -26,9 +28,9 @@ from a table of its per-outcome counts, indexed by each node's rank among
 the leaves; the rest of each per-iteration count is a closed form in the
 node, branch and root-child counts and the node depths, plus literal_scan's
 table scans. Having no load in them, the counts are kept on the tree, which
-networks of one topology share, and so is _sweep's plan, the backward
-gathers of receiving and parent positions: a network that shares a held
-tree (model._shared_tree) pays in the sweep for its loads only. debug_polar
+networks of one topology share, and so is _sweep's plan, the receiving
+and sending columns in backward order: a network that shares a held tree
+(model._shared_tree) pays in the sweep for its loads only. debug_polar
 checks each pass in polar form after its forward loop.
 
 build_report turns the final voltages and currents, as complex lists, into a
@@ -43,10 +45,11 @@ squared current magnitude that overflows a float is a NumericError naming
 its branch. solve hands over the sweep's own lists and oracle.baseline_solve
 its dicts' values, so both return the same layout.
 
-In the sweep's forward loop a voltage's finiteness is tested only when its
-magnitude change is not within the tolerance: a non-finite part makes the
-change inf or NaN, so every non-finite voltage still raises NumericError, at
-the branch where it is met.
+The sweep tests finiteness once per pass, on the sum of the magnitudes,
+not per node: a non-finite part makes a magnitude, and so the sum, inf or
+NaN, and only then are the voltages scanned, so every non-finite voltage
+still raises NumericError, at the first branch in branch order, where
+forward_sweep meets it.
 
 SolveOptions is a model._Record namedtuple, so options that would end a solve
 in a TypeError or a first-pass "convergence" (a max_iterations that is not an
@@ -419,22 +422,24 @@ def _sweep(net: NetworkModel, options: SolveOptions):
     """Iterate the sweep on flat lists from a flat start until it settles.
 
     The sweep reads only the network's columns (z, node_s_load) and position
-    lists (the sending and receiving columns as node positions and each
-    node's feeding branch), not its PerUnitBranch view or its id-keyed views,
-    and gathers them into parallel columns; node indices are positions in
-    net.nodes(), branch positions are positions in the columns:
+    lists (the sending and receiving columns as node positions), not its
+    PerUnitBranch view or its id-keyed views, and zips them as parallel
+    columns; node indices are positions in net.nodes():
 
     - loads: (node index, conj(S)) for each node with a nonzero load, in node
       order;
-    - backward: (position, receiving index, parent position) in descending
-      branch order; branches fed by the root get parent position -1, the last
-      entry of the accumulators, a spare nobody reads;
-    - forward: (position, sending index, receiving index, z) in ascending
-      branch order, z being the column's complex value.
+    - backward: (receiving index, sending index) in descending branch order;
+    - forward: (sending index, receiving index, z) in ascending branch order,
+      z being the column's complex value.
 
-    backward's receiving and parent columns depend on the topology only, so
-    they are gathered once per tree and kept in its plan slot, as
-    _step_counts keeps its counts.
+    backward depends on the topology only, so it is reversed once per tree
+    and kept in its plan slot, as _step_counts keeps its counts.
+
+    Branch currents are kept by receiving node, as sums of currents at each
+    node: a tree feeds each node once, so acc[r] first sums the currents of
+    the branches node r sends, then holds the current of the branch feeding
+    r. The root-fed branches add into acc[root], which nothing reads, and
+    the branch currents are read off the receiving nodes once per solve.
 
     Gives the same values, in the same order, as compute_load_currents,
     backward_sweep, forward_sweep and check_convergence, but for the sign of
@@ -443,31 +448,38 @@ def _sweep(net: NetworkModel, options: SolveOptions):
     current has a -0.0 part gets +0.0 there, where backward_sweep copies the
     load current. The two are equal under ==. solve sweeps only a
     sequentially ordered network, in which every child branch has a larger
-    position than its parent, so the descending loop completes a branch's
+    position than its parent, so the descending loop completes a node's
     accumulator before reading it. Returns (iterations, delta history, worst
     polar deviation, and the final voltages, load currents and branch
     currents as complex lists).
 
+    Finiteness is tested once per pass, on the sum of the magnitudes: a
+    non-finite part makes a magnitude, and so the sum, inf or NaN. Only then
+    are the voltages scanned in branch order, and the first non-finite one
+    raises NumericError, at the branch forward_sweep raises it. A sum that
+    overflows from finite parts finds none, and the sweep goes on; a pass
+    with an infinite magnitude does not converge, as check_convergence's
+    delta for it is inf or NaN.
+
     With debug_polar, each pass's branches are checked in polar form after
-    its forward loop, from that pass's final voltages: each sending node's
-    voltage was set earlier in the pass (or is the root's) and is set only
-    once, so the check reads the values the forward loop read. A non-finite
-    voltage anywhere in the pass is therefore raised before a polar mismatch.
+    the finiteness test, from that pass's final voltages: each sending
+    node's voltage was set earlier in the pass (or is the root's) and is set
+    only once, so the check reads the values the forward loop read. A
+    non-finite voltage anywhere in the pass is therefore raised before a
+    polar mismatch.
     """
     tree = net._tree
     send, recv = tree.send, tree.recv
-    if tree.plan is None:  # the backward gathers, once per tree
-        tree.plan = (recv[::-1], tuple(map(tree.feeding.__getitem__, send[::-1])))
+    if tree.plan is None:  # the backward order, once per tree
+        tree.plan = (recv[::-1], send[::-1])
     nodes = net.nodes()
     n = len(nodes)
-    m = len(send)
     node_s_load = net.node_s_load
     loads = (list(compress(range(n), node_s_load)),
              list(map(complex.conjugate, compress(node_s_load, node_s_load))))
-    backward = (range(m - 1, -1, -1), *tree.plan)
-    forward = (range(m), send, recv, net.z)
+    backward = tree.plan
+    forward = (send, recv, net.z)
     hypot = math.hypot
-    isfinite = math.isfinite
     tolerance = options.tolerance
     v = [complex(1.0, 0.0)] * n
     il = [0j] * n
@@ -481,39 +493,41 @@ def _sweep(net: NetworkModel, options: SolveOptions):
         except ZeroDivisionError:  # complex division fails only on exactly 0j
             raise VoltageCollapseError(f"zero voltage at loaded node {nodes[i]}") from None
 
-        # each current is scattered into its parent's accumulator, so siblings
-        # add highest id first, as backward_sweep's stack pops them
-        ib = [0j] * (m + 1)
-        for k, r, p in zip(*backward):
-            i_br = ib[k] + il[r]
-            ib[k] = i_br
-            ib[p] += i_br
+        # each current is added into its sending node's accumulator, so
+        # siblings add highest id first, as backward_sweep's stack pops them
+        acc = [0j] * n
+        for r, s in zip(*backward):
+            i_br = acc[r] + il[r]
+            acc[r] = i_br
+            acc[s] += i_br
 
         # forward sweep and convergence check in one loop: each node's voltage
         # is set once per pass, so its magnitude can be taken right away; the
         # root's never changes, so its delta is always 0
-        converged = True
         max_delta = 0.0
-        for k, s, r, z in zip(*forward):
-            vr = v[s] - ib[k] * z
+        for s, r, z in zip(*forward):
+            vr = v[s] - acc[r] * z
             re = vr.real
             im = vr.imag
             v[r] = vr
             mag = hypot(re, im)
             delta = abs(mag - mags[r])
-            if not delta <= tolerance:  # as check_convergence: NaN is not within
-                # a non-finite part makes mag, and so delta, inf or NaN
-                # whatever the stored magnitude, so it is caught here
-                if not (isfinite(re) and isfinite(im)):
-                    raise NumericError(f"non-finite voltage on branch {net.branch_ids[k]}")
-                converged = False
             if delta > max_delta:
                 max_delta = delta
             mags[r] = mag
+        converged = max_delta <= tolerance
+        if not math.isfinite(sum(mags)):
+            for k, r in enumerate(recv):
+                vr = v[r]
+                if not (math.isfinite(vr.real) and math.isfinite(vr.imag)):
+                    raise NumericError(f"non-finite voltage on branch {net.branch_ids[k]}")
+            # finite parts: an infinite magnitude's delta is inf or NaN, which
+            # check_convergence does not count as within the tolerance
+            converged = converged and math.inf not in mags
         if options.debug_polar:
             as_phasor = Phasor.from_complex
-            for k, s, r, z in zip(*forward):
-                dev = _polar_deviation(as_phasor(v[s]), as_phasor(ib[k]), as_phasor(z),
+            for k, (s, r, z) in enumerate(zip(*forward)):
+                dev = _polar_deviation(as_phasor(v[s]), as_phasor(acc[r]), as_phasor(z),
                                        as_phasor(v[r]), net.branch_ids[k])
                 worst_polar = max(worst_polar, dev)
         deltas.append(max_delta)
@@ -521,8 +535,7 @@ def _sweep(net: NetworkModel, options: SolveOptions):
             break
     else:
         raise NonConvergenceError(iterations, max_delta)
-    del ib[m]  # the spare accumulator of the root-fed branches
-    return iterations, deltas, worst_polar, v, il, ib
+    return iterations, deltas, worst_polar, v, il, list(map(acc.__getitem__, recv))
 
 
 def solve(net: NetworkModel, options: SolveOptions | None = None) -> SolveReport:

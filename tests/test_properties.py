@@ -8,6 +8,7 @@ examples. (Hypothesis still caches the constants it reads from the source in
 import contextlib
 import io
 import json
+import math
 import random
 from operator import attrgetter
 
@@ -331,3 +332,85 @@ def test_column_reader_reads_as_the_row_loop(doc):
     rows_only = {"branches": [{"open": False, **e} if isinstance(e, dict) else e
                               for e in doc["branches"]]}
     assert parsed(doc) == parsed(rows_only)
+
+
+def run_main(argv):
+    """main's exit code for argv, an argparse refusal's included, and its
+    standard error."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses an option value
+            code = exc.code
+    return code, err.getvalue()
+
+
+EXTREMES = [0.0, -0.0, 1e-300, 1e150, 1e300, 1.7e308, math.inf, math.nan]
+FINITE_EXTREMES = EXTREMES[:-2]
+# option: (values argparse takes, values it refuses); the root is any int
+OPTIONS = {
+    "--kv": (["12.66", "1e-300", "1e+150", "1e+300", "1.7e+308"], ["0.0", "-0.0", "inf", "nan"]),
+    "--mva": (["10", "1e-300", "1e+150", "1e+300", "1.7e+308"], ["0.0", "-0.0", "inf", "nan"]),
+    "--root": (["1", "2", "0", "-1"], ["-0.0", "1e+300", "nan"]),
+    "--tol": (["0.0001", "1e-300", "1e+150", "1e+300", "1.7e+308"], ["0.0", "-0.0", "inf", "nan"]),
+    "--max-iter": (["1", "2", "100"], ["0", "-1", "1e+300", "nan"]),
+}
+
+
+@st.composite
+def cli_options(draw, names):
+    """Each of the options names absent or given a value; a refused value
+    may be drawn in about a quarter of the draws."""
+    refusals = draw(st.integers(0, 3)) == 0
+    argv = []
+    for name in names:
+        taken, refused = OPTIONS[name]
+        if draw(st.booleans()):
+            argv += [name, draw(st.sampled_from(taken + refused if refusals else taken))]
+    return argv
+
+
+@st.composite
+def extreme_rows(draw):
+    """Well-formed (id, from, to, r, x, p, q) rows of a tree on one to four
+    branches, node k + 1 fed by an earlier node, every value drawn from
+    EXTREMES (from its finite values in about three draws of four) and each
+    load of either sign: a negative load is generation."""
+    values = st.sampled_from(EXTREMES if draw(st.integers(0, 3)) == 0 else FINITE_EXTREMES)
+    load = st.builds(lambda sign, value: sign * value, st.sampled_from([1.0, -1.0]), values)
+    return [(k, draw(st.integers(1, k)), k + 1, draw(values), draw(values), draw(load),
+             draw(load))
+            for k in range(1, draw(st.integers(1, 4)) + 1)]
+
+
+@pytest.fixture(scope="module")
+def extreme_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("extremes")
+
+
+@settings(REPEATABLE, max_examples=150)
+@given(extreme_rows(), st.booleans(), cli_options(["--kv", "--mva", "--root"]),
+       cli_options(["--tol", "--max-iter"]), st.sampled_from([[], ["--renumber"],
+                                                               ["--debug-polar"]]))
+@example([(1, 1, 2, 1e300, 1e300, 1e300, 1e300)], False, [], [], [])
+@example([(1, 1, 2, 1.6e153, 0.0, 1e160, 0.0), (2, 1, 3, 1.6e153, 0.0, 1e160, 0.0)], True, [],
+         ["--max-iter", "1"], [])
+def test_extreme_values_map_to_a_documented_exit_code(extreme_dir, rows, as_json, inputs,
+                                                      solves, flags):
+    """Well-formed rows holding zeros, tiny, huge, infinite and NaN values, as
+    delimited text or JSON, under drawn --kv, --mva, --root, --tol and
+    --max-iter: validate and solve exit with a documented code, and no
+    traceback reaches standard error."""
+    if as_json:
+        path = extreme_dir / "t.json"
+        path.write_text(json.dumps({"branches": [dict(zip(PLAIN_KEYS, row)) for row in rows]}))
+    else:
+        path = extreme_dir / "t.branch"
+        path.write_text("".join(" ".join(map(repr, row)) + "\n" for row in rows))
+    for argv, documented in ((["validate", str(path), *inputs], (0, 2, 3)),
+                             (["solve", str(path), *inputs, *solves, *flags],
+                              (0, 1, 2, 3, 4))):
+        code, err = run_main(argv)
+        assert code in documented, (argv, err)
+        assert "Traceback" not in err

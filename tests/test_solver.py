@@ -727,6 +727,65 @@ class TestFlatSolveMatchesPhaseFunctions:
         ]), base=rf.PerUnitBase(12.66, 0.001))
         assert_non_finite_voltage_named(net, math.isnan)
 
+    def test_a_nan_part_names_the_same_branch(self):
+        """The infinite current of the case above through a purely reactive
+        branch 2 gives node 3 NaN - infj, whose magnitude is inf; nodes 4 and
+        5 below it follow. solve names branch 2, the first in branch order."""
+        net = validate_radial(make_table([
+            (1, 1, 2, 0.1, 0.1, 10.0, 5.0),
+            (2, 1, 3, 0.0, 0.1, 0.0, 0.0),
+            (3, 3, 4, 0.1, 0.1, 1e308, 0.0),
+            (4, 3, 5, 0.1, 0.1, 1e308, 0.0),
+        ]), base=rf.PerUnitBase(12.66, 0.001))
+        state = SolveState.flat_start(net)
+        compute_load_currents(state, net)
+        backward_sweep(state, net, find_leaf_nodes(net))
+        b = net.branches[1]
+        vr = state.node_voltage[b.sending_node] - state.branch_current[b.branch_id] * b.z
+        assert math.isnan(vr.re) and math.isinf(vr.im)
+        assert_non_finite_voltage_named(net, math.isinf)
+
+    @pytest.mark.parametrize("max_iterations", [1, 100])
+    def test_magnitudes_whose_sum_overflows_do_not_raise(self, max_iterations):
+        """1e156 p.u. of load through 1e152 p.u. of resistance on each of
+        two root-fed branches puts nodes 2 and 3 near -1e308 + 0j: every part
+        and magnitude is finite, but their sum is not. solve finds no
+        non-finite voltage and goes on, to the reference's non-convergence."""
+        net = validate_radial(make_table([
+            (1, 1, 2, 1.6e153, 0.0, 1e160, 0.0),
+            (2, 1, 3, 1.6e153, 0.0, 1e160, 0.0),
+        ]))
+        state = SolveState.flat_start(net)
+        compute_load_currents(state, net)
+        backward_sweep(state, net, find_leaf_nodes(net))
+        forward_sweep(state, net)
+        mags = [p.magnitude for p in state.node_voltage.values()]
+        assert all(map(math.isfinite, mags)) and sum(mags) == math.inf
+        options = SolveOptions(max_iterations=max_iterations)
+        with pytest.raises(NonConvergenceError) as flat:
+            solve(net, options)
+        with pytest.raises(NonConvergenceError) as reference:
+            phase_function_solve(net, options)
+        assert str(flat.value) == str(reference.value)
+        if max_iterations == 1:
+            assert str(flat.value) == "no convergence after 1 iterations (max delta 9.983e+307)"
+
+    def test_an_infinite_magnitude_from_finite_parts_never_converges(self, bus33_net,
+                                                                     monkeypatch):
+        """A magnitude can overflow although both parts are finite. Its delta
+        is then inf, or NaN when the previous magnitude was inf too, and
+        check_convergence counts neither as within the tolerance. With
+        every magnitude read as inf, each pass after the first has no finite
+        delta: solve, as the reference, never converges."""
+        monkeypatch.setattr(math, "hypot", lambda *parts: math.inf)
+        options = SolveOptions(max_iterations=3)
+        with pytest.raises(NonConvergenceError) as flat:
+            solve(bus33_net, options)
+        with pytest.raises(NonConvergenceError) as reference:
+            phase_function_solve(bus33_net, options)
+        assert str(flat.value) == str(reference.value)
+        assert flat.value.max_delta == reference.value.max_delta == 0.0
+
     @pytest.mark.parametrize("rows,named", [
         ([(1, 1, 2, 0.0, 0.0, 1e200, 0.0)], 1),
         # root-fed branches 1 and 2: only branch 2's current overflows when squared

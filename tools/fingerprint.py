@@ -288,6 +288,8 @@ DELIMITED = {
     "nonfinite.branch": "1 1 2 0.1 0.1 0 0\n2 2 3 1e300 0 1e15 0\n",
     "cycle.branch": "1 1 2 0.1 0.1 1 1\n2 3 4 0.1 0.1 1 1\n3 4 3 0.1 0.1 1 1\n",
     "overflow.branch": "1 1 2 0 0 1e200 0\n",
+    # two magnitudes near 1e308 whose sum is not finite
+    "sum-overflow.branch": "1 1 2 1.6e153 0 1e160 0\n2 1 3 1.6e153 0 1e160 0\n",
 }
 COMMANDS = [
     ["validate", "bus69.branch"], ["validate", "bus33.branch"],
@@ -296,6 +298,7 @@ COMMANDS = [
     ["solve", "bus69.branch", "--format", "json", "--debug-polar", "--literal-steps"],
     ["solve", "bus33.branch", "--renumber", "--tol", "1e-8"],
     ["solve", "bus69.branch", "--max-iter", "2"], ["solve", "bus69.branch", "--kv", "1e-300"],
+    ["solve", "sum-overflow.branch", "--max-iter", "1"],
     ["solve", "bus69.branch", "--tol", "0"], ["solve", "bus69.branch", "--kv", "11", "--mva", "1"],
     ["compare", "bus69.branch", "--golden", "golden69_vmag.csv"],
     ["compare", "bus69.branch", "--golden", "golden69_vmag.csv", "--bound", "0"],
