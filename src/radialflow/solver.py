@@ -33,6 +33,20 @@ and sending columns in backward order: a network that shares a held tree
 (model._shared_tree) pays in the sweep for its loads only. debug_polar
 checks each pass in polar form after its forward loop.
 
+A tree swept again and again runs a pass loop generated for it. Once the
+generic loop of _sweep has swept a tree _KERNEL_PASSES passes, and if the
+tree has at most _KERNEL_BRANCHES branches, _generated_sweep writes that
+loop out for the tree and the solve's loaded nodes, with one local variable
+per node and branch value, and compiles it once; the tree keeps it (its
+kernel slot) with those loaded positions. A solve with debug_polar off and
+the same loaded positions runs it. It does the generic loop's arithmetic in
+the same order, so every value is the same to the last bit. On a zero
+voltage at a loaded node, a non-finite magnitude sum or no convergence it
+returns None, and _sweep runs the generic loop from the flat start, which
+raises the error it always raised (or goes on past a finite sum that
+overflows). The generic loop stays: it is the reference the tests compare
+the generated one with, and the path of every other solve.
+
 build_report turns the final voltages and currents, as complex lists, into a
 SolveReport that keeps those lists and shows them two ways, both read-only
 and both computed on read: as the final_* Phasor views, model._IdViews whose
@@ -418,8 +432,110 @@ def _step_counts(net: NetworkModel, literal_scan: bool) -> tuple[int, int, int]:
     return leaf_count, per_iteration, per_iteration_baseline
 
 
+# A tree gets a generated pass loop once the generic loop has swept it this
+# many passes: generating bus69's takes 10-20 ms, which its faster passes
+# (about 10 us each) pay back in 1000-2000 passes.
+_KERNEL_PASSES = 1024
+# ... and only a tree of at most this many branches: generating takes about
+# 0.2-0.3 ms and 30 KB of transient memory per branch (8 MB at 256 branches).
+_KERNEL_BRANCHES = 256
+
+
+def _generated_sweep(tree, loaded: list[int]):
+    """The generic loop of _sweep written out for one tree and one set of
+    loaded node positions, compiled: a function of (conj(S) of the loaded
+    nodes in node order, the z column, max_iterations, tolerance) that
+    returns what _sweep returns, or None for a zero voltage at a loaded
+    node, a non-finite magnitude sum or no convergence.
+
+    Each node's voltage, magnitude, load current and accumulator and each
+    branch's current and impedance is a local named by its position (v3,
+    m3, l3, a3, b2, z2), and the arithmetic is the generic loop's, in its
+    order: a leaf's accumulator and an unloaded node's load current are the
+    literal 0j, so 0j + still turns a -0.0 part into +0.0, and the add into
+    the root's accumulator, which nothing reads, is left out. The text holds
+    only fixed code and names built from integer positions. It is parsed a
+    few statements at a time into one syntax tree, which is compiled once.
+    """
+    send, recv, root = tree.send, tree.recv, tree.root
+    nodes = range(len(tree.feeding))
+    branches = range(len(send))
+    senders = set(send)
+    is_loaded = set(loaded)
+
+    def names(prefix, positions, sep=", "):
+        return sep.join(f"{prefix}{i}" for i in positions)
+
+    setup = [
+        f"[{names('s', loaded)}] = s",
+        f"[{names('z', branches)}] = z",
+        f"{names('v', nodes, ' = ')} = (1+0j)",
+        f"{names('m', [i for i in nodes if i != root], ' = ')} = 1.0",
+    ]
+    # one pass; only the load currents' division can raise ZeroDivisionError
+    body = [f"l{i} = s{i} / v{i}.conjugate()" for i in loaded]
+    summed = set()
+    for k in reversed(branches):
+        r, s = recv[k], send[k]
+        body.append(f"b{k} = {f'a{r}' if r in senders else '0j'} + "
+                    f"{f'l{r}' if r in is_loaded else '0j'}")
+        if s != root:
+            body.append(f"a{s} += b{k}" if s in summed else f"a{s} = 0j + b{k}")
+            summed.add(s)
+    body.append("max_delta = 0.0")
+    for k in branches:
+        s, r = send[k], recv[k]
+        body += [f"v{r} = v{s} - b{k} * z{k}", f"g = hypot(v{r}.real, v{r}.imag)",
+                 f"d = abs(g - m{r})", "if d > max_delta:\n max_delta = d", f"m{r} = g"]
+    magnitudes = ", ".join("1.0" if i == root else f"m{i}" for i in nodes)
+    currents = ", ".join(f"l{i}" if i in is_loaded else "0j" for i in nodes)
+    body += [
+        f"if not isfinite(sum(({magnitudes},))):\n return None",
+        "deltas.append(max_delta)",
+        f"if max_delta <= tolerance:\n return (iterations, deltas, 0.0, [{names('v', nodes)}], "
+        f"[{currents}], [{names('b', branches)}])",
+    ]
+    import ast  # here, so that importing the package (the CLI's every run) does not pay for it
+
+    def parsed(statements):
+        # the parser holds some 700 bytes per token until it returns, and the
+        # allocator keeps what it freed: 32 statements at a time, the process
+        # keeps about half the memory that parsing the whole text would leave
+        return [node for k in range(0, len(statements), 32)
+                for node in ast.parse("\n".join(statements[k:k + 32])).body]
+
+    module = ast.parse("\n".join([
+        "def sweep(s, z, max_iterations, tolerance):",
+        " hypot = math.hypot",
+        " isfinite = math.isfinite",
+        " deltas = []",
+        " try:",
+        "  for iterations in range(1, max_iterations + 1):",
+        "   pass",
+        " except ZeroDivisionError:",
+        "  return None",
+    ]))
+    sweep = module.body[0]
+    sweep.body[3:3] = parsed(setup)
+    sweep.body[-1].body[0].body = parsed(body)
+    namespace = {"math": math}
+    exec(compile(module, "<generated sweep>", "exec"), namespace)
+    return namespace.pop("sweep")
+
+
 def _sweep(net: NetworkModel, options: SolveOptions):
     """Iterate the sweep on flat lists from a flat start until it settles.
+
+    A tree that the loop below (the generic loop) has swept _KERNEL_PASSES
+    passes, and that has at most _KERNEL_BRANCHES branches, gets the loop
+    written out for it and for this solve's loaded nodes by
+    _generated_sweep, compiled once and kept in its kernel slot; the generic
+    loop counts its passes in the swept slot. Each solve with debug_polar
+    off whose loaded positions equal the kept ones runs the generated loop,
+    which gives the same values to the last bit. When it returns None (a
+    zero voltage at a loaded node, a non-finite magnitude sum or no
+    convergence), the generic loop runs from the flat start and raises, or
+    goes on, as it always has: only a failing solve sweeps twice.
 
     The sweep reads only the network's columns (z, node_s_load) and position
     lists (the sending and receiving columns as node positions), not its
@@ -477,6 +593,13 @@ def _sweep(net: NetworkModel, options: SolveOptions):
     node_s_load = net.node_s_load
     loads = (list(compress(range(n), node_s_load)),
              list(map(complex.conjugate, compress(node_s_load, node_s_load))))
+    kernel = tree.kernel
+    if kernel is None and tree.swept >= _KERNEL_PASSES and len(send) <= _KERNEL_BRANCHES:
+        kernel = tree.kernel = (loads[0], _generated_sweep(tree, loads[0]))
+    if kernel is not None and not options.debug_polar and kernel[0] == loads[0]:
+        result = kernel[1](loads[1], net.z, options.max_iterations, options.tolerance)
+        if result is not None:
+            return result
     backward = tree.plan
     forward = (send, recv, net.z)
     hypot = math.hypot
@@ -535,6 +658,7 @@ def _sweep(net: NetworkModel, options: SolveOptions):
             break
     else:
         raise NonConvergenceError(iterations, max_delta)
+    tree.swept += iterations
     return iterations, deltas, worst_polar, v, il, list(map(acc.__getitem__, recv))
 
 

@@ -10,6 +10,7 @@ import io
 import json
 import math
 import random
+import shutil
 from operator import attrgetter
 
 import pytest
@@ -18,7 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import format_branch_table, topology_dicts
+from conftest import BUS69, GOLDEN69, fixture_path, format_branch_table, topology_dicts
 from radialflow.cli import generate_random_table, main
 from radialflow.ingest import (
     RawTable,
@@ -355,6 +356,7 @@ OPTIONS = {
     "--root": (["1", "2", "0", "-1"], ["-0.0", "1e+300", "nan"]),
     "--tol": (["0.0001", "1e-300", "1e+150", "1e+300", "1.7e+308"], ["0.0", "-0.0", "inf", "nan"]),
     "--max-iter": (["1", "2", "100"], ["0", "-1", "1e+300", "nan"]),
+    "--bound": (["0.001", "0", "-0.0", "1e-300", "1e+308", "inf"], ["-1", "-inf", "nan"]),
 }
 
 
@@ -414,3 +416,61 @@ def test_extreme_values_map_to_a_documented_exit_code(extreme_dir, rows, as_json
         code, err = run_main(argv)
         assert code in documented, (argv, err)
         assert "Traceback" not in err
+
+
+GOLDEN_EXTREMES = ["0", "-0.0", "1e-300", "1e308", "inf", "nan"]
+# rows read_golden refuses, or reads as a node the network does not have
+MALFORMED_GOLDEN_ROWS = ["2;0.9", "2", ",", "2,", ",0.9", "2 0.9", "x,y", "2.5,0.9", "1_0,0.9",
+                         "\u0661,0.9", "2,1e999", "0,0.9", "-1,0.9", "9" * 5000 + ",0.9"]
+
+
+@st.composite
+def golden_csvs(draw):
+    """bus69's golden CSV with up to three drawn edits: a magnitude, or
+    every magnitude, set to one of GOLDEN_EXTREMES, a row repeated or
+    dropped, an extra column, a malformed row put in; with or without its
+    header."""
+    rows = fixture_path(GOLDEN69).read_text(encoding="utf-8").split()[1:]
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(rows) - 1))
+        node = rows[k].split(",")[0]
+        how = draw(st.sampled_from(["extreme", "every", "repeat", "drop", "extra", "malformed"]))
+        if how == "extreme":
+            rows[k] = f"{node},{draw(st.sampled_from(GOLDEN_EXTREMES))}"
+        elif how == "every":
+            value = draw(st.sampled_from(GOLDEN_EXTREMES))
+            rows = [f"{row.split(',')[0]},{value}" for row in rows]
+        elif how == "repeat":
+            rows.insert(draw(st.integers(0, len(rows))), rows[k])
+        elif how == "drop":
+            del rows[k]
+        elif how == "extra":
+            rows[k] += "," + draw(st.sampled_from(["", "1.0", "x"]))
+        else:
+            rows.insert(k, draw(st.sampled_from(MALFORMED_GOLDEN_ROWS)))
+    header = ["node,vmag_pu"] if draw(st.booleans()) else []
+    return "\n".join(header + rows) + "\n"
+
+
+@pytest.fixture(scope="module")
+def compare_dir(tmp_path_factory):
+    """A directory holding a copy of bus69.branch."""
+    path = tmp_path_factory.mktemp("compare")
+    shutil.copy(fixture_path(BUS69), path)
+    return path
+
+
+@settings(REPEATABLE, max_examples=100)
+@given(golden_csvs(), cli_options(["--bound"]))
+@example("node,vmag_pu\n" + "".join(f"{k},nan\n" for k in range(1, 70)), [])
+def test_golden_files_map_to_a_documented_exit_code(compare_dir, text, bound):
+    """compare of bus69 against golden files holding extreme magnitudes,
+    repeated and missing nodes, extra columns and malformed rows, under a
+    drawn --bound: it exits 0, 2 (an unreadable golden file, or one whose
+    nodes are not the network's) or 5 (out of bounds), and no traceback
+    reaches standard error."""
+    golden = compare_dir / "golden.csv"
+    golden.write_text(text, encoding="utf-8")
+    code, err = run_main(["compare", str(compare_dir / BUS69), "--golden", str(golden), *bound])
+    assert code in (0, 2, 5), err
+    assert "Traceback" not in err

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import functools
 import math
@@ -5,15 +6,22 @@ import operator
 import pickle
 import random
 from bisect import bisect_left
+from itertools import compress
 
 import pytest
 
 import radialflow as rf
-from conftest import chain_table, criterion_2_tables, make_table, relabelled_tables
+from conftest import (
+    chain_table,
+    criterion_2_tables,
+    load_bus69,
+    make_table,
+    relabelled_tables,
+)
 from radialflow import solver
 from radialflow.cli import generate_random_table
 from radialflow.ingest import OrderingError, validate_radial
-from radialflow.model import Phasor, SolveState
+from radialflow.model import LoadFlowError, Phasor, SolveState
 from radialflow.oracle import compute_losses, downstream_sum
 from radialflow.solver import (
     NonConvergenceError,
@@ -824,3 +832,157 @@ class TestFlatSolveMatchesPhaseFunctions:
         compute_load_currents(state, net)
         with pytest.raises(SweepInvariantError, match="branch 1 consumed"):
             backward_sweep(state, net, find_leaf_nodes(net))
+
+
+def loaded_positions(net):
+    return list(compress(range(net.node_count), net.node_s_load))
+
+
+def generated_sweep(net, options):
+    """What the pass loop generated for net's tree and loaded nodes returns."""
+    sweep = solver._generated_sweep(net._tree, loaded_positions(net))
+    return sweep([s.conjugate() for s in net.node_s_load if s], net.z, options.max_iterations,
+                 options.tolerance)
+
+
+@contextlib.contextmanager
+def generic_loop_only(net, monkeypatch):
+    """Within, _sweep runs its generic loop on net: the tree's generated
+    loop is set aside and the pass threshold out of reach."""
+    with monkeypatch.context() as m:
+        m.setattr(net._tree, "kernel", None)
+        m.setattr(solver, "_KERNEL_PASSES", math.inf)
+        yield
+
+
+def generic_sweep(net, options, monkeypatch):
+    """What _sweep returns from its generic loop."""
+    with generic_loop_only(net, monkeypatch):
+        return solver._sweep(net, options)
+
+
+def install_generated_sweep(net, monkeypatch):
+    """Give net's tree its generated loop, wrapped to record each call;
+    returns the list of calls."""
+    calls = []
+    sweep = solver._generated_sweep(net._tree, loaded_positions(net))
+
+    def recorded(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(net._tree, "kernel", (loaded_positions(net), recorded))
+    return calls
+
+
+class TestGeneratedSweep:
+    """A tree the generic loop has swept _KERNEL_PASSES passes runs a pass
+    loop generated for it, which gives what the generic loop gives to the
+    last bit, or None, after which the generic loop runs and raises."""
+
+    @pytest.mark.parametrize("tolerance", [1e-4, 1e-8])
+    def test_equals_the_generic_loop(self, bus69_net, bus33_net, monkeypatch, tolerance):
+        """The iteration count, the deltas and the repr of every voltage,
+        load current and branch current, so the sign of every zero too."""
+        options = SolveOptions(tolerance)
+        # the root, node 5, is the last node position
+        rooted_last = validate_radial(make_table([
+            (1, 5, 1, 0.1, 0.1, 10, 5), (2, 1, 2, 0.1, 0.1, 10, 5), (3, 5, 3, 0.1, 0.1, 0, 0),
+            (4, 3, 4, 0.1, 0.1, 3, 1)]), root=5)
+        nets = [bus69_net, bus33_net, rooted_last, *map(validate_radial, criterion_2_tables()),
+                *map(validate_radial, relabelled_tables())]
+        for net in nets:
+            assert repr(generated_sweep(net, options)) == repr(
+                generic_sweep(net, options, monkeypatch))
+
+    def test_a_leaf_current_with_a_negative_zero_part_is_added_to_0j(self, monkeypatch):
+        """Node 3's load current is (-0+0.0005j). Branch 2, a leaf's, carries
+        0j plus that, 0.0005j, as in the generic loop; copied, it would
+        read (-0+0.0005j). One pass converges at this tolerance."""
+        net = validate_radial(make_table([(1, 1, 2, 0.1, 0.1, 10, 5),
+                                          (2, 2, 3, 0.1, 0.1, -0.0, -5)]))
+        options = SolveOptions(tolerance=1.0)
+        result = generated_sweep(net, options)
+        iterations, _, _, _, load_currents, branch_currents = result
+        assert iterations == 1
+        assert repr(load_currents[2]) == "(-0+0.0005j)"
+        assert repr(branch_currents[1]) == "0.0005j"
+        assert repr(result) == repr(generic_sweep(net, options, monkeypatch))
+
+    def test_other_loaded_nodes_run_the_generic_loop(self, monkeypatch):
+        """A network on the same tree with one load zeroed has other loaded
+        nodes than the generated loop was made for, so _sweep runs the
+        generic loop for it, and the generated one for the network it was
+        made for."""
+        table = load_bus69()
+        k = next(k for k, r in enumerate(table.rows) if r.load_p and not r.is_tie)
+        zeroed = rf.RawTable(rows=tuple(r._replace(load_p=0.0, load_q=0.0) if j == k else r
+                                        for j, r in enumerate(table.rows)), source_name="zeroed")
+        validate_radial(table)
+        net = validate_radial(table)
+        other = validate_radial(zeroed)
+        assert other._tree is net._tree and loaded_positions(other) != loaded_positions(net)
+        calls = install_generated_sweep(net, monkeypatch)
+        report = solve(other)
+        assert calls == []
+        with generic_loop_only(other, monkeypatch):
+            assert solve(other) == report
+        solve(net)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("rows,options,error,text", [
+        ([(1, 1, 2, rf.DEFAULT_BASE.z_base, 0.0, 10000.0, 0.0)], SolveOptions(),
+         VoltageCollapseError, "zero voltage at loaded node 2"),
+        ([(1, 1, 2, 1e300, 1e300, 1e300, 1e300)], SolveOptions(), NumericError,
+         "non-finite voltage on branch 1"),
+        # finite magnitudes whose sum is not: the generic loop goes on
+        ([(1, 1, 2, 1.6e153, 0.0, 1e160, 0.0), (2, 1, 3, 1.6e153, 0.0, 1e160, 0.0)],
+         SolveOptions(), NonConvergenceError,
+         "no convergence after 100 iterations (max delta 1.997e+306)"),
+        (None, SolveOptions(max_iterations=1), NonConvergenceError,
+         "no convergence after 1 iterations (max delta 8.297e-02)"),
+    ], ids=["zero-voltage", "non-finite", "sum-overflow", "max-iterations"])
+    def test_a_failing_solve_raises_the_generic_loops_error(self, monkeypatch, rows, options,
+                                                            error, text):
+        net = validate_radial(load_bus69() if rows is None else make_table(rows))
+        assert generated_sweep(net, options) is None
+        with pytest.raises(LoadFlowError) as generic:
+            generic_sweep(net, options, monkeypatch)
+        calls = install_generated_sweep(net, monkeypatch)
+        with pytest.raises(LoadFlowError) as generated:
+            solve(net, options)
+        assert len(calls) == 1
+        for exc in (generic.value, generated.value):
+            assert (type(exc), str(exc)) == (error, text)
+
+    def test_debug_polar_runs_the_generic_loop(self, bus33_net, monkeypatch):
+        with generic_loop_only(bus33_net, monkeypatch):
+            reference = solve(bus33_net, SolveOptions(debug_polar=True))
+        calls = install_generated_sweep(bus33_net, monkeypatch)
+        report = solve(bus33_net, SolveOptions(debug_polar=True))
+        assert calls == []
+        assert report.max_polar_deviation == reference.max_polar_deviation > 0.0
+        assert report == reference
+        solve(bus33_net)
+        assert len(calls) == 1
+
+    def test_a_tree_gets_its_loop_after_the_threshold_and_only_when_small(self, monkeypatch):
+        """The loop is generated at the first solve that finds the tree swept
+        _KERNEL_PASSES passes, for that solve's loaded nodes; a tree of more
+        than _KERNEL_BRANCHES branches never gets one."""
+        net = validate_radial(chain_table([(10.0, 5.0), (0.0, 0.0), (3.0, 1.0)]))
+        tree = net._tree
+        monkeypatch.setattr(tree, "kernel", None)
+        monkeypatch.setattr(tree, "swept", solver._KERNEL_PASSES - 1)
+        report = solve(net)
+        assert tree.kernel is None
+        assert tree.swept == solver._KERNEL_PASSES - 1 + report.iterations
+        assert solve(net) == report
+        assert tree.kernel[0] == loaded_positions(net) == [1, 3]
+        assert tree.swept == solver._KERNEL_PASSES - 1 + report.iterations
+
+        big = validate_radial(chain_table([(1.0, 0.5)] * (solver._KERNEL_BRANCHES + 1)))
+        monkeypatch.setattr(big._tree, "kernel", None)
+        monkeypatch.setattr(big._tree, "swept", solver._KERNEL_PASSES)
+        solve(big)
+        assert big._tree.kernel is None

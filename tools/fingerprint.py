@@ -24,7 +24,9 @@ value per line. Two versions compute the same when every line is equal.
   interleaved; among them a bus69 network with float ids, bus69 validated
   at root 2, which is not a tree, a tie line moved outside the tree, bus69
   with a zero resistance held as 0.0 and then as -0.0, and bus69 on two other
-  bases between held runs, one of them of equal z_base;
+  bases between held runs, one of them of equal z_base; then 300 scenarios
+  of bus69 and 340 of bus33, so that each held tree is swept past the passes
+  after which the sweep runs a loop generated for it;
 - defects: 300 seeded defective tables mutated from bus69's rows: the
   result, or the error type and text, of renumber_sequential and of
   validate_radial (with require_ordered true and false), for root 1 and
@@ -197,6 +199,12 @@ def scenarios():
         add_network(group, net)
         for literal_scan in (False, True):
             group.outcome(add_report, rf.solve, net, rf.SolveOptions(literal_scan=literal_scan))
+    # runs of one feeder long enough that its held tree is swept past the
+    # 1024 passes after which the sweep runs a loop generated for the tree
+    for table, solves in ((bus69, 300), (bus33, 340)):
+        for _ in range(solves):
+            net = rf.validate_radial(scaled(table, rng.uniform(0.3, 1.3)))
+            group.outcome(add_report, rf.solve, net)
     return group
 
 
