@@ -46,7 +46,8 @@ def read_golden(path: str | Path) -> dict[int, float]:
 
     Blank lines and the header (any line starting with "node") are skipped.
     Raises ParseError for a file read_text cannot read, or naming path:line
-    for a bad row, a magnitude that is not finite or a node listed twice.
+    for a bad row, a magnitude that is not finite, one that is not positive
+    (-0.0 included) or a node listed twice.
     """
     golden = {}
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
@@ -60,6 +61,8 @@ def read_golden(path: str | Path) -> dict[int, float]:
             raise ParseError(f"{path}:{lineno}: bad golden row {line!r}") from None
         if not math.isfinite(vmag):
             raise ParseError(f"{path}:{lineno}: golden magnitude of node {node} is not finite")
+        if not vmag > 0.0:
+            raise ParseError(f"{path}:{lineno}: golden magnitude of node {node} is not positive")
         if node in golden:
             raise ParseError(f"{path}:{lineno}: node {node} is listed twice")
         golden[node] = vmag
@@ -318,6 +321,7 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solve_args(p: argparse.ArgumentParser) -> None:
+    _add_input_args(p)
     p.add_argument("--tol", type=_positive, default=0.0001,
                    help="convergence tolerance in p.u.")
     p.add_argument("--max-iter", type=_iterations, default=100)
@@ -328,36 +332,58 @@ def _add_solve_args(p: argparse.ArgumentParser) -> None:
                    help="count steps with the literal whole-table child scan")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="radialflow",
-                                     description="Radial feeder load flow by backward/forward sweep")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a branch table for radial topology")
-    _add_input_args(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("solve", help="run the load flow and print the solution")
-    _add_input_args(p)
+def _add_solve_command_args(p: argparse.ArgumentParser) -> None:
     _add_solve_args(p)
     p.add_argument("--format", choices=["table", "csv", "json"], default="table")
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("compare", help="solve and compare against a golden voltage CSV")
-    _add_input_args(p)
+
+def _add_compare_args(p: argparse.ArgumentParser) -> None:
     _add_solve_args(p)
     p.add_argument("--golden", required=True, help="CSV of node,vmag_pu")
     p.add_argument("--bound", type=_bound, default=1e-3, help="max allowed deviation in p.u.")
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("bench", help="step-count benchmark on random feeders")
+
+def _add_bench_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sizes", type=_size, nargs="+", required=True)
     p.add_argument("--leaf-fractions", type=_fraction, nargs="+", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=_positive, default=0.0001)
     p.add_argument("--max-iter", type=_iterations, default=100)
-    p.set_defaults(func=cmd_bench)
 
+
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser, which adds its arguments (add, a function of the
+    parser) when it first parses. argparse has a command's parser parse only
+    when the command line names that command, so a run builds the arguments
+    of its own command alone, and its help, usage and errors read as if they
+    had been added up front."""
+
+    def __init__(self, *args, add=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add = add
+
+    def parse_known_args(self, args=None, namespace=None):
+        add, self._add = self._add, None
+        if add is not None:
+            add(self)
+        return super().parse_known_args(args, namespace)
+
+
+_COMMANDS = (
+    ("validate", "check a branch table for radial topology", _add_input_args, cmd_validate),
+    ("solve", "run the load flow and print the solution", _add_solve_command_args, cmd_solve),
+    ("compare", "solve and compare against a golden voltage CSV", _add_compare_args,
+     cmd_compare),
+    ("bench", "step-count benchmark on random feeders", _add_bench_args, cmd_bench),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="radialflow",
+                                     description="Radial feeder load flow by backward/forward sweep")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    for name, text, add, func in _COMMANDS:
+        sub.add_parser(name, help=text, add=add).set_defaults(func=func)
     return parser
 
 

@@ -51,11 +51,11 @@ _check_row.
 
 RawTable is an immutable __slots__ class and RenumberMapping a namedtuple
 record, both on model's bases (model._Frozen, model._Record); json is imported
-by the JSON reader only, so reading a delimited table does not load it.
+by the JSON reader only, so reading a delimited table does not load it, and
+heapq by renumber_sequential only, so importing the package does not.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from collections import namedtuple
 from collections.abc import Sequence
@@ -486,6 +486,8 @@ def renumber_sequential(table: RawTable, root: int | None = None) -> tuple[RawTa
     # receiving node first. Each node's children join the frontier and the
     # least of it is popped at once (heappushpop, which returns a child that
     # is already the least without a sift: a lateral's next node, mostly)
+    from heapq import heappop, heappush, heappushpop
+
     popped = []
     heap = []
     i = index[root]
@@ -493,10 +495,10 @@ def renumber_sequential(table: RawTable, root: int | None = None) -> tuple[RawTa
         fed = targets[offsets[i]:offsets[i + 1]]
         if fed:
             for j in fed[1:]:
-                heapq.heappush(heap, j)
-            i = heapq.heappushpop(heap, fed[0])
+                heappush(heap, j)
+            i = heappushpop(heap, fed[0])
         elif heap:
-            i = heapq.heappop(heap)
+            i = heappop(heap)
         else:
             break
         popped.append(i)

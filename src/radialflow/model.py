@@ -23,11 +23,11 @@ at the edges: the parsers, error texts, the views and the report.
 Networks of one topology share one derivation: NetworkModel gets its tree
 from _shared_tree, which holds at most one _Tree, only after two equal
 topologies in a row. The held tree also carries what the solver fills once
-per tree (the step counts, the sweep plan, the passes swept and the pass
-loop generated for the tree) and, while it is held, the per-unit impedances
-of the last network validate_radial built on it (_Tree.z), which _held_z
-gives a table of equal resistance, reactance and z_base, so that only its
-loads are converted.
+per tree (the step counts, the passes swept and the pass loop generated
+for the tree) and, while it is held, the per-unit impedances of the last
+network validate_radial built on it (_Tree.z), which _held_z gives a table
+of equal resistance, reactance and z_base, so that only its loads are
+converted.
 
 BranchRecord and both parsers check a row in one function, _check_row. It
 takes a row as the BranchRecord fields in field order, which is what a
@@ -511,9 +511,8 @@ def _cycle(ids, sending, receiving, send, feeding, reached) -> TopologyError:
 class _Tree:
     """One topology's derivation, shared by its networks: radial_tree's send,
     recv, feeding, offsets and targets, root the root's position, unordered
-    the first unordered branch's position (or None), counts and plan, which
-    solver._step_counts and solver._sweep fill (the step model's load-free
-    counts, and recv and send reversed, the backward sweep's order), swept
+    the first unordered branch's position (or None), counts, which
+    solver._step_counts fills (the step model's load-free counts), swept
     and kernel, which solver._sweep keeps (the passes its generic loop has
     run on the tree, never reset, and None or the loaded node positions
     and the pass loop generated for them), and z, which NetworkModel._fill
@@ -523,14 +522,14 @@ class _Tree:
     """
 
     __slots__ = ("send", "recv", "feeding", "offsets", "targets", "root", "unordered", "counts",
-                 "plan", "swept", "kernel", "z")
+                 "swept", "kernel", "z")
 
     def __init__(self, send, recv, feeding, offsets, targets, root):
         self.send, self.recv, self.feeding = send, recv, feeding
         self.offsets, self.targets, self.root = offsets, targets, root
         # the root's feeding branch is -1, so a branch it feeds never counts
         self.unordered = next((k for k, s in enumerate(send) if feeding[s] >= k), None)
-        self.counts = self.plan = self.kernel = self.z = None
+        self.counts = self.kernel = self.z = None
         self.swept = 0
 
 

@@ -1,22 +1,201 @@
-"""Brute-force references: downstream-set branch currents, power balance,
-per-branch losses, and a baseline solver that pays the per-iteration
-rescanning cost the proposed method avoids.
+"""Brute-force references: the dict-based phase functions the sweep is
+checked against, downstream-set branch currents, power balance, per-branch
+losses, and a baseline solver that pays the per-iteration rescanning cost the
+proposed method avoids.
 
-compute_losses is the reference for solver.build_report's losses. No command
-calls anything here, and radialflow imports this module on first use only, so
-the CLI never loads it."""
+The phase functions (compute_load_currents, backward_sweep, forward_sweep,
+check_convergence) count their steps in a StepCounter and are the reference
+implementation of the sweep: the tests require solver.solve to reproduce
+them exactly, and baseline_solve is built from them. They read the branch
+columns, not the node loads or position lists the sweep reads, so a fault in
+deriving those shows as a disagreement; only backward_sweep's default mode
+reads the children view, and it asks is_leaf, a counted binary search of
+solver.find_leaf_nodes' ascending leaves, which branches are leaves.
+compute_losses is the reference for solver.build_report's losses.
+
+No command calls anything here. radialflow imports this module on first use
+only, and so does solver, which forwards the four phase functions by name
+(PEP 562), so the CLI never loads it."""
 from __future__ import annotations
 
-from .model import NetworkModel, Phasor, SolveReport, SolveState
+import math
+
+from .model import LoadFlowError, NetworkModel, Phasor, SolveReport, SolveState
 from .solver import (
     NonConvergenceError,
+    NumericError,
     SolveOptions,
-    StepCounter,
+    VoltageCollapseError,
+    _polar_deviation,
     build_report,
-    check_convergence,
-    compute_load_currents,
-    forward_sweep,
 )
+
+
+class SweepInvariantError(LoadFlowError):
+    """Internal ordering violation: a child branch current was consumed before it was computed."""
+
+
+class StepCounter:
+    """Running total of elementary operations over a solve.
+
+    total only grows: solver.find_leaf_nodes, is_leaf, the phase functions
+    and the baseline add to it. Each call that returns adds exactly the steps it took;
+    what a call that raises has added is unspecified.
+    """
+
+    def __init__(self, total: int = 0):
+        self.total = total
+
+
+def is_leaf(leaves: tuple[int, ...], node: int, counter: StepCounter | None = None) -> bool:
+    """Binary search over the ascending leaf tuple of solver.find_leaf_nodes;
+    comparisons are counted.
+
+    The count is kept in a local and added to the counter once, on return.
+    """
+    low, high = 0, len(leaves) - 1
+    steps = 0
+    found = False
+    while low <= high:
+        mid = (low + high) // 2
+        steps += 1
+        if leaves[mid] > node:
+            high = mid - 1
+        else:
+            steps += 1
+            if leaves[mid] < node:
+                low = mid + 1
+            else:
+                found = True
+                break
+    if counter:
+        counter.total += steps
+    return found
+
+
+def compute_load_currents(state: SolveState, net: NetworkModel,
+                          counter: StepCounter | None = None) -> None:
+    """LI_i = (PL_i - j QL_i) / conj(V_i); exactly zero at zero-load nodes.
+
+    A node's load is that of the branch feeding it, found by pairing the
+    receiving and s_load columns; the root, which no branch feeds, has none.
+    One step per node.
+    """
+    nodes = net.nodes()
+    if counter:
+        counter.total += len(nodes)
+    node_load = dict(zip(net.receiving, net.s_load))
+    for node in nodes:
+        s = node_load.get(node, 0j)
+        if not s:
+            state.load_current[node] = Phasor.zero()
+            continue
+        v = state.node_voltage[node]
+        if v.magnitude == 0.0:
+            raise VoltageCollapseError(f"zero voltage at loaded node {node}")
+        state.load_current[node] = Phasor(s.real, -s.imag) / v.conjugate()
+
+
+def backward_sweep(
+    state: SolveState,
+    net: NetworkModel,
+    leaves: tuple[int, ...],
+    counter: StepCounter | None = None,
+    literal_scan: bool = False,
+) -> None:
+    """Branch currents from the highest branch id down to 1.
+
+    A leaf branch takes its receiving node's load current directly. Otherwise
+    the branches fed by the receiving node are pushed on a work stack, popped
+    and accumulated, and the node's own load current added last. literal_scan
+    finds those child branches by scanning the whole branch list (the counting
+    the complexity formulas assume); the default uses the precomputed children
+    adjacency. Both orders of accumulation are identical.
+
+    is_leaf counts its own comparisons; the other steps are summed in a local
+    and added to the counter once, on return, as is_leaf does.
+    """
+    ordered = sorted(zip(net.branch_ids, net.receiving), reverse=True)
+    computed = set()
+    steps = 0
+    for branch_id, r in ordered:
+        if is_leaf(leaves, r, counter):
+            state.branch_current[branch_id] = state.load_current[r]
+            steps += 1
+        else:
+            if literal_scan:
+                stack = [child for child, s in zip(net.branch_ids, net.sending) if s == r]
+                steps += len(net.branch_ids)
+            else:
+                stack = list(net.children[r])
+            # a step per child listed (after a step per branch scanned in
+            # literal mode), a pop and an add per child, then the node's own
+            # load current
+            steps += 3 * len(stack) + 1
+            total = Phasor.zero()
+            while stack:
+                child = stack.pop()
+                if child not in computed:
+                    raise SweepInvariantError(
+                        f"branch {child} consumed before computation (branch {branch_id})"
+                    )
+                total = total + state.branch_current[child]
+            state.branch_current[branch_id] = total + state.load_current[r]
+        computed.add(branch_id)
+    if counter:
+        counter.total += steps
+
+
+def forward_sweep(
+    state: SolveState,
+    net: NetworkModel,
+    counter: StepCounter | None = None,
+    debug_polar: bool = False,
+) -> float:
+    """V_r = V_s - I_br * Z_br in ascending branch order; root voltage is fixed.
+
+    Returns the worst polar/rectangular disagreement seen (0.0 when debug_polar
+    is off); disagreement beyond POLAR_AGREEMENT_TOL raises PolarMismatchError.
+    One step per branch.
+    """
+    if counter:
+        counter.total += len(net.branches)
+    worst = 0.0
+    for b in net.branches:
+        vs = state.node_voltage[b.sending_node]
+        i_br = state.branch_current[b.branch_id]
+        vr = vs - i_br * b.z
+        if not (math.isfinite(vr.re) and math.isfinite(vr.im)):
+            raise NumericError(f"non-finite voltage on branch {b.branch_id}")
+        if debug_polar:
+            worst = max(worst, _polar_deviation(vs, i_br, b.z, vr, b.branch_id))
+        state.node_voltage[b.receiving_node] = vr
+    return worst
+
+
+def check_convergence(
+    state: SolveState,
+    tolerance: float,
+    counter: StepCounter | None = None,
+) -> tuple[bool, float]:
+    """Converged iff every node's voltage-magnitude change is within tolerance.
+
+    Overwrites the stored previous magnitudes with the current ones. One step
+    per node.
+    """
+    within = 0
+    max_delta = 0.0
+    nodes = list(state.node_voltage)
+    if counter:
+        counter.total += len(nodes)
+    for node in nodes:
+        mag = state.node_voltage[node].magnitude
+        delta = abs(mag - state.prev_voltage_mag[node])
+        if delta <= tolerance:
+            within += 1
+        max_delta = max(max_delta, delta)
+        state.prev_voltage_mag[node] = mag
+    return within == len(nodes), max_delta
 
 
 def downstream_sets(net: NetworkModel) -> dict[int, tuple[int, ...]]:

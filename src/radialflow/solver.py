@@ -4,12 +4,11 @@ Branch currents are accumulated leaf-first over the sequentially ordered
 branch list; node voltages then propagate root-first. Leaf identification runs
 once before the iteration loop, which is where the step saving over the
 per-iteration rescanning baseline comes from. find_leaf_nodes returns the
-leaves as an ascending tuple, which is_leaf binary-searches; a StepCounter
-keeps one running total of the steps taken, and a caller that wants the steps
-of one stretch (before the loop, or one pass) reads the total before and after
-it. solve calls neither: its step model takes the topology's childless nodes
-as the leaves, and counts find_leaf_nodes' two scans, 2m steps, without
-running them.
+leaves as an ascending tuple (cmd_validate prints their count, and the
+reference backward sweep binary-searches them); given an oracle.StepCounter,
+it counts its two scans. solve does not call it: its step model takes the
+topology's childless nodes as the leaves, and counts find_leaf_nodes' two
+scans, 2m steps, without running them.
 
 solve reads the network's per-unit columns (z and node_s_load) and its
 position lists (net._tree), never a PerUnitBranch or an id-keyed view, and
@@ -23,29 +22,30 @@ no per-branch loop reads an option. _step_counts is the step model: step
 counts depend only on the topology, so they are known without running the
 baseline: 2m + r x per_iteration for the stack sweep, and r x its own
 per-iteration count for the per-iteration rescanning baseline, which does
-nothing before the loop. It counts is_leaf's binary search for each branch
-from a table of its per-outcome counts, indexed by each node's rank among
-the leaves; the rest of each per-iteration count is a closed form in the
-node, branch and root-child counts and the node depths, plus literal_scan's
-table scans. Having no load in them, the counts are kept on the tree, which
-networks of one topology share, and so is _sweep's plan, the receiving
-and sending columns in backward order: a network that shares a held tree
-(model._shared_tree) pays in the sweep for its loads only. debug_polar
-checks each pass in polar form after its forward loop.
+nothing before the loop. It counts oracle.is_leaf's binary search for each
+branch from a table of its per-outcome counts, indexed by each node's rank
+among the leaves; the rest of each per-iteration count is a closed form in
+the node, branch and root-child counts and the node depths, plus
+literal_scan's table scans. Having no load in them, the counts are kept on
+the tree, which networks of one topology share (model._shared_tree).
+debug_polar checks each pass in polar form after its forward loop.
 
 A tree swept again and again runs a pass loop generated for it. Once the
 generic loop of _sweep has swept a tree _KERNEL_PASSES passes, and if the
-tree has at most _KERNEL_BRANCHES branches, _generated_sweep writes that
-loop out for the tree and the solve's loaded nodes, with one local variable
-per node and branch value, and compiles it once; the tree keeps it (its
-kernel slot) with those loaded positions. A solve with debug_polar off and
-the same loaded positions runs it. It does the generic loop's arithmetic in
-the same order, so every value is the same to the last bit. On a zero
-voltage at a loaded node, a non-finite magnitude sum or no convergence it
-returns None, and _sweep runs the generic loop from the flat start, which
-raises the error it always raised (or goes on past a finite sum that
-overflows). The generic loop stays: it is the reference the tests compare
-the generated one with, and the path of every other solve.
+tree has at most _KERNEL_BRANCHES branches, _kernel.generated_sweep writes
+that loop out for the tree and the solve's loaded nodes, with one local
+variable per node and branch value, and compiles it once; the tree keeps it
+(its kernel slot) with those loaded positions. A solve with debug_polar off
+and the same loaded positions runs it. It does the generic loop's
+arithmetic in the same order, so every value is the same to the last bit.
+On a zero voltage at a loaded node, a non-finite magnitude sum or no
+convergence it returns None, and _sweep runs the generic loop from the flat
+start, which raises the error it always raised (or goes on past a finite
+sum that overflows). The generic loop stays: it is the reference the tests
+compare the generated one with, and the path of every other solve. _kernel,
+which imports ast, is imported when the first loop is generated, so a
+process that never sweeps a tree that often (the CLI's every run) does not
+load it.
 
 build_report turns the final voltages and currents, as complex lists, into a
 SolveReport that keeps those lists and shows them two ways, both read-only
@@ -54,31 +54,30 @@ row function (_phasor_row) reads a list through the network's node or branch
 id-to-position dict, and as the node and branch rows, model.RowViews whose
 row functions (_voltage_row, _current_row, _loss_row) read the lists and the
 network's id and z columns. Only the two loss totals are computed when the
-report is built; a study that reads one node's voltage builds no row, and a
+report is built; a study that reads one node's voltage builds no row. A
 squared current magnitude that overflows a float is a NumericError naming
-its branch. solve hands over the sweep's own lists and oracle.baseline_solve
-its dicts' values, so both return the same layout.
+its branch, and so is a loss total that overflows, naming the branch at
+which the running total does: a report never carries an infinite loss
+total. solve hands over the sweep's own lists and oracle.baseline_solve its
+dicts' values, so both return the same layout.
 
 The sweep tests finiteness once per pass, on the sum of the magnitudes,
 not per node: a non-finite part makes a magnitude, and so the sum, inf or
 NaN, and only then are the voltages scanned, so every non-finite voltage
 still raises NumericError, at the first branch in branch order, where
-forward_sweep meets it.
+oracle.forward_sweep meets it.
 
 SolveOptions is a model._Record namedtuple, so options that would end a solve
 in a TypeError or a first-pass "convergence" (a max_iterations that is not an
 int, an infinite tolerance) are refused however the record is built, _replace
 included; solve without options uses one module-level default.
-StepCounter is a plain mutable class.
 
-The dict-based phase functions below (compute_load_currents, backward_sweep,
-forward_sweep, check_convergence) count their steps and remain the reference
-implementation: the tests require solve to reproduce them exactly, and
-oracle.baseline_solve is built from them. They read the branch columns, not
-the node loads or position lists the sweep reads, so a fault in deriving
-those shows as a disagreement; only backward_sweep's default mode reads the
-children view. The reference for build_report's losses, compute_losses,
-lives in oracle.
+The reference implementation of the sweep, the dict-based phase functions
+(compute_load_currents, backward_sweep, forward_sweep, check_convergence)
+that count their steps, lives in oracle with the rest of the references, so
+that importing solve does not compile it. The tests import those four from
+here too: this module forwards them to oracle on first use (PEP 562), and
+forwards nothing else.
 """
 from __future__ import annotations
 
@@ -92,7 +91,6 @@ from .model import (
     Phasor,
     RowView,
     SolveReport,
-    SolveState,
     _IdView,
     _Record,
     wrap_angle,
@@ -116,27 +114,11 @@ class NumericError(LoadFlowError):
     """Non-finite intermediate value during a sweep."""
 
 
-class SweepInvariantError(LoadFlowError):
-    """Internal ordering violation: a child branch current was consumed before it was computed."""
-
-
 class PolarMismatchError(LoadFlowError):
     """Polar-form voltage evaluation disagrees with the rectangular sweep."""
 
 
 POLAR_AGREEMENT_TOL = 1e-10
-
-
-class StepCounter:
-    """Running total of elementary operations over a solve.
-
-    total only grows: find_leaf_nodes, is_leaf, the phase functions and the
-    oracle add to it. Each call that returns adds exactly the steps it took;
-    what a call that raises has added is unspecified.
-    """
-
-    def __init__(self, total: int = 0):
-        self.total = total
 
 
 class SolveOptions(_Record, namedtuple(
@@ -163,39 +145,14 @@ class SolveOptions(_Record, namedtuple(
 _DEFAULT_OPTIONS = SolveOptions()
 
 
-def find_leaf_nodes(net: NetworkModel, counter: StepCounter | None = None) -> tuple[int, ...]:
+def find_leaf_nodes(net: NetworkModel, counter=None) -> tuple[int, ...]:
     """Nodes appearing as receiving end of some branch but sending end of none,
-    in ascending order; one step per branch in each of the two scans."""
+    in ascending order; one step per branch in each of the two scans, added
+    to counter, an oracle.StepCounter, when one is given."""
     if counter:
         counter.total += 2 * len(net.sending)
     # a tree feeds each node once, so the receiving column holds no node twice
     return tuple(sorted(set(net.receiving).difference(net.sending)))
-
-
-def is_leaf(leaves: tuple[int, ...], node: int, counter: StepCounter | None = None) -> bool:
-    """Binary search over the ascending leaf tuple of find_leaf_nodes;
-    comparisons are counted.
-
-    The count is kept in a local and added to the counter once, on return.
-    """
-    low, high = 0, len(leaves) - 1
-    steps = 0
-    found = False
-    while low <= high:
-        mid = (low + high) // 2
-        steps += 1
-        if leaves[mid] > node:
-            high = mid - 1
-        else:
-            steps += 1
-            if leaves[mid] < node:
-                low = mid + 1
-            else:
-                found = True
-                break
-    if counter:
-        counter.total += steps
-    return found
 
 
 def _leaf_search_steps(count: int) -> tuple[list[int], list[int]]:
@@ -220,78 +177,6 @@ def _leaf_search_steps(count: int) -> tuple[list[int], list[int]]:
         stack.append((low, mid - 1, steps + 1))
         stack.append((mid + 1, high, steps + 2))
     return found, missed
-
-
-def compute_load_currents(state: SolveState, net: NetworkModel, counter: StepCounter | None = None) -> None:
-    """LI_i = (PL_i - j QL_i) / conj(V_i); exactly zero at zero-load nodes.
-
-    A node's load is that of the branch feeding it, found by pairing the
-    receiving and s_load columns; the root, which no branch feeds, has none.
-    One step per node.
-    """
-    nodes = net.nodes()
-    if counter:
-        counter.total += len(nodes)
-    node_load = dict(zip(net.receiving, net.s_load))
-    for node in nodes:
-        s = node_load.get(node, 0j)
-        if not s:
-            state.load_current[node] = Phasor.zero()
-            continue
-        v = state.node_voltage[node]
-        if v.magnitude == 0.0:
-            raise VoltageCollapseError(f"zero voltage at loaded node {node}")
-        state.load_current[node] = Phasor(s.real, -s.imag) / v.conjugate()
-
-
-def backward_sweep(
-    state: SolveState,
-    net: NetworkModel,
-    leaves: tuple[int, ...],
-    counter: StepCounter | None = None,
-    literal_scan: bool = False,
-) -> None:
-    """Branch currents from the highest branch id down to 1.
-
-    A leaf branch takes its receiving node's load current directly. Otherwise
-    the branches fed by the receiving node are pushed on a work stack, popped
-    and accumulated, and the node's own load current added last. literal_scan
-    finds those child branches by scanning the whole branch list (the counting
-    the complexity formulas assume); the default uses the precomputed children
-    adjacency. Both orders of accumulation are identical.
-
-    is_leaf counts its own comparisons; the other steps are summed in a local
-    and added to the counter once, on return, as is_leaf does.
-    """
-    ordered = sorted(zip(net.branch_ids, net.receiving), reverse=True)
-    computed = set()
-    steps = 0
-    for branch_id, r in ordered:
-        if is_leaf(leaves, r, counter):
-            state.branch_current[branch_id] = state.load_current[r]
-            steps += 1
-        else:
-            if literal_scan:
-                stack = [child for child, s in zip(net.branch_ids, net.sending) if s == r]
-                steps += len(net.branch_ids)
-            else:
-                stack = list(net.children[r])
-            # a step per child listed (after a step per branch scanned in
-            # literal mode), a pop and an add per child, then the node's own
-            # load current
-            steps += 3 * len(stack) + 1
-            total = Phasor.zero()
-            while stack:
-                child = stack.pop()
-                if child not in computed:
-                    raise SweepInvariantError(
-                        f"branch {child} consumed before computation (branch {branch_id})"
-                    )
-                total = total + state.branch_current[child]
-            state.branch_current[branch_id] = total + state.load_current[r]
-        computed.add(branch_id)
-    if counter:
-        counter.total += steps
 
 
 def _polar_voltage(vs: Phasor, i_br: Phasor, z: Phasor) -> tuple[float, float]:
@@ -321,58 +206,6 @@ def _polar_deviation(vs: Phasor, i_br: Phasor, z: Phasor, vr: Phasor, branch_id:
     if dev > POLAR_AGREEMENT_TOL:
         raise PolarMismatchError(f"branch {branch_id}: polar form deviates by {dev:.3e}")
     return dev
-
-
-def forward_sweep(
-    state: SolveState,
-    net: NetworkModel,
-    counter: StepCounter | None = None,
-    debug_polar: bool = False,
-) -> float:
-    """V_r = V_s - I_br * Z_br in ascending branch order; root voltage is fixed.
-
-    Returns the worst polar/rectangular disagreement seen (0.0 when debug_polar
-    is off); disagreement beyond POLAR_AGREEMENT_TOL raises PolarMismatchError.
-    One step per branch.
-    """
-    if counter:
-        counter.total += len(net.branches)
-    worst = 0.0
-    for b in net.branches:
-        vs = state.node_voltage[b.sending_node]
-        i_br = state.branch_current[b.branch_id]
-        vr = vs - i_br * b.z
-        if not (math.isfinite(vr.re) and math.isfinite(vr.im)):
-            raise NumericError(f"non-finite voltage on branch {b.branch_id}")
-        if debug_polar:
-            worst = max(worst, _polar_deviation(vs, i_br, b.z, vr, b.branch_id))
-        state.node_voltage[b.receiving_node] = vr
-    return worst
-
-
-def check_convergence(
-    state: SolveState,
-    tolerance: float,
-    counter: StepCounter | None = None,
-) -> tuple[bool, float]:
-    """Converged iff every node's voltage-magnitude change is within tolerance.
-
-    Overwrites the stored previous magnitudes with the current ones. One step
-    per node.
-    """
-    within = 0
-    max_delta = 0.0
-    nodes = list(state.node_voltage)
-    if counter:
-        counter.total += len(nodes)
-    for node in nodes:
-        mag = state.node_voltage[node].magnitude
-        delta = abs(mag - state.prev_voltage_mag[node])
-        if delta <= tolerance:
-            within += 1
-        max_delta = max(max_delta, delta)
-        state.prev_voltage_mag[node] = mag
-    return within == len(nodes), max_delta
 
 
 def _step_counts(net: NetworkModel, literal_scan: bool) -> tuple[int, int, int]:
@@ -441,96 +274,15 @@ _KERNEL_PASSES = 1024
 _KERNEL_BRANCHES = 256
 
 
-def _generated_sweep(tree, loaded: list[int]):
-    """The generic loop of _sweep written out for one tree and one set of
-    loaded node positions, compiled: a function of (conj(S) of the loaded
-    nodes in node order, the z column, max_iterations, tolerance) that
-    returns what _sweep returns, or None for a zero voltage at a loaded
-    node, a non-finite magnitude sum or no convergence.
-
-    Each node's voltage, magnitude, load current and accumulator and each
-    branch's current and impedance is a local named by its position (v3,
-    m3, l3, a3, b2, z2), and the arithmetic is the generic loop's, in its
-    order: a leaf's accumulator and an unloaded node's load current are the
-    literal 0j, so 0j + still turns a -0.0 part into +0.0, and the add into
-    the root's accumulator, which nothing reads, is left out. The text holds
-    only fixed code and names built from integer positions. It is parsed a
-    few statements at a time into one syntax tree, which is compiled once.
-    """
-    send, recv, root = tree.send, tree.recv, tree.root
-    nodes = range(len(tree.feeding))
-    branches = range(len(send))
-    senders = set(send)
-    is_loaded = set(loaded)
-
-    def names(prefix, positions, sep=", "):
-        return sep.join(f"{prefix}{i}" for i in positions)
-
-    setup = [
-        f"[{names('s', loaded)}] = s",
-        f"[{names('z', branches)}] = z",
-        f"{names('v', nodes, ' = ')} = (1+0j)",
-        f"{names('m', [i for i in nodes if i != root], ' = ')} = 1.0",
-    ]
-    # one pass; only the load currents' division can raise ZeroDivisionError
-    body = [f"l{i} = s{i} / v{i}.conjugate()" for i in loaded]
-    summed = set()
-    for k in reversed(branches):
-        r, s = recv[k], send[k]
-        body.append(f"b{k} = {f'a{r}' if r in senders else '0j'} + "
-                    f"{f'l{r}' if r in is_loaded else '0j'}")
-        if s != root:
-            body.append(f"a{s} += b{k}" if s in summed else f"a{s} = 0j + b{k}")
-            summed.add(s)
-    body.append("max_delta = 0.0")
-    for k in branches:
-        s, r = send[k], recv[k]
-        body += [f"v{r} = v{s} - b{k} * z{k}", f"g = hypot(v{r}.real, v{r}.imag)",
-                 f"d = abs(g - m{r})", "if d > max_delta:\n max_delta = d", f"m{r} = g"]
-    magnitudes = ", ".join("1.0" if i == root else f"m{i}" for i in nodes)
-    currents = ", ".join(f"l{i}" if i in is_loaded else "0j" for i in nodes)
-    body += [
-        f"if not isfinite(sum(({magnitudes},))):\n return None",
-        "deltas.append(max_delta)",
-        f"if max_delta <= tolerance:\n return (iterations, deltas, 0.0, [{names('v', nodes)}], "
-        f"[{currents}], [{names('b', branches)}])",
-    ]
-    import ast  # here, so that importing the package (the CLI's every run) does not pay for it
-
-    def parsed(statements):
-        # the parser holds some 700 bytes per token until it returns, and the
-        # allocator keeps what it freed: 32 statements at a time, the process
-        # keeps about half the memory that parsing the whole text would leave
-        return [node for k in range(0, len(statements), 32)
-                for node in ast.parse("\n".join(statements[k:k + 32])).body]
-
-    module = ast.parse("\n".join([
-        "def sweep(s, z, max_iterations, tolerance):",
-        " hypot = math.hypot",
-        " isfinite = math.isfinite",
-        " deltas = []",
-        " try:",
-        "  for iterations in range(1, max_iterations + 1):",
-        "   pass",
-        " except ZeroDivisionError:",
-        "  return None",
-    ]))
-    sweep = module.body[0]
-    sweep.body[3:3] = parsed(setup)
-    sweep.body[-1].body[0].body = parsed(body)
-    namespace = {"math": math}
-    exec(compile(module, "<generated sweep>", "exec"), namespace)
-    return namespace.pop("sweep")
-
-
 def _sweep(net: NetworkModel, options: SolveOptions):
     """Iterate the sweep on flat lists from a flat start until it settles.
 
     A tree that the loop below (the generic loop) has swept _KERNEL_PASSES
     passes, and that has at most _KERNEL_BRANCHES branches, gets the loop
     written out for it and for this solve's loaded nodes by
-    _generated_sweep, compiled once and kept in its kernel slot; the generic
-    loop counts its passes in the swept slot. Each solve with debug_polar
+    _kernel.generated_sweep (the module imported then, on first use),
+    compiled once and kept in its kernel slot; the generic loop counts its
+    passes in the swept slot. Each solve with debug_polar
     off whose loaded positions equal the kept ones runs the generated loop,
     which gives the same values to the last bit. When it returns None (a
     zero voltage at a loaded node, a non-finite magnitude sum or no
@@ -548,16 +300,13 @@ def _sweep(net: NetworkModel, options: SolveOptions):
     - forward: (sending index, receiving index, z) in ascending branch order,
       z being the column's complex value.
 
-    backward depends on the topology only, so it is reversed once per tree
-    and kept in its plan slot, as _step_counts keeps its counts.
-
     Branch currents are kept by receiving node, as sums of currents at each
     node: a tree feeds each node once, so acc[r] first sums the currents of
     the branches node r sends, then holds the current of the branch feeding
     r. The root-fed branches add into acc[root], which nothing reads, and
     the branch currents are read off the receiving nodes once per solve.
 
-    Gives the same values, in the same order, as compute_load_currents,
+    Gives the same values, in the same order, as oracle's compute_load_currents,
     backward_sweep, forward_sweep and check_convergence, but for the sign of
     a zero: every branch current is its accumulator plus its receiving node's
     load current, and a leaf's accumulator is still 0j, so a leaf whose load
@@ -572,9 +321,9 @@ def _sweep(net: NetworkModel, options: SolveOptions):
     Finiteness is tested once per pass, on the sum of the magnitudes: a
     non-finite part makes a magnitude, and so the sum, inf or NaN. Only then
     are the voltages scanned in branch order, and the first non-finite one
-    raises NumericError, at the branch forward_sweep raises it. A sum that
-    overflows from finite parts finds none, and the sweep goes on; a pass
-    with an infinite magnitude does not converge, as check_convergence's
+    raises NumericError, at the branch oracle.forward_sweep raises it. A sum
+    that overflows from finite parts finds none, and the sweep goes on; a
+    pass with an infinite magnitude does not converge, as check_convergence's
     delta for it is inf or NaN.
 
     With debug_polar, each pass's branches are checked in polar form after
@@ -586,8 +335,6 @@ def _sweep(net: NetworkModel, options: SolveOptions):
     """
     tree = net._tree
     send, recv = tree.send, tree.recv
-    if tree.plan is None:  # the backward order, once per tree
-        tree.plan = (recv[::-1], send[::-1])
     nodes = net.nodes()
     n = len(nodes)
     node_s_load = net.node_s_load
@@ -595,12 +342,14 @@ def _sweep(net: NetworkModel, options: SolveOptions):
              list(map(complex.conjugate, compress(node_s_load, node_s_load))))
     kernel = tree.kernel
     if kernel is None and tree.swept >= _KERNEL_PASSES and len(send) <= _KERNEL_BRANCHES:
-        kernel = tree.kernel = (loads[0], _generated_sweep(tree, loads[0]))
+        from ._kernel import generated_sweep
+
+        kernel = tree.kernel = (loads[0], generated_sweep(tree, loads[0]))
     if kernel is not None and not options.debug_polar and kernel[0] == loads[0]:
         result = kernel[1](loads[1], net.z, options.max_iterations, options.tolerance)
         if result is not None:
             return result
-    backward = tree.plan
+    backward = (recv[::-1], send[::-1])
     forward = (send, recv, net.z)
     hypot = math.hypot
     tolerance = options.tolerance
@@ -716,7 +465,9 @@ def build_report(
     network's branch_ids and z columns, so no PerUnitBranch is built. Only
     the loss totals are computed here, summed in branch order; a branch
     whose squared current magnitude overflows a float raises NumericError,
-    the first such branch in column order named. fields are
+    the first such branch in column order named, and so does a loss total
+    that overflows, naming the branch at which the running total first stops
+    being finite, so a report never carries an infinite loss. fields are
     the remaining SolveReport fields (iterations, step counts, delta history
     and so on). Magnitudes, angles and losses come from the
     complex parts with the arithmetic of Phasor.magnitude,
@@ -739,11 +490,21 @@ def build_report(
                            f"{net.branch_ids[branches.index(c)]} (|I| = {hypot(c.real, c.imag)!r} "
                            f"p.u.)") from None
     branch_sources = (net.branch_ids, branches, net.z, to_kw)
+    losses = RowView(_loss_row, branch_sources)
+    if not (math.isfinite(total_p) and math.isfinite(total_q)):
+        # summed again in the same order, row by row, the totals name the
+        # branch at which they first overflow (no squared current did)
+        total_p = total_q = 0.0
+        for branch_id, p, q in losses:
+            total_p += p
+            total_q += q
+            if not (math.isfinite(total_p) and math.isfinite(total_q)):
+                raise NumericError(f"total loss overflows on branch {branch_id}")
     return SolveReport(
         converged=True,
         node_voltages=RowView(_voltage_row, (net.nodes(), volts)),
         branch_currents=RowView(_current_row, branch_sources),
-        branch_losses=RowView(_loss_row, branch_sources),
+        branch_losses=losses,
         total_loss_p=total_p,
         total_loss_q=total_q,
         final_voltage=_IdView(net._index, net._index, _phasor_row, volts),
@@ -799,3 +560,16 @@ def step_model(n: int, m: int, r: int) -> tuple[int, int]:
     proposed = prefix + r * (n + n * m + n * (n - m) + n)
     baseline = prefix + r * (n + n * n + n * n + n)
     return proposed, baseline
+
+
+_REFERENCE = ("compute_load_currents", "backward_sweep", "forward_sweep", "check_convergence")
+
+
+def __getattr__(name):
+    # the reference phase functions live in oracle, which is imported on
+    # first use, so importing solve does not load them (PEP 562)
+    if name in _REFERENCE:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,6 +13,7 @@ if not any(os.path.isdir(os.path.join(entry, "radialflow"))
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import radialflow as rf  # noqa: E402
+from radialflow import model  # noqa: E402
 from radialflow.cli import generate_random_table, read_golden, read_text  # noqa: E402
 from radialflow.ingest import RawTable, parse_branch_table  # noqa: E402
 from radialflow.model import BranchRecord  # noqa: E402
@@ -117,6 +118,37 @@ def relabelled_tables(count=50, seed=7):
                                   for r in table.rows), source_name="relabelled")
 
 
+# the trees of the networks that fixtures hand to more than one test
+_SHARED_TREES = []
+
+
+def shared_net(net):
+    """net, registered as handed to more than one test: each test starts
+    with its tree unswept. A fixture of broader scope than a test returns
+    its network through this."""
+    _SHARED_TREES.append(net._tree)
+    return net
+
+
+@pytest.fixture(autouse=True)
+def unswept_trees():
+    """Each test starts, and each fixture of broader scope is built, with
+    no topology held (model._last) and the shared networks' trees unswept
+    and without a generated pass loop. Whether a solve runs the generic
+    loop or the one generated for its tree depends on the passes swept on
+    the tree, so without this it would depend on the order of the tests and
+    on which -k selects."""
+
+    def reset():
+        model._last = (None, None, None)
+        for tree in _SHARED_TREES:
+            tree.swept, tree.kernel = 0, None
+
+    reset()
+    yield
+    reset()
+
+
 @pytest.fixture(scope="session")
 def bus69_table():
     return load_bus69()
@@ -129,12 +161,12 @@ def bus33_table():
 
 @pytest.fixture(scope="session")
 def bus69_net(bus69_table):
-    return rf.validate_radial(bus69_table)
+    return shared_net(rf.validate_radial(bus69_table))
 
 
 @pytest.fixture(scope="session")
 def bus33_net(bus33_table):
-    return rf.validate_radial(bus33_table)
+    return shared_net(rf.validate_radial(bus33_table))
 
 
 @pytest.fixture(scope="session")

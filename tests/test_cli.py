@@ -518,8 +518,17 @@ class TestCompare:
          "parse error: {path}:3: golden magnitude of node 2 is not finite\n"),
         ("node,vmag_pu\n1_0,1.0\n", "parse error: {path}:2: bad golden row '1_0,1.0'\n"),
         ("node,vmag_pu\n1,\u0661.0\n", "parse error: {path}:2: bad golden row '1,\u0661.0'\n"),
+        (GOLDEN_TEXT.replace("\n1,1.00000\n", "\n1,-1.0\n"),
+         "parse error: {path}:2: golden magnitude of node 1 is not positive\n"),
+        (GOLDEN_TEXT.replace("\n12,0.96814\n", "\n12,0\n"),
+         "parse error: {path}:13: golden magnitude of node 12 is not positive\n"),
+        (GOLDEN_TEXT.replace("\n12,0.96814\n", "\n12,-0.0\n"),
+         "parse error: {path}:13: golden magnitude of node 12 is not positive\n"),
+        ("node,vmag_pu\n1,1.0\n2,-inf\n",
+         "parse error: {path}:3: golden magnitude of node 2 is not finite\n"),
     ], ids=["missing-file", "bad-row", "all-nan", "one-nan", "repeated-node", "inf",
-            "underscore-node", "arabic-indic-magnitude"])
+            "underscore-node", "arabic-indic-magnitude", "negative", "zero", "negative-zero",
+            "negative-inf"])
     def test_unreadable_golden_exits_parse(self, capsys, tmp_path, text, message):
         path = tmp_path / "golden.csv"
         if text is not None:
@@ -570,6 +579,19 @@ def test_a_squared_current_that_overflows_exits_error_without_a_traceback(tmp_pa
     assert proc.stderr == "error: squared current overflows on branch 1 (|I| = 1e+196 p.u.)\n"
 
 
+def test_a_loss_total_that_overflows_exits_error_without_a_traceback(tmp_path):
+    """Every branch's loss is finite, about 1.27e307 kW, but their sum is
+    not: an error naming the branch at which it overflows, not a report of
+    total_loss_kw inf."""
+    path = tmp_path / "t.branch"
+    path.write_text("".join(f"{k} 1 {k + 1} 1.6e-304 0 1e308 0\n" for k in range(1, 21)))
+    proc = subprocess.run([sys.executable, "-m", "radialflow.cli", "solve", "--mva", "1e151",
+                           str(path)],
+                          capture_output=True, env=subprocess_env(), text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (EXIT_ERROR, "")
+    assert proc.stderr == "error: total loss overflows on branch 15\n"
+
+
 def test_byte_order_mark_is_ignored(capsys, tmp_path):
     bom = b"\xef\xbb\xbf"
     table = tmp_path / "bus69.branch"
@@ -595,12 +617,14 @@ def test_bundled_data_reads_without_default_encoding():
 
 
 def test_cli_import_leaves_the_oracle_unloaded():
-    """radialflow loads its oracle on first use, which no CLI command makes,
-    and neither it nor the CLI imports dataclasses, inspect, json or random to
-    start; the CLI loads no package module but the four it runs on. The
-    interpreter runs without the site hook (-S), whose .pth files may load any
-    of these first; a module loaded before the import does not count."""
-    watched = ["dataclasses", "inspect", "json", "random", "radialflow.oracle"]
+    """radialflow loads its oracle, and solver the pass-loop writer
+    (radialflow._kernel), on first use, which no CLI run makes, and neither
+    the package nor the CLI imports dataclasses, inspect, json, random, heapq
+    or ast to start; the CLI loads no package module but the four it runs on.
+    The interpreter runs without the site hook (-S), whose .pth files may load
+    any of these first; a module loaded before the import does not count."""
+    watched = ["dataclasses", "inspect", "json", "random", "heapq", "ast", "radialflow.oracle",
+               "radialflow._kernel"]
     for module in ("radialflow.cli", "radialflow"):
         proc = subprocess.run(
             [sys.executable, "-S", "-c",

@@ -9,7 +9,7 @@ import threading
 import pytest
 
 import radialflow as rf
-from conftest import topology_dicts
+from conftest import shared_net, topology_dicts
 from radialflow import model, solver
 from radialflow.model import (
     DEFAULT_BASE,
@@ -533,7 +533,7 @@ class TestTopologyViews:
             table, root = sparse_shuffled(bus69_table)
         else:
             table, root = {"bus69": bus69_table, "bus33": bus33_table}[request.param], 1
-        return rf.validate_radial(table, root=root, require_ordered=False), table, root
+        return shared_net(rf.validate_radial(table, root=root, require_ordered=False)), table, root
 
     def test_each_view_equals_its_dict_both_ways(self, case):
         net, table, root = case
@@ -913,13 +913,12 @@ class TestSharedImpedances:
         assert shared == 254
 
 
-def test_a_held_tree_keeps_its_sweep_plan(empty_memo, bus69_table):
-    """The sweep's backward gathers are made once per tree: networks sharing
-    it solve on the same plan, with the reports of networks solved alone."""
+def test_networks_on_a_held_tree_solve_as_networks_alone(empty_memo, bus69_table):
+    """Networks sharing a held tree, and what the solver keeps on it, get
+    the reports of networks solved alone."""
     nets = [rf.validate_radial(scenario(bus69_table, f)) for f in (0.5, 0.8, 1.1)]
     reports = [rf.solve(net) for net in nets]
-    plan = nets[1]._tree.plan
-    assert plan is not None and nets[2]._tree.plan is plan
+    assert nets[1]._tree is nets[2]._tree and nets[2]._tree.counts is not None
     for factor, report in zip((0.5, 0.8, 1.1), reports):
         assert report == fresh(lambda: rf.solve(rf.validate_radial(scenario(bus69_table, factor))))
 

@@ -7,16 +7,16 @@ from radialflow import oracle
 from radialflow.cli import generate_random_table
 from radialflow.ingest import validate_radial
 from radialflow.model import Phasor, SolveState
-from radialflow.oracle import baseline_solve, downstream_sets, downstream_sum, power_balance
-from radialflow.solver import (
-    POLAR_AGREEMENT_TOL,
-    SolveOptions,
+from radialflow.oracle import (
     backward_sweep,
+    baseline_solve,
     compute_load_currents,
-    find_leaf_nodes,
+    downstream_sets,
+    downstream_sum,
     forward_sweep,
-    solve,
+    power_balance,
 )
+from radialflow.solver import POLAR_AGREEMENT_TOL, SolveOptions, find_leaf_nodes, solve
 
 
 class TestDownstreamSets:

@@ -418,7 +418,7 @@ def test_extreme_values_map_to_a_documented_exit_code(extreme_dir, rows, as_json
         assert "Traceback" not in err
 
 
-GOLDEN_EXTREMES = ["0", "-0.0", "1e-300", "1e308", "inf", "nan"]
+GOLDEN_EXTREMES = ["0", "-0.0", "-1.0", "1e-300", "1e308", "inf", "nan"]
 # rows read_golden refuses, or reads as a node the network does not have
 MALFORMED_GOLDEN_ROWS = ["2;0.9", "2", ",", "2,", ",0.9", "2 0.9", "x,y", "2.5,0.9", "1_0,0.9",
                          "\u0661,0.9", "2,1e999", "0,0.9", "-1,0.9", "9" * 5000 + ",0.9"]

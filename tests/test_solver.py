@@ -17,27 +17,31 @@ from conftest import (
     load_bus69,
     make_table,
     relabelled_tables,
+    shared_net,
 )
-from radialflow import solver
+from radialflow import _kernel, model, oracle, solver
 from radialflow.cli import generate_random_table
 from radialflow.ingest import OrderingError, validate_radial
 from radialflow.model import LoadFlowError, Phasor, SolveState
-from radialflow.oracle import compute_losses, downstream_sum
+from radialflow.oracle import (
+    StepCounter,
+    SweepInvariantError,
+    backward_sweep,
+    check_convergence,
+    compute_load_currents,
+    compute_losses,
+    downstream_sum,
+    forward_sweep,
+    is_leaf,
+)
 from radialflow.solver import (
     NonConvergenceError,
     NumericError,
     PolarMismatchError,
     SolveOptions,
-    StepCounter,
-    SweepInvariantError,
     VoltageCollapseError,
-    backward_sweep,
     build_report,
-    check_convergence,
-    compute_load_currents,
     find_leaf_nodes,
-    forward_sweep,
-    is_leaf,
     solve,
     step_model,
 )
@@ -577,17 +581,17 @@ def negative_zero_leaf_net():
     """A leaf whose load current has a -0.0 part: solve adds it to a 0j
     accumulator and gets +0.0 there, which equals the phase functions'
     copied -0.0 under ==."""
-    return validate_radial(make_table([
+    return shared_net(validate_radial(make_table([
         (1, 1, 2, 0.1, 0.1, 0.0, 0.0),
         (2, 2, 3, 0.1, 0.1, -0.0, -1e-6),
-    ]))
+    ])))
 
 
 @pytest.fixture(scope="module")
 def relabelled_net():
     """An ordered tree whose node ids are not its branch ids + 1, so a node's
     load is found only through the branch that feeds it."""
-    return validate_radial(max(relabelled_tables(), key=lambda t: len(t.rows)))
+    return shared_net(validate_radial(max(relabelled_tables(), key=lambda t: len(t.rows))))
 
 
 def assert_solve_matches_phase_functions(net, options):
@@ -811,6 +815,19 @@ class TestFlatSolveMatchesPhaseFunctions:
                                                    f"{named} \\(\\|I\\| = [0-9.e+]+ p\\.u\\.\\)$"):
                 run(net)
 
+    def test_a_loss_total_that_overflows_names_the_branch_it_overflows_at(self):
+        """Each of 20 root-fed branches loses about 1.27e307 kW on a 1e151 MVA
+        base, which a float holds, but the running kW total does not from
+        branch 15 on: solve and baseline_solve raise NumericError naming it,
+        rather than report an infinite total."""
+        rows = [(k, 1, k + 1, 1.6e-304, 0.0, 1e308, 0.0) for k in range(1, 21)]
+        net = validate_radial(make_table(rows), base=rf.PerUnitBase(12.66, 1e151))
+        for run in (solve, rf.baseline_solve):
+            with pytest.raises(NumericError, match="^total loss overflows on branch 15$"):
+                run(net)
+        fourteen = validate_radial(make_table(rows[:14]), base=rf.PerUnitBase(12.66, 1e151))
+        assert 1.7e308 < solve(fourteen).total_loss_p < math.inf
+
     def test_collapse_names_the_node(self):
         # 1 p.u. load through 1 p.u. resistance: the first sweep drives V2 to 0
         zb = rf.DEFAULT_BASE.z_base
@@ -840,7 +857,7 @@ def loaded_positions(net):
 
 def generated_sweep(net, options):
     """What the pass loop generated for net's tree and loaded nodes returns."""
-    sweep = solver._generated_sweep(net._tree, loaded_positions(net))
+    sweep = _kernel.generated_sweep(net._tree, loaded_positions(net))
     return sweep([s.conjugate() for s in net.node_s_load if s], net.z, options.max_iterations,
                  options.tolerance)
 
@@ -865,7 +882,7 @@ def install_generated_sweep(net, monkeypatch):
     """Give net's tree its generated loop, wrapped to record each call;
     returns the list of calls."""
     calls = []
-    sweep = solver._generated_sweep(net._tree, loaded_positions(net))
+    sweep = _kernel.generated_sweep(net._tree, loaded_positions(net))
 
     def recorded(*args):
         calls.append(args)
@@ -873,6 +890,24 @@ def install_generated_sweep(net, monkeypatch):
 
     monkeypatch.setattr(net._tree, "kernel", (loaded_positions(net), recorded))
     return calls
+
+
+class TestEachTestStartsWithTheSharedTreesUnswept:
+    """conftest's unswept_trees: a test that sweeps a session network's
+    tree until it gets its generated loop leaves the next test that tree
+    unswept, and nothing held, so which loop a test's solves run does not
+    depend on the tests before it."""
+
+    def test_a_test_sweeps_bus69_until_its_tree_has_a_loop(self, bus69_net):
+        tree = bus69_net._tree
+        assert (tree.swept, tree.kernel, model._last) == (0, None, (None, None, None))
+        while tree.kernel is None:
+            solve(bus69_net)
+        assert tree.swept >= solver._KERNEL_PASSES
+
+    def test_the_next_test_gets_the_tree_unswept(self, bus69_net):
+        tree = bus69_net._tree
+        assert (tree.swept, tree.kernel, model._last) == (0, None, (None, None, None))
 
 
 class TestGeneratedSweep:
@@ -986,3 +1021,13 @@ class TestGeneratedSweep:
         monkeypatch.setattr(big._tree, "swept", solver._KERNEL_PASSES)
         solve(big)
         assert big._tree.kernel is None
+
+
+def test_solver_forwards_the_four_reference_phase_functions_to_the_oracle():
+    """solver keeps the phase functions the acceptance suite imports from it,
+    as the oracle's own, and forwards no other name."""
+    for name in ("compute_load_currents", "backward_sweep", "forward_sweep", "check_convergence"):
+        assert getattr(solver, name) is getattr(oracle, name)
+    for name in ("StepCounter", "is_leaf", "SweepInvariantError", "baseline_solve"):
+        with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+            getattr(solver, name)

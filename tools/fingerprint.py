@@ -32,8 +32,9 @@ value per line. Two versions compute the same when every line is equal.
   validate_radial (with require_ordered true and false), for root 1 and
   root 2, or the error that building the table raises;
 - cli: the exit code, standard output and standard error of cli.main, run
-  in-process on command lines over copies of the bundled data and on
-  malformed JSON and delimited documents, all in a temporary directory
+  in-process on command lines over copies of the bundled data, the golden
+  CSV with node 1 at -1.0, and malformed JSON and delimited documents (one
+  of them a feeder whose loss total overflows), all in a temporary directory
   named by relative paths; an exception that cli.main lets out is hashed as
   its type and text in place of the exit code.
 
@@ -298,6 +299,8 @@ DELIMITED = {
     "overflow.branch": "1 1 2 0 0 1e200 0\n",
     # two magnitudes near 1e308 whose sum is not finite
     "sum-overflow.branch": "1 1 2 1.6e153 0 1e160 0\n2 1 3 1.6e153 0 1e160 0\n",
+    # on a 1e151 MVA base each branch loses about 1.27e307 kW; the total does not fit
+    "loss-overflow.branch": "".join(f"{k} 1 {k + 1} 1.6e-304 0 1e308 0\n" for k in range(1, 21)),
 }
 COMMANDS = [
     ["validate", "bus69.branch"], ["validate", "bus33.branch"],
@@ -307,10 +310,12 @@ COMMANDS = [
     ["solve", "bus33.branch", "--renumber", "--tol", "1e-8"],
     ["solve", "bus69.branch", "--max-iter", "2"], ["solve", "bus69.branch", "--kv", "1e-300"],
     ["solve", "sum-overflow.branch", "--max-iter", "1"],
+    ["solve", "loss-overflow.branch", "--mva", "1e151"],
     ["solve", "bus69.branch", "--tol", "0"], ["solve", "bus69.branch", "--kv", "11", "--mva", "1"],
     ["compare", "bus69.branch", "--golden", "golden69_vmag.csv"],
     ["compare", "bus69.branch", "--golden", "golden69_vmag.csv", "--bound", "0"],
     ["compare", "bus33.branch", "--golden", "golden69_vmag.csv"],
+    ["compare", "bus69.branch", "--golden", "negative-golden.csv"],
     ["bench", "--sizes", "5", "12", "--leaf-fractions", "0.2", "0.6", "--seed", "3"],
     ["bench", "--sizes", "1", "--leaf-fractions", "0.2"],
     ["solve"],
@@ -337,6 +342,8 @@ def cli_runs():
     with tempfile.TemporaryDirectory() as tmp:
         for name in ("bus69.branch", "bus33.branch", "golden69_vmag.csv"):
             shutil.copy(DATA / name, tmp)
+        golden = (DATA / "golden69_vmag.csv").read_text(encoding="utf-8")
+        Path(tmp, "negative-golden.csv").write_text(golden.replace("\n1,1.00000\n", "\n1,-1.0\n"))
         for name, doc in DOCUMENTS.items():
             Path(tmp, name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
         for name, text in DELIMITED.items():
