@@ -39,8 +39,8 @@ class StepCounter:
     """Running total of elementary operations over a solve.
 
     total only grows: solver.find_leaf_nodes, is_leaf, the phase functions
-    and the baseline add to it. Each call that returns adds exactly the steps it took;
-    what a call that raises has added is unspecified.
+    and the baseline add to it. Each call that returns adds exactly the
+    steps it took; what a call that raises has added is unspecified.
     """
 
     def __init__(self, total: int = 0):

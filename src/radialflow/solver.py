@@ -282,12 +282,12 @@ def _sweep(net: NetworkModel, options: SolveOptions):
     written out for it and for this solve's loaded nodes by
     _kernel.generated_sweep (the module imported then, on first use),
     compiled once and kept in its kernel slot; the generic loop counts its
-    passes in the swept slot. Each solve with debug_polar
-    off whose loaded positions equal the kept ones runs the generated loop,
-    which gives the same values to the last bit. When it returns None (a
-    zero voltage at a loaded node, a non-finite magnitude sum or no
-    convergence), the generic loop runs from the flat start and raises, or
-    goes on, as it always has: only a failing solve sweeps twice.
+    passes in the swept slot. Each solve with debug_polar off whose loaded
+    positions equal the kept ones runs the generated loop, which gives the
+    same values to the last bit. When it returns None (a zero voltage at a
+    loaded node, a non-finite magnitude sum or no convergence), the generic
+    loop runs from the flat start and raises, or goes on, as it always has:
+    only a failing solve sweeps twice.
 
     The sweep reads only the network's columns (z, node_s_load) and position
     lists (the sending and receiving columns as node positions), not its
@@ -306,17 +306,17 @@ def _sweep(net: NetworkModel, options: SolveOptions):
     r. The root-fed branches add into acc[root], which nothing reads, and
     the branch currents are read off the receiving nodes once per solve.
 
-    Gives the same values, in the same order, as oracle's compute_load_currents,
-    backward_sweep, forward_sweep and check_convergence, but for the sign of
-    a zero: every branch current is its accumulator plus its receiving node's
-    load current, and a leaf's accumulator is still 0j, so a leaf whose load
-    current has a -0.0 part gets +0.0 there, where backward_sweep copies the
-    load current. The two are equal under ==. solve sweeps only a
-    sequentially ordered network, in which every child branch has a larger
-    position than its parent, so the descending loop completes a node's
-    accumulator before reading it. Returns (iterations, delta history, worst
-    polar deviation, and the final voltages, load currents and branch
-    currents as complex lists).
+    Gives the same values, in the same order, as oracle's
+    compute_load_currents, backward_sweep, forward_sweep and
+    check_convergence, but for the sign of a zero: every branch current is
+    its accumulator plus its receiving node's load current, and a leaf's
+    accumulator is still 0j, so a leaf whose load current has a -0.0 part
+    gets +0.0 there, where backward_sweep copies the load current. The two
+    are equal under ==. solve sweeps only a sequentially ordered network, in
+    which every child branch has a larger position than its parent, so the
+    descending loop completes a node's accumulator before reading it.
+    Returns (iterations, delta history, worst polar deviation, and the final
+    voltages, load currents and branch currents as complex lists).
 
     Finiteness is tested once per pass, on the sum of the magnitudes: a
     non-finite part makes a magnitude, and so the sum, inf or NaN. Only then
