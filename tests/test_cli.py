@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -642,6 +643,17 @@ def test_cli_import_leaves_the_oracle_unloaded():
     loaded = ["radialflow", "radialflow.cli", "radialflow.ingest", "radialflow.model",
               "radialflow.solver"]
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{loaded}\n", "")
+
+
+def test_a_command_line_builds_only_its_commands_arguments():
+    """Each command's parser adds its arguments when argparse selects it:
+    after a solve is parsed, validate, compare and bench hold only -h."""
+    parser = cli.build_parser()
+    parser.parse_args(["solve", BUS69])
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    added = {name: [a.dest for a in p._actions] for name, p in commands.choices.items()}
+    assert added["validate"] == added["compare"] == added["bench"] == ["help"]
+    assert added["solve"][:3] == ["help", "file", "input_format"]
 
 
 class TestBench:
