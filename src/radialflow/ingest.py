@@ -46,8 +46,11 @@ that is not a tree rooted at the requested root. TopologyError and OrderingError
 model and are importable from here too.
 
 A table's rows are checked once, when it is built: its rows and
-validate_radial's tie lines are BranchRecords made by _records, without
-_check_row.
+validate_radial's tie lines are BranchRecords that _record builds from the
+columns without _check_row. A validated network's tie_lines is a
+model.RowView over the tie rows' gathered columns, so no tie record is built
+until one is read; the tie lines' ends for the topology key are read off
+those columns.
 
 RawTable is an immutable __slots__ class and RenumberMapping a namedtuple
 record, both on model's bases (model._Frozen, model._Record); json is imported
@@ -59,7 +62,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Sequence
-from itertools import compress, repeat
+from itertools import compress
 from operator import eq, itemgetter, lt, not_
 
 from .model import (  # TopologyError and OrderingError are also ingest's names
@@ -69,6 +72,7 @@ from .model import (  # TopologyError and OrderingError are also ingest's names
     NetworkModel,
     OrderingError,
     PerUnitBase,
+    RowView,
     TopologyError,
     _check_row,
     _check_unique,
@@ -131,7 +135,7 @@ class RawTable(_Frozen):
 
     @property
     def rows(self) -> tuple[BranchRecord, ...]:
-        return _records(self.columns)
+        return tuple(RowView(_record, self.columns))
 
     def closed_rows(self) -> tuple[BranchRecord, ...]:
         return tuple(r for r in self.rows if not r.is_tie)
@@ -386,11 +390,11 @@ def _gather(columns, positions) -> list[tuple]:
     return [take(c) for c in columns]
 
 
-def _records(columns) -> tuple[BranchRecord, ...]:
-    """The BranchRecords of a RawTable's columns, or of columns gathered from
-    them, built without running _check_row again: a table's rows were checked
-    when it was built."""
-    return tuple(map(tuple.__new__, repeat(BranchRecord), zip(*columns)))
+def _record(columns, k) -> BranchRecord:
+    """The BranchRecord at position k of a RawTable's columns, or of columns
+    gathered from them, built without running _check_row again: a table's
+    rows were checked when it was built."""
+    return tuple.__new__(BranchRecord, [c[k] for c in columns])
 
 
 def validate_radial(
@@ -419,12 +423,14 @@ def validate_radial(
     ids, sending, receiving, r, x, p, q, cap = _gather(table.columns[:-1], closed)
     held = _held_z(r, x, base)
     z, s_load = _per_unit_columns(ids, r, x, p, q, base, held)
+    tie_columns = tuple(_gather(table.columns, ties))
     try:
         net = NetworkModel._from_columns(
             (ids, sending, receiving, z, s_load, cap),
             root=_root(table, root),
-            tie_lines=_records(_gather(table.columns, ties)),
+            tie_lines=RowView(_record, tie_columns),
             base=base,
+            tie_ends=tuple(zip(*tie_columns[:3])),
             impedance=(r, x) if held is None else None,
         )
         if require_ordered:

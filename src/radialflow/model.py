@@ -22,12 +22,13 @@ at the edges: the parsers, error texts, the views and the report.
 
 Networks of one topology share one derivation: NetworkModel gets its tree
 from _shared_tree, which holds at most one _Tree, only after two equal
-topologies in a row. The held tree also carries what the solver fills once
-per tree (the step counts, the passes swept and the pass loop generated
-for the tree) and, while it is held, the per-unit impedances of the last
-network validate_radial built on it (_Tree.z), which _held_z gives a table
-of equal resistance, reactance and z_base, so that only its loads are
-converted.
+topologies in a row. A tree keeps its node and branch id-to-position
+dicts, which its networks look their ids up in. The held tree also carries
+what the solver fills once per tree (the step counts, the passes swept and
+the pass loop generated for the tree) and, while it is held, the per-unit
+impedances of the last network validate_radial built on it (_Tree.z),
+which _held_z gives a table of equal resistance, reactance and z_base, so
+that only its loads are converted.
 
 BranchRecord and both parsers check a row in one function, _check_row. It
 takes a row as the BranchRecord fields in field order, which is what a
@@ -42,12 +43,14 @@ solver reads those. Every view is built on read the same way: a module-level
 row function reads the entry at a position out of the view's sources. A
 positional view is a read-only Sequence, RowView(row, sources), standing for
 the tuple of its rows: branches, whose row (_closed_branch) builds a
-PerUnitBranch, and a SolveReport's node_voltages, branch_currents and
+PerUnitBranch, a validated network's tie_lines, whose row builds a
+BranchRecord, and a SolveReport's node_voltages, branch_currents and
 branch_losses, over the solve's lists. An id-keyed view is a read-only
 Mapping, _IdView(keys, index, row, sources), standing for the dict it reads:
-the keys in order and an id-to-position dict. children and parent_branch
-read the position lists (_children_row, _parent_branch_row), and a report's
-final_* views a Phasor out of a list of complex values. So no per-branch
+the keys in order, a network's own ids, and an id-to-position dict, its
+tree's. children and parent_branch read the position lists (_children_row,
+_parent_branch_row), and a report's final_* views a Phasor out of a list of
+complex values. So no per-branch
 record, Phasor or per-node container is built between parse and sweep. Each
 network fact has one published form: the columns for what each branch
 carries, and children and parent_branch for the tree. The reference phase
@@ -510,23 +513,28 @@ def _cycle(ids, sending, receiving, send, feeding, reached) -> TopologyError:
 
 class _Tree:
     """One topology's derivation, shared by its networks: radial_tree's send,
-    recv, feeding, offsets and targets, root the root's position, unordered
-    the first unordered branch's position (or None), counts, which
-    solver._step_counts fills (the step model's load-free counts), swept
-    and kernel, which solver._sweep keeps (the passes its generic loop has
-    run on the tree, never reset, and None or the loaded node positions
-    and the pass loop generated for them), and z, which NetworkModel._fill
-    sets while the tree is held: (resistance, reactance, z_base, z) of the
-    last network validate_radial built on it, for _held_z.
-    Ids are not kept: each network has its own.
+    recv, feeding, offsets and targets, index and position the node and
+    branch id-to-position dicts of the network it was derived for, root the
+    root's position, unordered the first unordered branch's position (or
+    None), counts, which solver._step_counts fills (the step model's
+    load-free counts), swept and kernel, which solver._sweep keeps (the
+    passes its generic loop has run on the tree, never reset, and None or
+    the loaded node positions and the pass loop generated for them), and z,
+    which NetworkModel._fill sets while the tree is held: (resistance,
+    reactance, z_base, z) of the last network validate_radial built on it,
+    for _held_z.
+    The ids are kept only as the keys of index and position, which may be
+    another network's ids equal to its own under ==: a network looks its ids
+    up there but shows its own, iterating its own columns.
     """
 
-    __slots__ = ("send", "recv", "feeding", "offsets", "targets", "root", "unordered", "counts",
-                 "swept", "kernel", "z")
+    __slots__ = ("send", "recv", "feeding", "offsets", "targets", "index", "position", "root",
+                 "unordered", "counts", "swept", "kernel", "z")
 
-    def __init__(self, send, recv, feeding, offsets, targets, root):
+    def __init__(self, send, recv, feeding, offsets, targets, index, position, root):
         self.send, self.recv, self.feeding = send, recv, feeding
-        self.offsets, self.targets, self.root = offsets, targets, root
+        self.offsets, self.targets = offsets, targets
+        self.index, self.position, self.root = index, position, root
         # the root's feeding branch is -1, so a branch it feeds never counts
         self.unordered = next((k for k, s in enumerate(send) if feeding[s] >= k), None)
         self.counts = self.kernel = self.z = None
@@ -538,30 +546,32 @@ _last = (None, None, None)
 
 
 def _shared_tree(ids, sending, receiving, root, tie_ends):
-    """(nodes, index, tree, held) for closed branches as radial_tree takes
-    them, held true when tree is the held one.
+    """(nodes, tree, held) for closed branches as radial_tree takes them,
+    held true when tree is the held one.
 
     A key (ids, sending, receiving, root, tie_ends) equal to the held one's
-    under == shares the held _Tree, with nodes and index read off this
-    network's own receiving column and root. Any other key drops the held
-    tree and runs radial_tree, which raises for a defect; its tree is held
-    only when its key hashes equal to the previous tree's. Threads may call
-    this: _last is read and replaced whole, so a race costs a derivation.
+    under == shares the held _Tree, with nodes read off this network's own
+    receiving column and root. Its index and position serve this network
+    too: ids equal under == hash equal, so each of this network's ids finds
+    the position of the held id it equals, whichever kind of number either
+    is. Any other key drops the held tree and runs radial_tree, which raises
+    for a defect; its tree is held only when its key hashes equal to the
+    previous tree's. Threads may call this: _last is read and replaced
+    whole, so a race costs a derivation.
     """
     global _last
     key = (ids, sending, receiving, root, tie_ends)
     last, held_key, tree = _last
     if tree is not None and key == held_key:
         # the root, at feeding -1, is put after the column
-        nodes = tuple(map((*receiving, root).__getitem__, tree.feeding))
-        return nodes, dict(zip(nodes, range(len(nodes)))), tree, True
+        return tuple(map((*receiving, root).__getitem__, tree.feeding)), tree, True
     _last = last, None, None  # a miss drops the held tree
     nodes, index, *lists = radial_tree(ids, sending, receiving, root, tie_ends)
-    tree = _Tree(*lists, index[root])
+    tree = _Tree(*lists, index, dict(zip(ids, range(len(ids)))), index[root])
     h = hash(key)
     held = h == last
     _last = (h, key, tree) if held else (h, None, None)
-    return nodes, index, tree, held
+    return nodes, tree, held
 
 
 class RowView(_Frozen, Sequence):
@@ -642,8 +652,12 @@ class NetworkModel(_Frozen):
     impedance and receiving-end load, as complex) and capacity. branches is a
     read-only RowView of those columns, which builds each PerUnitBranch when
     it is read. Tie lines are parsed but never energized; tie_lines keeps
-    them as BranchRecords. validate_radial passes the columns of the
-    closed branches and the tie lines, both sorted by id, to _from_columns;
+    them as BranchRecords: the constructor takes any iterable of them once,
+    as a tuple, and validate_radial passes a RowView over the tie rows'
+    columns, which builds each BranchRecord when it is read and equals,
+    prints, pickles and copies as that tuple. validate_radial passes the
+    columns of the closed branches and the tie lines, both sorted by id, to
+    _from_columns, with the tie lines' ends read off their columns;
     NetworkModel(branches, ...) transposes the PerUnitBranches it is given,
     which must all be closed (is_tie false), into the same columns. Either
     way construction runs radial_tree on the id, sending and receiving
@@ -660,8 +674,13 @@ class NetworkModel(_Frozen):
     nowhere else, as radial_tree's position lists (the private _tree, which
     networks of one topology may share): nodes have positions in nodes()
     (ascending ids) and branches in the columns, and the private dicts _index
-    and _position map node and branch ids to them. The id-keyed facts are
-    _IdViews that read those lists when an entry is read, each
+    and _position map node and branch ids to them. Both are the tree's
+    (_Tree.index, _Tree.position), built once per derivation, so a network
+    on a held tree builds neither, and their keys may be the ids of the
+    network the tree was derived for, equal to this one's under ==. So
+    every id-keyed view iterates this network's own ids (nodes(), receiving
+    or branch_ids) and only looks its keys up in the dicts. The id-keyed
+    facts are _IdViews that read those lists when an entry is read, each
     equal to, iterated in the order of and shown as the dict it stands for:
     children maps each node to the ids of the branches it feeds, in branch
     order; parent_branch maps each receiving node, in branch order, to the
@@ -690,45 +709,42 @@ class NetworkModel(_Frozen):
             if tie:
                 raise DataError(
                     f"branch {branch_id} is a tie line; a network holds closed branches only")
+        tie_lines = tuple(tie_lines)  # taken once, as branches is
         for t in tie_lines:
             if not t.is_tie:  # a closed record would be dropped, its load with it
                 raise DataError(f"tie line {t.branch_id} is not flagged as a tie")
         _check_unique((*ids, *[t.branch_id for t in tie_lines]))
         # a Phasor is the (re, im) pair complex() takes
         self._fill((ids, sending, receiving, tuple(starmap(complex, z)),
-                    tuple(starmap(complex, s_load)), capacity), root, tie_lines, base)
+                    tuple(starmap(complex, s_load)), capacity), root, tie_lines, base,
+                   tuple([(t.branch_id, t.sending_node, t.receiving_node) for t in tie_lines]))
 
-    def _fill(self, columns, root, tie_lines, base, impedance=None) -> None:
-        """Check the tree, derive the topology and set the fields. impedance
-        is the (resistance, reactance) columns that z was just converted
-        from, which a held tree holds with z (_Tree.z)."""
+    def _fill(self, columns, root, tie_lines, base, tie_ends, impedance=None) -> None:
+        """Check the tree, derive the topology and set the fields. tie_ends
+        is the tie lines' (id, sending, receiving) triples, and impedance
+        the (resistance, reactance) columns that z was just converted from,
+        which a held tree holds with z (_Tree.z)."""
         ids, sending, receiving, z, s_load, capacity = columns
-        nodes, index, tree, held = _shared_tree(
-            ids, sending, receiving, root,
-            tuple([(t.branch_id, t.sending_node, t.receiving_node) for t in tie_lines]),
-        )
+        nodes, tree, held = _shared_tree(ids, sending, receiving, root, tie_ends)
         if held and impedance is not None:
             r, x = impedance
             # 0.0 == -0.0, yet they differ in sign in per unit: with no zero
             # held, columns equal under == convert to the same bits
             tree.z = None if 0.0 in r or 0.0 in x else (r, x, base.z_base, z)
-        feeding, offsets, targets = tree.feeding, tree.offsets, tree.targets
+        feeding, index = tree.feeding, tree.index
         # each node's load is that of the branch feeding it; the root's, at
         # feeding -1, is the 0j put after the column
         node_s_load = tuple(map((*s_load, 0j).__getitem__, feeding))
-        position = dict(zip(ids, range(len(ids))))
         unordered = None if tree.unordered is None else ids[tree.unordered]
-
-        fields = dict(
-            branches=RowView(_closed_branch, columns), root=root, tie_lines=tie_lines, base=base,
-            branch_ids=ids, sending=sending, receiving=receiving, z=z, s_load=s_load,
-            capacity=capacity,
-            children=_IdView(nodes, index, _children_row, (ids, feeding, offsets, targets)),
-            parent_branch=_IdView(receiving, index, _parent_branch_row, (ids, feeding, root)),
-            node_s_load=node_s_load, _nodes=nodes, unordered_branch=unordered, _index=index,
-            _position=position, _tree=tree,
+        # in the order of __slots__
+        fields = (
+            RowView(_closed_branch, columns), root, tie_lines, base, ids, sending, receiving, z,
+            s_load, capacity,
+            _IdView(nodes, index, _children_row, (ids, feeding, tree.offsets, tree.targets)),
+            _IdView(receiving, index, _parent_branch_row, (ids, feeding, root)),
+            node_s_load, nodes, unordered, index, tree.position, tree,
         )
-        for name, value in fields.items():
+        for name, value in zip(self.__slots__, fields):
             object.__setattr__(self, name, value)
 
     def nodes(self) -> tuple[int, ...]:

@@ -49,11 +49,12 @@ load it.
 
 build_report turns the final voltages and currents, as complex lists, into a
 SolveReport that keeps those lists and shows them two ways, both read-only
-and both computed on read: as the final_* Phasor views, model._IdViews whose
-row function (_phasor_row) reads a list through the network's node or branch
-id-to-position dict, and as the node and branch rows, model.RowViews whose
-row functions (_voltage_row, _current_row, _loss_row) read the lists and the
-network's id and z columns. Only the two loss totals are computed when the
+and both computed on read: as the final_* Phasor views, model._IdViews that
+iterate the network's own node or branch ids and whose row function
+(_phasor_row) reads a list through its tree's node or branch id-to-position
+dict, and as the node and branch rows, model.RowViews whose row functions
+(_voltage_row, _current_row, _loss_row) read the lists and the network's
+id and z columns. Only the two loss totals are computed when the
 report is built; a study that reads one node's voltage builds no row. A
 squared current magnitude that overflows a float is a NumericError naming
 its branch, and so is a loss total that overflows, naming the branch at
@@ -457,8 +458,10 @@ def build_report(
 
     volts and loads hold one value per node in net.nodes() order, branches one
     per branch in column order; the report keeps the lists. It shows them
-    through _IdViews keyed by the network's plain id-to-position dict,
-    net._index or net._position, whose _phasor_row builds a Phasor when an
+    through _IdViews that iterate the network's own ids (net.nodes() or
+    branch_ids) and look them up in its tree's id-to-position dict
+    (net._index or net._position), whose keys may be another network's ids
+    equal to these under ==, and whose _phasor_row builds a Phasor when an
     entry is read, and its node and branch rows through RowViews over the
     same lists, whose rows (_voltage_row, _current_row and _loss_row) are
     built only when read. Branch ids and impedances are read from the
@@ -507,9 +510,9 @@ def build_report(
         branch_losses=losses,
         total_loss_p=total_p,
         total_loss_q=total_q,
-        final_voltage=_IdView(net._index, net._index, _phasor_row, volts),
-        final_load_current=_IdView(net._index, net._index, _phasor_row, loads),
-        final_branch_current=_IdView(net._position, net._position, _phasor_row, branches),
+        final_voltage=_IdView(net._nodes, net._index, _phasor_row, volts),
+        final_load_current=_IdView(net._nodes, net._index, _phasor_row, loads),
+        final_branch_current=_IdView(net.branch_ids, net._position, _phasor_row, branches),
         **fields,
     )
 

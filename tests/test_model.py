@@ -326,6 +326,31 @@ class TestNetworkModel:
             NetworkModel(branches, 1, (closed,), DEFAULT_BASE)
         assert str(exc.value) == "tie line 1 is not flagged as a tie"
 
+    @pytest.mark.parametrize("given", ["generator", "iterator-outside", "list"])
+    def test_tie_lines_are_taken_once_as_a_tuple(self, bus69_net, given):
+        """tie_lines is read once and kept as a tuple, as branches is: a
+        generator's ties are kept, not used up by the checks; a tie from an
+        iterator that ends outside the tree is refused as one in a tuple;
+        and a list is kept as the equal tuple, not as a list that compares
+        unequal and can be emptied."""
+        ties = tuple(bus69_net.tie_lines)
+
+        def build(tie_lines):
+            return NetworkModel(bus69_net.branches, bus69_net.root, tie_lines, bus69_net.base)
+
+        if given == "iterator-outside":
+            ties += (BranchRecord(999, 1, 5000, 0.1, 0.1, 0.0, 0.0, None, True),)
+            for tie_lines in (iter(ties), ties):
+                with pytest.raises(TopologyError) as exc:
+                    build(tie_lines)
+                assert str(exc.value) == (
+                    "tie branch 999 ends at node 5000, which no closed branch connects")
+            return
+        net = build((t for t in ties) if given == "generator" else list(ties))
+        assert len(ties) == 5
+        assert type(net.tie_lines) is tuple and net.tie_lines == ties
+        assert net == build(ties) == bus69_net
+
 
 class TestBranchView:
     """NetworkModel keeps its branches as columns; branches is a read-only
@@ -678,6 +703,16 @@ def topology(net):
             repr(net.unordered_branch), net.node_s_load, repr(net))
 
 
+def shown_by_id(view):
+    """What an id-keyed view shows through the Mapping API: its keys in
+    order, its length, in and get of each key and of an id it lacks, and
+    the dict it stands for, ids as it shows them."""
+    keys = list(view)
+    probes = [*keys, -1]
+    return (repr(keys), len(view), [k in view for k in probes],
+            repr([view.get(k) for k in probes]), repr(dict(view)))
+
+
 class TestSharedTopology:
     """Networks of one topology in a row share one derivation of the tree;
     their ids, loads, views and reports stay their own."""
@@ -728,8 +763,9 @@ class TestSharedTopology:
     def test_ids_equal_under_eq_stay_each_networks_own(self, empty_memo, bus33_net, relabel,
                                                        feeder):
         """A network whose ids equal the held one's under == (1.0, or True for
-        1) shares its tree, and shows its own ids in nodes(), the views, the
-        ordering verdict and the report."""
+        1) shares its tree and its tree's id lookups, and shows its own ids in
+        nodes(), the views, the ordering verdict and the report, both when
+        the tree was derived from int ids and when the int ids come later."""
         if feeder == "bus33":
             branches = bus33_net.branches
         else:  # branch 2 listed before branch 1, which feeds it
@@ -745,14 +781,18 @@ class TestSharedTopology:
             report = outcome(rf.solve, net)
             return net, topology(net), repr(report)
 
-        expected = fresh(lambda: build(relabelled, relabel(1))[1:])
-        held = [build(branches, 1)[0] for _ in range(2)]
-        net, *shown = build(relabelled, relabel(1))
-        assert net._tree is held[1]._tree
-        assert shown == list(expected)
-        assert any(type(n) is not int for n in net.nodes())
-        assert list(map(type, net.nodes())) == list(map(type, fresh(
-            lambda: NetworkModel(relabelled, relabel(1), (), DEFAULT_BASE)).nodes()))
+        ints, others = (branches, 1), (relabelled, relabel(1))
+        for first, then in ((ints, others), (others, ints)):
+            model._last = EMPTY
+            expected = fresh(lambda: build(*then)[1:])
+            held = [build(*first)[0] for _ in range(2)]
+            net, *shown = build(*then)
+            assert net._tree is held[1]._tree
+            assert net._index is held[1]._index and net._position is held[1]._position
+            assert shown == list(expected)
+            assert repr(net.nodes()) != repr(held[1].nodes())
+            assert list(map(type, net.nodes())) == list(map(type, fresh(
+                lambda: NetworkModel(*then, (), DEFAULT_BASE)).nodes()))
 
     def test_scenarios_back_to_back_equal_the_baseline_and_fresh_solves(
             self, empty_memo, bus69_table, bus33_table):
@@ -762,10 +802,21 @@ class TestSharedTopology:
             net = rf.validate_radial(table)
             alone = fresh(lambda: rf.validate_radial(table))
             assert topology(net) == topology(alone)
+            assert {type(t) for t in net.tie_lines} <= {BranchRecord}
+            for again in (pickle.loads(pickle.dumps(net.tie_lines)), copy.copy(net.tie_lines),
+                          copy.deepcopy(net.tie_lines)):
+                assert type(again) is tuple and again == tuple(alone.tie_lines)
             for literal_scan in (False, True):
                 options = rf.SolveOptions(literal_scan=literal_scan)
                 report = rf.solve(net, options)
-                assert report == fresh(lambda: rf.solve(rf.validate_radial(table), options))
+                report_alone = fresh(lambda: rf.solve(rf.validate_radial(table), options))
+                assert report == report_alone
+                for name in ("children", "parent_branch", "final_voltage", "final_load_current",
+                             "final_branch_current"):
+                    view, view_alone = (getattr(r, name) for r in (
+                        (net, alone) if hasattr(net, name) else (report, report_alone)))
+                    assert shown_by_id(view) == shown_by_id(view_alone)
+                    assert view == dict(view_alone)
                 base = rf.baseline_solve(net, options)
                 assert (report.iterations, report.step_count_baseline) == (
                     base.iterations, base.step_count_baseline)

@@ -9,12 +9,12 @@ either), runs five seeded groups of cases and prints one line per group:
 its name, the number of values hashed and the sha256 of their reprs, one
 value per line. Two versions compute the same when every line is equal.
 
-- reports: every SolveReport field, the final_* views as their complex
-  lists, and each row table read back to front by negative index, its last
-  row and its length, of bus69, bus33 and the 200 criterion-2 random trees,
-  solved at tolerances 1e-4 and 1e-8 with each pair of debug_polar and
-  literal_scan, and of baseline_solve at each tolerance (every other group
-  hashes its reports the same way);
+- reports: every SolveReport field, the final_* views as their keys and
+  their complex lists, and each row table read back to front by negative
+  index, its last row and its length, of bus69, bus33 and the 200
+  criterion-2 random trees, solved at tolerances 1e-4 and 1e-8 with each
+  pair of debug_polar and literal_scan, and of baseline_solve at each
+  tolerance (every other group hashes its reports the same way);
 - feeder-10k: the four seed-1 inputs of the benchmark's feeder-10k workload,
   parsed from JSON, renumbered, validated and solved: the renumbered
   table's columns, the mapping and the report;
@@ -98,15 +98,17 @@ class Group:
 
 
 def add_report(group, report):
-    """The report's fields, then the final_* views' values as complex lists
-    (read through the Mapping API), then each row table (node_voltages,
-    branch_currents, branch_losses) read back to front, its last row and its
-    length: so a row table that iterates right but indexes or counts wrong
-    changes the hash too."""
+    """The report's fields, then each final_* view's keys as a list and its
+    values as a complex list (read through the Mapping API), then each row
+    table (node_voltages, branch_currents, branch_losses) read back to
+    front, its last row and its length: so a view that shows another
+    network's ids equal to its own under == (1 for 1.0), or a row table that
+    iterates right but indexes or counts wrong, changes the hash too."""
     fields = report._asdict()
-    views = [[p.as_complex() for p in fields.pop(name).values()]
-             for name, value in list(fields.items()) if isinstance(value, Mapping)]
-    group.add(tuple(fields.values()), *views)
+    views = [fields.pop(name) for name, value in list(fields.items())
+             if isinstance(value, Mapping)]
+    group.add(tuple(fields.values()),
+              *[(list(view), [p.as_complex() for p in view.values()]) for view in views])
     for rows in (report.node_voltages, report.branch_currents, report.branch_losses):
         group.add(tuple([rows[k] for k in range(-1, -len(rows) - 1, -1)]), rows[-1], len(rows))
 
