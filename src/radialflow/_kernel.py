@@ -16,9 +16,9 @@ import math
 def generated_sweep(tree, loaded: list[int]):
     """The generic loop of solver._sweep written out for one tree and one
     set of loaded node positions, compiled: a function of (conj(S) of the
-    loaded nodes in node order, the z column, max_iterations, tolerance)
-    that returns what _sweep returns, or None for a zero voltage at a loaded
-    node, a non-finite magnitude sum or no convergence.
+    loaded nodes in the order of loaded, the z column, max_iterations,
+    tolerance) that returns what _sweep returns, or None for a zero voltage
+    at a loaded node, a non-finite magnitude sum or no convergence.
 
     Each node's voltage, magnitude, load current and accumulator and each
     branch's current and impedance is a local named by its position (v3,

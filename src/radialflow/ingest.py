@@ -4,18 +4,15 @@ A RawTable keeps its rows as nine parallel columns, one per BranchRecord
 field. Both parsers check each row with model._check_row, BranchRecord's own
 checks (a list of plain JSON branches passes the same tests in bulk), and
 store it in the columns; no record is built on this path.
-validate_radial takes the closed branches' columns in id order, converts
-them to per-unit in one pass (model._per_unit_columns) and hands the columns
-to the NetworkModel, which keeps them as they are; no PerUnitBranch or Phasor
-is built. When the topology's tree is held (model._shared_tree) with the
-per-unit impedances of equal resistance and reactance columns on an equal
-z_base (model._held_z), those are shared and only the loads are converted;
-otherwise the impedances just converted are passed on for a held tree to
-hold. The model's construction checks the tree (model.radial_tree) and
-derives the topology, the sequential-ordering verdict included;
-validate_radial refuses an unordered network through
-NetworkModel.check_ordering. validate_radial finds the closed and tie rows
-in id order with _by_id; renumber_sequential finds the closed rows in table
+validate_radial takes the closed branches' columns in id order, converts them
+to per-unit in one call (model._closed_per_unit, which shares the held tree's
+impedances when they were converted from equal columns on an equal z_base)
+and hands the columns to the NetworkModel, which keeps them as they are; no
+PerUnitBranch or Phasor is built. The model's construction checks the tree
+(model.radial_tree) and derives the topology, the sequential-ordering verdict
+included; validate_radial refuses an unordered network through
+NetworkModel.check_ordering. validate_radial finds the closed and tie rows in
+id order with _by_id; renumber_sequential finds the closed rows in table
 order and the tie rows in id order with _table_order, so only the ties are
 sorted. Both take rows out of the columns in one way only, _gather, which
 returns each column's entries at those row positions as a tuple. A table
@@ -76,9 +73,8 @@ from .model import (  # TopologyError and OrderingError are also ingest's names
     TopologyError,
     _check_row,
     _check_unique,
+    _closed_per_unit,
     _Frozen,
-    _held_z,
-    _per_unit_columns,
     _Record,
     radial_tree,
 )
@@ -407,10 +403,10 @@ def validate_radial(
 
     Every closed branch is converted to per-unit before the tree is checked,
     so a value that overflows on base is a DataError even in a table that is
-    not a tree. Impedances held with a held tree (model._held_z) are shared
-    instead, when converted from equal columns on an equal z_base. Tie
-    branches are set aside unenergized, sorted by id. With require_ordered
-    the sequential branch-numbering property is enforced by
+    not a tree; model._closed_per_unit converts them, sharing the held tree's
+    impedances when they were converted from equal columns on an equal
+    z_base. Tie branches are set aside unenergized, sorted by id. With
+    require_ordered the sequential branch-numbering property is enforced by
     NetworkModel.check_ordering (recoverable via renumber_sequential);
     otherwise it is only recorded on the model, as unordered_branch. Every
     TopologyError, OrderingError included, has the table's source in front of
@@ -421,8 +417,7 @@ def validate_radial(
     closed, ties = _by_id(table)
     # the closed rows' columns in id order, but for is_tie (false on each)
     ids, sending, receiving, r, x, p, q, cap = _gather(table.columns[:-1], closed)
-    held = _held_z(r, x, base)
-    z, s_load = _per_unit_columns(ids, r, x, p, q, base, held)
+    z, s_load = _closed_per_unit(ids, r, x, p, q, base)
     tie_columns = tuple(_gather(table.columns, ties))
     try:
         net = NetworkModel._from_columns(
@@ -431,7 +426,6 @@ def validate_radial(
             tie_lines=RowView(_record, tie_columns),
             base=base,
             tie_ends=tuple(zip(*tie_columns[:3])),
-            impedance=(r, x) if held is None else None,
         )
         if require_ordered:
             net.check_ordering()

@@ -23,19 +23,19 @@ at the edges: the parsers, error texts, the views and the report.
 Networks of one topology share one derivation: NetworkModel gets its tree
 from _shared_tree, which holds at most one _Tree, only after two equal
 topologies in a row. A tree keeps its node and branch id-to-position
-dicts, which its networks look their ids up in. The held tree also carries
-what the solver fills once per tree (the step counts, the passes swept and
-the pass loop generated for the tree) and, while it is held, the per-unit
-impedances of the last network validate_radial built on it (_Tree.z),
-which _held_z gives a table of equal resistance, reactance and z_base, so
-that only its loads are converted.
+dicts, which its networks and their reports look their ids up in. The held
+tree also carries what the solver fills once per tree (the step counts, the
+passes swept and the pass loop generated for the tree) and the per-unit
+impedances that _closed_per_unit, their one reader and writer, gives it
+(_Tree.z): a table of equal resistance, reactance and z_base shares them,
+and only its loads are converted.
 
 BranchRecord and both parsers check a row in one function, _check_row. It
 takes a row as the BranchRecord fields in field order, which is what a
 BranchRecord is; to_per_unit and RawTable(rows=...) read a record the same way.
 _per_unit_columns is the one per-unit conversion: validate_radial converts
-the closed branches' columns there (only the loads when _held_z gives the
-impedances), and to_per_unit a single row.
+the closed branches' columns through _closed_per_unit (only the loads when
+the held impedances are shared), and to_per_unit a single row.
 
 NetworkModel keeps the closed branches as per-unit columns (ids, sending and
 receiving nodes, z and s_load as complex, capacity) and its _Tree, and the
@@ -326,22 +326,39 @@ def _check_row(branch_id, sending_node, receiving_node, resistance, reactance, l
                capacity, is_tie) -> None:
     """Raise DataError for the first defect of one branch row, given as the
     BranchRecord fields in field order; BranchRecord and both parsers check
-    their rows here."""
-    if branch_id <= 0:
-        raise DataError(f"branch id must be positive, got {branch_id}")
-    # one test on the sum; only when it fails look for the field at fault
-    # (a sum of finite values may also overflow)
-    if not math.isfinite(resistance + reactance + load_p + load_q):
-        for name, v in (("resistance", resistance), ("reactance", reactance),
-                        ("load_p", load_p), ("load_q", load_q)):
-            if not math.isfinite(v):
-                raise DataError(f"branch {branch_id}: non-finite {name} ({v})")
-    if resistance < 0.0 or reactance < 0.0:
-        raise DataError(f"branch {branch_id}: negative impedance component")
-    if capacity is not None and not (capacity > 0.0):
-        if not math.isfinite(capacity):  # NaN or -inf
-            raise DataError(f"branch {branch_id}: non-finite capacity ({capacity})")
-        raise DataError(f"branch {branch_id}: capacity must be positive when present")
+    their rows here. A value that is not a number fails a comparison or the
+    sum below with a TypeError; only then are the fields searched for the
+    first that is not a real number (a capacity of None takes part in no
+    test, so the field found comes before it)."""
+    try:
+        if branch_id <= 0:
+            raise DataError(f"branch id must be positive, got {branch_id}")
+        # nodes are sorted with the root: one that does not compare with a
+        # number fails here
+        sending_node < 0
+        receiving_node < 0
+        # one test on the sum; only when it fails look for the field at fault
+        # (a sum of finite values may also overflow)
+        if not math.isfinite(resistance + reactance + load_p + load_q):
+            for name, v in (("resistance", resistance), ("reactance", reactance),
+                            ("load_p", load_p), ("load_q", load_q)):
+                if not math.isfinite(v):
+                    raise DataError(f"branch {branch_id}: non-finite {name} ({v})")
+        if resistance < 0.0 or reactance < 0.0:
+            raise DataError(f"branch {branch_id}: negative impedance component")
+        if capacity is not None and not (capacity > 0.0):
+            if not math.isfinite(capacity):  # NaN or -inf
+                raise DataError(f"branch {branch_id}: non-finite capacity ({capacity})")
+            raise DataError(f"branch {branch_id}: capacity must be positive when present")
+    except TypeError:
+        from numbers import Real  # here, as only a row with a value of another type gets here
+
+        row = (branch_id, sending_node, receiving_node, resistance, reactance, load_p, load_q,
+               capacity)
+        for name, value in zip(BranchRecord._fields, row):
+            if not isinstance(value, Real):
+                raise DataError(f"branch {branch_id}: {name} is not a number ({value!r})") from None
+        raise
     if sending_node == receiving_node:
         raise DataError(f"branch {branch_id}: sending and receiving node are both {sending_node}")
     if is_tie and (load_p != 0.0 or load_q != 0.0):
@@ -376,10 +393,10 @@ def to_per_unit(record: BranchRecord, base: PerUnitBase) -> PerUnitBranch:
 
 def _per_unit_columns(ids, resistance, reactance, load_p, load_q, base: PerUnitBase, z=None):
     """The per-unit impedance and load columns, as tuples of complex, of
-    branches given as physical columns; to_per_unit and validate_radial both
+    branches given as physical columns; to_per_unit and _closed_per_unit both
     convert here. z, when given, is the impedance column already converted
-    from resistance and reactance on base (_held_z's, which is finite), and
-    only the loads are converted.
+    from resistance and reactance on base (the held one, which is finite),
+    and only the loads are converted.
 
     A finite value can overflow on a tiny base. One test on the sum of the
     columns converted finds that; only when it fails are the rows searched in
@@ -408,18 +425,26 @@ def _per_unit_columns(ids, resistance, reactance, load_p, load_q, base: PerUnitB
     return z, s
 
 
-def _held_z(resistance, reactance, base: PerUnitBase):
-    """The per-unit impedance column held with the held tree (_Tree.z), when
-    the resistance and reactance columns and base.z_base it was converted from
-    equal these under ==; else None. No column held has a zero, so equal
-    columns convert to the same bits."""
+def _closed_per_unit(ids, resistance, reactance, load_p, load_q, base: PerUnitBase):
+    """_per_unit_columns of the closed branches validate_radial converts,
+    and the one reader and writer of the held tree's impedances (_Tree.z).
+
+    The held (z_base, resistance, reactance) key and impedance column are
+    shared when the key equals this one under ==, and only the loads are
+    converted. Otherwise the impedances converted here, once checked, go to
+    whichever tree is held now, which any topology may share next: the
+    column depends on its key alone. A column with a zero is not held, as
+    0.0 == -0.0 although they differ in sign in per unit, so a shared column
+    is what a fresh conversion gives, to the last bit.
+    """
     tree = _last[2]
+    key = (base.z_base, resistance, reactance)
     held = None if tree is None else tree.z
-    if held is not None:
-        r, x, z_base, z = held
-        if z_base == base.z_base and r == resistance and x == reactance:
-            return z
-    return None
+    z = held[1] if held is not None and held[0] == key else None
+    columns = _per_unit_columns(ids, resistance, reactance, load_p, load_q, base, z)
+    if z is None and tree is not None and 0.0 not in resistance and 0.0 not in reactance:
+        tree.z = key, columns[0]
+    return columns
 
 
 def radial_tree(ids, sending, receiving, root: int, tie_lines):
@@ -520,9 +545,9 @@ class _Tree:
     load-free counts), swept and kernel, which solver._sweep keeps (the
     passes its generic loop has run on the tree, never reset, and None or
     the loaded node positions and the pass loop generated for them), and z,
-    which NetworkModel._fill sets while the tree is held: (resistance,
-    reactance, z_base, z) of the last network validate_radial built on it,
-    for _held_z.
+    which _closed_per_unit alone reads and sets, while the tree is held: None
+    or ((z_base, resistance, reactance), the per-unit impedances converted
+    from them).
     The ids are kept only as the keys of index and position, which may be
     another network's ids equal to its own under ==: a network looks its ids
     up there but shows its own, iterating its own columns.
@@ -546,8 +571,7 @@ _last = (None, None, None)
 
 
 def _shared_tree(ids, sending, receiving, root, tie_ends):
-    """(nodes, tree, held) for closed branches as radial_tree takes them,
-    held true when tree is the held one.
+    """(nodes, tree) for closed branches as radial_tree takes them.
 
     A key (ids, sending, receiving, root, tie_ends) equal to the held one's
     under == shares the held _Tree, with nodes read off this network's own
@@ -564,14 +588,13 @@ def _shared_tree(ids, sending, receiving, root, tie_ends):
     last, held_key, tree = _last
     if tree is not None and key == held_key:
         # the root, at feeding -1, is put after the column
-        return tuple(map((*receiving, root).__getitem__, tree.feeding)), tree, True
+        return tuple(map((*receiving, root).__getitem__, tree.feeding)), tree
     _last = last, None, None  # a miss drops the held tree
     nodes, index, *lists = radial_tree(ids, sending, receiving, root, tie_ends)
     tree = _Tree(*lists, index, dict(zip(ids, range(len(ids)))), index[root])
     h = hash(key)
-    held = h == last
-    _last = (h, key, tree) if held else (h, None, None)
-    return nodes, tree, held
+    _last = (h, key, tree) if h == last else (h, None, None)
+    return nodes, tree
 
 
 class RowView(_Frozen, Sequence):
@@ -673,21 +696,20 @@ class NetworkModel(_Frozen):
     Every topology fact is derived from the columns and root, here and
     nowhere else, as radial_tree's position lists (the private _tree, which
     networks of one topology may share): nodes have positions in nodes()
-    (ascending ids) and branches in the columns, and the private dicts _index
-    and _position map node and branch ids to them. Both are the tree's
-    (_Tree.index, _Tree.position), built once per derivation, so a network
-    on a held tree builds neither, and their keys may be the ids of the
-    network the tree was derived for, equal to this one's under ==. So
-    every id-keyed view iterates this network's own ids (nodes(), receiving
-    or branch_ids) and only looks its keys up in the dicts. The id-keyed
-    facts are _IdViews that read those lists when an entry is read, each
-    equal to, iterated in the order of and shown as the dict it stands for:
-    children maps each node to the ids of the branches it feeds, in branch
-    order; parent_branch maps each receiving node, in branch order, to the
-    branch feeding it. node_s_load holds each node's load in nodes() order
-    (0j where no load is fed), for the sweep. unordered_branch is the
-    first branch whose sending node is fed by a branch that does not come
-    before it; with branches sorted by id, the first branch in id order fed
+    (ascending ids) and branches in the columns, and the tree's dicts
+    (_Tree.index, _Tree.position) map node and branch ids to them. They are
+    built once per derivation, so a network on a held tree builds neither,
+    and their keys may be the ids of the network the tree was derived for,
+    equal to this one's under ==. So every id-keyed view iterates this
+    network's own ids (nodes(), receiving or branch_ids) and only looks its
+    keys up in the dicts. The id-keyed facts are _IdViews that read those
+    lists when an entry is read, each equal to, iterated in the order of and
+    shown as the dict it stands for: children maps each node to the ids of
+    the branches it feeds, in branch order; parent_branch maps each
+    receiving node, in branch order, to the branch feeding it. A node's load
+    is the s_load of the branch feeding it; the sweep reads it there, at the
+    receiving node's position. unordered_branch is the first branch whose
+    sending node is fed by a branch that does not come before it; with branches sorted by id, the first branch in id order fed
     through a branch with an id that is not smaller. It is None when the
     sequential numbering the stack sweep relies on holds, and check_ordering
     raises the OrderingError that names it otherwise. Instances are immutable
@@ -696,8 +718,8 @@ class NetworkModel(_Frozen):
     """
 
     __slots__ = ("branches", "root", "tie_lines", "base", "branch_ids", "sending", "receiving",
-                 "z", "s_load", "capacity", "children", "parent_branch", "node_s_load",
-                 "_nodes", "unordered_branch", "_index", "_position", "_tree")
+                 "z", "s_load", "capacity", "children", "parent_branch", "_nodes",
+                 "unordered_branch", "_tree")
     __match_args__ = ("branches", "root", "tie_lines", "base")
 
     def __init__(self, branches: Sequence[PerUnitBranch], root: int,
@@ -719,22 +741,12 @@ class NetworkModel(_Frozen):
                     tuple(starmap(complex, s_load)), capacity), root, tie_lines, base,
                    tuple([(t.branch_id, t.sending_node, t.receiving_node) for t in tie_lines]))
 
-    def _fill(self, columns, root, tie_lines, base, tie_ends, impedance=None) -> None:
+    def _fill(self, columns, root, tie_lines, base, tie_ends) -> None:
         """Check the tree, derive the topology and set the fields. tie_ends
-        is the tie lines' (id, sending, receiving) triples, and impedance
-        the (resistance, reactance) columns that z was just converted from,
-        which a held tree holds with z (_Tree.z)."""
+        is the tie lines' (id, sending, receiving) triples."""
         ids, sending, receiving, z, s_load, capacity = columns
-        nodes, tree, held = _shared_tree(ids, sending, receiving, root, tie_ends)
-        if held and impedance is not None:
-            r, x = impedance
-            # 0.0 == -0.0, yet they differ in sign in per unit: with no zero
-            # held, columns equal under == convert to the same bits
-            tree.z = None if 0.0 in r or 0.0 in x else (r, x, base.z_base, z)
+        nodes, tree = _shared_tree(ids, sending, receiving, root, tie_ends)
         feeding, index = tree.feeding, tree.index
-        # each node's load is that of the branch feeding it; the root's, at
-        # feeding -1, is the 0j put after the column
-        node_s_load = tuple(map((*s_load, 0j).__getitem__, feeding))
         unordered = None if tree.unordered is None else ids[tree.unordered]
         # in the order of __slots__
         fields = (
@@ -742,7 +754,7 @@ class NetworkModel(_Frozen):
             s_load, capacity,
             _IdView(nodes, index, _children_row, (ids, feeding, tree.offsets, tree.targets)),
             _IdView(receiving, index, _parent_branch_row, (ids, feeding, root)),
-            node_s_load, nodes, unordered, index, tree.position, tree,
+            nodes, unordered, tree,
         )
         for name, value in zip(self.__slots__, fields):
             object.__setattr__(self, name, value)

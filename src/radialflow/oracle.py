@@ -7,9 +7,9 @@ The phase functions (compute_load_currents, backward_sweep, forward_sweep,
 check_convergence) count their steps in a StepCounter and are the reference
 implementation of the sweep: the tests require solver.solve to reproduce
 them exactly, and baseline_solve is built from them. They read the branch
-columns, not the node loads or position lists the sweep reads, so a fault in
-deriving those shows as a disagreement; only backward_sweep's default mode
-reads the children view, and it asks is_leaf, a counted binary search of
+columns, not the position lists the sweep reads, so a fault in deriving
+those shows as a disagreement; only backward_sweep's default mode reads the
+children view, and it asks is_leaf, a counted binary search of
 solver.find_leaf_nodes' ascending leaves, which branches are leaves.
 compute_losses is the reference for solver.build_report's losses.
 

@@ -10,11 +10,11 @@ it counts its two scans. solve does not call it: its step model takes the
 topology's childless nodes as the leaves, and counts find_leaf_nodes' two
 scans, 2m steps, without running them.
 
-solve reads the network's per-unit columns (z and node_s_load) and its
-position lists (net._tree), never a PerUnitBranch or an id-keyed view, and
-gives each job one function. _sweep zips its own parallel columns (node
-indices, impedance, conjugate load) and sweeps them until the voltage
-profile settles. It keeps branch currents by receiving node, as
+solve reads the network's per-unit columns (z and s_load) and its position
+lists (net._tree), never a PerUnitBranch or an id-keyed view, and gives each
+job one function. _sweep zips its own parallel columns (node indices,
+impedance, conjugate load) and sweeps them until the voltage profile
+settles. It keeps branch currents by receiving node, as
 Shirmohammadi's backward sweep sums currents at each node: one accumulator
 per node, no branch index in either loop. The forward sweep and the
 convergence check share one loop, the backward loop reads no leaf flag, and
@@ -52,10 +52,10 @@ SolveReport that keeps those lists and shows them two ways, both read-only
 and both computed on read: as the final_* Phasor views, model._IdViews that
 iterate the network's own node or branch ids and whose row function
 (_phasor_row) reads a list through its tree's node or branch id-to-position
-dict, and as the node and branch rows, model.RowViews whose row functions
-(_voltage_row, _current_row, _loss_row) read the lists and the network's
-id and z columns. Only the two loss totals are computed when the
-report is built; a study that reads one node's voltage builds no row. A
+dict (net._tree.index or net._tree.position), and as the node and branch
+rows, model.RowViews whose row functions (_voltage_row, _current_row,
+_loss_row) read the lists and the network's id and z columns. Only the two
+loss totals are computed when the report is built; a study that reads one node's voltage builds no row. A
 squared current magnitude that overflows a float is a NumericError naming
 its branch, and so is a loss total that overflows, naming the branch at
 which the running total does: a report never carries an infinite loss
@@ -290,13 +290,15 @@ def _sweep(net: NetworkModel, options: SolveOptions):
     loop runs from the flat start and raises, or goes on, as it always has:
     only a failing solve sweeps twice.
 
-    The sweep reads only the network's columns (z, node_s_load) and position
+    The sweep reads only the network's columns (z, s_load) and position
     lists (the sending and receiving columns as node positions), not its
     PerUnitBranch view or its id-keyed views, and zips them as parallel
     columns; node indices are positions in net.nodes():
 
-    - loads: (node index, conj(S)) for each node with a nonzero load, in node
-      order;
+    - loads: (receiving index, conj(S)) for each branch with a nonzero load,
+      in branch order: a node's load is that of the branch feeding it. A
+      zero voltage at a loaded node is named at the smallest such index, in
+      node order, as oracle.compute_load_currents names it;
     - backward: (receiving index, sending index) in descending branch order;
     - forward: (sending index, receiving index, z) in ascending branch order,
       z being the column's complex value.
@@ -338,9 +340,8 @@ def _sweep(net: NetworkModel, options: SolveOptions):
     send, recv = tree.send, tree.recv
     nodes = net.nodes()
     n = len(nodes)
-    node_s_load = net.node_s_load
-    loads = (list(compress(range(n), node_s_load)),
-             list(map(complex.conjugate, compress(node_s_load, node_s_load))))
+    s_load = net.s_load
+    loads = (list(compress(recv, s_load)), list(map(complex.conjugate, compress(s_load, s_load))))
     kernel = tree.kernel
     if kernel is None and tree.swept >= _KERNEL_PASSES and len(send) <= _KERNEL_BRANCHES:
         from ._kernel import generated_sweep
@@ -364,6 +365,7 @@ def _sweep(net: NetworkModel, options: SolveOptions):
             for i, s_conj in zip(*loads):
                 il[i] = s_conj / v[i].conjugate()
         except ZeroDivisionError:  # complex division fails only on exactly 0j
+            i = min([i for i in loads[0] if not v[i]])
             raise VoltageCollapseError(f"zero voltage at loaded node {nodes[i]}") from None
 
         # each current is added into its sending node's accumulator, so
@@ -460,11 +462,11 @@ def build_report(
     per branch in column order; the report keeps the lists. It shows them
     through _IdViews that iterate the network's own ids (net.nodes() or
     branch_ids) and look them up in its tree's id-to-position dict
-    (net._index or net._position), whose keys may be another network's ids
-    equal to these under ==, and whose _phasor_row builds a Phasor when an
-    entry is read, and its node and branch rows through RowViews over the
-    same lists, whose rows (_voltage_row, _current_row and _loss_row) are
-    built only when read. Branch ids and impedances are read from the
+    (net._tree.index or net._tree.position), whose keys may be another
+    network's ids equal to these under ==, and whose _phasor_row builds a
+    Phasor when an entry is read, and its node and branch rows through
+    RowViews over the same lists, whose rows (_voltage_row, _current_row and
+    _loss_row) are built only when read. Branch ids and impedances are read from the
     network's branch_ids and z columns, so no PerUnitBranch is built. Only
     the loss totals are computed here, summed in branch order; a branch
     whose squared current magnitude overflows a float raises NumericError,
@@ -510,9 +512,9 @@ def build_report(
         branch_losses=losses,
         total_loss_p=total_p,
         total_loss_q=total_q,
-        final_voltage=_IdView(net._nodes, net._index, _phasor_row, volts),
-        final_load_current=_IdView(net._nodes, net._index, _phasor_row, loads),
-        final_branch_current=_IdView(net.branch_ids, net._position, _phasor_row, branches),
+        final_voltage=_IdView(net._nodes, net._tree.index, _phasor_row, volts),
+        final_load_current=_IdView(net._nodes, net._tree.index, _phasor_row, loads),
+        final_branch_current=_IdView(net.branch_ids, net._tree.position, _phasor_row, branches),
         **fields,
     )
 

@@ -225,8 +225,10 @@ class TestSolve:
     @pytest.mark.parametrize("row,message", [
         # 1 p.u. load through 1 p.u. resistance: the first sweep drives V2 to 0
         ("1 1 2 16.02756 0 10000 0", "error: zero voltage at loaded node 2\n"),
+        # nodes 5 and 3 reach 0j in one pass: named in node order
+        ("1 1 5 16.02756 0 5000 0\n2 5 3 0 0 5000 0", "error: zero voltage at loaded node 3\n"),
         ("1 1 2 1e300 1e300 1e300 1e300", "error: non-finite voltage on branch 1\n"),
-    ], ids=["voltage-collapse", "non-finite-sweep"])
+    ], ids=["voltage-collapse", "voltage-collapse-node-order", "non-finite-sweep"])
     def test_solver_failure_exits_one(self, capsys, tmp_path, row, message):
         path = tmp_path / "failing.branch"
         path.write_text(row + "\n")

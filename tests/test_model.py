@@ -220,6 +220,33 @@ class TestBranchRecord:
         rec = BranchRecord(1, 1, 2, 1e308, 1e308, 1e308, 1e308)
         assert rec.load_q == 1e308
 
+    @pytest.mark.parametrize("row,message", [
+        (("7", 1, 2, 0.1, 0.1, 1, 1), "branch 7: branch_id is not a number ('7')"),
+        ((None, 1, 2, 0.1, 0.1, 1, 1), "branch None: branch_id is not a number (None)"),
+        ((1, "1", 2, 0.1, 0.1, 1, 1), "branch 1: sending_node is not a number ('1')"),
+        ((1, 1, None, 0.1, 0.1, 1, 1), "branch 1: receiving_node is not a number (None)"),
+        ((1, 1j, 2, 0.1, 0.1, 1, 1), "branch 1: sending_node is not a number (1j)"),
+        ((1, 1, 2, "0.1", 0.1, 1, 1), "branch 1: resistance is not a number ('0.1')"),
+        ((1, 1, 2, 0.1, 0.1j, 1, 1), "branch 1: reactance is not a number (0.1j)"),
+        ((1, 1, 2, 0.1, 0.1, None, 1), "branch 1: load_p is not a number (None)"),
+        ((1, 1, 2, 0.1, 0.1, 1, [1]), "branch 1: load_q is not a number ([1])"),
+        ((1, 1, 2, 0.1, 0.1, 1, 1, "5"), "branch 1: capacity is not a number ('5')"),
+        # the first field at fault in field order, whichever test fails first
+        ((1, "1", 2, "0.1", 0.1, 1, 1), "branch 1: sending_node is not a number ('1')"),
+        ((2, 1, 2, -1.0, "x", 1, 1), "branch 2: reactance is not a number ('x')"),
+    ], ids=["id-text", "id-none", "sending-text", "receiving-none", "sending-complex",
+            "resistance-text", "reactance-complex", "load_p-none", "load_q-list", "capacity-text",
+            "first-in-field-order", "before-negative-impedance"])
+    @pytest.mark.parametrize("build", [
+        lambda row: BranchRecord(*row),
+        # a plain tuple of all nine fields
+        lambda row: rf.RawTable(rows=((*row, None, False)[:9],)),
+    ], ids=["BranchRecord", "RawTable"])
+    def test_a_value_that_is_not_a_number_is_named(self, row, message, build):
+        with pytest.raises(DataError) as exc:
+            build(row)
+        assert str(exc.value) == message
+
 
 class TestToPerUnit:
     def test_bus69_row5_impedance(self):
@@ -407,16 +434,22 @@ class TestBranchView:
         for rebuilt in (pickle.loads(pickle.dumps(view)), copy.copy(view), copy.deepcopy(view)):
             assert type(rebuilt) is tuple and rebuilt == view == self.branches()
 
-    def test_node_s_load_is_the_load_of_each_nodes_feeding_branch(self):
-        """In nodes() order, with 0j at the root; the nodes are numbered so
-        that their order is not the order of the branches feeding them."""
+    def test_each_nodes_load_is_the_s_load_of_its_feeding_branch(self):
+        """The network keeps each load once, in its branch's s_load; the
+        sweep's load currents by node equal the oracle's, which pairs the
+        receiving and s_load columns, with none at the root. The nodes are
+        numbered so that their order is not the order of the branches
+        feeding them."""
         records = (BranchRecord(1, 1, 3, 0.1, 0.2, 10.0, 5.0),
                    BranchRecord(2, 3, 4, 0.3, 0.1, 4.0, -1.0),
                    BranchRecord(3, 3, 2, 0.2, 0.2, 7.0, 2.0))
         branches = tuple(to_per_unit(rec, DEFAULT_BASE) for rec in records)
         net = NetworkModel(branches=branches, root=1, tie_lines=(), base=DEFAULT_BASE)
-        assert net.nodes() == (1, 2, 3, 4)
-        assert net.node_s_load == (0j, *[branches[k].s_load.as_complex() for k in (2, 0, 1)])
+        assert net.nodes() == (1, 2, 3, 4) and not hasattr(net, "node_s_load")
+        report, baseline = rf.solve(net), rf.baseline_solve(net)
+        assert report.final_load_current == baseline.final_load_current
+        assert report.final_load_current[1] == Phasor(0.0, 0.0)
+        assert all(report.final_load_current[n].magnitude > 0.0 for n in (2, 3, 4))
 
     def test_view_and_model_cannot_be_assigned(self):
         net = self.net()
@@ -700,7 +733,7 @@ def outcome(call, *args, **kwargs):
 def topology(net):
     """What a network derives from its topology, ids as it shows them."""
     return (repr(net.nodes()), repr(dict(net.children)), repr(dict(net.parent_branch)),
-            repr(net.unordered_branch), net.node_s_load, repr(net))
+            repr(net.unordered_branch), repr(net))
 
 
 def shown_by_id(view):
@@ -788,7 +821,6 @@ class TestSharedTopology:
             held = [build(*first)[0] for _ in range(2)]
             net, *shown = build(*then)
             assert net._tree is held[1]._tree
-            assert net._index is held[1]._index and net._position is held[1]._position
             assert shown == list(expected)
             assert repr(net.nodes()) != repr(held[1].nodes())
             assert list(map(type, net.nodes())) == list(map(type, fresh(
@@ -875,9 +907,9 @@ def replaced(table, k, **fields):
 
 class TestSharedImpedances:
     """A held tree also holds the per-unit impedances of the last network
-    validated on it: a network whose resistance and reactance columns and
-    z_base equal those shares them and converts only its loads, and every
-    value stays what a fresh conversion gives."""
+    validated while it was held: a network whose resistance and reactance
+    columns and z_base equal those shares them and converts only its loads,
+    and every value stays what a fresh conversion gives."""
 
     @pytest.mark.parametrize("held,then", [(0.0, -0.0), (-0.0, 0.0)], ids=["0.0,-0.0", "-0.0,0.0"])
     def test_a_zero_impedance_keeps_its_own_sign(self, empty_memo, bus69_table, held, then):
@@ -885,18 +917,19 @@ class TestSharedImpedances:
         a zero is not held, so a table equal to the held one under == but for
         the sign of a zero shows its own."""
         nets = [rf.validate_radial(replaced(scenario(bus69_table, f), 5, resistance=held))
-                for f in (0.5, 0.8)]
+                for f in (0.5, 0.8, 0.9)]
+        assert model._last[2] is nets[2]._tree and nets[2]._tree.z is None
         table = replaced(scenario(bus69_table, 1.1), 5, resistance=then)
         net = rf.validate_radial(table)
-        assert net._tree is nets[1]._tree
+        assert net._tree is nets[2]._tree
         assert repr(net.z) == repr(converted(table)[0])
-        assert repr(net.z[5]) != repr(nets[1].z[5])
+        assert repr(net.z[5]) != repr(nets[2].z[5])
         assert math.copysign(1.0, net.z[5].real) == math.copysign(1.0, then)
 
     @pytest.mark.parametrize("change", ["base", "resistance", "reactance"])
     def test_a_changed_base_or_impedance_gets_a_fresh_z(self, empty_memo, bus69_table, change):
-        held = [rf.validate_radial(scenario(bus69_table, f)) for f in (0.5, 0.8)]
-        assert model._last[2].z is not None
+        held = [rf.validate_radial(scenario(bus69_table, f)) for f in (0.5, 0.8, 0.9)]
+        assert model._last[2].z[1] is held[2].z
         table, base = scenario(bus69_table, 1.1), DEFAULT_BASE
         if change == "base":
             base = PerUnitBase(11.0, 1.0)
@@ -904,9 +937,9 @@ class TestSharedImpedances:
             table = replaced(table, 7, **{change: getattr(table.rows[7], change) * 1.5})
         net = rf.validate_radial(table, base=base)
         z, s_load = converted(table, base)
-        assert net._tree is held[1]._tree
+        assert net._tree is held[2]._tree
         assert repr(net.z) == repr(z) and repr(net.s_load) == repr(s_load)
-        assert net.z != held[1].z
+        assert net.z != held[2].z
         # the changed columns are held now
         assert rf.validate_radial(table, base=base).z is net.z
 
@@ -914,10 +947,10 @@ class TestSharedImpedances:
                                                                          bus69_table):
         other = PerUnitBase(2 * DEFAULT_BASE.kv_base, 4 * DEFAULT_BASE.mva_base)
         assert other.z_base == DEFAULT_BASE.z_base and other.kw_base != DEFAULT_BASE.kw_base
-        held = [rf.validate_radial(scenario(bus69_table, f)) for f in (0.5, 0.8)]
+        held = [rf.validate_radial(scenario(bus69_table, f)) for f in (0.5, 0.8, 0.9)]
         table = scenario(bus69_table, 1.1)
         net = rf.validate_radial(table, base=other)
-        assert net.z is held[1].z
+        assert net.z is held[2].z
         z, s_load = converted(table, other)
         assert repr(net.z) == repr(z) and repr(net.s_load) == repr(s_load)
         assert net.s_load != rf.validate_radial(table).s_load
@@ -938,10 +971,10 @@ class TestSharedImpedances:
         expected = fresh(lambda: outcome(rf.validate_radial, table, base=base))
         assert expected == (DataError, f"{named} is not finite in per unit (kv_base "
                                         f"{base.kv_base}, mva_base {base.mva_base})")
-        for factor in (0.5, 0.8):
+        for factor in (0.5, 0.8, 0.9):
             rf.validate_radial(scenario(bus69_table, factor), base=base)
         _, _, _, r, x, *_ = zip(*sorted(table.closed_rows()))
-        assert model._held_z(r, x, base) is not None
+        assert model._last[2].z[0] == (base.z_base, r, x)
         assert outcome(rf.validate_radial, table, base=base) == expected
 
     def test_every_network_of_the_benchmark_scenarios_has_a_fresh_z(self, empty_memo,
@@ -960,8 +993,8 @@ class TestSharedImpedances:
             assert repr(net.z) == repr(z) and repr(net.s_load) == repr(s_load)
             shared += last is not None and net.z is last.z
             last = net
-        # the first network holds no tree and the second converts the z it holds
-        assert shared == 254
+        # the second network holds the tree and the third gives it its z
+        assert shared == 253
 
 
 def test_networks_on_a_held_tree_solve_as_networks_alone(empty_memo, bus69_table):

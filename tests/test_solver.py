@@ -829,11 +829,18 @@ class TestFlatSolveMatchesPhaseFunctions:
         assert 1.7e308 < solve(fourteen).total_loss_p < math.inf
 
     def test_collapse_names_the_node(self):
-        # 1 p.u. load through 1 p.u. resistance: the first sweep drives V2 to 0
-        zb = rf.DEFAULT_BASE.z_base
-        net = validate_radial(make_table([(1, 1, 2, zb, 0.0, 10000.0, 0.0)]))
-        with pytest.raises(VoltageCollapseError, match="node 2"):
-            solve(net)
+        for rows, node in (
+            # 1 p.u. load through 1 p.u. resistance: the first sweep drives V2 to 0
+            ([(1, 1, 2, rf.DEFAULT_BASE.z_base, 0.0, 10000.0, 0.0)], 2),
+            # nodes 5 and 3 reach 0j in one pass; branch order meets node 5
+            # first, node order node 3, which the oracle names
+            ([(1, 1, 5, 16.02756, 0.0, 5000.0, 0.0), (2, 5, 3, 0.0, 0.0, 5000.0, 0.0)], 3),
+        ):
+            net = validate_radial(make_table(rows))
+            for run in (solve, rf.baseline_solve):
+                with pytest.raises(VoltageCollapseError,
+                                   match=f"^zero voltage at loaded node {node}$"):
+                    run(net)
 
     def test_misordered_network_fails_the_sweep_invariant(self):
         """solve refuses the network the model marks unordered; the reference
@@ -852,13 +859,14 @@ class TestFlatSolveMatchesPhaseFunctions:
 
 
 def loaded_positions(net):
-    return list(compress(range(net.node_count), net.node_s_load))
+    """The node positions of the loads, in branch order, as _sweep takes them."""
+    return list(compress(net._tree.recv, net.s_load))
 
 
 def generated_sweep(net, options):
     """What the pass loop generated for net's tree and loaded nodes returns."""
     sweep = _kernel.generated_sweep(net._tree, loaded_positions(net))
-    return sweep([s.conjugate() for s in net.node_s_load if s], net.z, options.max_iterations,
+    return sweep([s.conjugate() for s in net.s_load if s], net.z, options.max_iterations,
                  options.tolerance)
 
 
@@ -968,6 +976,9 @@ class TestGeneratedSweep:
     @pytest.mark.parametrize("rows,options,error,text", [
         ([(1, 1, 2, rf.DEFAULT_BASE.z_base, 0.0, 10000.0, 0.0)], SolveOptions(),
          VoltageCollapseError, "zero voltage at loaded node 2"),
+        # loads drawn at node positions [2, 1]: named in node order
+        ([(1, 1, 5, 16.02756, 0.0, 5000.0, 0.0), (2, 5, 3, 0.0, 0.0, 5000.0, 0.0)],
+         SolveOptions(), VoltageCollapseError, "zero voltage at loaded node 3"),
         ([(1, 1, 2, 1e300, 1e300, 1e300, 1e300)], SolveOptions(), NumericError,
          "non-finite voltage on branch 1"),
         # finite magnitudes whose sum is not: the generic loop goes on
@@ -976,7 +987,8 @@ class TestGeneratedSweep:
          "no convergence after 100 iterations (max delta 1.997e+306)"),
         (None, SolveOptions(max_iterations=1), NonConvergenceError,
          "no convergence after 1 iterations (max delta 8.297e-02)"),
-    ], ids=["zero-voltage", "non-finite", "sum-overflow", "max-iterations"])
+    ], ids=["zero-voltage", "zero-voltage-node-order", "non-finite", "sum-overflow",
+            "max-iterations"])
     def test_a_failing_solve_raises_the_generic_loops_error(self, monkeypatch, rows, options,
                                                             error, text):
         net = validate_radial(load_bus69() if rows is None else make_table(rows))

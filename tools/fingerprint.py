@@ -34,7 +34,8 @@ value per line. Two versions compute the same when every line is equal.
 - cli: the exit code, standard output and standard error of cli.main, run
   in-process on command lines over copies of the bundled data, the golden
   CSV with node 1 at -1.0, and malformed JSON and delimited documents (one
-  of them a feeder whose loss total overflows), all in a temporary directory
+  of them a feeder whose loss total overflows, one whose voltage collapses
+  at two nodes in one pass), all in a temporary directory
   named by relative paths; an exception that cli.main lets out is hashed as
   its type and text in place of the exit code.
 
@@ -115,8 +116,8 @@ def add_report(group, report):
 
 def add_network(group, net):
     group.add((net.branch_ids, net.sending, net.receiving, net.z, net.s_load, net.capacity,
-               net.root, net.tie_lines, net.base, net.unordered_branch, net.node_s_load,
-               dict(net.children), dict(net.parent_branch)))
+               net.root, net.tie_lines, net.base, net.unordered_branch, dict(net.children),
+               dict(net.parent_branch)))
 
 
 def add_renumbered(group, renumbered):
@@ -296,6 +297,8 @@ DELIMITED = {
     "tie-load.branch": "1 1 2 0.1 0.1 10 5\n2* 2 1 0.1 0.1 3 0\n",
     "bad-int.branch": "1 1 2 0.1 0.1 10 5\nx 2 3 0.1 0.1 10 5\n",
     "collapse.branch": "1 1 2 1e3 1e3 1e9 1e9\n",
+    # nodes 5 and 3 reach 0j in one pass: the collapse is named in node order
+    "collapse-order.branch": "1 1 5 16.02756 0 5000 0\n2 5 3 0 0 5000 0\n",
     "nonfinite.branch": "1 1 2 0.1 0.1 0 0\n2 2 3 1e300 0 1e15 0\n",
     "cycle.branch": "1 1 2 0.1 0.1 1 1\n2 3 4 0.1 0.1 1 1\n3 4 3 0.1 0.1 1 1\n",
     "overflow.branch": "1 1 2 0 0 1e200 0\n",
