@@ -20,7 +20,6 @@ from .ingest import (
     ParseError,
     RawTable,
     parse_branch_table,
-    renumber_sequential,
     validate_radial,
 )
 from .solver import (
@@ -35,12 +34,17 @@ _ORACLE = ("baseline_solve", "downstream_sum", "power_balance")
 
 
 def __getattr__(name):
-    # the oracle is imported on first use, so the CLI, which never uses it,
-    # does not load it (PEP 562)
+    # the oracle and renumbering are imported on first use, so the CLI, which
+    # never uses the oracle and renumbers only under --renumber, does not load
+    # them to start (PEP 562)
     if name in _ORACLE:
         from . import oracle
 
         return getattr(oracle, name)
+    if name == "renumber_sequential":
+        from ._renumber import renumber_sequential
+
+        return renumber_sequential
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [

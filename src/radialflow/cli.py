@@ -1,9 +1,23 @@
 """Command-line surface: validate and solve feeder files, compare against a
 golden voltage table, and benchmark step counts on random feeders.
 
-read_text and read_golden are the CLI's file readers: every input file is read
-as UTF-8 without a leading byte-order mark, and a file that cannot be read is
-a ParseError naming it."""
+read_text (ingest._read_text) and read_golden are the CLI's file readers:
+every input file is read as UTF-8 without a leading byte-order mark, and a
+file that cannot be read is a ParseError naming it.
+
+This module holds what a solve runs: the parser, the table loader and solve
+with its table and CSV output. What a solve of an ordered delimited table
+does not run is loaded when it is used: validate, compare and bench,
+read_golden, generate_random_table and the JSON output from
+radialflow._commands, renumbering from radialflow._renumber (--renumber) and
+the JSON reader from radialflow._json_reader (a JSON document).
+generate_random_table and read_golden are forwarded from here by name
+(PEP 562), and cmd_validate, cmd_compare and cmd_bench here run the commands
+of those names there. Under python -m radialflow.cli this module runs as
+__main__, so _commands does not import it, which would load a second copy:
+each command there is given this module and reads its helpers and exit codes
+off it.
+"""
 from __future__ import annotations
 
 import argparse
@@ -13,15 +27,9 @@ import sys
 from pathlib import Path
 
 from . import solver
-from .ingest import (
-    ParseError,
-    RawTable,
-    _to_number,
-    parse_branch_table,
-    renumber_sequential,
-    validate_radial,
-)
-from .model import DEFAULT_BASE, BranchRecord, DataError, LoadFlowError, PerUnitBase, TopologyError
+from .ingest import ParseError, RawTable, parse_branch_table, validate_radial
+from .ingest import _read_text as read_text
+from .model import DEFAULT_BASE, DataError, LoadFlowError, PerUnitBase, TopologyError
 from .solver import NonConvergenceError, SolveOptions
 
 EXIT_OK = 0
@@ -30,43 +38,6 @@ EXIT_PARSE = 2
 EXIT_TOPOLOGY = 3
 EXIT_NONCONVERGENCE = 4
 EXIT_COMPARE = 5
-
-
-def read_text(path: str | Path) -> str:
-    """The UTF-8 text of an input file without a leading byte-order mark, or a
-    ParseError naming the file when it cannot be opened or is not UTF-8."""
-    try:
-        return Path(path).read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-
-
-def read_golden(path: str | Path) -> dict[int, float]:
-    """Per-node voltage magnitudes from a node,vmag_pu CSV file.
-
-    Blank lines and the header (any line starting with "node") are skipped.
-    Raises ParseError for a file read_text cannot read, or naming path:line
-    for a bad row, a magnitude that is not finite, one that is not positive
-    (-0.0 included) or a node listed twice.
-    """
-    golden = {}
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("node"):
-            continue
-        try:
-            node, vmag = line.split(",")
-            node, vmag = _to_number(node, int), _to_number(vmag, float)
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: bad golden row {line!r}") from None
-        if not math.isfinite(vmag):
-            raise ParseError(f"{path}:{lineno}: golden magnitude of node {node} is not finite")
-        if not vmag > 0.0:
-            raise ParseError(f"{path}:{lineno}: golden magnitude of node {node} is not positive")
-        if node in golden:
-            raise ParseError(f"{path}:{lineno}: node {node} is listed twice")
-        golden[node] = vmag
-    return golden
 
 
 def _load_table(path: str, input_format: str) -> RawTable:
@@ -95,45 +66,22 @@ def _options_from_args(args) -> SolveOptions:
     )
 
 
-def cmd_validate(args) -> int:
-    table = _load_table(args.file, args.input_format)
-    net = validate_radial(table, root=args.root, base=_base_from_args(args, table),
-                          require_ordered=False)
-    leaves = solver.find_leaf_nodes(net)
-    ordered = "yes" if net.sequentially_ordered else "no"
-    print(
-        f"NB={net.node_count} LN={net.branch_count} ties={len(net.tie_lines)} "
-        f"leaves={len(leaves)} ordered={ordered}"
-    )
-    if not net.sequentially_ordered:
-        print("ordering violation: run solve with --renumber", file=sys.stderr)
-        return EXIT_TOPOLOGY
-    return EXIT_OK
-
-
 def _run_solve(args):
     table = _load_table(args.file, args.input_format)
     mapping = None
     if args.renumber:
+        # here, so that a solve without --renumber does not load renumbering;
+        # read off ingest, its public home, so that a wrapper bound there sees
+        # the call
+        from . import _renumber
+        from .ingest import renumber_sequential
+
         table, mapping = renumber_sequential(table, root=args.root)
     # a renumbered table's root is node 1, where validate_radial starts by default
     net = validate_radial(table, root=None if args.renumber else args.root,
                           base=_base_from_args(args, table))
     report = solver.solve(net, _options_from_args(args))
-    return report if mapping is None else _in_input_ids(report, mapping)
-
-
-def _in_input_ids(report, mapping):
-    """The report with its node and branch rows under the input table's ids,
-    sorted by them; what the CLI prints. The final_* views keep the solved
-    network's ids."""
-    node = mapping.node_new_to_old
-    branch = {new: old for old, new in mapping.branch_old_to_new.items()}
-    return report._replace(
-        node_voltages=tuple(sorted((node[n], v, a) for n, v, a in report.node_voltages)),
-        branch_currents=tuple(sorted((branch[b], i) for b, i in report.branch_currents)),
-        branch_losses=tuple(sorted((branch[b], p, q) for b, p, q in report.branch_losses)),
-    )
+    return report if mapping is None else _renumber._in_input_ids(report, mapping)
 
 
 def _summary(report) -> dict[str, int]:
@@ -161,136 +109,16 @@ def _report_lines(report) -> list[str]:
     return lines
 
 
-def _report_json(report) -> str:
-    import json  # here, so that the other formats do not load it
-
-    doc = {
-        "converged": report.converged,
-        **_summary(report),
-        "nodes": [
-            {"node": n, "vmag_pu": round(v, 5), "angle_deg": round(a, 5)}
-            for n, v, a in report.node_voltages
-        ],
-        "branches": [
-            {
-                "branch": bid,
-                "imag_pu": round(imag, 5),
-                "loss_kw": round(lp, 4),
-                "loss_kvar": round(lq, 4),
-            }
-            for (bid, imag), (_, lp, lq) in zip(report.branch_currents, report.branch_losses)
-        ],
-        "total_loss_kw": round(report.total_loss_p, 4),
-        "total_loss_kvar": round(report.total_loss_q, 4),
-    }
-    return json.dumps(doc, sort_keys=True, indent=2)
-
-
 def cmd_solve(args) -> int:
     report = _run_solve(args)
     if args.format == "json":
-        print(_report_json(report))
+        from ._commands import _report_json  # here, so that the other formats do not load it
+
+        print(_report_json(report, _summary(report)))
     elif args.format == "csv":
         print("\n".join(line.replace(" ", ",") for line in _report_lines(report)))
     else:
         print("\n".join(_report_lines(report)))
-    return EXIT_OK
-
-
-def cmd_compare(args) -> int:
-    report = _run_solve(args)
-    golden = read_golden(args.golden)
-    solved = {n: v for n, v, _ in report.node_voltages}
-    if set(golden) != set(solved):
-        raise DataError(
-            f"golden node set does not match network "
-            f"(golden {len(golden)} nodes, network {len(solved)})"
-        )
-    print("node vmag_pu golden_pu deviation")
-    worst_node = None
-    worst = -1.0
-    for node in sorted(golden):
-        dev = abs(solved[node] - golden[node])
-        print(f"{node} {solved[node]:.5f} {golden[node]:.5f} {dev:.6f}")
-        if dev > worst:
-            worst, worst_node = dev, node
-    print(f"max_deviation {worst:.6f} at node {worst_node}")
-    if worst > args.bound:
-        print(
-            f"FAIL: node {worst_node} deviates by {worst:.6f} > bound {args.bound}",
-            file=sys.stderr,
-        )
-        return EXIT_COMPARE
-    return EXIT_OK
-
-
-def generate_random_table(n: int, leaf_fraction: float, rng) -> RawTable:
-    """Seeded random radial feeder with roughly the requested leaf fraction,
-    drawn from rng, a random.Random (not imported here: only bench uses it).
-
-    Node k attaches to an already-placed parent; attaching to an internal node
-    adds a leaf, attaching to a leaf keeps the count, so the builder steers the
-    leaf count toward leaf_fraction * (n - 1). Loads shrink with n to keep the
-    feeder comfortably convergent.
-    """
-    if n < 2:
-        raise ValueError("need at least 2 nodes")
-    target = max(1, round(leaf_fraction * (n - 1)))
-    parent = {2: 1}
-    leaves = {2}
-    for k in range(3, n + 1):
-        internal = [v for v in range(1, k) if v not in leaves]
-        if len(leaves) < target and internal:
-            p = rng.choice(internal)
-        else:
-            p = rng.choice(sorted(leaves))
-            leaves.discard(p)
-        parent[k] = p
-        leaves.add(k)
-    p_cap = 2000.0 / n
-    rows = []
-    for k in range(2, n + 1):
-        rows.append(
-            BranchRecord(
-                branch_id=k - 1,
-                sending_node=parent[k],
-                receiving_node=k,
-                resistance=rng.uniform(0.01, 0.3),
-                reactance=rng.uniform(0.01, 0.3),
-                load_p=rng.uniform(0.0, p_cap),
-                load_q=rng.uniform(0.0, 0.75 * p_cap),
-            )
-        )
-    return RawTable(rows=tuple(rows), source_name=f"random-{n}")
-
-
-def cmd_bench(args) -> int:
-    import random  # here, as no other command uses it
-
-    cells = sorted((n, f) for n in args.sizes for f in args.leaf_fractions)
-    print("n leaf_frac m r iter_proposed pred_proposed iter_baseline pred_baseline saving")
-    for n, frac in cells:
-        rng = random.Random(f"{args.seed}:{n}:{frac:.4f}")
-        table = generate_random_table(n, frac, rng)
-        net = validate_radial(table)
-        opts = SolveOptions(tolerance=args.tol, max_iterations=args.max_iter,
-                            literal_scan=True)
-        report = solver.solve(net, opts)
-        m = report.leaf_count
-        r = report.iterations
-        # compare the per-iteration loop cost against the closed forms' cost of
-        # one more iteration; the one-off prefix is excluded on both sides
-        pred_prop, pred_base = solver.step_model(n, m, r)
-        next_prop, next_base = solver.step_model(n, m, r + 1)
-        pred_prop_iter = next_prop - pred_prop
-        pred_base_iter = next_base - pred_base
-        iter_prop = sum(report.per_iteration_steps) // r
-        iter_base = report.step_count_baseline // r
-        saving = iter_base / iter_prop
-        print(
-            f"{n} {frac:.2f} {m} {r} "
-            f"{iter_prop} {pred_prop_iter} {iter_base} {pred_base_iter} {saving:.3f}"
-        )
     return EXIT_OK
 
 
@@ -369,6 +197,21 @@ class _CommandParser(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
 
+def _command(name: str):
+    """The command function name of radialflow._commands, which it loads when
+    the command runs, called with the parsed arguments and this module."""
+    def run(args) -> int:
+        from . import _commands
+
+        return getattr(_commands, name)(args, sys.modules[__name__])
+    run.__name__ = run.__qualname__ = name
+    return run
+
+
+cmd_validate = _command("cmd_validate")
+cmd_compare = _command("cmd_compare")
+cmd_bench = _command("cmd_bench")
+
 _COMMANDS = (
     ("validate", "check a branch table for radial topology", _add_input_args, cmd_validate),
     ("solve", "run the load flow and print the solution", _add_solve_command_args, cmd_solve),
@@ -413,6 +256,19 @@ def main(argv: list[str] | None = None) -> int:
     except LoadFlowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+
+
+_FORWARDED = ("generate_random_table", "read_golden")
+
+
+def __getattr__(name):
+    # the readers the tests and tools import from here live with the commands
+    # that use them, imported on first use (PEP 562)
+    if name in _FORWARDED:
+        from . import _commands
+
+        return getattr(_commands, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Parsing, radial-topology validation, and sequential renumbering of branch tables.
+"""Parsing and radial-topology validation of branch tables.
 
 A RawTable keeps its rows as nine parallel columns, one per BranchRecord
 field. Both parsers check each row with model._check_row, BranchRecord's own
@@ -12,31 +12,15 @@ PerUnitBranch or Phasor is built. The model's construction checks the tree
 (model.radial_tree) and derives the topology, the sequential-ordering verdict
 included; validate_radial refuses an unordered network through
 NetworkModel.check_ordering. validate_radial finds the closed and tie rows in
-id order with _by_id; renumber_sequential finds the closed rows in table
-order and the tie rows in id order with _table_order, so only the ties are
-sorted. Both take rows out of the columns in one way only, _gather, which
-returns each column's entries at those row positions as a tuple. A table
-whose ids ascend and whose tie rows come last, as the bundled feeders and
-every renumbered table do, is already in id order: _by_id gives two ranges
-and _gather slices, with no sort and no per-row gather. renumber_sequential
-runs radial_tree on the closed rows in table order; its walk does not
-depend on that order, but the defect named first does, so on a
-TopologyError it runs radial_tree again on the id-sorted columns, and both
-functions name the same first defect, whatever the order of the rows. A
-value that cannot be put in per-unit is a DataError that validate_radial
-raises before any topology check, as the parser names bad values before
-anything else. renumber_sequential puts the rows in one order,
-the closed branches as its walk from the root pops them and then the tie
-lines by id, and gathers every column in that order; the new nodes and the
-whole mapping are read off the gathered columns. The walk runs on radial_tree's
-position lists: its frontier is a heap of node positions, which follow the
-old node ids, and each node's children are a slice of the offsets-plus-
-targets pair, so no id-keyed lookup is made until the mapping is built. The
-JSON reader takes a list of plain branches (_plain_columns) a column at a
-time, checked in bulk; any other list it reads entry by entry, converting
-each value with _number, which names the key of a value that is not the
-number it must be (a bool, a fraction for an id or node).
-Number text, a table's or a golden CSV's, is read by _to_number alone.
+id order with _by_id, and takes rows out of the columns in one way only,
+_gather, which returns each column's entries at those row positions as a
+tuple. A table whose ids ascend and whose tie rows come last, as the bundled
+feeders and every renumbered table do, is already in id order: _by_id gives
+two ranges and _gather slices, with no sort and no per-row gather. A value
+that cannot be put in per-unit is a DataError that validate_radial raises
+before any topology check, as the parser names bad values before anything
+else. Number text, a table's or a golden CSV's, is read by _to_number alone,
+and an input file's text by _read_text.
 Every defect found raises a typed error: ParseError or DataError for bad input
 text and values, TopologyError (prefixed with the table's source) for anything
 that is not a tree rooted at the requested root. TopologyError and OrderingError live in
@@ -49,18 +33,18 @@ model.RowView over the tie rows' gathered columns, so no tie record is built
 until one is read; the tie lines' ends for the topology key are read off
 those columns.
 
-RawTable is an immutable __slots__ class and RenumberMapping a namedtuple
-record, both on model's bases (model._Frozen, model._Record); json is imported
-by the JSON reader only, so reading a delimited table does not load it, and
-heapq by renumber_sequential only, so importing the package does not.
+RawTable is an immutable __slots__ class on model's base model._Frozen. Two
+parts live in modules of their own, loaded on first use, so that reading and
+validating a delimited table loads neither: the JSON reader
+(radialflow._json_reader, with json), which parse_branch_table imports for a
+JSON document, and renumber_sequential with RenumberMapping
+(radialflow._renumber, with heapq), which this module forwards by name
+(PEP 562).
 """
 from __future__ import annotations
 
-import math
-from collections import namedtuple
 from collections.abc import Sequence
-from itertools import compress
-from operator import eq, itemgetter, lt, not_
+from operator import itemgetter, lt
 
 from .model import (  # TopologyError and OrderingError are also ingest's names
     DEFAULT_BASE,
@@ -75,8 +59,6 @@ from .model import (  # TopologyError and OrderingError are also ingest's names
     _check_unique,
     _closed_per_unit,
     _Frozen,
-    _Record,
-    radial_tree,
 )
 
 
@@ -92,7 +74,8 @@ class RawTable(_Frozen):
     load_p, load_q, capacity, is_tie); entry k of each is row k. The parsers
     and renumber_sequential fill the columns directly, and RawTable(rows=...)
     transposes BranchRecords, which are tuples of those fields (a row given
-    as a plain tuple of them is checked with _check_row first). rows,
+    as a plain tuple of them is checked with _check_row first, and one of
+    another length is a DataError naming it). rows,
     closed_rows() and tie_rows() build equal BranchRecords on demand, so the
     objects a table keeps for the cyclic collector to track are a fixed few
     whatever its size. A table is immutable; it equals, and hashes as, the
@@ -104,9 +87,14 @@ class RawTable(_Frozen):
     def __init__(self, rows, source_name: str = "<memory>",
                  declared_base: PerUnitBase | None = None, declared_root: int | None = None):
         rows = tuple(rows)
-        for row in rows:
+        for k, row in enumerate(rows):
             if type(row) is not BranchRecord:  # a record was checked when it was built
-                _check_row(*row)
+                try:
+                    _check_row(*row)
+                except TypeError:  # not nine values: _check_row names one of another type
+                    raise DataError(
+                        f"{source_name}: row {k} {row!r}: a row needs the nine BranchRecord "
+                        f"fields ({', '.join(BranchRecord._fields)})") from None
         self._fill(_columns(rows), source_name, declared_base, declared_root)
 
     def _fill(self, columns, source_name, declared_base=None, declared_root=None) -> None:
@@ -147,6 +135,18 @@ def _to_number(value, kind: type):
     if type(value) is str and not (value.isascii() and "_" not in value):
         raise ValueError(f"not a plain number: {value!r}")
     return kind(value)
+
+
+def _read_text(path) -> str:
+    """The UTF-8 text of an input file (a str or a Path) without a leading
+    byte-order mark, or a ParseError naming the file when it cannot be opened
+    or is not UTF-8; the CLI's read_text, here so that read_golden reads with
+    it without importing cli."""
+    try:
+        with open(path, encoding="utf-8-sig") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
 
 
 def _parse_token(token: str, kind: type, lineno: int, source: str, written: str = ""):
@@ -198,132 +198,6 @@ def _columns(rows) -> tuple[tuple, ...]:
     return tuple(zip(*rows)) or ((),) * len(BranchRecord.__match_args__)
 
 
-# what int() and float() raise on a value they cannot convert
-_BAD_VALUE = (TypeError, ValueError, OverflowError)
-
-
-def _number(value, key: str, kind: type):
-    """A JSON value as kind (int or float), or a ParseError naming its key.
-
-    A bool is rejected, and so is a number with a fraction where an int is
-    wanted; text is read by _to_number, as the delimited format reads it.
-    """
-    if type(value) is kind:
-        return value
-    # a float gets here only when kind is int
-    if type(value) is not bool and (type(value) is not float or value.is_integer()):
-        try:
-            return _to_number(value, kind)
-        except _BAD_VALUE:
-            pass
-    raise ParseError(f"bad value {value!r} for key {key!r}")
-
-
-# readers of the keys of a plain JSON branch, in BranchRecord field order
-_PLAIN_KEYS = tuple(map(itemgetter, ("id", "from", "to", "r", "x", "p", "q")))
-
-
-def _plain_columns(branches: list) -> tuple[tuple, ...] | None:
-    """The nine columns of branches read a column at a time, or None when any
-    entry is not plain.
-
-    Plain means every entry is an object with exactly the keys id, from, to,
-    r, x, p and q, the id and both nodes exactly int and r, x, p and q
-    exactly float, and the columns pass _check_row's tests in bulk: ids
-    positive, the float columns' sum finite, no negative r or x and no
-    branch from a node to itself. Such a document gives the rows the row
-    loop gives it, with no error; every other is left to the row loop, which
-    reads ties, cap, integral floats, number text and missing loads, and
-    names the first bad entry.
-    """
-    try:
-        if set(map(len, branches)) != {7}:
-            return None
-        ids, sending, receiving, r, x, p, q = [tuple(map(key, branches)) for key in _PLAIN_KEYS]
-    except (TypeError, KeyError):  # an entry that is not an object, or has other keys
-        return None
-    if not ({*map(type, ids), *map(type, sending), *map(type, receiving)} == {int}
-            and {*map(type, r), *map(type, x), *map(type, p), *map(type, q)} == {float}
-            and min(ids) > 0
-            and math.isfinite(sum(r) + sum(x) + sum(p) + sum(q))
-            and min(r) >= 0.0 and min(x) >= 0.0
-            and not any(map(eq, sending, receiving))):
-        return None
-    n = len(ids)
-    return ids, sending, receiving, r, x, p, q, (None,) * n, (False,) * n
-
-
-def _parse_json(text: str, source: str) -> tuple[tuple[tuple, ...], PerUnitBase | None, int | None]:
-    """The columns, declared base and declared root of a JSON network document.
-
-    Plain branches are read a column at a time (_plain_columns); any other
-    list goes through the row loop, which converts each value with _number
-    and checks each row with _check_row, naming the entry and key at fault.
-    Text that json cannot decode is a ParseError.
-    """
-    import json  # here, so that reading a delimited table does not load it
-
-    # a JSONDecodeError is a ValueError, as is an integer of more digits than
-    # int() converts; arrays or objects nested too deep raise RecursionError
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise ParseError(f"{source}: invalid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ParseError(f"{source}: expected a JSON object at the top level, got {type(doc).__name__}")
-    base = None
-    if "base" in doc:
-        spec = doc["base"]
-        try:
-            base = PerUnitBase(kv_base=_number(spec["kv"], "kv", float),
-                               mva_base=_number(spec["mva"], "mva", float))
-        except (KeyError, TypeError, ParseError):  # not an object with two numbers
-            raise ParseError(
-                f'{source}: bad "base" {spec!r} (needs numbers "kv" and "mva")'
-            ) from None
-        except DataError as exc:  # numbers PerUnitBase rejects
-            raise ParseError(f'{source}: bad "base" {spec!r}: {exc}') from None
-    root = None
-    if "root" in doc:
-        try:
-            root = _number(doc["root"], "root", int)
-        except ParseError:
-            raise ParseError(f'{source}: bad "root" {doc["root"]!r}') from None
-    branches = doc.get("branches", [])
-    if not isinstance(branches, list):
-        raise ParseError(f"{source}: \"branches\" must be a list, got {type(branches).__name__}")
-    columns = _plain_columns(branches)
-    if columns is not None:
-        return columns, base, root
-    rows = []
-    for index, entry in enumerate(branches):
-        try:
-            if not isinstance(entry, dict):
-                raise ParseError(f"expected an object, got {type(entry).__name__}")
-            is_tie = entry.get("open", False)
-            if type(is_tie) is not bool:
-                raise ParseError(f"bad value {is_tie!r} for key 'open'")
-            cap = entry.get("cap")
-            row = (
-                _number(entry["id"], "id", int),
-                _number(entry["from"], "from", int),
-                _number(entry["to"], "to", int),
-                _number(entry["r"], "r", float),
-                _number(entry["x"], "x", float),
-                0.0 if is_tie else _number(entry.get("p", 0.0), "p", float),
-                0.0 if is_tie else _number(entry.get("q", 0.0), "q", float),
-                None if cap is None else _number(cap, "cap", float),
-                is_tie,
-            )
-            _check_row(*row)
-        except KeyError as exc:
-            raise ParseError(f"{source}: branches[{index}]: missing key {exc.args[0]!r}") from None
-        except DataError as exc:  # a value _number or _check_row rejects
-            raise ParseError(f"{source}: branches[{index}]: {exc}") from None
-        rows.append(row)
-    return _columns(rows), base, root
-
-
 def parse_branch_table(text: str, fmt: str = "delimited", source_name: str = "<memory>") -> RawTable:
     """Parse a branch table from delimited text or the JSON network format.
 
@@ -334,6 +208,8 @@ def parse_branch_table(text: str, fmt: str = "delimited", source_name: str = "<m
     if fmt == "delimited":
         return RawTable._from_columns(_parse_delimited(text, source_name), source_name)
     if fmt == "json":
+        from ._json_reader import _parse_json  # here, so that a delimited table does not load it
+
         columns, base, root = _parse_json(text, source_name)
         return RawTable._from_columns(columns, source_name, base, root)
     raise ValueError(f"unknown format {fmt!r}")
@@ -360,18 +236,6 @@ def _by_id(table: RawTable) -> tuple[Sequence[int], Sequence[int]]:
         return range(closed), range(closed, len(ids))
     order = sorted(range(len(ids)), key=ids.__getitem__)
     return [k for k in order if not tie[k]], [k for k in order if tie[k]]
-
-
-def _table_order(table: RawTable) -> tuple[Sequence[int], Sequence[int]]:
-    """Positions of the closed rows in table order and of the tie rows in id
-    order: a range and an empty range for a table with no tie rows, so that
-    _gather slices; only the tie rows are sorted."""
-    ids, *_, tie = table.columns
-    if not any(tie):
-        return range(len(ids)), range(0)
-    positions = range(len(ids))
-    return (list(compress(positions, map(not_, tie))),
-            sorted(compress(positions, tie), key=ids.__getitem__))
 
 
 def _gather(columns, positions) -> list[tuple]:
@@ -434,96 +298,14 @@ def validate_radial(
     return net
 
 
-def _tree(table: RawTable, closed, ties, root: int):
-    """radial_tree of the table's closed rows at the positions closed and its
-    tie rows at the positions ties, in those orders."""
-    ends = table.columns[:3]  # branch id, sending and receiving node
-    return radial_tree(*_gather(ends, closed), root, tuple(zip(*_gather(ends, ties))))
+_RENUMBER = ("renumber_sequential", "RenumberMapping")
 
 
-class RenumberMapping(_Record, namedtuple(
-        "RenumberMapping", "node_old_to_new node_new_to_old branch_old_to_new")):
-    """Old-to-new index maps produced by renumber_sequential."""
+def __getattr__(name):
+    # renumbering is imported on first use, so reading and validating a
+    # table does not load it (PEP 562)
+    if name in _RENUMBER:
+        from . import _renumber
 
-    __slots__ = ()
-
-    def is_identity(self) -> bool:
-        return all(o == n for o, n in self.node_old_to_new.items()) and all(
-            o == n for o, n in self.branch_old_to_new.items()
-        )
-
-
-def renumber_sequential(table: RawTable, root: int | None = None) -> tuple[RawTable, RenumberMapping]:
-    """Relabel nodes and branches so the sequential-ordering property holds.
-
-    One order of the rows gives the new table and the whole mapping: the closed
-    branches as a walk from the root pops them, the frontier expanded
-    lowest-old-receiving-node first, then the tie lines by old id. Row k of the
-    order gets id k; the root gets new node 1 and the receiving node of closed
-    row k new node k+1. Tables that already satisfy the convention of the
-    bundled feeder data (receiving node of branch j is j+1, laterals listed
-    after their trunk) map to themselves.
-
-    The tree is derived from the closed rows in table order and the tie rows
-    in id order (_table_order), so only the tie rows are sorted: the walk
-    does not depend on the order of the rows, as its heap holds node
-    positions. Which defect radial_tree names first does, so a table that is
-    not a tree is derived again in id order (_by_id), and the error names
-    the defect validate_radial names.
-    """
-    root = _root(table, root)
-    closed, ties = _table_order(table)
-    try:
-        try:
-            _, index, _, _, feeding, offsets, targets = _tree(table, closed, ties, root)
-        except TopologyError:
-            closed, ties = _by_id(table)
-            _, index, _, _, feeding, offsets, targets = _tree(table, closed, ties, root)
-    except TopologyError as exc:
-        raise type(exc)(f"{table.source_name}: {exc}") from None
-
-    # node positions follow old ids, so a heap of positions pops the lowest old
-    # receiving node first. Each node's children join the frontier and the
-    # least of it is popped at once (heappushpop, which returns a child that
-    # is already the least without a sift: a lateral's next node, mostly)
-    from heapq import heappop, heappush, heappushpop
-
-    popped = []
-    heap = []
-    i = index[root]
-    while True:
-        fed = targets[offsets[i]:offsets[i + 1]]
-        if fed:
-            for j in fed[1:]:
-                heappush(heap, j)
-            i = heappushpop(heap, fed[0])
-        elif heap:
-            i = heappop(heap)
-        else:
-            break
-        popped.append(i)
-    # the rows in the new order: the closed ones as the walk popped them,
-    # then the ties
-    walk = [closed[feeding[i]] for i in popped]
-    ids, sending, receiving, r, x, p, q, cap = _gather(table.columns[:-1], [*walk, *ties])
-    new_ids = range(1, len(ids) + 1)
-    node_new_to_old = dict(enumerate((root, *receiving[:len(walk)]), start=1))
-    new_node = {old: new for new, old in node_new_to_old.items()}
-
-    # a tie carries no load: write 0.0, also where its row reads -0.0
-    zeros = (0.0,) * len(ties)
-    columns = (new_ids, [new_node[n] for n in sending], [new_node[n] for n in receiving], r, x,
-               p[:len(walk)] + zeros, q[:len(walk)] + zeros, cap,
-               [False] * len(walk) + [True] * len(ties))
-    mapping = RenumberMapping(
-        node_old_to_new=new_node,
-        node_new_to_old=node_new_to_old,
-        branch_old_to_new=dict(zip(ids, new_ids)),
-    )
-    new_table = RawTable._from_columns(
-        columns,
-        table.source_name,
-        table.declared_base,
-        1 if table.declared_root is not None else None,
-    )
-    return new_table, mapping
+        return getattr(_renumber, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -329,7 +329,10 @@ def _check_row(branch_id, sending_node, receiving_node, resistance, reactance, l
     their rows here. A value that is not a number fails a comparison or the
     sum below with a TypeError; only then are the fields searched for the
     first that is not a real number (a capacity of None takes part in no
-    test, so the field found comes before it)."""
+    test, so the field found comes before it). A value field that holds an
+    int too large for a float fails the sum or a finiteness test with an
+    OverflowError; only then are the value fields searched for the first
+    that float() cannot convert."""
     try:
         if branch_id <= 0:
             raise DataError(f"branch id must be positive, got {branch_id}")
@@ -350,6 +353,14 @@ def _check_row(branch_id, sending_node, receiving_node, resistance, reactance, l
             if not math.isfinite(capacity):  # NaN or -inf
                 raise DataError(f"branch {branch_id}: non-finite capacity ({capacity})")
             raise DataError(f"branch {branch_id}: capacity must be positive when present")
+        if sending_node == receiving_node:
+            raise DataError(
+                f"branch {branch_id}: sending and receiving node are both {sending_node}")
+        if is_tie and (load_p != 0.0 or load_q != 0.0):
+            raise DataError(f"branch {branch_id}: tie-line must carry zero load")
+        # after the checks above, so a row they reject keeps its message
+        if capacity is not None and not math.isfinite(capacity):
+            raise DataError(f"branch {branch_id}: non-finite capacity ({capacity})")
     except TypeError:
         from numbers import Real  # here, as only a row with a value of another type gets here
 
@@ -359,13 +370,15 @@ def _check_row(branch_id, sending_node, receiving_node, resistance, reactance, l
             if not isinstance(value, Real):
                 raise DataError(f"branch {branch_id}: {name} is not a number ({value!r})") from None
         raise
-    if sending_node == receiving_node:
-        raise DataError(f"branch {branch_id}: sending and receiving node are both {sending_node}")
-    if is_tie and (load_p != 0.0 or load_q != 0.0):
-        raise DataError(f"branch {branch_id}: tie-line must carry zero load")
-    # after the checks above, so a row they reject keeps its message
-    if capacity is not None and not math.isfinite(capacity):
-        raise DataError(f"branch {branch_id}: non-finite capacity ({capacity})")
+    except OverflowError:
+        values = (resistance, reactance, load_p, load_q, capacity)
+        for name, value in zip(BranchRecord._fields[3:], values):
+            try:
+                float(0.0 if value is None else value)
+            except OverflowError:
+                raise DataError(f"branch {branch_id}: {name} is beyond the range of a float") \
+                    from None
+        raise
 
 
 class PerUnitBranch(_Record, namedtuple(
@@ -463,8 +476,10 @@ def radial_tree(ids, sending, receiving, root: int, tie_lines):
     targets[offsets[i]:offsets[i + 1]], in the column order of their
     branches. All but index are tuples.
 
-    Raises TopologyError, with no source in its text, for the first of these
-    defects: no branches; root not a sending node; a node fed twice (the first
+    Raises DataError naming the root, or else the first branch id or node,
+    that is not a real number (text, say) when that makes a test below fail,
+    and otherwise TopologyError, with no source in its text, for the first of
+    these defects: no branches; root not a sending node; a node fed twice (the first
     branch in column order that feeds a node already fed); a branch feeding
     the root; a node with no feeding branch (the smallest); a cycle (one
     reached from the smallest node the root does not reach); a tie line
@@ -473,9 +488,14 @@ def radial_tree(ids, sending, receiving, root: int, tie_lines):
     if not ids:
         raise TopologyError("no closed branches")
     if root not in sending:
+        _check_numbers(ids, sending, receiving, root)
         raise TopologyError(f"root {root} is not a sending node")
     # the one sort: the root and the receiving nodes, m + 1 of them in a tree
-    nodes = sorted({root, *receiving})
+    try:
+        nodes = sorted({root, *receiving})
+    except TypeError:  # a node that does not compare with the others
+        _check_numbers(ids, sending, receiving, root)
+        raise
     index = dict(zip(nodes, range(len(nodes))))
     recv = tuple(map(index.__getitem__, receiving))
     feeding = [-1] * len(nodes)
@@ -491,6 +511,7 @@ def radial_tree(ids, sending, receiving, root: int, tie_lines):
     try:
         send = tuple(map(index.__getitem__, sending))
     except KeyError:  # a sending node that is neither the root nor fed
+        _check_numbers(ids, sending, receiving, root)
         raise TopologyError(
             f"node {min(set(sending).difference(index))} has no feeding branch") from None
     m = len(ids)
@@ -521,6 +542,20 @@ def radial_tree(ids, sending, receiving, root: int, tie_lines):
                     f"tie branch {t} ends at node {node}, which no closed branch connects"
                 )
     return tuple(nodes), index, send, recv, tuple(feeding), offsets, tuple(targets)
+
+
+def _check_numbers(ids, sending, receiving, root) -> None:
+    """Raise DataError for the root, or else the first branch id or node in
+    column order, that is not a real number; radial_tree calls this only
+    once a test has failed, which text in place of a number can make fail."""
+    from numbers import Real  # here, as only a failed tree gets here
+
+    if not isinstance(root, Real):
+        raise DataError(f"root {root!r} is not a number")
+    for row in zip(ids, sending, receiving):
+        for name, value in zip(BranchRecord._fields, row):
+            if not isinstance(value, Real):
+                raise DataError(f"branch {row[0]}: {name} is not a number ({value!r})")
 
 
 def _cycle(ids, sending, receiving, send, feeding, reached) -> TopologyError:

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import conftest
-from radialflow import cli, oracle
+from radialflow import _renumber, cli, oracle
 from radialflow.cli import (
     EXIT_COMPARE,
     EXIT_ERROR,
@@ -365,7 +365,7 @@ class TestSolve:
         tuples sorted by them, through _replace; the other fields are kept."""
         table, mapping = renumber_sequential(parse_branch_table(self.ORDERED))
         report = solve(validate_radial(table))
-        mapped = cli._in_input_ids(report, mapping)
+        mapped = _renumber._in_input_ids(report, mapping)
         node, branch = self.NODE_TO_INPUT, self.BRANCH_TO_INPUT
         expected = {
             "node_voltages": sorted((node[n], v, a) for n, v, a in report.node_voltages),
@@ -619,15 +619,24 @@ def test_bundled_data_reads_without_default_encoding():
         assert (command, proc.returncode, proc.stderr) == (command, EXIT_OK, "")
 
 
-def test_cli_import_leaves_the_oracle_unloaded():
+def test_cli_import_leaves_the_oracle_unloaded(tmp_path):
     """radialflow loads its oracle, and solver the pass-loop writer
     (radialflow._kernel), on first use, which no CLI run makes, and neither
     the package nor the CLI imports dataclasses, inspect, json, random, heapq
-    or ast to start; the CLI loads no package module but the four it runs on.
+    or ast, renumbering, the JSON reader or the other commands to start; the
+    CLI loads no package module but the four it runs on.
     The interpreter runs without the site hook (-S), whose .pth files may load
-    any of these first; a module loaded before the import does not count."""
+    any of these first; a module loaded before the import does not count.
+
+    Each command then runs as python -m radialflow.cli, and -X importtime
+    lists what it imports: a solve of a delimited table nothing beyond the
+    package, ingest, model and solver (cli runs as __main__), and
+    --renumber, a JSON document, --format json, validate, compare and bench
+    one module more each, with the stdlib module that module needs. None
+    imports radialflow.cli, which would be a second copy of __main__."""
     watched = ["dataclasses", "inspect", "json", "random", "heapq", "ast", "radialflow.oracle",
-               "radialflow._kernel"]
+               "radialflow._kernel", "radialflow._renumber", "radialflow._json_reader",
+               "radialflow._commands"]
     for module in ("radialflow.cli", "radialflow"):
         proc = subprocess.run(
             [sys.executable, "-S", "-c",
@@ -646,6 +655,32 @@ def test_cli_import_leaves_the_oracle_unloaded():
               "radialflow.solver"]
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{loaded}\n", "")
 
+    document = tmp_path / "net.json"
+    document.write_text(json.dumps({"branches": [
+        {"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05, "p": 10.0, "q": 5.0}]}),
+        encoding="utf-8")
+    runs = [
+        (("solve", BUS69), None, None),
+        (("solve", "--renumber", BUS33), "radialflow._renumber", "heapq"),
+        (("solve", str(document)), "radialflow._json_reader", "json"),
+        (("solve", "--format", "json", BUS33), "radialflow._commands", "json"),
+        (("validate", BUS33), "radialflow._commands", None),
+        (("compare", BUS69, "--golden", GOLDEN), "radialflow._commands", None),
+        (("bench", "--sizes", "4", "--leaf-fractions", "0.5"), "radialflow._commands", "random"),
+    ]
+    for argv, extra, stdlib in runs:
+        proc = subprocess.run(
+            [sys.executable, "-S", "-X", "importtime", "-m", "radialflow.cli", *argv],
+            capture_output=True, env=subprocess_env(), text=True, timeout=60,
+        )
+        imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        package = sorted(m for m in imported if m.partition(".")[0] == "radialflow")
+        expected = sorted({"radialflow", "radialflow.ingest", "radialflow.model",
+                           "radialflow.solver", extra} - {None})
+        assert (argv, proc.returncode, package) == (argv, EXIT_OK, expected)
+        assert (argv, sorted(imported & set(watched[:6]))) == (argv, [stdlib] if stdlib else [])
+
 
 def test_a_command_line_builds_only_its_commands_arguments():
     """Each command's parser adds its arguments when argparse selects it:
@@ -656,6 +691,53 @@ def test_a_command_line_builds_only_its_commands_arguments():
     added = {name: [a.dest for a in p._actions] for name, p in commands.choices.items()}
     assert added["validate"] == added["compare"] == added["bench"] == ["help"]
     assert added["solve"][:3] == ["help", "file", "input_format"]
+
+
+def test_moved_names_are_forwarded_from_where_they_were():
+    """ingest forwards renumber_sequential and RenumberMapping from
+    radialflow._renumber, the package renumber_sequential, and cli
+    generate_random_table and read_golden from radialflow._commands, each as
+    that module's own object, on first use; no other name is forwarded, and
+    the package gains no name."""
+    import radialflow
+    from radialflow import _commands, ingest
+
+    for module, names, home in ((ingest, ("renumber_sequential", "RenumberMapping"), _renumber),
+                                (radialflow, ("renumber_sequential",), _renumber),
+                                (cli, ("generate_random_table", "read_golden"), _commands)):
+        for name in names:
+            assert getattr(module, name) is getattr(home, name)
+    for module, name in ((ingest, "_table_order"), (ingest, "_plain_columns"),
+                         (radialflow, "RenumberMapping"), (cli, "_in_input_ids"),
+                         (cli, "_report_json")):
+        with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+            getattr(module, name)
+
+
+def test_renumber_is_called_through_ingest(capsys, monkeypatch):
+    """solve --renumber looks renumber_sequential up on ingest when it runs,
+    so a wrapper bound there (a tracer's) sees the call."""
+    from radialflow import ingest
+
+    calls = []
+    renumber = ingest.renumber_sequential
+    monkeypatch.setattr(ingest, "renumber_sequential",
+                        lambda *a, **k: calls.append(a[0].source_name) or renumber(*a, **k))
+    assert run(capsys, "solve", "--renumber", BUS33)[0] == EXIT_OK
+    assert calls == [BUS33]
+
+
+def test_moved_commands_keep_their_names_in_cli(capsys):
+    """cli.cmd_validate, cmd_compare and cmd_bench are still called with the
+    parsed arguments alone; each runs radialflow._commands' command of that
+    name with the cli module."""
+    for name, argv in (("cmd_validate", ["validate", BUS33]),
+                       ("cmd_compare", ["compare", BUS69, "--golden", GOLDEN]),
+                       ("cmd_bench", ["bench", "--sizes", "4", "--leaf-fractions", "0.5"])):
+        command = getattr(cli, name)
+        assert command.__name__ == name
+        assert command(cli.build_parser().parse_args(argv)) == EXIT_OK
+    assert capsys.readouterr().out.startswith("NB=33 LN=32 ties=0")
 
 
 class TestBench:

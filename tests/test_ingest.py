@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import criterion_2_tables, format_branch_table, make_table
-from radialflow import ingest, model
+from radialflow import _json_reader, _renumber, ingest, model
 from radialflow.cli import generate_random_table
 from radialflow.ingest import (
     OrderingError,
@@ -251,13 +251,14 @@ class TestParseJson:
 
     def test_plain_branches_are_read_a_column_at_a_time(self):
         branches = [plain_entry(id=1, **{"from": 1, "to": 2}), plain_entry()]
-        columns = ingest._plain_columns(branches)
+        columns = _json_reader._plain_columns(branches)
         assert columns == ((1, 2), (1, 2), (2, 3), (0.1, 0.1), (0.05, 0.05), (1.0, 1.0),
                            (0.5, 0.5), (None, None), (False, False))
         doc = {"branches": branches}
         assert parse_branch_table(json.dumps(doc), "json").columns == columns
         # one entry that is not plain, and the row loop reads the list
-        assert ingest._plain_columns([*branches, {**plain_entry(id=3), "open": False}]) is None
+        widened = [*branches, {**plain_entry(id=3), "open": False}]
+        assert _json_reader._plain_columns(widened) is None
 
     def test_capacity_beyond_float_range_rejected(self):
         # json reads 1e400 as inf
@@ -665,19 +666,19 @@ def test_a_tree_is_renumbered_in_table_order(bus69_table, monkeypatch):
     rows = list(bus69_table.rows)
     rng.shuffle(rows)
     by_id = []
-    monkeypatch.setattr(ingest, "_by_id", lambda table: by_id.append(table))
+    monkeypatch.setattr(_renumber, "_by_id", lambda table: by_id.append(table))
     for table in (shuffled, RawTable(rows=tuple(rows), source_name=bus69_table.source_name)):
         expected = renumber_sequential(RawTable(
             rows=tuple(sorted(table.rows)), source_name=table.source_name))
         assert renumber_sequential(table) == expected
     assert by_id == []
     gathered = []
-    gather = ingest._gather
-    monkeypatch.setattr(ingest, "_gather", lambda columns, positions:
+    gather = _renumber._gather
+    monkeypatch.setattr(_renumber, "_gather", lambda columns, positions:
                         gathered.append(type(positions)) or gather(columns, positions))
     renumber_sequential(shuffled)
     assert gathered[:2] == [range, range]  # the closed rows and no tie rows
-    assert ingest._table_order(RawTable(rows=tuple(rows))) == (
+    assert _renumber._table_order(RawTable(rows=tuple(rows))) == (
         [k for k, r in enumerate(rows) if not r.is_tie],
         sorted([k for k, r in enumerate(rows) if r.is_tie], key=lambda k: rows[k].branch_id))
 
@@ -727,6 +728,35 @@ def test_a_table_of_plain_tuples_checks_each_row(row, message):
     assert str(exc.value) == message
     assert RawTable(rows=[row[:3] + (0.1, 0.1, 0.0, 0.0, None, row[-1])]).rows == (
         BranchRecord(*row[:3], 0.1, 0.1, 0.0, 0.0, None, row[-1]),)
+
+
+@pytest.mark.parametrize("row", [(1, 1, 2, 0.1, 0.1, 1.0), (1, 1, 2, 0.1, 0.1, 1.0, 1.0, None),
+                                 (1, 1, 2, 0.1, 0.1, 1.0, 1.0, None, False, 0), 5],
+                         ids=["six", "eight", "ten", "not-a-row"])
+def test_a_plain_row_of_another_length_is_named(row):
+    """A row given as a plain tuple must be the nine BranchRecord fields;
+    one of another length is a DataError naming the row, where _check_row
+    would raise the TypeError of its call."""
+    closed = BranchRecord(2, 2, 3, 0.1, 0.1, 1.0, 1.0)
+    with pytest.raises(DataError) as exc:
+        RawTable(rows=[closed, row], source_name="t")
+    assert str(exc.value) == (
+        f"t: row 1 {row!r}: a row needs the nine BranchRecord fields (branch_id, "
+        f"sending_node, receiving_node, resistance, reactance, load_p, load_q, capacity, is_tie)")
+
+
+def test_a_root_that_is_not_a_number_is_named(bus33_table):
+    """A text root is a DataError, not a root that no branch sends from
+    printed as if it were the number; a float or bool root that equals a
+    node still reads as it."""
+    for call in (validate_radial, renumber_sequential):
+        with pytest.raises(DataError) as exc:
+            call(bus33_table, root="1")
+        assert str(exc.value) == "root '1' is not a number"
+    expected = validate_radial(bus33_table)
+    for root in (1.0, True):
+        assert validate_radial(bus33_table, root=root).branch_ids == expected.branch_ids
+        assert renumber_sequential(bus33_table, root=root)[0] == renumber_sequential(bus33_table)[0]
 
 
 def test_validate_radial_constructs_no_per_unit_branch_or_phasor(bus69_table, monkeypatch):

@@ -17,6 +17,7 @@ from radialflow.model import (
     DataError,
     NetworkModel,
     PerUnitBase,
+    PerUnitBranch,
     Phasor,
     RowView,
     SingularityError,
@@ -234,9 +235,22 @@ class TestBranchRecord:
         # the first field at fault in field order, whichever test fails first
         ((1, "1", 2, "0.1", 0.1, 1, 1), "branch 1: sending_node is not a number ('1')"),
         ((2, 1, 2, -1.0, "x", 1, 1), "branch 2: reactance is not a number ('x')"),
+        # an int that float() cannot convert, named rather than left to raise
+        # the OverflowError of the conversion
+        ((1, 1, 2, 10**400, 0.1, 1, 1), "branch 1: resistance is beyond the range of a float"),
+        ((1, 1, 2, 0.1, -10**400, 1, 1), "branch 1: reactance is beyond the range of a float"),
+        ((1, 1, 2, 0.1, 0.1, 10**400, 1), "branch 1: load_p is beyond the range of a float"),
+        ((1, 1, 2, 0.1, 0.1, 1, 10**400), "branch 1: load_q is beyond the range of a float"),
+        ((1, 1, 2, 0.1, 0.1, 1, 1, 10**400), "branch 1: capacity is beyond the range of a float"),
+        ((1, 1, 2, 0.1, 0.1, 1, 1, -10**400),
+         "branch 1: capacity is beyond the range of a float"),
+        # the value whose conversion failed, though an earlier one is infinite
+        ((1, 1, 2, math.inf, 0.1, 10**400, 1), "branch 1: load_p is beyond the range of a float"),
     ], ids=["id-text", "id-none", "sending-text", "receiving-none", "sending-complex",
             "resistance-text", "reactance-complex", "load_p-none", "load_q-list", "capacity-text",
-            "first-in-field-order", "before-negative-impedance"])
+            "first-in-field-order", "before-negative-impedance", "resistance-beyond-float",
+            "reactance-beyond-float", "load_p-beyond-float", "load_q-beyond-float",
+            "capacity-beyond-float", "negative-capacity-beyond-float", "after-an-infinity"])
     @pytest.mark.parametrize("build", [
         lambda row: BranchRecord(*row),
         # a plain tuple of all nine fields
@@ -246,6 +260,13 @@ class TestBranchRecord:
         with pytest.raises(DataError) as exc:
             build(row)
         assert str(exc.value) == message
+
+    def test_ints_a_float_holds_and_ids_beyond_one_are_kept(self):
+        """Only a value field is converted: an int a float holds reads as a
+        value, and ids and nodes of any size are compared exactly."""
+        big = 10**400
+        assert BranchRecord(1, 1, 2, 10**300, 0, 1, 1).resistance == 10**300
+        assert BranchRecord(big, big, big + 1, 0.1, 0.1, 1, 1).receiving_node == big + 1
 
 
 class TestToPerUnit:
@@ -315,6 +336,30 @@ class TestNetworkModel:
         with pytest.raises(TopologyError) as exc:
             NetworkModel(branches=branches, root=1, tie_lines=tie_lines, base=DEFAULT_BASE)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("edges,root,message", [
+        ([(1, 1, "2")], 1, "branch 1: receiving_node is not a number ('2')"),
+        ([(1, 1, 2), (2, "2", 3)], 1, "branch 2: sending_node is not a number ('2')"),
+        ([(1, 1, 2), (2, 2, 3)], "1", "root '1' is not a number"),
+        ([(1, 1, 2), (2, 2, None)], 1, "branch 2: receiving_node is not a number (None)"),
+    ], ids=["receiving-text", "sending-text", "root-text", "receiving-none"])
+    def test_a_node_or_root_that_is_not_a_number_is_named(self, edges, root, message):
+        """Text where a node belongs fails the tree's sort or its lookups;
+        only then are the root and the columns searched, and the first that
+        is not a number is a DataError rather than a TypeError or a
+        TopologyError that prints the text as if it were the number."""
+        branches = tuple(PerUnitBranch(*edge, Phasor(0.1, 0.1), Phasor(0.0, 0.0))
+                         for edge in edges)
+        with pytest.raises(DataError) as exc:
+            NetworkModel(branches=branches, root=root, tie_lines=(), base=DEFAULT_BASE)
+        assert str(exc.value) == message
+
+    def test_float_and_bool_nodes_and_root_build(self):
+        branches = (PerUnitBranch(1, 1.0, 2, Phasor(0.1, 0.1), Phasor(0.01, 0.0)),
+                    PerUnitBranch(2, True, 3, Phasor(0.1, 0.1), Phasor(0.01, 0.0)))
+        for root in (1, 1.0, True):
+            net = NetworkModel(branches=branches, root=root, tie_lines=(), base=DEFAULT_BASE)
+            assert net.nodes() == (1, 2, 3) and net.children[1] == (1, 2)
 
     def test_branch_listed_before_its_feeder_is_unordered(self):
         """Ordering is judged by position in branches, which validate_radial
