@@ -1,13 +1,10 @@
 """The CLI commands other than solve, and the parts of a solve run that a
 solve of a delimited table in table form does not use, loaded when they run:
 validate, compare and bench, the golden-CSV reader, the random feeders bench
-draws and the JSON output format.
-
-Under python -m radialflow.cli the cli module runs as __main__, and importing
-radialflow.cli here would load and run a second copy of it. So this module
-does not import cli: each command takes the parsed arguments and the running
-cli module, whose table loader, solve and exit codes it uses, and the
-readers import what they share with cli from ingest.
+draws and the JSON output format. Each command is cmd_<name>(args), a
+function of the parsed arguments alone, as radialflow.cli's cmd_solve is;
+the table loader, the solve, the counts and the exit codes they share with
+solve are imported from radialflow.cli.
 """
 from __future__ import annotations
 
@@ -15,6 +12,8 @@ import math
 import sys
 
 from . import solver
+from .cli import (EXIT_COMPARE, EXIT_OK, EXIT_TOPOLOGY, _base_from_args, _load_table, _run_solve,
+                  _summary)
 from .ingest import ParseError, RawTable, _read_text, _to_number, validate_radial
 from .model import BranchRecord, DataError
 from .solver import SolveOptions
@@ -48,9 +47,9 @@ def read_golden(path) -> dict[int, float]:
     return golden
 
 
-def cmd_validate(args, cli) -> int:
-    table = cli._load_table(args.file, args.input_format)
-    net = validate_radial(table, root=args.root, base=cli._base_from_args(args, table),
+def cmd_validate(args) -> int:
+    table = _load_table(args.file, args.input_format)
+    net = validate_radial(table, root=args.root, base=_base_from_args(args, table),
                           require_ordered=False)
     leaves = solver.find_leaf_nodes(net)
     ordered = "yes" if net.sequentially_ordered else "no"
@@ -60,18 +59,17 @@ def cmd_validate(args, cli) -> int:
     )
     if not net.sequentially_ordered:
         print("ordering violation: run solve with --renumber", file=sys.stderr)
-        return cli.EXIT_TOPOLOGY
-    return cli.EXIT_OK
+        return EXIT_TOPOLOGY
+    return EXIT_OK
 
 
-def _report_json(report, summary: dict[str, int]) -> str:
-    """solve's --format json text of report, with summary, cli._summary's
-    counts, after converged."""
+def _report_json(report) -> str:
+    """solve's --format json text of report, with its counts after converged."""
     import json  # here, so that the other commands do not load it
 
     doc = {
         "converged": report.converged,
-        **summary,
+        **_summary(report),
         "nodes": [
             {"node": n, "vmag_pu": round(v, 5), "angle_deg": round(a, 5)}
             for n, v, a in report.node_voltages
@@ -91,8 +89,8 @@ def _report_json(report, summary: dict[str, int]) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def cmd_compare(args, cli) -> int:
-    report = cli._run_solve(args)
+def cmd_compare(args) -> int:
+    report = _run_solve(args)
     golden = read_golden(args.golden)
     solved = {n: v for n, v, _ in report.node_voltages}
     if set(golden) != set(solved):
@@ -114,8 +112,8 @@ def cmd_compare(args, cli) -> int:
             f"FAIL: node {worst_node} deviates by {worst:.6f} > bound {args.bound}",
             file=sys.stderr,
         )
-        return cli.EXIT_COMPARE
-    return cli.EXIT_OK
+        return EXIT_COMPARE
+    return EXIT_OK
 
 
 def generate_random_table(n: int, leaf_fraction: float, rng) -> RawTable:
@@ -158,7 +156,7 @@ def generate_random_table(n: int, leaf_fraction: float, rng) -> RawTable:
     return RawTable(rows=tuple(rows), source_name=f"random-{n}")
 
 
-def cmd_bench(args, cli) -> int:
+def cmd_bench(args) -> int:
     import random  # here, as no other command uses it
 
     cells = sorted((n, f) for n in args.sizes for f in args.leaf_fractions)
@@ -185,4 +183,4 @@ def cmd_bench(args, cli) -> int:
             f"{n} {frac:.2f} {m} {r} "
             f"{iter_prop} {pred_prop_iter} {iter_base} {pred_base_iter} {saving:.3f}"
         )
-    return cli.EXIT_OK
+    return EXIT_OK

@@ -11,12 +11,12 @@ does not run is loaded when it is used: validate, compare and bench,
 read_golden, generate_random_table and the JSON output from
 radialflow._commands, renumbering from radialflow._renumber (--renumber) and
 the JSON reader from radialflow._json_reader (a JSON document).
-generate_random_table and read_golden are forwarded from here by name
-(PEP 562), and cmd_validate, cmd_compare and cmd_bench here run the commands
-of those names there. Under python -m radialflow.cli this module runs as
-__main__, so _commands does not import it, which would load a second copy:
-each command there is given this module and reads its helpers and exit codes
-off it.
+Each command is cmd_<name>(args), a function of the parsed arguments, and
+main runs the one the command line names. cmd_validate, cmd_compare,
+cmd_bench, generate_random_table and read_golden are forwarded from here by
+name (PEP 562). Under python -m radialflow.cli this module runs as __main__
+and registers itself as radialflow.cli too, so that _commands, which
+imports its helpers and exit codes from here, shares it.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from . import solver
-from .ingest import ParseError, RawTable, parse_branch_table, validate_radial
+from .ingest import ParseError, RawTable, _to_number, parse_branch_table, validate_radial
 from .ingest import _read_text as read_text
 from .model import DEFAULT_BASE, DataError, LoadFlowError, PerUnitBase, TopologyError
 from .solver import NonConvergenceError, SolveOptions
@@ -50,20 +50,10 @@ def _load_table(path: str, input_format: str) -> RawTable:
 def _base_from_args(args, table: RawTable) -> PerUnitBase | None:
     if args.kv is None and args.mva is None:
         return None  # let validate_radial fall back to the file/default base
-    declared = table.declared_base
-    fallback = declared or DEFAULT_BASE
+    fallback = table.declared_base or DEFAULT_BASE
     kv = args.kv if args.kv is not None else fallback.kv_base
     mva = args.mva if args.mva is not None else fallback.mva_base
     return PerUnitBase(kv_base=kv, mva_base=mva)
-
-
-def _options_from_args(args) -> SolveOptions:
-    return SolveOptions(
-        tolerance=args.tol,
-        max_iterations=args.max_iter,
-        debug_polar=args.debug_polar,
-        literal_scan=args.literal_steps,
-    )
 
 
 def _run_solve(args):
@@ -80,7 +70,9 @@ def _run_solve(args):
     # a renumbered table's root is node 1, where validate_radial starts by default
     net = validate_radial(table, root=None if args.renumber else args.root,
                           base=_base_from_args(args, table))
-    report = solver.solve(net, _options_from_args(args))
+    report = solver.solve(net, SolveOptions(tolerance=args.tol, max_iterations=args.max_iter,
+                                            debug_polar=args.debug_polar,
+                                            literal_scan=args.literal_steps))
     return report if mapping is None else _renumber._in_input_ids(report, mapping)
 
 
@@ -114,7 +106,7 @@ def cmd_solve(args) -> int:
     if args.format == "json":
         from ._commands import _report_json  # here, so that the other formats do not load it
 
-        print(_report_json(report, _summary(report)))
+        print(_report_json(report))
     elif args.format == "csv":
         print("\n".join(line.replace(" ", ",") for line in _report_lines(report)))
     else:
@@ -122,14 +114,15 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _checked(convert, ok, requirement: str):
-    """An argparse type: convert the text, then require ok(value)."""
+def _checked(kind: type, ok=lambda value: True, requirement: str = ""):
+    """An argparse type: the text as kind, int or float, read as a table's
+    numbers are read (so not `1_0`, say), then require ok(value)."""
     def parse(text: str):
-        value = convert(text)
+        value = _to_number(text, kind)
         if not ok(value):
             raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
         return value
-    parse.__name__ = convert.__name__  # argparse says "invalid float value: ..."
+    parse.__name__ = kind.__name__  # argparse says "invalid float value: ..."
     return parse
 
 
@@ -138,12 +131,13 @@ _iterations = _checked(int, lambda k: k >= 1, "at least 1")
 _size = _checked(int, lambda k: k >= 2, "at least 2")
 _fraction = _checked(float, lambda x: 0.0 <= x <= 1.0, "between 0 and 1")
 _bound = _checked(float, lambda x: x >= 0.0, "a non-negative number")
+_integer = _checked(int)
 
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file", help="branch table (delimited or .json)")
     p.add_argument("--input-format", choices=["auto", "delimited", "json"], default="auto")
-    p.add_argument("--root", type=int, default=None, help="substation node (default 1)")
+    p.add_argument("--root", type=_integer, default=None, help="substation node (default 1)")
     p.add_argument("--kv", type=_positive, default=None, help="voltage base in kV")
     p.add_argument("--mva", type=_positive, default=None, help="power base in MVA")
 
@@ -174,7 +168,7 @@ def _add_compare_args(p: argparse.ArgumentParser) -> None:
 def _add_bench_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sizes", type=_size, nargs="+", required=True)
     p.add_argument("--leaf-fractions", type=_fraction, nargs="+", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--tol", type=_positive, default=0.0001)
     p.add_argument("--max-iter", type=_iterations, default=100)
 
@@ -197,27 +191,11 @@ class _CommandParser(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
 
-def _command(name: str):
-    """The command function name of radialflow._commands, which it loads when
-    the command runs, called with the parsed arguments and this module."""
-    def run(args) -> int:
-        from . import _commands
-
-        return getattr(_commands, name)(args, sys.modules[__name__])
-    run.__name__ = run.__qualname__ = name
-    return run
-
-
-cmd_validate = _command("cmd_validate")
-cmd_compare = _command("cmd_compare")
-cmd_bench = _command("cmd_bench")
-
 _COMMANDS = (
-    ("validate", "check a branch table for radial topology", _add_input_args, cmd_validate),
-    ("solve", "run the load flow and print the solution", _add_solve_command_args, cmd_solve),
-    ("compare", "solve and compare against a golden voltage CSV", _add_compare_args,
-     cmd_compare),
-    ("bench", "step-count benchmark on random feeders", _add_bench_args, cmd_bench),
+    ("validate", "check a branch table for radial topology", _add_input_args),
+    ("solve", "run the load flow and print the solution", _add_solve_command_args),
+    ("compare", "solve and compare against a golden voltage CSV", _add_compare_args),
+    ("bench", "step-count benchmark on random feeders", _add_bench_args),
 )
 
 
@@ -225,15 +203,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="radialflow",
                                      description="Radial feeder load flow by backward/forward sweep")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
-    for name, text, add, func in _COMMANDS:
-        sub.add_parser(name, help=text, add=add).set_defaults(func=func)
+    for name, text, add in _COMMANDS:
+        sub.add_parser(name, help=text, add=add)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        # solve runs from here; __getattr__ loads the other commands from _commands
+        command = cmd_solve if args.command == "solve" else __getattr__(f"cmd_{args.command}")
+        code = command(args)
         sys.stdout.flush()  # so that a closed stdout raises here, not at exit
         return code
     except BrokenPipeError:
@@ -258,12 +238,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
 
 
-_FORWARDED = ("generate_random_table", "read_golden")
+_FORWARDED = (
+    "cmd_validate", "cmd_compare", "cmd_bench", "generate_random_table", "read_golden")
 
 
 def __getattr__(name):
-    # the readers the tests and tools import from here live with the commands
-    # that use them, imported on first use (PEP 562)
+    # the other commands, and the readers the tests and tools import from
+    # here, live in _commands, imported on first use (PEP 562)
     if name in _FORWARDED:
         from . import _commands
 
@@ -272,4 +253,9 @@ def __getattr__(name):
 
 
 if __name__ == "__main__":
+    # python -m runs this module as __main__; under its own name as well, a
+    # `from .cli import` in _commands finds it instead of loading a second
+    # copy (runpy.run_module without alter_sys runs it in a bare dict instead)
+    if vars(sys.modules[__name__]) is globals():
+        sys.modules.setdefault("radialflow.cli", sys.modules[__name__])
     sys.exit(main())

@@ -140,8 +140,7 @@ def _to_number(value, kind: type):
 def _read_text(path) -> str:
     """The UTF-8 text of an input file (a str or a Path) without a leading
     byte-order mark, or a ParseError naming the file when it cannot be opened
-    or is not UTF-8; the CLI's read_text, here so that read_golden reads with
-    it without importing cli."""
+    or is not UTF-8; the CLI's read_text, with which read_golden reads too."""
     try:
         with open(path, encoding="utf-8-sig") as f:
             return f.read()

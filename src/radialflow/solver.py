@@ -69,9 +69,11 @@ still raises NumericError, at the first branch in branch order, where
 oracle.forward_sweep meets it.
 
 SolveOptions is a model._Record namedtuple, so options that would end a solve
-in a TypeError or a first-pass "convergence" (a max_iterations that is not an
-int, an infinite tolerance) are refused however the record is built, _replace
-included; solve without options uses one module-level default.
+in a TypeError or a first-pass "convergence", or be read by their truth (a
+max_iterations that is not an int, a tolerance that is a bool, text or
+infinite, a flag that is not a bool), are refused however the record is
+built, _replace included; solve without options uses one module-level
+default.
 
 The reference implementation of the sweep, the dict-based phase functions
 (compute_load_currents, backward_sweep, forward_sweep, check_convergence)
@@ -125,13 +127,19 @@ POLAR_AGREEMENT_TOL = 1e-10
 class SolveOptions(_Record, namedtuple(
         "SolveOptions", "tolerance max_iterations debug_polar literal_scan")):
     """How solve iterates: until every node's voltage-magnitude change is at
-    most tolerance (positive and finite), for at most max_iterations passes
-    (an int, at least 1)."""
+    most tolerance (a positive and finite real number, not a bool), for at
+    most max_iterations passes (an int, at least 1); debug_polar and
+    literal_scan are bools."""
 
     __slots__ = ()
 
     def __new__(cls, tolerance: float = 0.0001, max_iterations: int = 100,
                 debug_polar: bool = False, literal_scan: bool = False):
+        if type(tolerance) is not float:
+            from numbers import Real  # here, as a float tolerance does not get here
+
+            if isinstance(tolerance, bool) or not isinstance(tolerance, Real):
+                raise ValueError("tolerance must be a real number")
         if not (tolerance > 0.0):
             raise ValueError("tolerance must be positive")
         if tolerance == math.inf:  # every pass would count as converged
@@ -140,6 +148,10 @@ class SolveOptions(_Record, namedtuple(
             raise ValueError("max_iterations must be an integer")
         if max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        if type(debug_polar) is not bool:
+            raise ValueError("debug_polar must be a bool")
+        if type(literal_scan) is not bool:
+            raise ValueError("literal_scan must be a bool")
         return tuple.__new__(cls, (tolerance, max_iterations, debug_polar, literal_scan))
 
 

@@ -294,23 +294,44 @@ class TestSolve:
         assert code == EXIT_OK
         assert "converged yes" in out
 
-    @pytest.mark.parametrize("argv", [
-        ("solve", BUS69, "--tol", "0"),
-        ("solve", BUS69, "--tol", "nan"),
-        ("solve", BUS69, "--tol=-inf"),
-        ("solve", BUS69, "--max-iter", "0"),
-        ("compare", BUS69, "--golden", GOLDEN, "--tol", "inf"),
-        ("compare", BUS69, "--golden", GOLDEN, "--bound", "nan"),
-        ("bench", "--leaf-fractions", "0.3", "--sizes", "1"),
-        ("bench", "--sizes", "8", "--leaf-fractions", "nan"),
-        ("bench", "--sizes", "8", "--leaf-fractions", "0.3", "--max-iter", "0"),
-        ("solve", BUS69, "--kv", "0"),
-        ("solve", BUS69, "--mva", "nan"),
-        ("compare", BUS69, "--golden", GOLDEN, "--kv", "-1"),
+    @pytest.mark.parametrize("argv,error", [
+        (("solve", BUS69, "--tol", "0"), "--tol: must be a positive finite number, got 0"),
+        (("solve", BUS69, "--tol", "nan"), "--tol: must be a positive finite number, got nan"),
+        (("solve", BUS69, "--tol=-inf"), "--tol: must be a positive finite number, got -inf"),
+        (("solve", BUS69, "--max-iter", "0"), "--max-iter: must be at least 1, got 0"),
+        (("compare", BUS69, "--golden", GOLDEN, "--tol", "inf"),
+         "--tol: must be a positive finite number, got inf"),
+        (("compare", BUS69, "--golden", GOLDEN, "--bound", "nan"),
+         "--bound: must be a non-negative number, got nan"),
+        (("bench", "--leaf-fractions", "0.3", "--sizes", "1"), "--sizes: must be at least 2, got 1"),
+        (("bench", "--sizes", "8", "--leaf-fractions", "nan"),
+         "--leaf-fractions: must be between 0 and 1, got nan"),
+        (("bench", "--sizes", "8", "--leaf-fractions", "0.3", "--max-iter", "0"),
+         "--max-iter: must be at least 1, got 0"),
+        (("solve", BUS69, "--kv", "0"), "--kv: must be a positive finite number, got 0"),
+        (("solve", BUS69, "--mva", "nan"), "--mva: must be a positive finite number, got nan"),
+        (("compare", BUS69, "--golden", GOLDEN, "--kv", "-1"),
+         "--kv: must be a positive finite number, got -1"),
+        # number text a table refuses: a `_` separator or a non-ASCII digit
+        (("solve", "--kv", "1_2.66", BUS33), "--kv: invalid float value: '1_2.66'"),
+        (("solve", "--mva", "١٠", BUS33), "--mva: invalid float value: '١٠'"),
+        (("solve", "--tol", "1_0e-4", BUS33), "--tol: invalid float value: '1_0e-4'"),
+        (("solve", "--max-iter", "1_00", BUS33), "--max-iter: invalid int value: '1_00'"),
+        (("solve", "--root", "١", BUS33), "--root: invalid int value: '١'"),
+        (("compare", BUS69, "--golden", GOLDEN, "--bound", "1_0"),
+         "--bound: invalid float value: '1_0'"),
+        (("bench", "--sizes", "1_0", "--leaf-fractions", "0.3"),
+         "--sizes: invalid int value: '1_0'"),
+        (("bench", "--sizes", "8", "--leaf-fractions", "٠.٣"),
+         "--leaf-fractions: invalid float value: '٠.٣'"),
+        (("bench", "--sizes", "8", "--leaf-fractions", "0.3", "--seed", "1_1"),
+         "--seed: invalid int value: '1_1'"),
     ], ids=["tol-zero", "tol-nan", "tol-minus-inf", "max-iter-zero", "compare-tol-inf",
             "compare-bound-nan", "bench-size-one", "bench-fraction-nan", "bench-max-iter-zero",
-            "kv-zero", "mva-nan", "compare-kv-negative"])
-    def test_bad_option_value_exits_usage(self, argv):
+            "kv-zero", "mva-nan", "compare-kv-negative", "kv-separator", "mva-arabic-digits",
+            "tol-separator", "max-iter-separator", "root-arabic-digit", "bound-separator",
+            "bench-size-separator", "bench-fraction-arabic-digits", "bench-seed-separator"])
+    def test_bad_option_value_exits_usage(self, argv, error):
         proc = subprocess.run(
             [sys.executable, "-m", "radialflow.cli", *argv],
             capture_output=True, env=subprocess_env(), text=True, timeout=60,
@@ -318,7 +339,7 @@ class TestSolve:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("usage: radialflow ")
-        assert "error: argument --" in proc.stderr and ": must be " in proc.stderr
+        assert proc.stderr.endswith(f": error: argument {error}\n")
         assert proc.stdout == ""
 
     # already sequentially ordered, but renumbering relabels it: input nodes
@@ -696,15 +717,17 @@ def test_a_command_line_builds_only_its_commands_arguments():
 def test_moved_names_are_forwarded_from_where_they_were():
     """ingest forwards renumber_sequential and RenumberMapping from
     radialflow._renumber, the package renumber_sequential, and cli
-    generate_random_table and read_golden from radialflow._commands, each as
-    that module's own object, on first use; no other name is forwarded, and
-    the package gains no name."""
+    cmd_validate, cmd_compare, cmd_bench, generate_random_table and
+    read_golden from radialflow._commands, each as that module's own object,
+    on first use; no other name is forwarded, and the package gains no
+    name."""
     import radialflow
     from radialflow import _commands, ingest
 
     for module, names, home in ((ingest, ("renumber_sequential", "RenumberMapping"), _renumber),
                                 (radialflow, ("renumber_sequential",), _renumber),
-                                (cli, ("generate_random_table", "read_golden"), _commands)):
+                                (cli, ("cmd_validate", "cmd_compare", "cmd_bench",
+                                       "generate_random_table", "read_golden"), _commands)):
         for name in names:
             assert getattr(module, name) is getattr(home, name)
     for module, name in ((ingest, "_table_order"), (ingest, "_plain_columns"),
@@ -729,8 +752,7 @@ def test_renumber_is_called_through_ingest(capsys, monkeypatch):
 
 def test_moved_commands_keep_their_names_in_cli(capsys):
     """cli.cmd_validate, cmd_compare and cmd_bench are still called with the
-    parsed arguments alone; each runs radialflow._commands' command of that
-    name with the cli module."""
+    parsed arguments alone, as every command is."""
     for name, argv in (("cmd_validate", ["validate", BUS33]),
                        ("cmd_compare", ["compare", BUS69, "--golden", GOLDEN]),
                        ("cmd_bench", ["bench", "--sizes", "4", "--leaf-fractions", "0.5"])):
@@ -738,6 +760,20 @@ def test_moved_commands_keep_their_names_in_cli(capsys):
         assert command.__name__ == name
         assert command(cli.build_parser().parse_args(argv)) == EXIT_OK
     assert capsys.readouterr().out.startswith("NB=33 LN=32 ties=0")
+
+
+def test_a_command_runs_under_run_module_without_alter_sys():
+    """runpy.run_module(name, run_name="__main__") runs cli in a bare dict,
+    not in the module sys.modules holds as __main__: cli registers nothing
+    then, so the caller's module is not taken for radialflow.cli, and
+    _commands imports the module itself."""
+    code = ("import runpy, sys\nsys.argv[0] = 'radialflow'\n"
+            "try:\n    runpy.run_module('radialflow.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n    print(exc.code, sys.modules['radialflow.cli'].__name__)\n")
+    proc = subprocess.run([sys.executable, "-c", code, "validate", BUS33],
+                          capture_output=True, env=subprocess_env(), text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "NB=33 LN=32 ties=0 leaves=4 ordered=yes\n0 radialflow.cli\n", "")
 
 
 class TestBench:

@@ -323,11 +323,23 @@ class TestSolve:
         ({"max_iterations": 3.0}, "max_iterations must be an integer"),
         ({"max_iterations": True}, "max_iterations must be an integer"),
         ({"max_iterations": "3"}, "max_iterations must be an integer"),
+        ({"tolerance": True}, "tolerance must be a real number"),
+        ({"tolerance": "0.1"}, "tolerance must be a real number"),
+        ({"tolerance": 1j}, "tolerance must be a real number"),
+        ({"debug_polar": 0.0}, "debug_polar must be a bool"),
+        ({"debug_polar": None}, "debug_polar must be a bool"),
+        ({"literal_scan": "no"}, "literal_scan must be a bool"),
+        ({"literal_scan": 1}, "literal_scan must be a bool"),
     ], ids=["infinite-tolerance", "fractional-iterations", "float-iterations",
-            "bool-iterations", "text-iterations"])
+            "bool-iterations", "text-iterations", "bool-tolerance", "text-tolerance",
+            "complex-tolerance", "float-debug-polar", "none-debug-polar", "text-literal-scan",
+            "int-literal-scan"])
     def test_unusable_options_rejected_on_every_path(self, field, message):
         """A limit that is not an int would end a solve in range's TypeError,
-        and an infinite tolerance would count the first pass as converged."""
+        and an infinite tolerance would count the first pass as converged. A
+        bool tolerance would read as 0 or 1 and text would end the first
+        convergence test in a TypeError; a flag that is not a bool would be
+        read by its truth (the text "no" as on)."""
         (name, value), = field.items()
         defaults = SolveOptions()
         position = SolveOptions.__match_args__.index(name)
