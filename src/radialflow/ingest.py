@@ -230,7 +230,7 @@ def _by_id(table: RawTable) -> tuple[Sequence[int], Sequence[int]]:
     is sorted by id.
     """
     ids, *_, tie = table.columns
-    closed = tie.count(False)  # a falsy is_tie that is not == False fails all() below
+    closed = tie.count(False)
     if all(tie[closed:]) and all(map(lt, ids, ids[1:])):
         return range(closed), range(closed, len(ids))
     order = sorted(range(len(ids)), key=ids.__getitem__)

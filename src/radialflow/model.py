@@ -252,24 +252,35 @@ class _IdView(Mapping):
 
 class PerUnitBase(_Record, namedtuple("PerUnitBase", "kv_base mva_base")):
     """Voltage/power base pair; the impedance base (z_base) and the power
-    base in kW (kw_base) are derived from it."""
+    base in kW (kw_base) are derived from it. A base that is not a positive
+    and finite real number, or that gives a base that is not, is a
+    DataError naming it."""
 
     __slots__ = ()
 
     def __new__(cls, kv_base: float, mva_base: float):
-        if not (kv_base > 0.0) or not math.isfinite(kv_base):
-            raise DataError(f"kv_base must be positive and finite, got {kv_base}")
-        if not (mva_base > 0.0) or not math.isfinite(mva_base):
-            raise DataError(f"mva_base must be positive and finite, got {mva_base}")
-        self = tuple.__new__(cls, (kv_base, mva_base))
-        # what to_per_unit, build_report and compute_losses scale by
-        z_base, kw_base = self.z_base, self.kw_base
-        if not (0.0 < z_base < math.inf and 0.0 < kw_base < math.inf):
-            raise DataError(
-                f"kv_base {kv_base} and mva_base {mva_base} give an impedance base "
-                f"of {z_base} ohm and a power base of {kw_base} kW; both must be positive "
-                f"and finite"
-            )
+        try:
+            if not (kv_base > 0.0) or not math.isfinite(kv_base):
+                raise DataError(f"kv_base must be positive and finite, got {kv_base}")
+            if not (mva_base > 0.0) or not math.isfinite(mva_base):
+                raise DataError(f"mva_base must be positive and finite, got {mva_base}")
+            self = tuple.__new__(cls, (kv_base, mva_base))
+            # what to_per_unit, build_report and compute_losses scale by
+            z_base, kw_base = self.z_base, self.kw_base
+            if not (0.0 < z_base < math.inf and 0.0 < kw_base < math.inf):
+                raise DataError(
+                    f"kv_base {kv_base} and mva_base {mva_base} give an impedance base "
+                    f"of {z_base} ohm and a power base of {kw_base} kW; both must be "
+                    f"positive and finite"
+                )
+        except TypeError:  # only a failed test gets here: name the base at fault
+            _check_real("", cls._fields, (kv_base, mva_base))
+            raise
+        except OverflowError:
+            _check_float("", cls._fields, (kv_base, mva_base))
+            # each converts, but an int kv_base squared does not
+            raise DataError(f"kv_base {kv_base} and mva_base {mva_base} give an impedance "
+                            f"base beyond the range of a float") from None
         return self
 
     @property
@@ -332,7 +343,8 @@ def _check_row(branch_id, sending_node, receiving_node, resistance, reactance, l
     test, so the field found comes before it). A value field that holds an
     int too large for a float fails the sum or a finiteness test with an
     OverflowError; only then are the value fields searched for the first
-    that float() cannot convert."""
+    that float() cannot convert. An is_tie that is not a bool is named just
+    before the tie-load test, which would otherwise read its truth value."""
     try:
         if branch_id <= 0:
             raise DataError(f"branch id must be positive, got {branch_id}")
@@ -356,29 +368,46 @@ def _check_row(branch_id, sending_node, receiving_node, resistance, reactance, l
         if sending_node == receiving_node:
             raise DataError(
                 f"branch {branch_id}: sending and receiving node are both {sending_node}")
+        if type(is_tie) is not bool:
+            raise DataError(f"branch {branch_id}: is_tie is not a bool ({is_tie!r})")
         if is_tie and (load_p != 0.0 or load_q != 0.0):
             raise DataError(f"branch {branch_id}: tie-line must carry zero load")
         # after the checks above, so a row they reject keeps its message
         if capacity is not None and not math.isfinite(capacity):
             raise DataError(f"branch {branch_id}: non-finite capacity ({capacity})")
     except TypeError:
-        from numbers import Real  # here, as only a row with a value of another type gets here
-
-        row = (branch_id, sending_node, receiving_node, resistance, reactance, load_p, load_q,
-               capacity)
-        for name, value in zip(BranchRecord._fields, row):
-            if not isinstance(value, Real):
-                raise DataError(f"branch {branch_id}: {name} is not a number ({value!r})") from None
+        _check_real(f"branch {branch_id}: ", BranchRecord._fields,
+                    (branch_id, sending_node, receiving_node, resistance, reactance, load_p,
+                     load_q, capacity))
         raise
     except OverflowError:
-        values = (resistance, reactance, load_p, load_q, capacity)
-        for name, value in zip(BranchRecord._fields[3:], values):
-            try:
-                float(0.0 if value is None else value)
-            except OverflowError:
-                raise DataError(f"branch {branch_id}: {name} is beyond the range of a float") \
-                    from None
+        _check_float(f"branch {branch_id}: ", BranchRecord._fields[3:],
+                     (resistance, reactance, load_p, load_q, capacity))
         raise
+
+
+def _check_real(prefix: str, fields, values) -> None:
+    """Raise DataError, its text after prefix, naming the first of fields
+    whose value is not a real number. A check calls this only once a test
+    has failed with a TypeError, which text in place of a number can make
+    fail, so numbers is imported here."""
+    from numbers import Real
+
+    for name, value in zip(fields, values):
+        if not isinstance(value, Real):
+            raise DataError(f"{prefix}{name} is not a number ({value!r})") from None
+
+
+def _check_float(prefix: str, fields, values) -> None:
+    """Raise DataError, its text after prefix, naming the first of fields
+    whose value float() cannot convert, an int too large for a float; a
+    value of None is passed over. A check calls this only once a test has
+    failed with an OverflowError."""
+    for name, value in zip(fields, values):
+        try:
+            float(0.0 if value is None else value)
+        except OverflowError:
+            raise DataError(f"{prefix}{name} is beyond the range of a float") from None
 
 
 class PerUnitBranch(_Record, namedtuple(
@@ -553,9 +582,7 @@ def _check_numbers(ids, sending, receiving, root) -> None:
     if not isinstance(root, Real):
         raise DataError(f"root {root!r} is not a number")
     for row in zip(ids, sending, receiving):
-        for name, value in zip(BranchRecord._fields, row):
-            if not isinstance(value, Real):
-                raise DataError(f"branch {row[0]}: {name} is not a number ({value!r})")
+        _check_real(f"branch {row[0]}: ", BranchRecord._fields, row)
 
 
 def _cycle(ids, sending, receiving, send, feeding, reached) -> TopologyError:

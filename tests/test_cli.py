@@ -62,6 +62,12 @@ class TestValidate:
         assert code == EXIT_TOPOLOGY
         assert "cycle" in err
 
+    def test_doubly_fed_table_names_its_branches_in_id_order(self, capsys, tmp_path):
+        path = tmp_path / "doubly-fed.branch"
+        path.write_text("3 2 3 0.1 0.1 10 5\n1 1 2 0.1 0.1 10 5\n2 1 3 0.1 0.1 10 5\n")
+        assert run(capsys, "validate", str(path)) == (
+            EXIT_TOPOLOGY, "", f"topology error: {path}: node 3 is fed by branches 2 and 3\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "no/such/file")
         assert code == EXIT_PARSE
@@ -399,6 +405,17 @@ class TestSolve:
         assert [row[0] for row in mapped.node_voltages] == [1, 2, 3, 4]
         assert mapped._replace(**{name: getattr(report, name) for name in expected}) == report
 
+    def test_sparse_shuffled_ids_print_under_input_ids(self, capsys, tmp_path):
+        """Ids far from 1..n, out of order and rooted at 40: renumbering maps
+        them to positions and the report back to the input's ids."""
+        path = tmp_path / "sparse.branch"
+        path.write_text("7 40 12 0.1 0.05 10 5\n3 12 9 0.1 0.05 10 5\n5 40 31 0.1 0.05 10 5\n")
+        code, out, err = run(capsys, "solve", "--renumber", "--root", "40", str(path))
+        assert (code, err) == (EXIT_OK, "")
+        heads = [line.split()[0] for line in out.splitlines()]
+        assert heads[heads.index("node") + 1:heads.index("branch")] == ["9", "12", "31", "40"]
+        assert heads[heads.index("branch") + 1:heads.index("total_loss_kw")] == ["3", "5", "7"]
+
     def test_renumber_identity_output_unchanged(self, capsys):
         _, plain, _ = run(capsys, "solve", BUS69)
         _, renumbered, _ = run(capsys, "solve", BUS69, "--renumber")
@@ -415,6 +432,8 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", str(path))
         assert code == EXIT_OK
         assert "converged yes" in out
+        heads = [line.split()[0] for line in out.splitlines()]
+        assert heads[heads.index("node") + 1:heads.index("branch")] == ["1", "2"]
 
     def test_tie_to_unknown_node_exits_topology(self, capsys, tmp_path):
         path = tmp_path / "tie.branch"

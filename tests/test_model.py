@@ -164,11 +164,36 @@ class TestPerUnitBase:
     def test_kw_base_relation(self):
         assert PerUnitBase(kv_base=12.66, mva_base=2.5).kw_base == 2500.0
 
-    @pytest.mark.parametrize("kv,mva", [(0.0, 10.0), (-1.0, 10.0), (12.66, 0.0), (12.66, -5.0),
-                                        (1e-300, 10.0), (1e200, 10.0), (12.66, 1e306)])
-    def test_invalid_base_rejected(self, kv, mva):
-        with pytest.raises(DataError):
+    @pytest.mark.parametrize("kv,mva,message", [
+        (0.0, 10.0, "kv_base must be positive and finite, got 0.0"),
+        (-1.0, 10.0, "kv_base must be positive and finite, got -1.0"),
+        (12.66, 0.0, "mva_base must be positive and finite, got 0.0"),
+        (12.66, -5.0, "mva_base must be positive and finite, got -5.0"),
+        (1e-300, 10.0, "kv_base 1e-300 and mva_base 10.0 give an impedance base of 0.0 ohm and "
+                       "a power base of 10000.0 kW; both must be positive and finite"),
+        (1e200, 10.0, "kv_base 1e+200 and mva_base 10.0 give an impedance base of inf ohm and "
+                      "a power base of 10000.0 kW; both must be positive and finite"),
+        (12.66, 1e306, "kv_base 12.66 and mva_base 1e+306 give an impedance base of "
+                       "1.6027559999999999e-304 ohm and a power base of inf kW; both must be "
+                       "positive and finite"),
+        # a value that is not a real number, or an int that float() cannot
+        # convert, named rather than left to raise the TypeError of a
+        # comparison or the OverflowError of a conversion
+        ("12.66", 10.0, "kv_base is not a number ('12.66')"),
+        (None, 10.0, "kv_base is not a number (None)"),
+        (12.66, 1j, "mva_base is not a number (1j)"),
+        ("12.66", 1j, "kv_base is not a number ('12.66')"),
+        (10**400, 10.0, "kv_base is beyond the range of a float"),
+        (12.66, 10**400, "mva_base is beyond the range of a float"),
+        (10**200, 10.0, f"kv_base {10**200} and mva_base 10.0 give an impedance base beyond "
+                        f"the range of a float"),
+    ], ids=["0.0-10.0", "-1.0-10.0", "12.66-0.0", "12.66--5.0", "1e-300-10.0", "1e+200-10.0",
+            "12.66-1e+306", "kv-text", "kv-none", "mva-complex", "first-in-field-order",
+            "kv-beyond-float", "mva-beyond-float", "kv-squared-beyond-float"])
+    def test_invalid_base_rejected(self, kv, mva, message):
+        with pytest.raises(DataError) as exc:
             PerUnitBase(kv_base=kv, mva_base=mva)
+        assert str(exc.value) == message
 
 
 class TestBranchRecord:
@@ -246,15 +271,25 @@ class TestBranchRecord:
          "branch 1: capacity is beyond the range of a float"),
         # the value whose conversion failed, though an earlier one is infinite
         ((1, 1, 2, math.inf, 0.1, 10**400, 1), "branch 1: load_p is beyond the range of a float"),
+        # an is_tie that is not a bool, which would decide the tie-load test
+        # by its truth value, named before that test and after the others
+        ((1, 1, 2, 0.1, 0.1, 10, 5, None, "no"), "branch 1: is_tie is not a bool ('no')"),
+        ((1, 1, 2, 0.1, 0.1, 0, 0, None, "no"), "branch 1: is_tie is not a bool ('no')"),
+        ((1, 1, 2, 0.1, 0.1, 0, 0, None, 1), "branch 1: is_tie is not a bool (1)"),
+        ((1, 1, 2, 0.1, 0.1, 10, 5, None, 0), "branch 1: is_tie is not a bool (0)"),
+        ((1, 1, 2, 0.1, 0.1, 0, 0, None, None), "branch 1: is_tie is not a bool (None)"),
+        ((1, 2, 2, 0.1, 0.1, 10, 5, None, "no"), "branch 1: sending and receiving node are both 2"),
     ], ids=["id-text", "id-none", "sending-text", "receiving-none", "sending-complex",
             "resistance-text", "reactance-complex", "load_p-none", "load_q-list", "capacity-text",
             "first-in-field-order", "before-negative-impedance", "resistance-beyond-float",
             "reactance-beyond-float", "load_p-beyond-float", "load_q-beyond-float",
-            "capacity-beyond-float", "negative-capacity-beyond-float", "after-an-infinity"])
+            "capacity-beyond-float", "negative-capacity-beyond-float", "after-an-infinity",
+            "tie-text-loaded", "tie-text", "tie-one", "tie-zero-loaded", "tie-none",
+            "self-loop-before-tie-text"])
     @pytest.mark.parametrize("build", [
         lambda row: BranchRecord(*row),
-        # a plain tuple of all nine fields
-        lambda row: rf.RawTable(rows=((*row, None, False)[:9],)),
+        # a plain tuple of all nine fields, the defaults filling those not given
+        lambda row: rf.RawTable(rows=((*row, *(None, False)[len(row) - 7:]),)),
     ], ids=["BranchRecord", "RawTable"])
     def test_a_value_that_is_not_a_number_is_named(self, row, message, build):
         with pytest.raises(DataError) as exc:
