@@ -12,9 +12,7 @@ from .model import (
     Phasor,
     SingularityError,
     SolveReport,
-    SolveState,
     TopologyError,
-    to_per_unit,
 )
 from .ingest import (
     ParseError,
@@ -30,13 +28,13 @@ from .solver import (
     step_model,
 )
 
-_ORACLE = ("baseline_solve", "downstream_sum", "power_balance")
+_ORACLE = ("baseline_solve", "downstream_sum", "power_balance", "SolveState", "to_per_unit")
 
 
 def __getattr__(name):
     # the oracle and renumbering are imported on first use, so the CLI, which
-    # never uses the oracle and renumbers only under --renumber, does not load
-    # them to start (PEP 562)
+    # uses the oracle only under --debug-polar and renumbers only under
+    # --renumber, does not load them to start (PEP 562)
     if name in _ORACLE:
         from . import oracle
 

@@ -24,7 +24,6 @@ import argparse
 import math
 import os
 import sys
-from pathlib import Path
 
 from . import solver
 from .ingest import ParseError, RawTable, _to_number, parse_branch_table, validate_radial
@@ -41,10 +40,9 @@ EXIT_COMPARE = 5
 
 
 def _load_table(path: str, input_format: str) -> RawTable:
-    p = Path(path)
     if input_format == "auto":
-        input_format = "json" if p.suffix.lower() == ".json" else "delimited"
-    return parse_branch_table(read_text(p), input_format, source_name=str(path))
+        input_format = "json" if os.path.splitext(path)[1].lower() == ".json" else "delimited"
+    return parse_branch_table(read_text(path), input_format, source_name=str(path))
 
 
 def _base_from_args(args, table: RawTable) -> PerUnitBase | None:

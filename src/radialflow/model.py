@@ -8,7 +8,7 @@ record of its own type with equal fields, hashes as that tuple, and _make and
 _replace build through the constructor, so they run its checks. NetworkModel
 is a _Frozen __slots__ class: it takes == and repr from _Frozen, over the
 fields its __match_args__ names, and its fields cannot be set after
-construction. SolveState is a plain mutable class.
+construction.
 
 radial_tree is the one check that closed branches form a tree rooted at the
 root, and the one place their adjacency is built; it reads the branches as id,
@@ -32,10 +32,11 @@ and only its loads are converted.
 
 BranchRecord and both parsers check a row in one function, _check_row. It
 takes a row as the BranchRecord fields in field order, which is what a
-BranchRecord is; to_per_unit and RawTable(rows=...) read a record the same way.
-_per_unit_columns is the one per-unit conversion: validate_radial converts
-the closed branches' columns through _closed_per_unit (only the loads when
-the held impedances are shared), and to_per_unit a single row.
+BranchRecord is; oracle.to_per_unit and RawTable(rows=...) read a record the
+same way. _per_unit_columns is the one per-unit conversion: validate_radial
+converts the closed branches' columns through _closed_per_unit (only the
+loads when the held impedances are shared), and oracle.to_per_unit a single
+row.
 
 NetworkModel keeps the closed branches as per-unit columns (ids, sending and
 receiving nodes, z and s_load as complex, capacity) and its _Tree, and the
@@ -59,6 +60,13 @@ backward_sweep's default mode reads children.
 PerUnitBase.kw_base is the one kW scale, and NetworkModel.check_ordering the
 one place that raises the OrderingError that validate_radial and solve refuse
 an unordered network with.
+
+What a check of valid input never runs lives elsewhere, so that a solve does
+not compile it: the searches that name a defect once a test has failed
+(_check_real, _check_float, _check_numbers, _cycle) in radialflow._defects,
+which a failed check imports, and wrap_angle, TWO_PI, SolveState and
+to_per_unit, which no solve uses, in radialflow.oracle. This module forwards
+each by name (PEP 562).
 """
 from __future__ import annotations
 
@@ -86,9 +94,6 @@ class TopologyError(LoadFlowError):
 
 class OrderingError(TopologyError):
     """Tree is radial but violates the sequential branch-numbering property."""
-
-
-TWO_PI = 2.0 * math.pi
 
 
 class _Record(tuple):
@@ -150,16 +155,6 @@ class _Frozen:
         self = object.__new__(cls)
         self._fill(columns, *args, **kwargs)
         return self
-
-
-def wrap_angle(angle: float) -> float:
-    """Normalize an angle in radians to (-pi, pi]."""
-    a = math.fmod(angle, TWO_PI)
-    if a > math.pi:
-        a -= TWO_PI
-    elif a <= -math.pi:
-        a += TWO_PI
-    return a
 
 
 class Phasor(_Record, namedtuple("Phasor", "re im")):
@@ -254,7 +249,8 @@ class PerUnitBase(_Record, namedtuple("PerUnitBase", "kv_base mva_base")):
     """Voltage/power base pair; the impedance base (z_base) and the power
     base in kW (kw_base) are derived from it. A base that is not a positive
     and finite real number, or that gives a base that is not, is a
-    DataError naming it."""
+    DataError naming it (_defects._base_defect names one that fails a test
+    with an error of another type)."""
 
     __slots__ = ()
 
@@ -273,14 +269,11 @@ class PerUnitBase(_Record, namedtuple("PerUnitBase", "kv_base mva_base")):
                     f"of {z_base} ohm and a power base of {kw_base} kW; both must be "
                     f"positive and finite"
                 )
-        except TypeError:  # only a failed test gets here: name the base at fault
-            _check_real("", cls._fields, (kv_base, mva_base))
+        except (TypeError, OverflowError, ValueError) as exc:  # only a failed test gets here
+            from ._defects import _base_defect
+
+            _base_defect(exc, kv_base, mva_base)
             raise
-        except OverflowError:
-            _check_float("", cls._fields, (kv_base, mva_base))
-            # each converts, but an int kv_base squared does not
-            raise DataError(f"kv_base {kv_base} and mva_base {mva_base} give an impedance "
-                            f"base beyond the range of a float") from None
         return self
 
     @property
@@ -338,13 +331,12 @@ def _check_row(branch_id, sending_node, receiving_node, resistance, reactance, l
     """Raise DataError for the first defect of one branch row, given as the
     BranchRecord fields in field order; BranchRecord and both parsers check
     their rows here. A value that is not a number fails a comparison or the
-    sum below with a TypeError; only then are the fields searched for the
-    first that is not a real number (a capacity of None takes part in no
-    test, so the field found comes before it). A value field that holds an
-    int too large for a float fails the sum or a finiteness test with an
-    OverflowError; only then are the value fields searched for the first
-    that float() cannot convert. An is_tie that is not a bool is named just
-    before the tie-load test, which would otherwise read its truth value."""
+    sum below with a TypeError, a value field that holds an int too large
+    for a float the sum or a finiteness test with an OverflowError, and a
+    text that names an int too long for str() its formatting with a
+    ValueError; only then does _defects._row_defect search the row for the
+    field at fault. An is_tie that is not a bool is named just before the
+    tie-load test, which would otherwise read its truth value."""
     try:
         if branch_id <= 0:
             raise DataError(f"branch id must be positive, got {branch_id}")
@@ -375,39 +367,12 @@ def _check_row(branch_id, sending_node, receiving_node, resistance, reactance, l
         # after the checks above, so a row they reject keeps its message
         if capacity is not None and not math.isfinite(capacity):
             raise DataError(f"branch {branch_id}: non-finite capacity ({capacity})")
-    except TypeError:
-        _check_real(f"branch {branch_id}: ", BranchRecord._fields,
-                    (branch_id, sending_node, receiving_node, resistance, reactance, load_p,
-                     load_q, capacity))
+    except (TypeError, OverflowError, ValueError) as exc:  # only a failed test gets here
+        from ._defects import _row_defect
+
+        _row_defect(exc, (branch_id, sending_node, receiving_node, resistance, reactance,
+                          load_p, load_q, capacity, is_tie))
         raise
-    except OverflowError:
-        _check_float(f"branch {branch_id}: ", BranchRecord._fields[3:],
-                     (resistance, reactance, load_p, load_q, capacity))
-        raise
-
-
-def _check_real(prefix: str, fields, values) -> None:
-    """Raise DataError, its text after prefix, naming the first of fields
-    whose value is not a real number. A check calls this only once a test
-    has failed with a TypeError, which text in place of a number can make
-    fail, so numbers is imported here."""
-    from numbers import Real
-
-    for name, value in zip(fields, values):
-        if not isinstance(value, Real):
-            raise DataError(f"{prefix}{name} is not a number ({value!r})") from None
-
-
-def _check_float(prefix: str, fields, values) -> None:
-    """Raise DataError, its text after prefix, naming the first of fields
-    whose value float() cannot convert, an int too large for a float; a
-    value of None is passed over. A check calls this only once a test has
-    failed with an OverflowError."""
-    for name, value in zip(fields, values):
-        try:
-            float(0.0 if value is None else value)
-        except OverflowError:
-            raise DataError(f"{prefix}{name} is beyond the range of a float") from None
 
 
 class PerUnitBranch(_Record, namedtuple(
@@ -416,21 +381,6 @@ class PerUnitBranch(_Record, namedtuple(
     """A branch with impedance and receiving-end load converted to per-unit."""
 
     __slots__ = ()
-
-
-def to_per_unit(record: BranchRecord, base: PerUnitBase) -> PerUnitBranch:
-    """Convert a physical-unit branch record to per-unit on the given base.
-
-    Impedance divides by z_base and the kW/kVAr load by kw_base. Tie branches
-    convert impedance only. A finite value can overflow on a tiny base; that
-    raises a DataError naming the branch, the field and both bases.
-    """
-    branch_id, sending_node, receiving_node, resistance, reactance, p, q, capacity, is_tie = record
-    if is_tie:
-        p = q = 0.0
-    (z,), (s,) = _per_unit_columns((branch_id,), (resistance,), (reactance,), (p,), (q,), base)
-    return PerUnitBranch(branch_id, sending_node, receiving_node, Phasor(z.real, z.imag),
-                         Phasor(s.real, s.imag), capacity, is_tie)
 
 
 def _per_unit_columns(ids, resistance, reactance, load_p, load_q, base: PerUnitBase, z=None):
@@ -513,89 +463,79 @@ def radial_tree(ids, sending, receiving, root: int, tie_lines):
     the root; a node with no feeding branch (the smallest); a cycle (one
     reached from the smallest node the root does not reach); a tie line
     ending at a node outside the tree (the first in the order of tie_lines).
+    An int too long for str() is shown in such a text in a bounded form.
     """
-    if not ids:
-        raise TopologyError("no closed branches")
-    if root not in sending:
-        _check_numbers(ids, sending, receiving, root)
-        raise TopologyError(f"root {root} is not a sending node")
-    # the one sort: the root and the receiving nodes, m + 1 of them in a tree
     try:
-        nodes = sorted({root, *receiving})
-    except TypeError:  # a node that does not compare with the others
-        _check_numbers(ids, sending, receiving, root)
-        raise
-    index = dict(zip(nodes, range(len(nodes))))
-    recv = tuple(map(index.__getitem__, receiving))
-    feeding = [-1] * len(nodes)
-    for k, r in enumerate(recv):
-        if feeding[r] >= 0:
-            raise TopologyError(
-                f"node {receiving[k]} is fed by branches {ids[feeding[r]]} and {ids[k]}")
-        feeding[r] = k
-    k = feeding[index[root]]
-    if k >= 0:
-        raise TopologyError(
-            f"cycle through branch {ids[k]} ({sending[k]}->{root}) feeding the root")
-    try:
-        send = tuple(map(index.__getitem__, sending))
-    except KeyError:  # a sending node that is neither the root nor fed
-        _check_numbers(ids, sending, receiving, root)
-        raise TopologyError(
-            f"node {min(set(sending).difference(index))} has no feeding branch") from None
-    m = len(ids)
-    counts = [0] * (m + 1)
-    for s in send:
-        counts[s] += 1
-    offsets = tuple(accumulate(counts, initial=0))
-    # a counting sort by sending node, which keeps each node's children in
-    # column order
-    targets = [0] * m
-    fill = list(offsets)
-    for s, r in zip(send, recv):
-        j = fill[s]
-        targets[j] = r
-        fill[s] = j + 1
-    # every node but the root has exactly one feeding branch, so the walk from
-    # the root meets each node at most once; it misses some node exactly when
-    # a node lies on a cycle or below one
-    reached = [index[root]]
-    for i in reached:
-        reached += targets[offsets[i]:offsets[i + 1]]
-    if len(reached) != m + 1:
-        raise _cycle(ids, sending, receiving, send, feeding, reached)
-    for t, s, r in tie_lines:
-        for node in (s, r):
-            if node not in index:
+        if not ids:
+            raise TopologyError("no closed branches")
+        if root not in sending:
+            from ._defects import _check_numbers
+
+            _check_numbers(ids, sending, receiving, root)
+            raise TopologyError(f"root {root} is not a sending node")
+        # the one sort: the root and the receiving nodes, m + 1 of them in a tree
+        try:
+            nodes = sorted({root, *receiving})
+        except TypeError:  # a node that does not compare with the others
+            from ._defects import _check_numbers
+
+            _check_numbers(ids, sending, receiving, root)
+            raise
+        index = dict(zip(nodes, range(len(nodes))))
+        recv = tuple(map(index.__getitem__, receiving))
+        feeding = [-1] * len(nodes)
+        for k, r in enumerate(recv):
+            if feeding[r] >= 0:
                 raise TopologyError(
-                    f"tie branch {t} ends at node {node}, which no closed branch connects"
-                )
-    return tuple(nodes), index, send, recv, tuple(feeding), offsets, tuple(targets)
+                    f"node {receiving[k]} is fed by branches {ids[feeding[r]]} and {ids[k]}")
+            feeding[r] = k
+        k = feeding[index[root]]
+        if k >= 0:
+            raise TopologyError(
+                f"cycle through branch {ids[k]} ({sending[k]}->{root}) feeding the root")
+        try:
+            send = tuple(map(index.__getitem__, sending))
+        except KeyError:  # a sending node that is neither the root nor fed
+            from ._defects import _check_numbers
 
+            _check_numbers(ids, sending, receiving, root)
+            raise TopologyError(
+                f"node {min(set(sending).difference(index))} has no feeding branch") from None
+        m = len(ids)
+        counts = [0] * (m + 1)
+        for s in send:
+            counts[s] += 1
+        offsets = tuple(accumulate(counts, initial=0))
+        # a counting sort by sending node, which keeps each node's children in
+        # column order
+        targets = [0] * m
+        fill = list(offsets)
+        for s, r in zip(send, recv):
+            j = fill[s]
+            targets[j] = r
+            fill[s] = j + 1
+        # every node but the root has exactly one feeding branch, so the walk from
+        # the root meets each node at most once; it misses some node exactly when
+        # a node lies on a cycle or below one
+        reached = [index[root]]
+        for i in reached:
+            reached += targets[offsets[i]:offsets[i + 1]]
+        if len(reached) != m + 1:
+            from ._defects import _cycle
 
-def _check_numbers(ids, sending, receiving, root) -> None:
-    """Raise DataError for the root, or else the first branch id or node in
-    column order, that is not a real number; radial_tree calls this only
-    once a test has failed, which text in place of a number can make fail."""
-    from numbers import Real  # here, as only a failed tree gets here
+            raise _cycle(ids, sending, receiving, send, feeding, reached)
+        for t, s, r in tie_lines:
+            for node in (s, r):
+                if node not in index:
+                    raise TopologyError(
+                        f"tie branch {t} ends at node {node}, which no closed branch connects"
+                    )
+        return tuple(nodes), index, send, recv, tuple(feeding), offsets, tuple(targets)
+    except ValueError:  # a text above names an int too long for str()
+        from ._defects import _rerun_bounded
 
-    if not isinstance(root, Real):
-        raise DataError(f"root {root!r} is not a number")
-    for row in zip(ids, sending, receiving):
-        _check_real(f"branch {row[0]}: ", BranchRecord._fields, row)
-
-
-def _cycle(ids, sending, receiving, send, feeding, reached) -> TopologyError:
-    """The error for a tree whose walk from the root reached only the node
-    positions in reached: a cycle edge met by following feeding branches up
-    from the smallest node not reached."""
-    i = min(set(range(len(feeding))).difference(reached))
-    seen = set()
-    while i not in seen:
-        seen.add(i)
-        i = send[feeding[i]]
-    k = feeding[i]
-    return TopologyError(f"cycle through branch {ids[k]} ({sending[k]}->{receiving[k]})")
+        _rerun_bounded(radial_tree, (ids, sending, receiving, root, tie_lines))
+        raise
 
 
 class _Tree:
@@ -847,30 +787,6 @@ class NetworkModel(_Frozen):
         return len(self.branch_ids)
 
 
-class SolveState:
-    """Mutable per-iteration arrays for one solve."""
-
-    def __init__(self, node_voltage: dict[int, Phasor], load_current: dict[int, Phasor],
-                 branch_current: dict[int, Phasor], prev_voltage_mag: dict[int, float]):
-        self.node_voltage = node_voltage
-        self.load_current = load_current
-        self.branch_current = branch_current
-        self.prev_voltage_mag = prev_voltage_mag
-
-    @classmethod
-    def flat_start(cls, net: NetworkModel) -> "SolveState":
-        """All node voltages 1.0 at angle 0, all branch currents 0."""
-        one = Phasor(1.0, 0.0)
-        zero = Phasor.zero()
-        nodes = net.nodes()
-        return cls(
-            node_voltage={n: one for n in nodes},
-            load_current={n: zero for n in nodes},
-            branch_current={b: zero for b in net.branch_ids},
-            prev_voltage_mag={n: 1.0 for n in nodes},
-        )
-
-
 class SolveReport(_Record, namedtuple("SolveReport", (
         "converged iterations node_voltages branch_currents branch_losses total_loss_p "
         "total_loss_q step_count_proposed step_count_baseline leaf_count pre_loop_steps "
@@ -897,3 +813,19 @@ class SolveReport(_Record, namedtuple("SolveReport", (
 
     def voltage_magnitude(self, node: int) -> float:
         return self.final_voltage[node].magnitude
+
+
+_DEFECTS = ("_check_real", "_check_float", "_check_numbers", "_cycle")
+_ORACLE = ("wrap_angle", "TWO_PI", "SolveState", "to_per_unit")
+
+
+def __getattr__(name):
+    # moved to the modules a failed check and the references load, each
+    # imported on first use (PEP 562)
+    if name in _DEFECTS:
+        from . import _defects as home
+    elif name in _ORACLE:
+        from . import oracle as home
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(home, name)

@@ -13,22 +13,122 @@ children view, and it asks is_leaf, a counted binary search of
 solver.find_leaf_nodes' ascending leaves, which branches are leaves.
 compute_losses is the reference for solver.build_report's losses.
 
-No command calls anything here. radialflow imports this module on first use
-only, and so does solver, which forwards the four phase functions by name
-(PEP 562), so the CLI never loads it."""
+The debug_polar check, _polar_deviation with the polar-form voltage
+equations it compares against the rectangular result, is here too: a solve
+asked to check in polar form imports it, and forward_sweep checks with it.
+So are SolveState, the phase functions' dict state, and to_per_unit, the
+per-unit conversion of one record, which no solve uses.
+
+radialflow imports this module on first use only, and so do solver and
+model, which forward the names that lived there (PEP 562), so a CLI command
+loads it under --debug-polar alone."""
 from __future__ import annotations
 
 import math
 
-from .model import LoadFlowError, NetworkModel, Phasor, SolveReport, SolveState
+from .model import (
+    BranchRecord,
+    LoadFlowError,
+    NetworkModel,
+    PerUnitBase,
+    PerUnitBranch,
+    Phasor,
+    SolveReport,
+    _per_unit_columns,
+)
 from .solver import (
     NonConvergenceError,
     NumericError,
     SolveOptions,
     VoltageCollapseError,
-    _polar_deviation,
     build_report,
 )
+
+TWO_PI = 2.0 * math.pi
+
+POLAR_AGREEMENT_TOL = 1e-10
+
+
+class PolarMismatchError(LoadFlowError):
+    """Polar-form voltage evaluation disagrees with the rectangular sweep."""
+
+
+def wrap_angle(angle: float) -> float:
+    """Normalize an angle in radians to (-pi, pi]."""
+    a = math.fmod(angle, TWO_PI)
+    if a > math.pi:
+        a -= TWO_PI
+    elif a <= -math.pi:
+        a += TWO_PI
+    return a
+
+
+def _polar_voltage(vs: Phasor, i_br: Phasor, z: Phasor) -> tuple[float, float]:
+    """Receiving-end voltage via the squared-magnitude and angle-ratio forms."""
+    phi = wrap_angle(math.atan2(i_br.im, i_br.re) + math.atan2(z.im, z.re))
+    vs_m = vs.magnitude
+    drop = i_br.magnitude * z.magnitude
+    theta_s = vs.angle
+    vr_sq = vs_m * vs_m + drop * drop - 2.0 * vs_m * drop * math.cos(theta_s - phi)
+    vr_mag = math.sqrt(max(vr_sq, 0.0))
+    vr_ang = math.atan2(
+        vs_m * math.sin(theta_s) - drop * math.sin(phi),
+        vs_m * math.cos(theta_s) - drop * math.cos(phi),
+    )
+    return vr_mag, vr_ang
+
+
+def _polar_deviation(vs: Phasor, i_br: Phasor, z: Phasor, vr: Phasor, branch_id: int) -> float:
+    """Disagreement of the polar-form receiving voltage with the rectangular vr.
+
+    Raises PolarMismatchError beyond POLAR_AGREEMENT_TOL.
+    """
+    mag, ang = _polar_voltage(vs, i_br, z)
+    dev = abs(mag - vr.magnitude)
+    if mag > 0.0 and vr.magnitude > 0.0:
+        dev = max(dev, abs(wrap_angle(ang - vr.angle)))
+    if dev > POLAR_AGREEMENT_TOL:
+        raise PolarMismatchError(f"branch {branch_id}: polar form deviates by {dev:.3e}")
+    return dev
+
+
+def to_per_unit(record: BranchRecord, base: PerUnitBase) -> PerUnitBranch:
+    """Convert a physical-unit branch record to per-unit on the given base.
+
+    Impedance divides by z_base and the kW/kVAr load by kw_base. Tie branches
+    convert impedance only. A finite value can overflow on a tiny base; that
+    raises a DataError naming the branch, the field and both bases.
+    """
+    branch_id, sending_node, receiving_node, resistance, reactance, p, q, capacity, is_tie = record
+    if is_tie:
+        p = q = 0.0
+    (z,), (s,) = _per_unit_columns((branch_id,), (resistance,), (reactance,), (p,), (q,), base)
+    return PerUnitBranch(branch_id, sending_node, receiving_node, Phasor(z.real, z.imag),
+                         Phasor(s.real, s.imag), capacity, is_tie)
+
+
+class SolveState:
+    """Mutable per-iteration arrays for one solve."""
+
+    def __init__(self, node_voltage: dict[int, Phasor], load_current: dict[int, Phasor],
+                 branch_current: dict[int, Phasor], prev_voltage_mag: dict[int, float]):
+        self.node_voltage = node_voltage
+        self.load_current = load_current
+        self.branch_current = branch_current
+        self.prev_voltage_mag = prev_voltage_mag
+
+    @classmethod
+    def flat_start(cls, net: NetworkModel) -> "SolveState":
+        """All node voltages 1.0 at angle 0, all branch currents 0."""
+        one = Phasor(1.0, 0.0)
+        zero = Phasor.zero()
+        nodes = net.nodes()
+        return cls(
+            node_voltage={n: one for n in nodes},
+            load_current={n: zero for n in nodes},
+            branch_current={b: zero for b in net.branch_ids},
+            prev_voltage_mag={n: 1.0 for n in nodes},
+        )
 
 
 class SweepInvariantError(LoadFlowError):

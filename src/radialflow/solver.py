@@ -28,7 +28,8 @@ among the leaves; the rest of each per-iteration count is a closed form in
 the node, branch and root-child counts and the node depths, plus
 literal_scan's table scans. Having no load in them, the counts are kept on
 the tree, which networks of one topology share (model._shared_tree).
-debug_polar checks each pass in polar form after its forward loop.
+debug_polar checks each pass in polar form after its forward loop, with
+oracle._polar_deviation, which a solve imports only when it is asked to.
 
 A tree swept again and again runs a pass loop generated for it. Once the
 generic loop of _sweep has swept a tree _KERNEL_PASSES passes, and if the
@@ -78,9 +79,10 @@ default.
 The reference implementation of the sweep, the dict-based phase functions
 (compute_load_currents, backward_sweep, forward_sweep, check_convergence)
 that count their steps, lives in oracle with the rest of the references, so
-that importing solve does not compile it. The tests import those four from
-here too: this module forwards them to oracle on first use (PEP 562), and
-forwards nothing else.
+that importing solve does not compile it, and so does the debug_polar check
+(_polar_voltage, _polar_deviation, POLAR_AGREEMENT_TOL, PolarMismatchError
+and wrap_angle). The tests import those from here too: this module forwards
+them to oracle on first use (PEP 562), and forwards nothing else.
 """
 from __future__ import annotations
 
@@ -96,7 +98,6 @@ from .model import (
     SolveReport,
     _IdView,
     _Record,
-    wrap_angle,
 )
 
 
@@ -115,13 +116,6 @@ class NonConvergenceError(LoadFlowError):
 
 class NumericError(LoadFlowError):
     """Non-finite intermediate value during a sweep."""
-
-
-class PolarMismatchError(LoadFlowError):
-    """Polar-form voltage evaluation disagrees with the rectangular sweep."""
-
-
-POLAR_AGREEMENT_TOL = 1e-10
 
 
 class SolveOptions(_Record, namedtuple(
@@ -190,35 +184,6 @@ def _leaf_search_steps(count: int) -> tuple[list[int], list[int]]:
         stack.append((low, mid - 1, steps + 1))
         stack.append((mid + 1, high, steps + 2))
     return found, missed
-
-
-def _polar_voltage(vs: Phasor, i_br: Phasor, z: Phasor) -> tuple[float, float]:
-    """Receiving-end voltage via the squared-magnitude and angle-ratio forms."""
-    phi = wrap_angle(math.atan2(i_br.im, i_br.re) + math.atan2(z.im, z.re))
-    vs_m = vs.magnitude
-    drop = i_br.magnitude * z.magnitude
-    theta_s = vs.angle
-    vr_sq = vs_m * vs_m + drop * drop - 2.0 * vs_m * drop * math.cos(theta_s - phi)
-    vr_mag = math.sqrt(max(vr_sq, 0.0))
-    vr_ang = math.atan2(
-        vs_m * math.sin(theta_s) - drop * math.sin(phi),
-        vs_m * math.cos(theta_s) - drop * math.cos(phi),
-    )
-    return vr_mag, vr_ang
-
-
-def _polar_deviation(vs: Phasor, i_br: Phasor, z: Phasor, vr: Phasor, branch_id: int) -> float:
-    """Disagreement of the polar-form receiving voltage with the rectangular vr.
-
-    Raises PolarMismatchError beyond POLAR_AGREEMENT_TOL.
-    """
-    mag, ang = _polar_voltage(vs, i_br, z)
-    dev = abs(mag - vr.magnitude)
-    if mag > 0.0 and vr.magnitude > 0.0:
-        dev = max(dev, abs(wrap_angle(ang - vr.angle)))
-    if dev > POLAR_AGREEMENT_TOL:
-        raise PolarMismatchError(f"branch {branch_id}: polar form deviates by {dev:.3e}")
-    return dev
 
 
 def _step_counts(net: NetworkModel, literal_scan: bool) -> tuple[int, int, int]:
@@ -341,12 +306,12 @@ def _sweep(net: NetworkModel, options: SolveOptions):
     pass with an infinite magnitude does not converge, as check_convergence's
     delta for it is inf or NaN.
 
-    With debug_polar, each pass's branches are checked in polar form after
-    the finiteness test, from that pass's final voltages: each sending
-    node's voltage was set earlier in the pass (or is the root's) and is set
-    only once, so the check reads the values the forward loop read. A
-    non-finite voltage anywhere in the pass is therefore raised before a
-    polar mismatch.
+    With debug_polar, each pass's branches are checked in polar form
+    (oracle._polar_deviation, imported once per solve) after the finiteness
+    test, from that pass's final voltages: each sending node's voltage was
+    set earlier in the pass (or is the root's) and is set only once, so the
+    check reads the values the forward loop read. A non-finite voltage
+    anywhere in the pass is therefore raised before a polar mismatch.
     """
     tree = net._tree
     send, recv = tree.send, tree.recv
@@ -372,6 +337,8 @@ def _sweep(net: NetworkModel, options: SolveOptions):
     mags = [1.0] * n
     deltas = []
     worst_polar = 0.0
+    if options.debug_polar:  # the check lives with the references
+        from .oracle import _polar_deviation
     for iterations in range(1, options.max_iterations + 1):
         try:
             for i, s_conj in zip(*loads):
@@ -579,13 +546,16 @@ def step_model(n: int, m: int, r: int) -> tuple[int, int]:
     return proposed, baseline
 
 
-_REFERENCE = ("compute_load_currents", "backward_sweep", "forward_sweep", "check_convergence")
+_ORACLE = ("compute_load_currents", "backward_sweep", "forward_sweep", "check_convergence",
+           "PolarMismatchError", "POLAR_AGREEMENT_TOL", "_polar_voltage", "_polar_deviation",
+           "wrap_angle")
 
 
 def __getattr__(name):
-    # the reference phase functions live in oracle, which is imported on
-    # first use, so importing solve does not load them (PEP 562)
-    if name in _REFERENCE:
+    # the reference phase functions and the debug_polar check live in oracle,
+    # which is imported on first use, so importing solve does not load them
+    # (PEP 562)
+    if name in _ORACLE:
         from . import oracle
 
         return getattr(oracle, name)

@@ -73,6 +73,16 @@ class TestValidate:
         assert code == EXIT_PARSE
         assert "cannot read" in err
 
+    def test_a_path_is_opened_as_given(self, capsys, tmp_path):
+        """A table path is opened as typed, not normalised: a file named with
+        a trailing slash is not a directory, and the error names the path
+        as given."""
+        (tmp_path / "net.branch").write_text("1 1 2 0.1 0.1 0 0\n")
+        path = f"{tmp_path / 'net.branch'}/"
+        code, out, err = run(capsys, "validate", path)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith(f"parse error: cannot read {path}: ")
+
     def test_unordered_table(self, capsys, tmp_path):
         path = tmp_path / "unordered.branch"
         path.write_text("1 3 2 0.1 0.05 10 5\n2 1 3 0.1 0.05 10 5\n")
@@ -661,22 +671,28 @@ def test_bundled_data_reads_without_default_encoding():
 
 def test_cli_import_leaves_the_oracle_unloaded(tmp_path):
     """radialflow loads its oracle, and solver the pass-loop writer
-    (radialflow._kernel), on first use, which no CLI run makes, and neither
-    the package nor the CLI imports dataclasses, inspect, json, random, heapq
-    or ast, renumbering, the JSON reader or the other commands to start; the
-    CLI loads no package module but the four it runs on.
+    (radialflow._kernel), on first use, which a CLI run makes of the oracle
+    only under --debug-polar and of the writer never, and neither the
+    package nor the CLI imports
+    dataclasses, inspect, json, random, heapq, ast, pathlib or numbers,
+    renumbering, the JSON reader, the failure searches or the other commands
+    to start; the CLI loads no package module but the four it runs on.
     The interpreter runs without the site hook (-S), whose .pth files may load
     any of these first; a module loaded before the import does not count.
 
     Each command then runs as python -m radialflow.cli, and -X importtime
     lists what it imports: a solve of a delimited table nothing beyond the
     package, ingest, model and solver (cli runs as __main__), and
-    --renumber, a JSON document, --format json, validate, compare and bench
-    one module more each, with the stdlib module that module needs. None
-    imports radialflow.cli, which would be a second copy of __main__."""
-    watched = ["dataclasses", "inspect", "json", "random", "heapq", "ast", "radialflow.oracle",
-               "radialflow._kernel", "radialflow._renumber", "radialflow._json_reader",
-               "radialflow._commands"]
+    --renumber, a JSON document, --format json, --debug-polar, validate,
+    compare and bench one module more each, with the stdlib module that
+    module needs, and so does a solve whose root sends no branch, which
+    searches the table for a field that is not a number. A table with text
+    in a number field loads nothing more: the parser refuses it before any
+    such search. None imports radialflow.cli, which would be a second copy
+    of __main__."""
+    stdlib = ["dataclasses", "inspect", "json", "random", "heapq", "ast", "pathlib", "numbers"]
+    watched = [*stdlib, "radialflow.oracle", "radialflow._kernel", "radialflow._renumber",
+               "radialflow._json_reader", "radialflow._commands", "radialflow._defects"]
     for module in ("radialflow.cli", "radialflow"):
         proc = subprocess.run(
             [sys.executable, "-S", "-c",
@@ -699,16 +715,22 @@ def test_cli_import_leaves_the_oracle_unloaded(tmp_path):
     document.write_text(json.dumps({"branches": [
         {"id": 1, "from": 1, "to": 2, "r": 0.1, "x": 0.05, "p": 10.0, "q": 5.0}]}),
         encoding="utf-8")
+    text_field = tmp_path / "text.branch"
+    text_field.write_text("1 1 2 abc 0.05 10 5\n", encoding="utf-8")
     runs = [
-        (("solve", BUS69), None, None),
-        (("solve", "--renumber", BUS33), "radialflow._renumber", "heapq"),
-        (("solve", str(document)), "radialflow._json_reader", "json"),
-        (("solve", "--format", "json", BUS33), "radialflow._commands", "json"),
-        (("validate", BUS33), "radialflow._commands", None),
-        (("compare", BUS69, "--golden", GOLDEN), "radialflow._commands", None),
-        (("bench", "--sizes", "4", "--leaf-fractions", "0.5"), "radialflow._commands", "random"),
+        (("solve", BUS69), EXIT_OK, None, None),
+        (("solve", str(text_field)), EXIT_PARSE, None, None),
+        (("solve", "--renumber", BUS33), EXIT_OK, "radialflow._renumber", "heapq"),
+        (("solve", str(document)), EXIT_OK, "radialflow._json_reader", "json"),
+        (("solve", "--format", "json", BUS33), EXIT_OK, "radialflow._commands", "json"),
+        (("solve", "--debug-polar", BUS69), EXIT_OK, "radialflow.oracle", None),
+        (("solve", "--root", "99", BUS33), EXIT_TOPOLOGY, "radialflow._defects", "numbers"),
+        (("validate", BUS33), EXIT_OK, "radialflow._commands", None),
+        (("compare", BUS69, "--golden", GOLDEN), EXIT_OK, "radialflow._commands", None),
+        (("bench", "--sizes", "4", "--leaf-fractions", "0.5"), EXIT_OK, "radialflow._commands",
+         "random"),
     ]
-    for argv, extra, stdlib in runs:
+    for argv, code, extra, needs in runs:
         proc = subprocess.run(
             [sys.executable, "-S", "-X", "importtime", "-m", "radialflow.cli", *argv],
             capture_output=True, env=subprocess_env(), text=True, timeout=60,
@@ -718,8 +740,8 @@ def test_cli_import_leaves_the_oracle_unloaded(tmp_path):
         package = sorted(m for m in imported if m.partition(".")[0] == "radialflow")
         expected = sorted({"radialflow", "radialflow.ingest", "radialflow.model",
                            "radialflow.solver", extra} - {None})
-        assert (argv, proc.returncode, package) == (argv, EXIT_OK, expected)
-        assert (argv, sorted(imported & set(watched[:6]))) == (argv, [stdlib] if stdlib else [])
+        assert (argv, proc.returncode, package) == (argv, code, expected)
+        assert (argv, sorted(imported & set(stdlib))) == (argv, [needs] if needs else [])
 
 
 def test_a_command_line_builds_only_its_commands_arguments():
@@ -737,21 +759,32 @@ def test_moved_names_are_forwarded_from_where_they_were():
     """ingest forwards renumber_sequential and RenumberMapping from
     radialflow._renumber, the package renumber_sequential, and cli
     cmd_validate, cmd_compare, cmd_bench, generate_random_table and
-    read_golden from radialflow._commands, each as that module's own object,
-    on first use; no other name is forwarded, and the package gains no
-    name."""
+    read_golden from radialflow._commands; model forwards the failure
+    searches from radialflow._defects, and model and the package SolveState
+    and to_per_unit, and model wrap_angle and TWO_PI, from radialflow.oracle
+    (solver's forwarding is tested with solver). Each is that module's own
+    object, on first use; no other name is forwarded, and the package gains
+    no name."""
     import radialflow
-    from radialflow import _commands, ingest
+    from radialflow import _commands, _defects, ingest, model, oracle
 
     for module, names, home in ((ingest, ("renumber_sequential", "RenumberMapping"), _renumber),
                                 (radialflow, ("renumber_sequential",), _renumber),
                                 (cli, ("cmd_validate", "cmd_compare", "cmd_bench",
-                                       "generate_random_table", "read_golden"), _commands)):
+                                       "generate_random_table", "read_golden"), _commands),
+                                (model, ("_check_real", "_check_float", "_check_numbers",
+                                         "_cycle"), _defects),
+                                (model, ("SolveState", "to_per_unit", "wrap_angle", "TWO_PI"),
+                                 oracle),
+                                (radialflow, ("SolveState", "to_per_unit"), oracle)):
         for name in names:
             assert getattr(module, name) is getattr(home, name)
     for module, name in ((ingest, "_table_order"), (ingest, "_plain_columns"),
                          (radialflow, "RenumberMapping"), (cli, "_in_input_ids"),
-                         (cli, "_report_json")):
+                         (cli, "_report_json"), (radialflow, "wrap_angle"),
+                         (radialflow, "PolarMismatchError"), (radialflow, "_check_real"),
+                         (model, "_polar_deviation"), (model, "PolarMismatchError"),
+                         (model, "_rerun_bounded"), (ingest, "SolveState")):
         with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
             getattr(module, name)
 

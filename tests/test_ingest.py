@@ -417,36 +417,43 @@ class TestValidateRadial:
 
 
 TOPOLOGY_DEFECTS = [
-    # (rows as (id, from, to), validate_radial message, renumber_sequential message)
-    # the branches are named in id order, whatever the order of the rows
-    pytest.param([(3, 2, 3), (1, 1, 2), (2, 1, 3)],
+    # (rows as (id, from, to), root, validate_radial message, renumber_sequential
+    # message); the branches are named in id order, whatever the order of the rows
+    pytest.param([(3, 2, 3), (1, 1, 2), (2, 1, 3)], 1,
                  "node 3 is fed by branches 2 and 3", None, id="doubly-fed"),
-    pytest.param([(1, 1, 2), (2, 2, 3), (3, 3, 1)],
+    pytest.param([(1, 1, 2), (2, 2, 3), (3, 3, 1)], 1,
                  "cycle through branch 3 (3->1) feeding the root", None, id="root-fed"),
-    pytest.param([(1, 1, 2), (2, 2, 3), (3, 5, 4)],
+    pytest.param([(1, 1, 2), (2, 2, 3), (3, 5, 4)], 1,
                  "node 5 has no feeding branch", None, id="one-unfed"),
     # of two unfed nodes the smaller is named
-    pytest.param([(1, 1, 2), (2, 700, 3), (3, 2, 4), (4, 1000, 5), (5, 2, 6)],
+    pytest.param([(1, 1, 2), (2, 700, 3), (3, 2, 4), (4, 1000, 5), (5, 2, 6)], 1,
                  "node 700 has no feeding branch", None, id="two-unfed-large-ids"),
-    pytest.param([(1, 1, 2), (2, 3, 4), (3, 4, 3)],
+    pytest.param([(1, 1, 2), (2, 3, 4), (3, 4, 3)], 1,
                  "cycle through branch 3 (4->3)", None, id="detached-cycle"),
-    pytest.param([(1, 2, 3), (2, 3, 4)],
+    pytest.param([(1, 2, 3), (2, 3, 4)], 1,
                  "root 1 is not a sending node", None, id="root-not-sender"),
-    pytest.param([(1, 2, 3), (2, 4, 3)],
+    pytest.param([(1, 2, 3), (2, 4, 3)], 1,
                  "root 1 is not a sending node", None, id="root-not-sender-and-doubly-fed"),
-    pytest.param([(1, 1, 2), (2, 9, 3), (3, 5, 6), (4, 6, 5)],
+    pytest.param([(1, 1, 2), (2, 9, 3), (3, 5, 6), (4, 6, 5)], 1,
                  "node 9 has no feeding branch", None, id="unfed-and-detached-cycle"),
+    # an int too long for str() is shown in a bounded form
+    pytest.param([(1, 1, 2), (2, 2, 3)], 10**5000,
+                 "root 100000...000000 (5001 digits) is not a sending node", None,
+                 id="root-beyond-str"),
+    pytest.param([(1, 1, 2), (2, 10**5000, 3)], 1,
+                 "node 100000...000000 (5001 digits) has no feeding branch", None,
+                 id="unfed-beyond-str"),
 ]
 
 
-@pytest.mark.parametrize("rows,validate_msg,renumber_msg", TOPOLOGY_DEFECTS)
-def test_topology_error_text(rows, validate_msg, renumber_msg):
+@pytest.mark.parametrize("rows,root,validate_msg,renumber_msg", TOPOLOGY_DEFECTS)
+def test_topology_error_text(rows, root, validate_msg, renumber_msg):
     table = make_table([row + (0.1, 0.1, 0, 0) for row in rows])
     with pytest.raises(TopologyError) as exc:
-        validate_radial(table)
+        validate_radial(table, root=root)
     assert str(exc.value) == f"test: {validate_msg}"
     with pytest.raises(TopologyError) as exc:
-        renumber_sequential(table)
+        renumber_sequential(table, root=root)
     assert str(exc.value) == f"test: {renumber_msg or validate_msg}"
 
 

@@ -187,9 +187,12 @@ class TestPerUnitBase:
         (12.66, 10**400, "mva_base is beyond the range of a float"),
         (10**200, 10.0, f"kv_base {10**200} and mva_base 10.0 give an impedance base beyond "
                         f"the range of a float"),
+        # an int too long for str(), shown in a bounded form
+        (-10**5000, 10.0, "kv_base must be positive and finite, got -100000...000000 "
+                          "(5001 digits)"),
     ], ids=["0.0-10.0", "-1.0-10.0", "12.66-0.0", "12.66--5.0", "1e-300-10.0", "1e+200-10.0",
             "12.66-1e+306", "kv-text", "kv-none", "mva-complex", "first-in-field-order",
-            "kv-beyond-float", "mva-beyond-float", "kv-squared-beyond-float"])
+            "kv-beyond-float", "mva-beyond-float", "kv-squared-beyond-float", "kv-beyond-str"])
     def test_invalid_base_rejected(self, kv, mva, message):
         with pytest.raises(DataError) as exc:
             PerUnitBase(kv_base=kv, mva_base=mva)
@@ -279,13 +282,21 @@ class TestBranchRecord:
         ((1, 1, 2, 0.1, 0.1, 10, 5, None, 0), "branch 1: is_tie is not a bool (0)"),
         ((1, 1, 2, 0.1, 0.1, 0, 0, None, None), "branch 1: is_tie is not a bool (None)"),
         ((1, 2, 2, 0.1, 0.1, 10, 5, None, "no"), "branch 1: sending and receiving node are both 2"),
+        # an int too long for str(), shown in a bounded form
+        ((-10**5000, 1, 2, 0.1, 0.1, 0, 0),
+         "branch id must be positive, got -100000...000000 (5001 digits)"),
+        ((1, 10**5000, 10**5000, 0.1, 0.1, 0, 0),
+         "branch 1: sending and receiving node are both 100000...000000 (5001 digits)"),
+        ((10**5000, "1", 2, 0.1, 0.1, 0, 0),
+         "branch 100000...000000 (5001 digits): sending_node is not a number ('1')"),
     ], ids=["id-text", "id-none", "sending-text", "receiving-none", "sending-complex",
             "resistance-text", "reactance-complex", "load_p-none", "load_q-list", "capacity-text",
             "first-in-field-order", "before-negative-impedance", "resistance-beyond-float",
             "reactance-beyond-float", "load_p-beyond-float", "load_q-beyond-float",
             "capacity-beyond-float", "negative-capacity-beyond-float", "after-an-infinity",
             "tie-text-loaded", "tie-text", "tie-one", "tie-zero-loaded", "tie-none",
-            "self-loop-before-tie-text"])
+            "self-loop-before-tie-text", "id-beyond-str", "nodes-beyond-str",
+            "text-after-id-beyond-str"])
     @pytest.mark.parametrize("build", [
         lambda row: BranchRecord(*row),
         # a plain tuple of all nine fields, the defaults filling those not given

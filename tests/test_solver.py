@@ -711,7 +711,7 @@ class TestFlatSolveMatchesPhaseFunctions:
 
     def test_polar_mismatch_names_the_first_branch(self, bus33_net, monkeypatch):
         """A tolerance below 0 fails every branch, so both sweeps name branch 1."""
-        monkeypatch.setattr(solver, "POLAR_AGREEMENT_TOL", -1.0)
+        monkeypatch.setattr(oracle, "POLAR_AGREEMENT_TOL", -1.0)
         options = SolveOptions(debug_polar=True)
         with pytest.raises(PolarMismatchError, match="^branch 1: ") as flat:
             solve(bus33_net, options)
@@ -722,7 +722,7 @@ class TestFlatSolveMatchesPhaseFunctions:
     def test_non_finite_voltage_comes_before_polar_mismatch(self, monkeypatch):
         """solve checks a pass in polar form after its forward loop, so a
         non-finite voltage at branch 2 is raised before branch 1's mismatch."""
-        monkeypatch.setattr(solver, "POLAR_AGREEMENT_TOL", -1.0)
+        monkeypatch.setattr(oracle, "POLAR_AGREEMENT_TOL", -1.0)
         net = validate_radial(make_table([
             (1, 1, 2, 0.1, 0.1, 0.0, 0.0),
             (2, 2, 3, 1e300, 0.0, 1e15, 0.0),
@@ -1049,9 +1049,13 @@ class TestGeneratedSweep:
 
 def test_solver_forwards_the_four_reference_phase_functions_to_the_oracle():
     """solver keeps the phase functions the acceptance suite imports from it,
-    as the oracle's own, and forwards no other name."""
-    for name in ("compute_load_currents", "backward_sweep", "forward_sweep", "check_convergence"):
+    and the debug_polar check and its angle helper, which the tests import
+    from it, as the oracle's own, and forwards no other name."""
+    for name in ("compute_load_currents", "backward_sweep", "forward_sweep", "check_convergence",
+                 "PolarMismatchError", "POLAR_AGREEMENT_TOL", "_polar_voltage",
+                 "_polar_deviation", "wrap_angle"):
         assert getattr(solver, name) is getattr(oracle, name)
-    for name in ("StepCounter", "is_leaf", "SweepInvariantError", "baseline_solve"):
+    for name in ("StepCounter", "is_leaf", "SweepInvariantError", "baseline_solve", "SolveState",
+                 "to_per_unit", "TWO_PI", "_check_real", "_cycle"):
         with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
             getattr(solver, name)

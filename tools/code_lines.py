@@ -1,10 +1,15 @@
-"""Count the code lines of a Python source tree, per module and in total.
+"""Count the code lines of Python source trees and files, per module and in total.
 
 A line counts when it holds a token other than a comment or whitespace and is
 not part of a module, class or function docstring; blank lines, comment lines
 and docstrings do not count. Uses only the standard library (ast, tokenize).
 
-    python3 tools/code_lines.py [DIR]    # DIR defaults to src
+    python3 tools/code_lines.py [PATH ...]    # PATH defaults to src
+
+Each PATH is a directory, whose .py files are counted, or a file. The
+modules a CLI solve compiles, say:
+
+    python3 tools/code_lines.py src/radialflow/{__init__,cli,ingest,model,solver}.py
 """
 import ast
 import io
@@ -39,10 +44,15 @@ def code_lines(path: Path) -> int:
     return len(lines - docstring_lines(ast.parse(text, str(path))))
 
 
+def python_files(arg: str) -> list[Path]:
+    """The .py files under a directory, sorted, or a file on its own."""
+    path = Path(arg)
+    return sorted(path.rglob("*.py")) if path.is_dir() else [path]
+
+
 def main(argv: list[str]) -> int:
-    root = Path(argv[1] if len(argv) > 1 else "src")
     total = 0
-    for path in sorted(root.rglob("*.py")):
+    for path in [p for arg in argv[1:] or ["src"] for p in python_files(arg)]:
         count = code_lines(path)
         total += count
         print(f"{count:6d}  {path}")
